@@ -19,10 +19,7 @@ __all__ = [
     "add",
     "dots_with",
     "indices_to_planes",
-    "neg",
-    "pack_vector",
     "planes_to_indices",
-    "sub",
 ]
 
 
@@ -30,18 +27,6 @@ def add(alo, ahi, blo, bhi):
     """Componentwise mod-3 sum; operands broadcast like numpy."""
     t = (alo | bhi) ^ (ahi | blo)
     return t ^ (ahi | bhi), t ^ (alo | blo)
-
-
-def neg(lo, hi):
-    return hi, lo
-
-
-def sub(alo, ahi, blo, bhi):
-    return add(alo, ahi, bhi, blo)
-
-
-def pack_vector(v: TritVector) -> tuple[int, int]:
-    return v.lo, v.hi
 
 
 _WEIGHT_TABLES: dict[int, np.ndarray] = {}

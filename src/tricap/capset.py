@@ -40,7 +40,7 @@ __all__ = [
 GREEDY_GUARD_N = 16
 EXHAUSTIVE_GUARD_N = 4  # the combinatorial wall; n=5 is out of desk range
 _BITMAP_GUARD_N = 16
-_PAIR_CHUNK = 2048
+_PAIR_CELLS = 1 << 20  # pairs per block: 8 MB per int64 temporary
 
 
 class PointSet:
@@ -51,7 +51,15 @@ class PointSet:
     def __init__(self, n: int, indices: np.ndarray | Sequence[int]):
         if not 1 <= n <= MAX_DIM:
             raise ValueError(f"dimension {n} outside 1..{MAX_DIM}")
-        idx = np.unique(np.asarray(indices, dtype=np.int64))
+        # sort plus an adjacent-duplicate mask gives np.unique's result; numpy's
+        # np.unique is hash-based and far slower on millions of members
+        idx = np.sort(np.asarray(indices, dtype=np.int64), axis=None)
+        if idx.size > 1:
+            fresh = np.empty(idx.size, dtype=bool)
+            fresh[0] = True
+            np.not_equal(idx[1:], idx[:-1], out=fresh[1:])
+            if not fresh.all():
+                idx = idx[fresh]
         if idx.size and (idx[0] < 0 or idx[-1] >= 3**n):
             raise ValueError("point index outside F_3^n")
         self.n = n
@@ -201,27 +209,38 @@ def load_point_set(path: str | os.PathLike) -> PointSet:
 # -- line solutions ---------------------------------------------------------
 
 
-def _third_point_indices(
-    ps: PointSet, row_lo: np.ndarray, row_hi: np.ndarray
-) -> np.ndarray:
-    """Indices of -(a+b) for a block of rows against every member b."""
+def _upper_pair_hits(ps: PointSet):
+    """Per row block [start, stop): whether -(a+b) is a member, for every
+    member a in the block and every member b from index start on.
+
+    Column j of a block is member start + j, so columns below stop - start
+    form the diagonal block and the rest lie strictly above it. Each
+    unordered pair of members is visited once.
+    """
     lo, hi = ps.planes()
-    slo, shi = bulk.add(row_lo[:, None], row_hi[:, None], lo[None, :], hi[None, :])
-    return bulk.planes_to_indices(ps.n, shi, slo)  # plane swap negates
+    start = 0
+    while start < ps.size:
+        stop = min(ps.size, start + max(1, _PAIR_CELLS // (ps.size - start)))
+        slo, shi = bulk.add(
+            lo[start:stop, None], hi[start:stop, None], lo[None, start:], hi[None, start:]
+        )
+        third = bulk.planes_to_indices(ps.n, shi, slo)  # plane swap negates
+        yield start, stop, ps.contains_indices(third)
+        start = stop
 
 
 def count_line_solutions(ps: PointSet) -> int:
     """Ordered triples (a, b, c) in A^3 with a + b + c = 0.
 
     Counts the degenerate a = b = c triples, so a cap set scores exactly
-    |A|. Cost is |A|^2 vectorized in chunks.
+    |A|. (a, b) and (b, a) close at the same third point, so each diagonal
+    block is counted in full and each strictly-upper block twice; the cost
+    is |A|^2 / 2 pairs, vectorized in chunks.
     """
-    lo, hi = ps.planes()
     total = 0
-    for start in range(0, ps.size, _PAIR_CHUNK):
-        block = slice(start, min(start + _PAIR_CHUNK, ps.size))
-        third = _third_point_indices(ps, lo[block], hi[block])
-        total += int(ps.contains_indices(third).sum())
+    for start, stop, hits in _upper_pair_hits(ps):
+        diag = int(np.count_nonzero(hits[:, : stop - start]))
+        total += diag + 2 * int(np.count_nonzero(hits[:, stop - start :]))
     return total
 
 
@@ -229,14 +248,10 @@ def is_capset(ps: PointSet) -> bool:
     """True iff no three distinct points of the set sum to zero."""
     if ps.size < 3:
         return True
-    lo, hi = ps.planes()
-    for start in range(0, ps.size, _PAIR_CHUNK):
-        block = slice(start, min(start + _PAIR_CHUNK, ps.size))
-        third = _third_point_indices(ps, lo[block], hi[block])
-        hits = ps.contains_indices(third)
+    for start, stop, hits in _upper_pair_hits(ps):
         # a == b gives the degenerate triple (a, a, a); mask the diagonal
-        rows = np.arange(third.shape[0])
-        hits[rows, start + rows] = False
+        rows = np.arange(stop - start)
+        hits[rows, rows] = False
         if hits.any():
             return False
     return True

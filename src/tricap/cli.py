@@ -246,7 +246,7 @@ def _cmd_fourier_transform(args: argparse.Namespace) -> int:
 
 def _cmd_fourier_plancherel(args: argparse.Namespace) -> int:
     ps = load_point_set(args.set_file)
-    lhs, rhs = plancherel_check(ps)
+    lhs, rhs = plancherel_check(ps, force=args.force)
     report = _envelope(args, "fourier plancherel", None)
     report.update(n=ps.n, size=ps.size, lhs=str(lhs), rhs=str(rhs), equal=lhs == rhs)
     _emit(args, report)
@@ -255,7 +255,7 @@ def _cmd_fourier_plancherel(args: argparse.Namespace) -> int:
 
 def _cmd_fourier_cubesum(args: argparse.Namespace) -> int:
     ps = load_point_set(args.set_file)
-    cs = cube_sum(ps)
+    cs = cube_sum(ps, force=args.force)
     lines = count_line_solutions(ps)
     expected = Eisenstein(3**ps.n * lines, 0)
     report = _envelope(args, "fourier cubesum", None)

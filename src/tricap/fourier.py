@@ -2,12 +2,28 @@
 
 The table entry at frequency x is the unnormalized character sum
 c(x) = sum over members a of w^(x.a). The full table is computed by n
-in-place-style iterative passes of the 3-point butterfly (the transform
-is the n-th tensor power of the 3-point DFT; the group is elementary
-abelian, so there are no twiddle factors). Coefficients live in two
-int64 planes (real part p, omega part q); indicator inputs keep every
-intermediate below 3^n <= 3^16, far inside int64. Inputs that could
-overflow are promoted to Python-int object arrays automatically.
+passes of the 3-point butterfly: the transform is the n-th tensor power
+of the 3-point DFT and the group is elementary abelian, so there are no
+twiddle factors (Yates' algorithm). Coefficients live in two planes,
+the real part p and the omega part q.
+
+Every integer fast path follows a written bound; past it the exact
+slower path takes over, never a wrapped value:
+
+  * Butterfly passes. With peak the largest input component, every
+    intermediate component stays within 2 * peak * 3^n (|c| grows at
+    most 3x per pass from sqrt(3) * peak, and a component is at most
+    2 / sqrt(3) times |c|). The passes run in int32 when that bound is
+    below 2^31 (every indicator transform up to TRANSFORM_HARD_MAX_N),
+    in int64 below 2^63, and on Python-int object arrays otherwise.
+    Tables are widened to int64 afterwards, so a SpectrumTable is
+    always int64 or object.
+  * Norms p^2 - p q + q^2 are int64 when 3 * peak^2 < 2^62.
+  * Exact sums of int64 arrays add chunks of fewer than 2^62 / max
+    entries each; the norm total is a single int64 sum when
+    size * max_norm < 2^62.
+  * The cube sum is vectorised in int64 when 8 * peak^3 < 2^62; every
+    partial term is at most 6 * peak^3.
 
 Identities kept loud here:
   * Plancherel: sum_x norm(c(x)) = 3^n * |A|, exact integers.
@@ -48,6 +64,8 @@ __all__ = [
 TRANSFORM_GUARD_N = 14
 TRANSFORM_HARD_MAX_N = 16  # 2 * 8 bytes * 3^16 ~ 0.7 GB of table
 
+_INT32_LIMIT = 1 << 31
+_INT64_LIMIT = 1 << 63
 _INT64_SAFE = 1 << 62
 
 
@@ -63,38 +81,105 @@ def _check_guard(n: int, force: bool) -> None:
         )
 
 
-def _apply_passes(p: np.ndarray, q: np.ndarray, n: int, inverse: bool):
-    """Run the n butterfly passes; dtype chosen by worst-case growth."""
-    peak = max(int(np.abs(p).max(initial=0)), int(np.abs(q).max(initial=0)))
-    if peak and peak * 3**n >= _INT64_SAFE:
-        p = p.astype(object)
-        q = q.astype(object)
-    for j in range(n):
-        s = 3**j
-        P = p.reshape(-1, 3, s)
-        Q = q.reshape(-1, 3, s)
-        p0, p1, p2 = P[:, 0, :], P[:, 1, :], P[:, 2, :]
-        q0, q1, q2 = Q[:, 0, :], Q[:, 1, :], Q[:, 2, :]
-        # rows of the 3-point DFT matrix over 1, w, w^2 (w^2 = -1 - w);
-        # the inverse transform swaps the w and w^2 rows (conjugation)
-        ap = p0 - q1 + q2 - p2
-        aq = q0 + p1 - q1 - p2
-        bp = p0 + q1 - p1 - q2
-        bq = q0 - p1 + p2 - q2
-        if inverse:
-            ap, bp = bp, ap
-            aq, bq = bq, aq
-        np_ = np.empty_like(p).reshape(-1, 3, s)
-        nq = np.empty_like(q).reshape(-1, 3, s)
-        np_[:, 0, :] = p0 + p1 + p2
-        nq[:, 0, :] = q0 + q1 + q2
-        np_[:, 1, :] = ap
-        nq[:, 1, :] = aq
-        np_[:, 2, :] = bp
-        nq[:, 2, :] = bq
-        p = np_.reshape(-1)
-        q = nq.reshape(-1)
-    return p, q
+def _peak(*planes: np.ndarray) -> int:
+    """Largest absolute value over the given arrays, as a Python int."""
+    return max(
+        (max(int(a.max(initial=0)), -int(a.min(initial=0))) for a in planes),
+        default=0,
+    )
+
+
+def _kernel_dtype(peak: int, n: int):
+    """Narrowest exact dtype for n butterfly passes over inputs within peak."""
+    bound = 2 * peak * 3**n
+    if bound < _INT32_LIMIT:
+        return np.int32
+    if bound < _INT64_LIMIT:
+        return np.int64
+    return object
+
+
+def _pass(src, dst, d, e, s: int, inverse: bool) -> None:
+    """One butterfly pass over the digit whose trailing block is s long.
+
+    src and dst are (p, q) plane pairs; d and e are scratch rows of 3^(n-1)
+    entries that hold the shared differences q1 - q2 and p1 - p2.
+    """
+    p0, p1, p2 = src[0].reshape(-1, 3, s).transpose(1, 0, 2)
+    q0, q1, q2 = src[1].reshape(-1, 3, s).transpose(1, 0, 2)
+    op = dst[0].reshape(-1, 3, s).transpose(1, 0, 2)
+    oq = dst[1].reshape(-1, 3, s).transpose(1, 0, 2)
+    d = d.reshape(-1, s)
+    e = e.reshape(-1, s)
+    np.subtract(q1, q2, out=d)
+    np.subtract(p1, p2, out=e)
+    # rows of the 3-point DFT matrix over 1, w, w^2 (w^2 = -1 - w); the
+    # inverse transform swaps the w and w^2 rows (conjugation)
+    ka, kb = (2, 1) if inverse else (1, 2)
+    # x0 + x1 + x2
+    np.add(p0, p1, out=op[0])
+    np.add(op[0], p2, out=op[0])
+    np.add(q0, q1, out=oq[0])
+    np.add(oq[0], q2, out=oq[0])
+    # x0 + w x1 + w^2 x2 = (p0 - p2 - d) + (q0 - q1 + e) w
+    np.subtract(p0, p2, out=op[ka])
+    np.subtract(op[ka], d, out=op[ka])
+    np.subtract(q0, q1, out=oq[ka])
+    np.add(oq[ka], e, out=oq[ka])
+    # x0 + w^2 x1 + w x2 = (p0 - p1 + d) + (q0 - q2 - e) w
+    np.subtract(p0, p1, out=op[kb])
+    np.add(op[kb], d, out=op[kb])
+    np.subtract(q0, q2, out=oq[kb])
+    np.subtract(oq[kb], e, out=oq[kb])
+
+
+def _butterfly(p: np.ndarray, q: np.ndarray, n: int, inverse: bool):
+    """Run the n butterfly passes over copies of (p, q); int64 or object out.
+
+    A pass is fast when the digit it transforms has a long contiguous
+    trailing block, so the leading half of the digits is transformed in
+    place, the layout is rotated to bring the other half to the front,
+    that half is transformed, and the layout is rotated back. Two plane
+    pairs ping-pong and two scratch rows hold the shared differences, so
+    a pass allocates nothing.
+    """
+    dtype = _kernel_dtype(_peak(p, q), n)
+    wide = object if dtype is object else np.int64
+    planes = (p.astype(dtype), q.astype(dtype))
+    spare = (np.empty_like(planes[0]), np.empty_like(planes[1]))
+    d = np.empty(3**n // 3, dtype=dtype)
+    e = np.empty_like(d)
+    for k, last in ((n // 2, False), (n - n // 2, True)):
+        for j in range(k):
+            _pass(planes, spare, d, e, 3 ** (n - 1 - j), inverse)
+            planes, spare = spare, planes
+        if last:
+            # the final rotation also widens into the result planes
+            del spare, d, e
+            spare = (np.empty(3**n, dtype=wide), np.empty(3**n, dtype=wide))
+        # rotate the k transformed digits from the front to the back
+        for src, dst in zip(planes, spare):
+            np.copyto(dst.reshape(3 ** (n - k), 3**k), src.reshape(3**k, 3 ** (n - k)).T)
+        planes, spare = spare, planes
+    return planes
+
+
+def _exact_sum(values: np.ndarray, peak: int | None = None) -> int:
+    """Exact sum of an int64 or object array with entries within peak.
+
+    An int64 array is summed in int64 chunks of at most (2^62 - 1) / peak
+    entries, so every chunk sum stays below 2^62; object arrays add as
+    Python ints.
+    """
+    if values.dtype == object:
+        return sum(values.tolist(), 0)
+    if peak is None:
+        peak = _peak(values)
+    step = max(1, (_INT64_SAFE - 1) // max(peak, 1))
+    if values.size <= step:
+        return int(values.sum())
+    starts = np.arange(0, values.size, step)
+    return sum(np.add.reduceat(values, starts).tolist(), 0)
 
 
 class SpectrumTable:
@@ -120,10 +205,8 @@ class SpectrumTable:
     def norms(self) -> np.ndarray:
         """eis_norm(c(x)) per frequency; int64 when provably safe."""
         p, q = self.p, self.q
-        if p.dtype == np.int64:
-            peak = max(int(np.abs(p).max(initial=0)), int(np.abs(q).max(initial=0)))
-            if 3 * peak * peak < _INT64_SAFE:
-                return p * p - p * q + q * q
+        if p.dtype == np.int64 and 3 * _peak(p, q) ** 2 < _INT64_SAFE:
+            return p * p - p * q + q * q
         po = p.astype(object)
         qo = q.astype(object)
         return po * po - po * qo + qo * qo
@@ -134,7 +217,7 @@ class SpectrumTable:
 
     def norm_total(self) -> int:
         """Exact big-int sum of all coefficient norms."""
-        return sum(self.norms().tolist(), 0)
+        return _exact_sum(self.norms())
 
 
 def transform_table(f, n: int, force: bool = False) -> SpectrumTable:
@@ -143,18 +226,17 @@ def transform_table(f, n: int, force: bool = False) -> SpectrumTable:
     f = np.asarray(f)
     if f.shape != (3**n,):
         raise ValueError("input array must have length 3^n")
-    p = np.array(f, dtype=np.int64 if f.dtype != object else object)
-    q = np.zeros_like(p)
-    p, q = _apply_passes(p, q, n, inverse=False)
+    p = f if f.dtype == object else f.astype(np.int64, copy=False)
+    p, q = _butterfly(p, np.zeros(p.shape, dtype=np.int8), n, inverse=False)
     return SpectrumTable(n, p, q)
 
 
 def transform_point_set(ps: PointSet, force: bool = False) -> SpectrumTable:
     """Character-sum table of a point set's indicator function."""
     _check_guard(ps.n, force)
-    f = np.zeros(3**ps.n, dtype=np.int64)
+    f = np.zeros(3**ps.n, dtype=np.int8)
     f[ps.indices] = 1
-    p, q = _apply_passes(f, np.zeros_like(f), ps.n, inverse=False)
+    p, q = _butterfly(f, np.zeros_like(f), ps.n, inverse=False)
     t = SpectrumTable(ps.n, p, q, source_size=ps.size)
     c0 = t.coefficient_at(0)
     if (c0.p, c0.q) != (ps.size, 0):
@@ -171,7 +253,7 @@ def inverse_table(table: SpectrumTable, force: bool = False) -> tuple[np.ndarray
     """
     _check_guard(table.n, force)
     scale = 3**table.n
-    p, q = _apply_passes(table.p.copy(), table.q.copy(), table.n, inverse=True)
+    p, q = _butterfly(table.p, table.q, table.n, inverse=True)
     out = []
     for arr in (p, q):
         if arr.dtype == np.int64:
@@ -194,21 +276,20 @@ def plancherel_check(ps: PointSet, force: bool = False) -> tuple[int, int]:
 
 def cube_sum(ps: PointSet, force: bool = False) -> Eisenstein:
     """sum_x c(x)^3, exactly; equals (3^n * line solutions, 0)."""
-    table = transform_point_set(ps, force=force)
+    return _cube_total(transform_point_set(ps, force=force))
+
+
+def _cube_total(table: SpectrumTable) -> Eisenstein:
+    """sum_x c(x)^3 over a whole table, exactly."""
     p, q = table.p, table.q
-    # (p + q w)^3 = (p^3 + q^3 - 3 p q^2) + (3 p^2 q - 3 p q^2) w
-    if table.n <= 12 and p.dtype == np.int64:
-        # |terms| <= 4 * 3^(3n) <= 4 * 3^36 < 2^63 componentwise
-        pp, qq = p, q
-        re = pp**3 + qq**3 - 3 * pp * qq**2
-        im = 3 * pp**2 * qq - 3 * pp * qq**2
-        return Eisenstein(sum(re.tolist(), 0), sum(im.tolist(), 0))
-    re_acc = 0
-    im_acc = 0
-    for pi, qi in zip(p.tolist(), q.tolist()):
-        re_acc += pi**3 + qi**3 - 3 * pi * qi * qi
-        im_acc += 3 * pi * pi * qi - 3 * pi * qi * qi
-    return Eisenstein(re_acc, im_acc)
+    bound = 8 * _peak(p, q) ** 3
+    if p.dtype != np.int64 or bound >= _INT64_SAFE:
+        p, q = p.astype(object), q.astype(object)
+    # (p + q w)^3 = (p^3 + q^3 - 3 p q^2) + 3 p q (p - q) w; every partial
+    # result is at most 6 peak^3 in size, below the int64 bound checked above
+    re = p**3 + q**3 - 3 * p * q**2
+    im = 3 * p * q * (p - q)
+    return Eisenstein(_exact_sum(re, bound), _exact_sum(im, bound))
 
 
 def balanced_transform(ps: PointSet, force: bool = False) -> SpectrumTable:

@@ -92,7 +92,11 @@ class IncrementReport:
 
 
 class SpectrumSet:
-    """Spectrum members with their exact coefficient norms and the table."""
+    """Spectrum members with their exact coefficient norms and the table.
+
+    ``norms`` is parallel to ``members.indices``: norms[k] is the norm of
+    the coefficient at frequency members.indices[k].
+    """
 
     __slots__ = ("base", "threshold_c", "members", "norms", "table")
 
@@ -101,7 +105,7 @@ class SpectrumSet:
         base: PointSet,
         threshold_c: Fraction,
         members: PointSet,
-        norms: dict[int, int],
+        norms: np.ndarray,
         table: SpectrumTable,
     ):
         self.base = base
@@ -122,10 +126,13 @@ class SpectrumSet:
         return Fraction(self.base.size, 3**self.base.n)
 
     def norm_of(self, x: TritVector) -> int:
-        return self.norms[x.index]
+        """Exact norm at a member frequency; KeyError for a non-member."""
+        if not self.contains(x):
+            raise KeyError(x.index)
+        return int(self.norms[np.searchsorted(self.members.indices, x.index)])
 
     def contains(self, x: TritVector) -> bool:
-        return x.index in self.norms
+        return self.members.contains(x)
 
 
 def extract_spectrum(
@@ -146,10 +153,8 @@ def extract_spectrum(
     else:
         mask = np.array([v >= need for v in norms.tolist()])
     mask[0] = False
-    idx = np.nonzero(mask)[0].astype(np.int64)
-    members = PointSet(ps.n, idx)
-    norm_map = {int(i): int(norms[i]) for i in idx}
-    return SpectrumSet(ps, c, members, norm_map, table)
+    members = PointSet(ps.n, np.flatnonzero(mask))
+    return SpectrumSet(ps, c, members, norms[members.indices], table)
 
 
 def coset_counts(ps: PointSet, x: TritVector) -> tuple[int, int, int]:

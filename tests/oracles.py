@@ -81,6 +81,17 @@ def naive_dft(points, n):
     return out
 
 
+def naive_transform(values, n):
+    """c(x) = sum_a f(a) w^(x.a) for f given by canonical index; a list."""
+    out = [E_ZERO] * 3**n
+    for x in all_points(n):
+        acc = E_ZERO
+        for a in all_points(n):
+            acc = e_add(acc, e_mul((values[point_index(a)], 0), CHAR[dot(x, a)]))
+        out[point_index(x)] = acc
+    return out
+
+
 def naive_line_solutions(points):
     """Ordered triples (a, b, c) from the set with a + b + c = 0."""
     members = set(points)

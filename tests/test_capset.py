@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -16,6 +17,7 @@ from tricap import (
     random_point_set,
     save_point_set,
 )
+from tricap import capset
 
 import oracles
 from conftest import tuples_of
@@ -51,6 +53,33 @@ class TestPointSet:
         for v in ps.vectors():
             assert bm[v.index]
 
+    @given(
+        st.lists(st.integers(0, 3**4 - 1), max_size=60),
+        st.sampled_from(["list", "1d", "2d"]),
+    )
+    def test_canonical_form_matches_np_unique(self, raw, form):
+        arr = np.array(raw, dtype=np.int64)
+        if form == "2d" and arr.size % 2 == 0:
+            arr = arr.reshape(2, -1)
+        before = arr.copy()
+        ps = PointSet(4, raw if form == "list" else arr)
+        assert np.array_equal(ps.indices, np.unique(before))
+        assert ps.indices.dtype == np.int64
+        assert ps.indices.ndim == 1
+        assert not ps.indices.flags.writeable
+        assert np.array_equal(arr, before)  # the caller's array is untouched
+
+    def test_canonical_form_of_empty_input(self):
+        ps = PointSet(3, np.array([], dtype=np.int64))
+        assert ps.size == 0
+        assert ps.indices.dtype == np.int64
+        assert not ps.indices.flags.writeable
+
+    @pytest.mark.parametrize("bad", [[-1], [3**3], [5, 3**3, 1], [[0, 1], [2, -4]]])
+    def test_out_of_range_index_rejected(self, bad):
+        with pytest.raises(ValueError):
+            PointSet(3, bad)
+
     def test_contains(self):
         ps = PointSet.from_strings(["012", "210"])
         assert ps.contains(TritVector.from_string("012"))
@@ -65,6 +94,18 @@ class TestLineCounting:
     @given(random_sets)
     def test_capset_predicate_matches_reference(self, ps):
         assert is_capset(ps) == oracles.naive_is_capset(tuples_of(ps))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_many_pair_blocks_match_reference(self, seed, monkeypatch):
+        # tiny blocks, so most pairs fall in strictly-upper blocks
+        monkeypatch.setattr(capset, "_PAIR_CELLS", 16)
+        ps = random_point_set(4, 20 + 5 * seed, seed)
+        pts = tuples_of(ps)
+        assert count_line_solutions(ps) == oracles.naive_line_solutions(pts)
+        assert is_capset(ps) == oracles.naive_is_capset(pts)
+        cap = greedy_random_capset(4, seed)
+        assert count_line_solutions(cap) == cap.size
+        assert is_capset(cap)
 
     def test_single_line_counted_six_ways(self):
         ps = PointSet.from_strings(["000", "111", "222"])

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from tricap import load_point_set
+from tricap import fourier, load_point_set
 from tricap.cli import main
 
 
@@ -116,6 +116,12 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "capset", "gen", "--n", "30", "--seed", "0")
         assert code == 3
         assert "guard" in err
+
+    @pytest.mark.parametrize("command", ["plancherel", "cubesum"])
+    def test_fourier_force_lifts_guard(self, cap_file, capsys, monkeypatch, command):
+        monkeypatch.setattr(fourier, "TRANSFORM_GUARD_N", 4)  # cap_file has n = 6
+        assert run_cli(capsys, "fourier", command, cap_file)[0] == 3
+        assert run_cli(capsys, "fourier", command, cap_file, "--force")[0] == 0
 
     def test_invalid_threads_is_one(self, cap_file, capsys):
         assert run_cli(capsys, "capset", "verify", cap_file, "--threads", "0")[0] == 1

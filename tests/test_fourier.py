@@ -7,6 +7,7 @@ from tricap import (
     Eisenstein,
     GuardExceededError,
     PointSet,
+    SpectrumTable,
     Subspace,
     TritVector,
     balanced_transform,
@@ -23,6 +24,7 @@ from tricap import (
     transform_point_set,
     transform_table,
 )
+from tricap import fourier
 
 import oracles
 from conftest import all_vectors, tuples_of
@@ -144,3 +146,82 @@ class TestTableIO:
         assert back.n == table.n
         assert np.array_equal(back.p, table.p)
         assert np.array_equal(back.q, table.q)
+
+
+def _largest(ok) -> int:
+    """Largest c >= 1 with ok(c), for a predicate true up to some point."""
+    lo, hi = 1, 2
+    while ok(hi):
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if ok(mid) else (lo, mid)
+    return lo
+
+
+class TestOverflowBounds:
+    """Every integer fast path, just below and just above its bound.
+
+    Inputs are large multiples of a fixed {-1, 0, 1} pattern (peak c) or
+    of the delta at 0 (a constant table c). Each case is compared with
+    the pure-Python transform oracle and round-trips exactly.
+    """
+
+    N = 3
+    PATTERN = [(7 * i) % 3 - 1 for i in range(27)]
+    DELTA = [1] + [0] * 26
+
+    def exact_table(self, values):
+        f = np.array(values, dtype=object if max(map(abs, values)) >= 2**63 else np.int64)
+        table = transform_table(f, self.N)
+        want = oracles.naive_transform(values, self.N)
+        assert [(int(p), int(q)) for p, q in zip(table.p, table.q)] == want
+        re, im = inverse_table(table)
+        assert [int(v) for v in re] == values
+        assert not any(int(v) for v in im)
+        return table, want
+
+    @pytest.mark.parametrize("above", [False, True])
+    def test_int32_passes(self, above):
+        # 2 * peak * 3^n < 2^31 runs the butterflies in int32
+        c = _largest(lambda c: 2 * c * 3**self.N < 2**31) + above
+        assert fourier._kernel_dtype(c, self.N) is (np.int64 if above else np.int32)
+        table, _ = self.exact_table([c * t for t in self.PATTERN])
+        assert table.p.dtype == np.int64
+
+    @pytest.mark.parametrize("above", [False, True])
+    def test_int64_object_switch(self, above):
+        # 2 * peak * 3^n < 2^63, i.e. peak * 3^n < 2^62, keeps int64
+        c = _largest(lambda c: c * 3**self.N < 2**62) + above
+        assert fourier._kernel_dtype(c, self.N) is (object if above else np.int64)
+        table, _ = self.exact_table([c * t for t in self.PATTERN])
+        assert table.p.dtype == (object if above else np.int64)
+
+    def test_inputs_beyond_int64(self):
+        table, _ = self.exact_table([2**70 * t for t in self.PATTERN])
+        assert table.p.dtype == object
+
+    @pytest.mark.parametrize("offset", [0, 1, 2**20])
+    def test_cube_sum_vectorised(self, offset):
+        # 8 * peak^3 < 2^62 computes the cubes in int64; far above, at
+        # 6 peak^3 > 2^63, int64 cubes would wrap
+        c = _largest(lambda c: 8 * c**3 < 2**62) + offset
+        table, want = self.exact_table([c * t for t in self.DELTA])
+        cubes = [oracles.e_mul(oracles.e_mul(z, z), z) for z in want]
+        assert fourier._cube_total(table) == Eisenstein(
+            sum(z[0] for z in cubes), sum(z[1] for z in cubes)
+        )
+        # (c, -c) reaches the worst partial term, 6 peak^3, in the omega part
+        p = np.full(27, c, dtype=np.int64)
+        assert fourier._cube_total(SpectrumTable(self.N, p, -p)) == Eisenstein(
+            -3 * 27 * c**3, -6 * 27 * c**3
+        )
+
+    @pytest.mark.parametrize("above", [False, True])
+    def test_norm_total_int64_sum(self, above):
+        # a constant table c has size * max_norm = 27 c^2; below 2^62 it is
+        # one int64 sum, above it a chunked one
+        c = _largest(lambda c: 27 * c**2 < 2**62) + above
+        table, want = self.exact_table([c * t for t in self.DELTA])
+        assert table.norms().dtype == np.int64
+        assert table.norm_total() == sum(oracles.e_norm(z) for z in want)

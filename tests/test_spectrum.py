@@ -34,6 +34,19 @@ def _hyperplane(n: int) -> PointSet:
     return PointSet.from_vectors(w.enumerate_points())
 
 
+class TestSpectrumLookups:
+    @given(small_sets)
+    def test_norm_of_matches_table(self, ps):
+        spec = extract_spectrum(ps, Fraction(1, 2))
+        assert spec.norms.shape == spec.members.indices.shape
+        for v in all_vectors(ps.n):
+            if spec.contains(v):
+                assert spec.norm_of(v) == spec.table.norm_at(v.index)
+            else:
+                with pytest.raises(KeyError):
+                    spec.norm_of(v)
+
+
 class TestCosetCounts:
     @given(small_sets)
     def test_matches_reference(self, ps):
