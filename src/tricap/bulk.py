@@ -2,8 +2,18 @@
 
 Internal module. A bulk vector is a pair of int64 arrays (lo, hi) holding
 the same bit-plane encoding as TritVector, so the branch-free mod-3
-formulas vectorize directly. Conversions between plane pairs and
-canonical base-3 indices go through small per-n lookup tables.
+formula ``gf3core.plane_add`` applies to them unchanged. Conversions
+between plane pairs and canonical base-3 indices go through small per-n
+lookup tables.
+
+Every pairwise a + b or a - b count in the package (difference
+multiplicities, sumsets, reach counts, doubling, line solutions) walks
+``pair_sums``. It yields the canonical index of a[i] + b[j] in row
+blocks sized so a block holds about ``_PAIR_CELLS`` pairs, 8 MB per int64
+temporary whatever the set sizes. Selftest's recount of E4 is the one
+exception: it stays independent of the code it checks. Swapping the two
+planes of a vector negates it, so a caller asks for a - b by passing b
+as (hi, lo), and for -(a + b) by swapping both operands.
 
 Magnitude note: indices and plane masks stay below 2^40 for n <= 20, so
 int64 is exact everywhere here.
@@ -11,22 +21,20 @@ int64 is exact everywhere here.
 
 from __future__ import annotations
 
+from typing import Iterator
+
 import numpy as np
 
-from .gf3core import TritVector
+from .gf3core import TritVector, plane_add
 
 __all__ = [
-    "add",
     "dots_with",
     "indices_to_planes",
+    "pair_sums",
     "planes_to_indices",
 ]
 
-
-def add(alo, ahi, blo, bhi):
-    """Componentwise mod-3 sum; operands broadcast like numpy."""
-    t = (alo | bhi) ^ (ahi | blo)
-    return t ^ (ahi | bhi), t ^ (alo | blo)
+_PAIR_CELLS = 1 << 20  # pairs per block: 8 MB per int64 temporary
 
 
 _WEIGHT_TABLES: dict[int, np.ndarray] = {}
@@ -47,6 +55,34 @@ def _weights(n: int) -> np.ndarray:
 def planes_to_indices(n: int, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     w = _weights(n)
     return w[lo] + 2 * w[hi]
+
+
+def pair_sums(
+    n: int,
+    a: tuple[np.ndarray, np.ndarray],
+    b: tuple[np.ndarray, np.ndarray],
+    upper: bool = False,
+) -> Iterator[tuple[int, int, np.ndarray]]:
+    """Row blocks (start, stop, idx) of the sums a[i] + b[j].
+
+    idx[i - start, j] is the canonical index of a[i] + b[j] for the rows
+    start <= i < stop and every column j. With upper=True the columns
+    begin at start instead, idx[i - start, j - start]. For a == b the
+    first stop - start columns then form the diagonal block, which holds
+    both orders of its pairs, and the rest lie strictly above it, so every
+    other unordered pair is visited once.
+    """
+    alo, ahi = a
+    blo, bhi = b
+    start = 0
+    while start < alo.size:
+        first = start if upper else 0
+        stop = min(alo.size, start + max(1, _PAIR_CELLS // max(1, blo.size - first)))
+        slo, shi = plane_add(
+            alo[start:stop, None], ahi[start:stop, None], blo[None, first:], bhi[None, first:]
+        )
+        yield start, stop, planes_to_indices(n, slo, shi)
+        start = stop
 
 
 def indices_to_planes(n: int, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import bulk
 from .errors import DimensionMismatchError, GuardExceededError, SetFileError
-from .gf3core import MAX_DIM, Density, TritVector
+from .gf3core import MAX_DIM, Density, TritVector, plane_add
 from .rng import make_rng
 
 __all__ = [
@@ -40,7 +40,6 @@ __all__ = [
 GREEDY_GUARD_N = 16
 EXHAUSTIVE_GUARD_N = 4  # the combinatorial wall; n=5 is out of desk range
 _BITMAP_GUARD_N = 16
-_PAIR_CELLS = 1 << 20  # pairs per block: 8 MB per int64 temporary
 
 
 class PointSet:
@@ -146,7 +145,7 @@ class PointSet:
         if v.n != self.n:
             raise DimensionMismatchError(f"{v.n} != {self.n}")
         lo, hi = self.planes()
-        slo, shi = bulk.add(lo, hi, v.lo, v.hi)
+        slo, shi = plane_add(lo, hi, v.lo, v.hi)
         return PointSet(self.n, bulk.planes_to_indices(self.n, slo, shi))
 
     def negate(self) -> "PointSet":
@@ -213,20 +212,14 @@ def _upper_pair_hits(ps: PointSet):
     """Per row block [start, stop): whether -(a+b) is a member, for every
     member a in the block and every member b from index start on.
 
-    Column j of a block is member start + j, so columns below stop - start
-    form the diagonal block and the rest lie strictly above it. Each
-    unordered pair of members is visited once.
+    The blocks are ``bulk.pair_sums`` with upper=True: the first
+    stop - start columns are the diagonal block, the rest lie strictly
+    above it. -(a+b) is (-a) + (-b), both operands negated by swapping
+    their planes.
     """
     lo, hi = ps.planes()
-    start = 0
-    while start < ps.size:
-        stop = min(ps.size, start + max(1, _PAIR_CELLS // (ps.size - start)))
-        slo, shi = bulk.add(
-            lo[start:stop, None], hi[start:stop, None], lo[None, start:], hi[None, start:]
-        )
-        third = bulk.planes_to_indices(ps.n, shi, slo)  # plane swap negates
+    for start, stop, third in bulk.pair_sums(ps.n, (hi, lo), (hi, lo), upper=True):
         yield start, stop, ps.contains_indices(third)
-        start = stop
 
 
 def count_line_solutions(ps: PointSet) -> int:
@@ -235,7 +228,7 @@ def count_line_solutions(ps: PointSet) -> int:
     Counts the degenerate a = b = c triples, so a cap set scores exactly
     |A|. (a, b) and (b, a) close at the same third point, so each diagonal
     block is counted in full and each strictly-upper block twice; the cost
-    is |A|^2 / 2 pairs, vectorized in chunks.
+    is |A|^2 / 2 pairs, vectorized in blocks.
     """
     total = 0
     for start, stop, hits in _upper_pair_hits(ps):
@@ -297,7 +290,7 @@ def greedy_random_capset(n: int, seed: int) -> PointSet:
                 continue
             v = TritVector.from_index(n, int(idx))
             if m:
-                slo, shi = bulk.add(mem_lo[:m], mem_hi[:m], v.lo, v.hi)
+                slo, shi = plane_add(mem_lo[:m], mem_hi[:m], v.lo, v.hi)
                 forbidden[bulk.planes_to_indices(n, shi, slo)] = True
             if m == cap:
                 cap *= 2

@@ -6,9 +6,6 @@ form exists), and signals through the exit code: 0 success, 1 usage or
 input problems, 2 a failed verification or violated identity, 3 a
 resource guard. Progress and timing chatter goes to stderr only, so
 stdout stays byte-deterministic for a given command line.
-
-The --threads flag is validated and recorded in the report for forward
-compatibility; every computation here is sequential.
 """
 
 from __future__ import annotations
@@ -137,18 +134,10 @@ def _flatten(obj: Any, prefix: str = "") -> list[tuple[str, Any]]:
     return rows
 
 
-def _envelope(args: argparse.Namespace, command: str, seed: int | None) -> dict[str, Any]:
-    rep = envelope(command, seed)
-    if args.threads != 1:
-        rep["threads"] = args.threads
-    return rep
-
-
 def _common(sub: argparse.ArgumentParser, out_kind: str = "report") -> None:
     sub.add_argument("--format", choices=("json", "csv", "text"), default="json")
     sub.add_argument("--out", default=None, help="write the %s here" % out_kind)
     sub.add_argument("--force", action="store_true", help="lift soft guards")
-    sub.add_argument("--threads", type=int, default=1)
     sub.set_defaults(out_kind=out_kind)
 
 
@@ -157,7 +146,7 @@ def _common(sub: argparse.ArgumentParser, out_kind: str = "report") -> None:
 
 def _cmd_capset_gen(args: argparse.Namespace) -> int:
     ps = greedy_random_capset(args.n, args.seed)
-    report = _envelope(args, "capset gen", args.seed)
+    report = envelope("capset gen", args.seed)
     report.update(
         n=ps.n,
         size=ps.size,
@@ -183,7 +172,7 @@ def _cmd_capset_verify(args: argparse.Namespace) -> int:
     ps = load_point_set(args.set_file)
     lines = count_line_solutions(ps)
     cap = is_capset(ps)
-    report = _envelope(args, "capset verify", None)
+    report = envelope("capset verify", None)
     report.update(
         n=ps.n, size=ps.size, density=frac_str(ps.density()),
         line_solutions=str(lines), is_capset=cap,
@@ -194,7 +183,7 @@ def _cmd_capset_verify(args: argparse.Namespace) -> int:
 
 def _cmd_capset_max(args: argparse.Namespace) -> int:
     size, witness = exhaustive_max_capset(args.n)
-    report = _envelope(args, "capset max", None)
+    report = envelope("capset max", None)
     report.update(
         n=args.n,
         maximum=size,
@@ -211,7 +200,7 @@ def _cmd_capset_product(args: argparse.Namespace) -> int:
     pb = load_point_set(args.right)
     prod = product_capset(pa, pb)
     cap = is_capset(prod)
-    report = _envelope(args, "capset product", None)
+    report = envelope("capset product", None)
     report.update(
         n=prod.n, left_size=pa.size, right_size=pb.size,
         size=prod.size, is_capset=cap,
@@ -230,7 +219,7 @@ def _cmd_capset_product(args: argparse.Namespace) -> int:
 def _cmd_fourier_transform(args: argparse.Namespace) -> int:
     ps = load_point_set(args.set_file)
     table = transform_point_set(ps, force=args.force)
-    report = _envelope(args, "fourier transform", None)
+    report = envelope("fourier transform", None)
     report.update(
         n=ps.n,
         size=ps.size,
@@ -247,7 +236,7 @@ def _cmd_fourier_transform(args: argparse.Namespace) -> int:
 def _cmd_fourier_plancherel(args: argparse.Namespace) -> int:
     ps = load_point_set(args.set_file)
     lhs, rhs = plancherel_check(ps, force=args.force)
-    report = _envelope(args, "fourier plancherel", None)
+    report = envelope("fourier plancherel", None)
     report.update(n=ps.n, size=ps.size, lhs=str(lhs), rhs=str(rhs), equal=lhs == rhs)
     _emit(args, report)
     return 0 if lhs == rhs else 2
@@ -258,7 +247,7 @@ def _cmd_fourier_cubesum(args: argparse.Namespace) -> int:
     cs = cube_sum(ps, force=args.force)
     lines = count_line_solutions(ps)
     expected = Eisenstein(3**ps.n * lines, 0)
-    report = _envelope(args, "fourier cubesum", None)
+    report = envelope("fourier cubesum", None)
     report.update(
         n=ps.n, size=ps.size,
         real=str(cs.p), omega=str(cs.q),
@@ -278,7 +267,7 @@ def _cmd_spectrum_extract(args: argparse.Namespace) -> int:
     ps = load_point_set(args.set_file)
     spec = extract_spectrum(ps, _parse_fraction(args.threshold), force=args.force)
     increments = scan_codim1_increments(ps, force=args.force) if ps.n >= 2 else []
-    report = _envelope(args, "spectrum extract", None)
+    report = envelope("spectrum extract", None)
     report.update(report_spectrum(spec, increments))
     header = ["codim", "density", "excess", "basis", "shift"]
     rows = [
@@ -293,7 +282,7 @@ def _cmd_spectrum_increments(args: argparse.Namespace) -> int:
     ps = load_point_set(args.set_file)
     spec = extract_spectrum(ps, _parse_fraction(args.threshold), force=args.force)
     found = sampled_increment_checks(spec, args.codim, args.samples, args.seed)
-    report = _envelope(args, "spectrum increments", args.seed)
+    report = envelope("spectrum increments", args.seed)
     report.update(report_spectrum(spec, found))
     header = ["codim", "density", "excess", "basis", "shift"]
     rows = [
@@ -309,7 +298,7 @@ def _cmd_spectrum_subspace(args: argparse.Namespace) -> int:
     spec = extract_spectrum(ps, _parse_fraction(args.threshold), force=args.force)
     w = _parse_basis(args.basis, ps.n)
     stats = subspace_spectrum_stats(spec, w, epsilon=args.epsilon)
-    report = _envelope(args, "spectrum subspace", None)
+    report = envelope("spectrum subspace", None)
     report.update(report_subspace_stats(stats))
     _emit(args, report)
     return 0
@@ -321,7 +310,7 @@ def _cmd_spectrum_subspace(args: argparse.Namespace) -> int:
 def _cmd_energy_e4(args: argparse.Namespace) -> int:
     ps = load_point_set(args.set_file)
     value = e4(ps, backend=args.backend)
-    report = _envelope(args, "energy e4", None)
+    report = envelope("energy e4", None)
     report.update(report_energy(ps.size, value, None, {}, None))
     _emit(args, report)
     return 0
@@ -330,7 +319,7 @@ def _cmd_energy_e4(args: argparse.Namespace) -> int:
 def _cmd_energy_e2m(args: argparse.Namespace) -> int:
     ps = load_point_set(args.set_file)
     value = e2m(ps, args.m, backend=args.backend, force=args.force)
-    report = _envelope(args, "energy e2m", None)
+    report = envelope("energy e2m", None)
     report.update(report_energy(ps.size, None, None, {args.m: value}, None))
     _emit(args, report)
     return 0
@@ -339,7 +328,7 @@ def _cmd_energy_e2m(args: argparse.Namespace) -> int:
 def _cmd_energy_holder(args: argparse.Namespace) -> int:
     ps = load_point_set(args.set_file)
     rep = holder_check(ps, args.m, backend=args.backend)
-    report = _envelope(args, "energy holder", None)
+    report = envelope("energy holder", None)
     report.update(report_holder(rep))
     _emit(args, report)
     return 0 if rep.all_hold else 2
@@ -348,7 +337,7 @@ def _cmd_energy_holder(args: argparse.Namespace) -> int:
 def _cmd_energy_smoothing(args: argparse.Namespace) -> int:
     ps = load_point_set(args.set_file)
     rep = smoothing_report(ps, args.scale_n, epsilon=args.epsilon, backend=args.backend)
-    report = _envelope(args, "energy smoothing", None)
+    report = envelope("energy smoothing", None)
     report.update(report_smoothing(rep))
     _emit(args, report)
     return 0
@@ -358,7 +347,7 @@ def _cmd_energy_cross(args: argparse.Namespace) -> int:
     pb = load_point_set(args.left)
     pc = load_point_set(args.right)
     count, rate = cross_quadruples(pb, pc)
-    report = _envelope(args, "energy cross", None)
+    report = envelope("energy cross", None)
     report.update(
         left_size=pb.size, right_size=pc.size,
         count=str(count), rate=frac_str(rate), rate_float=float(rate),
@@ -382,7 +371,7 @@ def _pick_band(levels, m_lo: int | None):
 def _cmd_structure_levels(args: argparse.Namespace) -> int:
     ps = load_point_set(args.set_file)
     levels = build_levels(ps)
-    report = _envelope(args, "structure levels", None)
+    report = envelope("structure levels", None)
     report.update(report_levels(levels))
     header = ["m_lo", "m_hi", "G_size", "D_size", "alpha_eff"]
     rows = [[b["m_lo"], b["m_hi"], b["G_size"], b["D_size"], b["alpha_eff"]]
@@ -395,7 +384,7 @@ def _cmd_structure_komity(args: argparse.Namespace) -> int:
     ps = load_point_set(args.set_file)
     band = _pick_band(build_levels(ps), args.m_lo)
     value = komity(band)
-    report = _envelope(args, "structure komity", None)
+    report = envelope("structure komity", None)
     report.update(
         m_lo=band.m_lo, D_size=band.diffs.size, G_size=band.pair_count,
         komity=str(value),
@@ -408,7 +397,7 @@ def _cmd_structure_comity(args: argparse.Namespace) -> int:
     ps = load_point_set(args.set_file)
     band = _pick_band(build_levels(ps), args.m_lo)
     bands = comity_scan(band, force=args.force)
-    report = _envelope(args, "structure comity", None)
+    report = envelope("structure comity", None)
     report.update(report_comity(band, bands, komity(band)))
     header = ["size_lo", "size_hi", "pairs", "mass", "beta_eff"]
     rows = [[b["size_lo"], b["size_hi"], b["pairs"], b["mass"], b["beta_eff"]]
@@ -421,7 +410,7 @@ def _cmd_structure_doubling(args: argparse.Namespace) -> int:
     ps = load_point_set(args.set_file)
     ratio = doubling_ratio(ps)
     span, fill = span_hull(ps)
-    report = _envelope(args, "structure doubling", None)
+    report = envelope("structure doubling", None)
     report.update(
         n=ps.n, size=ps.size,
         doubling=frac_str(ratio), doubling_float=float(ratio),
@@ -435,7 +424,7 @@ def _cmd_structure_fibers(args: argparse.Namespace) -> int:
     ps = load_point_set(args.set_file)
     h = _parse_basis(args.h, ps.n)
     dec = decompose_fibers(ps, h)
-    report = _envelope(args, "structure fibers", None)
+    report = envelope("structure fibers", None)
     report.update(report_fibers(dec))
     header = ["rep", "size"]
     rows = [[f["rep"], f["size"]] for f in report["fibers"]]
@@ -448,7 +437,7 @@ def _cmd_structure_martingale(args: argparse.Namespace) -> int:
     h = _parse_basis(args.h, ps.n)
     k = _parse_basis(args.k, ps.n)
     rep = fiber_plancherel_check(ps, h, k)
-    report = _envelope(args, "structure martingale", None)
+    report = envelope("structure martingale", None)
     report.update(report_martingale(rep))
     _emit(args, report)
     return 0 if rep.holds else 2
@@ -467,7 +456,7 @@ def _cmd_nullity_sim(args: argparse.Namespace) -> int:
     if through_spectrum:
         ps = extract_spectrum(ps, _parse_fraction(args.threshold), force=args.force).members
     exp = nullity_distribution(ps, args.d, args.trials, args.seed)
-    report = _envelope(args, "nullity-sim", args.seed)
+    report = envelope("nullity-sim", args.seed)
     report.update(report_nullity(exp))
     _emit(args, report, nullity_csv_rows(exp))
     return 0
@@ -603,8 +592,6 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.threads < 1:
-            raise _UsageError("--threads must be at least 1")
         return args.fn(args)
     except _UsageError as exc:
         print(f"tricap: {exc}", file=sys.stderr)

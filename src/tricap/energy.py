@@ -23,8 +23,8 @@ import numpy as np
 from . import bulk
 from .capset import PointSet
 from .errors import GuardExceededError, IdentityViolationError
-from .fourier import TRANSFORM_GUARD_N, transform_point_set
-from .gf3core import TritVector
+from .fourier import TRANSFORM_GUARD_N, SpectrumTable, inverse_table, transform_point_set
+from .gf3core import TritVector, plane_add
 
 __all__ = [
     "CONVOLUTION_OP_GUARD",
@@ -41,7 +41,6 @@ __all__ = [
 ]
 
 CONVOLUTION_OP_GUARD = 50_000_000
-_PAIR_CHUNK = 1 << 11
 
 
 class MultiplicityMap:
@@ -75,17 +74,14 @@ class MultiplicityMap:
         return sum(v * v for v in self.counts.values())
 
 
-def _pairwise_counts(ps: PointSet, negate_second: bool) -> np.ndarray:
-    """Dense int64 table of pairwise a-b (or a+b) index counts."""
-    lo, hi = ps.planes()
-    out = np.zeros(3**ps.n, dtype=np.int64)
-    blo, bhi = (hi, lo) if negate_second else (lo, hi)
-    for start in range(0, ps.size, _PAIR_CHUNK):
-        clo = lo[start : start + _PAIR_CHUNK, None]
-        chi = hi[start : start + _PAIR_CHUNK, None]
-        slo, shi = bulk.add(clo, chi, blo[None, :], bhi[None, :])
-        idx = bulk.planes_to_indices(ps.n, slo, shi)
-        out += np.bincount(idx.ravel(), minlength=3**ps.n)
+def _pairwise_counts(a: PointSet, b: PointSet, negate_second: bool = False) -> np.ndarray:
+    """Dense int64 table counting the pairs (x, y) in A x B by x+y (or x-y)."""
+    blo, bhi = b.planes()
+    if negate_second:
+        blo, bhi = bhi, blo
+    out = np.zeros(3**a.n, dtype=np.int64)
+    for _, _, idx in bulk.pair_sums(a.n, a.planes(), (blo, bhi)):
+        np.add.at(out, idx.ravel(), 1)
     return out
 
 
@@ -103,15 +99,9 @@ def diff_multiplicity(ps: PointSet, backend: str = "auto") -> MultiplicityMap:
     if backend == "hash":
         if ps.n > 16:
             raise GuardExceededError("dense difference table", ps.n, 16)
-        table = _pairwise_counts(ps, negate_second=True)
+        table = _pairwise_counts(ps, ps, negate_second=True)
     elif backend == "transform":
-        spec = transform_point_set(ps)
-        norms = spec.norms()
-        if norms.dtype != np.int64:
-            norms_list = [int(v) for v in norms.tolist()]
-            table = _inverse_of_real(ps.n, norms_list)
-        else:
-            table = _inverse_of_real(ps.n, norms.tolist())
+        table = _inverse_of_real(ps.n, transform_point_set(ps).norms())
     else:
         raise ValueError(f"unknown backend {backend!r}")
     idx = np.nonzero(table)[0]
@@ -119,16 +109,16 @@ def diff_multiplicity(ps: PointSet, backend: str = "auto") -> MultiplicityMap:
     return MultiplicityMap(ps.n, ps.size, counts)
 
 
-def _inverse_of_real(n: int, values: list[int]) -> np.ndarray:
-    """Exact inverse transform of a real-valued table, result int64."""
-    from .fourier import SpectrumTable, inverse_table
+def _inverse_of_real(n: int, norms: np.ndarray) -> np.ndarray:
+    """Exact inverse of a norm table: the difference multiplicities, int64.
 
-    p = np.array(values, dtype=object)
-    q = np.zeros(3**n, dtype=object)
-    rp, rq = inverse_table(SpectrumTable(n, p, q), force=True)
-    if any(v != 0 for v in rq.tolist()):
+    The result is m(x) <= |A|, so the int64 cast is exact whatever dtype
+    the kernel had to use on the way.
+    """
+    rp, rq = inverse_table(SpectrumTable(n, norms, np.zeros_like(norms)), force=True)
+    if rq.any():
         raise IdentityViolationError("real inverse", "nonzero imaginary part", 0)
-    return np.array([int(v) for v in rp.tolist()], dtype=np.int64)
+    return rp.astype(np.int64)
 
 
 def e4(ps: PointSet, backend: str = "auto") -> int:
@@ -176,7 +166,7 @@ def _e2m_convolution(ps: PointSet, m: int) -> int:
         klo, khi = bulk.indices_to_planes(ps.n, keys)
         nxt: dict[int, int] = {}
         for j in range(ps.size):
-            slo, shi = bulk.add(klo, khi, base_planes[0][j], base_planes[1][j])
+            slo, shi = plane_add(klo, khi, base_planes[0][j], base_planes[1][j])
             sidx = bulk.planes_to_indices(ps.n, slo, shi)
             for k, v in zip(sidx.tolist(), vals):
                 if k in nxt:
@@ -277,17 +267,15 @@ def quadruple_participation(a: TritVector, ps: PointSet) -> int:
         raise ValueError("point dimension differs from the set")
     if ps.n > 16:
         raise GuardExceededError("dense participation tables", ps.n, 16)
-    sums = _pairwise_counts(ps, negate_second=False)
-    diffs = _pairwise_counts(ps, negate_second=True)
+    sums = _pairwise_counts(ps, ps)
+    diffs = _pairwise_counts(ps, ps, negate_second=True)
     lo, hi = ps.planes()
     total = 0
     for sign_a in (False, True):
         alo, ahi = (a.hi, a.lo) if sign_a else (a.lo, a.hi)
         for sign_b in (False, True):
             blo, bhi = (hi, lo) if sign_b else (lo, hi)
-            zlo, zhi = bulk.add(
-                np.int64(alo), np.int64(ahi), blo, bhi
-            )
+            zlo, zhi = plane_add(np.int64(alo), np.int64(ahi), blo, bhi)
             zidx = bulk.planes_to_indices(ps.n, zlo, zhi)
             znidx = bulk.planes_to_indices(ps.n, zhi, zlo)
             total += int(sums[zidx].sum()) + int(diffs[zidx].sum())
@@ -307,14 +295,5 @@ def cross_quadruples(b: PointSet, c: PointSet) -> tuple[int, Fraction]:
         raise GuardExceededError("dense sumset table", b.n, 16)
     if b.size == 0 or c.size == 0:
         return 0, Fraction(0)
-    blo, bhi = b.planes()
-    clo, chi = c.planes()
-    table = np.zeros(3**b.n, dtype=np.int64)
-    for start in range(0, b.size, _PAIR_CHUNK):
-        xlo = blo[start : start + _PAIR_CHUNK, None]
-        xhi = bhi[start : start + _PAIR_CHUNK, None]
-        slo, shi = bulk.add(xlo, xhi, clo[None, :], chi[None, :])
-        idx = bulk.planes_to_indices(b.n, slo, shi)
-        table += np.bincount(idx.ravel(), minlength=3**b.n)
-    count = sum(v * v for v in table.tolist())
+    count = sum(v * v for v in _pairwise_counts(b, c).tolist())
     return count, Fraction(count, (b.size * c.size) ** 2)

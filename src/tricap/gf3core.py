@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .errors import DimensionMismatchError
 
@@ -36,8 +36,12 @@ __all__ = [
 MAX_DIM = 20  # 3^20 ~ 3.5e9 cells; beyond this nothing here is desk-scale
 
 
-def plane_add(alo: int, ahi: int, blo: int, bhi: int) -> tuple[int, int]:
-    """Componentwise mod-3 sum of two plane pairs (branch-free)."""
+def plane_add(alo, ahi, blo, bhi):
+    """Componentwise mod-3 sum of two plane pairs (branch-free).
+
+    Works on Python ints and, unchanged, on int64 numpy plane arrays,
+    which broadcast like any numpy operands.
+    """
     t = (alo | bhi) ^ (ahi | blo)
     return t ^ (ahi | bhi), t ^ (alo | blo)
 
@@ -269,8 +273,3 @@ class Density:
     def __str__(self) -> str:
         f = self.fraction
         return f"{f.numerator}/{f.denominator}"
-
-
-def enumerate_indices(n: int) -> Iterator[int]:
-    """All indices of F_3^n in canonical order."""
-    return iter(range(3**n))

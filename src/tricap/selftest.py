@@ -28,7 +28,7 @@ from .capset import (
 )
 from .energy import e2m, e4, holder_check
 from .fourier import cube_sum, plancherel_check
-from .gf3core import Eisenstein, TritVector
+from .gf3core import Eisenstein, TritVector, plane_add
 from .jsonio import dumps_canonical, envelope, report_nullity
 from .linalg import Subspace
 from .randomsel import (
@@ -92,11 +92,11 @@ def _c2_cube_sums(seed: int) -> tuple[bool, dict]:
 def _membership_quadruples(ps: PointSet) -> int:
     """a + b - c membership count over all (a, b, c); avoids sumset tables."""
     lo, hi = ps.planes()
-    zlo, zhi = bulk.add(lo[:, None], hi[:, None], lo[None, :], hi[None, :])
+    zlo, zhi = plane_add(lo[:, None], hi[:, None], lo[None, :], hi[None, :])
     zlo, zhi = zlo.ravel(), zhi.ravel()
     total = 0
     for j in range(ps.size):
-        dlo, dhi = bulk.add(zlo, zhi, hi[j], lo[j])  # z - c, negation by swap
+        dlo, dhi = plane_add(zlo, zhi, hi[j], lo[j])  # z - c, negation by swap
         total += int(ps.contains_indices(bulk.planes_to_indices(ps.n, dlo, dhi)).sum())
     return total
 

@@ -39,7 +39,7 @@ from .capset import PointSet
 from .energy import MultiplicityMap, diff_multiplicity
 from .errors import GuardExceededError, IdentityViolationError
 from .fourier import eval_at
-from .gf3core import TritVector
+from .gf3core import TritVector, plane_add
 from .linalg import Subspace
 
 __all__ = [
@@ -152,13 +152,8 @@ def _reach_counts(struct: AdditiveStructure) -> np.ndarray:
     """r(a) = #{b in base : a - b in D} for each a in base, int64."""
     lo, hi = struct.base.planes()
     r = np.zeros(struct.base.size, dtype=np.int64)
-    chunk = 1 << 11
-    for start in range(0, struct.base.size, chunk):
-        clo = lo[start : start + chunk, None]
-        chi = hi[start : start + chunk, None]
-        dlo, dhi = bulk.add(clo, chi, hi[None, :], lo[None, :])
-        idx = bulk.planes_to_indices(struct.n, dlo, dhi)
-        r[start : start + chunk] = struct.diffs.contains_indices(idx).sum(axis=1)
+    for start, stop, idx in bulk.pair_sums(struct.n, (lo, hi), (hi, lo)):
+        r[start:stop] = struct.diffs.contains_indices(idx).sum(axis=1)
     return r
 
 
@@ -233,12 +228,8 @@ def doubling_ratio(ps: PointSet) -> Fraction:
         raise ValueError("doubling of the empty set is undefined")
     lo, hi = ps.planes()
     seen = np.zeros(3**ps.n, dtype=bool)
-    chunk = 1 << 11
-    for start in range(0, ps.size, chunk):
-        clo = lo[start : start + chunk, None]
-        chi = hi[start : start + chunk, None]
-        dlo, dhi = bulk.add(clo, chi, hi[None, :], lo[None, :])
-        seen[bulk.planes_to_indices(ps.n, dlo, dhi).ravel()] = True
+    for _, _, idx in bulk.pair_sums(ps.n, (lo, hi), (hi, lo)):
+        seen[idx.ravel()] = True
     return Fraction(int(seen.sum()), ps.size)
 
 
@@ -418,7 +409,7 @@ def bsg_probe(b: PointSet, c: PointSet, kernel_size: int | None = None,
         best_gain = 0
         best_hits: np.ndarray | None = None
         for x in b.vectors():
-            slo, shi = bulk.add(klo, khi, np.int64(x.lo), np.int64(x.hi))
+            slo, shi = plane_add(klo, khi, np.int64(x.lo), np.int64(x.hi))
             idx = bulk.planes_to_indices(b.n, slo, shi)
             hits = b.contains_indices(idx)
             reach = np.zeros(b.size, dtype=bool)

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -8,16 +10,23 @@ from tricap import (
     SELFTEST_SEED,
     SetFileError,
     TritVector,
+    build_levels,
     count_line_solutions,
+    cross_quadruples,
+    diff_multiplicity,
+    doubling_ratio,
     exhaustive_max_capset,
     greedy_random_capset,
     is_capset,
+    komity,
+    komity_reference,
     load_point_set,
     product_capset,
+    quadruple_participation,
     random_point_set,
     save_point_set,
 )
-from tricap import capset
+from tricap import bulk
 
 import oracles
 from conftest import tuples_of
@@ -97,15 +106,58 @@ class TestLineCounting:
 
     @pytest.mark.parametrize("seed", range(6))
     def test_many_pair_blocks_match_reference(self, seed, monkeypatch):
-        # tiny blocks, so most pairs fall in strictly-upper blocks
-        monkeypatch.setattr(capset, "_PAIR_CELLS", 16)
+        # tiny pair budgets split every pairwise walk into many blocks, with
+        # one or several rows each and a short last block
         ps = random_point_set(4, 20 + 5 * seed, seed)
-        pts = tuples_of(ps)
-        assert count_line_solutions(ps) == oracles.naive_line_solutions(pts)
-        assert is_capset(ps) == oracles.naive_is_capset(pts)
+        other = random_point_set(4, 3 + seed, seed + 100)  # |B| != |C|
+        pts, others = tuples_of(ps), tuples_of(other)
+        diffs = {oracles.point_index(d): c for d, c in oracles.naive_diff_counts(pts).items()}
+        probes = ps.vectors()[:2]
+        participation = [oracles.naive_participation(oracles.digits(str(v)), pts) for v in probes]
         cap = greedy_random_capset(4, seed)
-        assert count_line_solutions(cap) == cap.size
-        assert is_capset(cap)
+        band = build_levels(ps).heaviest()
+        for cells in (7, 64):
+            monkeypatch.setattr(bulk, "_PAIR_CELLS", cells)
+            assert count_line_solutions(ps) == oracles.naive_line_solutions(pts)
+            assert is_capset(ps) == oracles.naive_is_capset(pts)
+            assert count_line_solutions(cap) == cap.size
+            assert is_capset(cap)
+            assert diff_multiplicity(ps, backend="hash").counts == diffs
+            assert [quadruple_participation(v, ps) for v in probes] == participation
+            assert cross_quadruples(ps, other)[0] == oracles.naive_cross_quadruples(pts, others)
+            assert komity(band) == komity_reference(band)
+            assert doubling_ratio(ps) == Fraction(len(diffs), ps.size)
+
+    @pytest.mark.parametrize("cells", [1, 7, 64, 1 << 20])
+    @pytest.mark.parametrize("upper", [False, True])
+    def test_pair_blocks_cover_each_pair_once(self, cells, upper, monkeypatch):
+        monkeypatch.setattr(bulk, "_PAIR_CELLS", cells)
+        a = random_point_set(4, 23, 1)
+        b = a if upper else random_point_set(4, 10, 2)
+        av, bv = a.vectors(), b.vectors()
+        blo, bhi = b.planes()
+        seen = np.zeros((a.size, b.size), dtype=np.int64)
+        block_start = np.zeros(a.size, dtype=np.int64)
+        row = 0
+        # b passed with swapped planes, so the blocks hold a - b
+        for start, stop, idx in bulk.pair_sums(4, a.planes(), (bhi, blo), upper=upper):
+            assert start == row < stop
+            first = start if upper else 0
+            assert idx.shape == (stop - start, b.size - first)
+            for i in range(start, stop):
+                for j in range(first, b.size):
+                    assert idx[i - start, j - first] == (av[i] - bv[j]).index
+                    seen[i, j] += 1
+            block_start[start:stop] = start
+            row = stop
+        assert row == a.size
+        if upper:
+            # columns from the row's block start on: a diagonal block holds
+            # both orders of its pairs, any other unordered pair comes once
+            want = np.arange(b.size)[None, :] >= block_start[:, None]
+            assert np.array_equal(seen, want.astype(np.int64))
+        else:
+            assert (seen == 1).all()
 
     def test_single_line_counted_six_ways(self):
         ps = PointSet.from_strings(["000", "111", "222"])

@@ -95,15 +95,11 @@ class TestReportsAndFormats:
         assert code == 0
         assert rep_path.read_text() == out
 
-    def test_threads_flag_recorded(self, cap_file, capsys):
-        code, out, _ = run_cli(capsys, "capset", "verify", cap_file, "--threads", "2")
-        assert code == 0
-        assert json.loads(out)["threads"] == 2
-
 
 class TestExitCodes:
-    def test_usage_error_is_one(self, capsys):
+    def test_usage_error_is_one(self, cap_file, capsys):
         assert run_cli(capsys, "no-such-command")[0] == 1
+        assert run_cli(capsys, "capset", "verify", cap_file, "--threads", "2")[0] == 1
         assert run_cli(capsys, "capset", "gen", "--n", "x", "--seed", "0")[0] == 1
         assert run_cli(capsys)[0] == 1
 
@@ -122,9 +118,6 @@ class TestExitCodes:
         monkeypatch.setattr(fourier, "TRANSFORM_GUARD_N", 4)  # cap_file has n = 6
         assert run_cli(capsys, "fourier", command, cap_file)[0] == 3
         assert run_cli(capsys, "fourier", command, cap_file, "--force")[0] == 0
-
-    def test_invalid_threads_is_one(self, cap_file, capsys):
-        assert run_cli(capsys, "capset", "verify", cap_file, "--threads", "0")[0] == 1
 
     def test_martingale_needs_containment(self, cap_file, capsys):
         code, _, _ = run_cli(
