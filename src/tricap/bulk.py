@@ -29,12 +29,14 @@ from .gf3core import TritVector, plane_add
 
 __all__ = [
     "dots_with",
+    "exact_sum",
     "indices_to_planes",
     "pair_sums",
     "planes_to_indices",
 ]
 
 _PAIR_CELLS = 1 << 20  # pairs per block: 8 MB per int64 temporary
+_INT64_SAFE = 1 << 62
 
 
 _WEIGHT_TABLES: dict[int, np.ndarray] = {}
@@ -83,6 +85,24 @@ def pair_sums(
         )
         yield start, stop, planes_to_indices(n, slo, shi)
         start = stop
+
+
+def exact_sum(values: np.ndarray, peak: int | None = None) -> int:
+    """Exact sum of an int64 or object array with entries within peak.
+
+    An int64 array is summed in int64 chunks of at most (2^62 - 1) / peak
+    entries, so every chunk sum stays below 2^62; object arrays add as
+    Python ints.
+    """
+    if values.dtype == object:
+        return sum(values.tolist(), 0)
+    if peak is None:
+        peak = max(int(values.max(initial=0)), -int(values.min(initial=0)))
+    step = max(1, (_INT64_SAFE - 1) // max(peak, 1))
+    if values.size <= step:
+        return int(values.sum())
+    starts = np.arange(0, values.size, step)
+    return sum(np.add.reduceat(values, starts).tolist(), 0)
 
 
 def indices_to_planes(n: int, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -44,34 +44,39 @@ CONVOLUTION_OP_GUARD = 50_000_000
 
 
 class MultiplicityMap:
-    """Difference multiplicities of a point set, zero entries omitted."""
+    """Difference multiplicities of a point set, zero entries omitted.
 
-    __slots__ = ("n", "source_size", "counts")
+    counts[k] = m(x) for x = support.indices[k], an int64 array parallel to
+    the sorted support. Every count is at most |A| <= 3^16 < 2^26, so every
+    square is below 2^52 and bulk.exact_sum adds the squares exactly.
+    """
 
-    def __init__(self, n: int, source_size: int, counts: dict[int, int]):
+    __slots__ = ("n", "source_size", "support", "counts")
+
+    def __init__(self, n: int, source_size: int, support: PointSet, counts: np.ndarray):
         self.n = n
         self.source_size = source_size
+        self.support = support
         self.counts = counts
 
     def of_index(self, i: int) -> int:
-        return self.counts.get(i, 0)
+        idx = self.support.indices
+        k = int(np.searchsorted(idx, i))
+        return int(self.counts[k]) if k < idx.size and idx[k] == i else 0
 
     def of(self, v: TritVector) -> int:
-        return self.counts.get(v.index, 0)
+        return self.of_index(v.index)
 
     @property
     def support_size(self) -> int:
-        return len(self.counts)
+        return self.support.size
 
     def total(self) -> int:
-        return sum(self.counts.values())
-
-    def support(self) -> PointSet:
-        return PointSet(self.n, np.fromiter(self.counts, dtype=np.int64, count=len(self.counts)))
+        return bulk.exact_sum(self.counts)
 
     def energy(self) -> int:
         """sum of m(x)^2, the fourth additive energy."""
-        return sum(v * v for v in self.counts.values())
+        return bulk.exact_sum(self.counts**2)
 
 
 def _pairwise_counts(a: PointSet, b: PointSet, negate_second: bool = False) -> np.ndarray:
@@ -104,9 +109,8 @@ def diff_multiplicity(ps: PointSet, backend: str = "auto") -> MultiplicityMap:
         table = _inverse_of_real(ps.n, transform_point_set(ps).norms())
     else:
         raise ValueError(f"unknown backend {backend!r}")
-    idx = np.nonzero(table)[0]
-    counts = {int(i): int(table[i]) for i in idx}
-    return MultiplicityMap(ps.n, ps.size, counts)
+    support = np.flatnonzero(table)
+    return MultiplicityMap(ps.n, ps.size, PointSet(ps.n, support), table[support])
 
 
 def _inverse_of_real(n: int, norms: np.ndarray) -> np.ndarray:
@@ -144,7 +148,7 @@ def e2m(ps: PointSet, m: int, backend: str = "auto", force: bool = False) -> int
 def _e2m_transform(ps: PointSet, m: int, force: bool) -> int:
     spec = transform_point_set(ps, force=force)
     norms = spec.norms()
-    total = sum(int(v) ** m for v in norms.tolist())
+    total = bulk.exact_sum(norms.astype(object) ** m)
     div = 3**ps.n
     if total % div:
         raise IdentityViolationError("energy divisibility", total % div, 0)
@@ -295,5 +299,5 @@ def cross_quadruples(b: PointSet, c: PointSet) -> tuple[int, Fraction]:
         raise GuardExceededError("dense sumset table", b.n, 16)
     if b.size == 0 or c.size == 0:
         return 0, Fraction(0)
-    count = sum(v * v for v in _pairwise_counts(b, c).tolist())
+    count = bulk.exact_sum(_pairwise_counts(b, c) ** 2)  # counts <= 3^16: squares < 2^52
     return count, Fraction(count, (b.size * c.size) ** 2)

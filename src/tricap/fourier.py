@@ -19,9 +19,9 @@ slower path takes over, never a wrapped value:
     Tables are widened to int64 afterwards, so a SpectrumTable is
     always int64 or object.
   * Norms p^2 - p q + q^2 are int64 when 3 * peak^2 < 2^62.
-  * Exact sums of int64 arrays add chunks of fewer than 2^62 / max
-    entries each; the norm total is a single int64 sum when
-    size * max_norm < 2^62.
+  * Exact sums go through bulk.exact_sum, which adds int64 arrays in
+    chunks of fewer than 2^62 / max entries each; the norm total is a
+    single int64 sum when size * max_norm < 2^62.
   * The cube sum is vectorised in int64 when 8 * peak^3 < 2^62; every
     partial term is at most 6 * peak^3.
 
@@ -164,24 +164,6 @@ def _butterfly(p: np.ndarray, q: np.ndarray, n: int, inverse: bool):
     return planes
 
 
-def _exact_sum(values: np.ndarray, peak: int | None = None) -> int:
-    """Exact sum of an int64 or object array with entries within peak.
-
-    An int64 array is summed in int64 chunks of at most (2^62 - 1) / peak
-    entries, so every chunk sum stays below 2^62; object arrays add as
-    Python ints.
-    """
-    if values.dtype == object:
-        return sum(values.tolist(), 0)
-    if peak is None:
-        peak = _peak(values)
-    step = max(1, (_INT64_SAFE - 1) // max(peak, 1))
-    if values.size <= step:
-        return int(values.sum())
-    starts = np.arange(0, values.size, step)
-    return sum(np.add.reduceat(values, starts).tolist(), 0)
-
-
 class SpectrumTable:
     """Dense table of c(x) for every frequency x, canonical index order."""
 
@@ -217,7 +199,7 @@ class SpectrumTable:
 
     def norm_total(self) -> int:
         """Exact big-int sum of all coefficient norms."""
-        return _exact_sum(self.norms())
+        return bulk.exact_sum(self.norms())
 
 
 def transform_table(f, n: int, force: bool = False) -> SpectrumTable:
@@ -289,7 +271,7 @@ def _cube_total(table: SpectrumTable) -> Eisenstein:
     # result is at most 6 peak^3 in size, below the int64 bound checked above
     re = p**3 + q**3 - 3 * p * q**2
     im = 3 * p * q * (p - q)
-    return Eisenstein(_exact_sum(re, bound), _exact_sum(im, bound))
+    return Eisenstein(bulk.exact_sum(re, bound), bulk.exact_sum(im, bound))
 
 
 def balanced_transform(ps: PointSet, force: bool = False) -> SpectrumTable:
@@ -340,17 +322,29 @@ def save_table(table: SpectrumTable, fh: BinaryIO | str) -> None:
 
 
 def load_table(fh: BinaryIO | str) -> SpectrumTable:
+    """Read a save_table dump; ValueError for a bad header or length.
+
+    The dimension is checked before anything of size 3^n is read, and the
+    file must end exactly after the q plane.
+    """
     if isinstance(fh, str):
         with open(fh, "rb") as real:
             return load_table(real)
     magic = fh.read(8)
     if magic != _MAGIC:
         raise ValueError("not a coefficient table dump")
-    n, source = struct.unpack("<iq", fh.read(12))
+    header = fh.read(12)
+    if len(header) != 12:
+        raise ValueError("truncated coefficient table header")
+    n, source = struct.unpack("<iq", header)
+    if not 0 <= n <= TRANSFORM_HARD_MAX_N:
+        raise ValueError(f"table dimension {n} outside 0..{TRANSFORM_HARD_MAX_N}")
     count = 3**n
-    raw = fh.read(8 * count * 2)
-    if len(raw) != 8 * count * 2:
-        raise ValueError("truncated coefficient table dump")
+    raw = fh.read(16 * count + 1)
+    if len(raw) != 16 * count:
+        raise ValueError(f"coefficient table body is not exactly {16 * count} bytes")
     p = np.frombuffer(raw[: 8 * count], dtype="<i8").astype(np.int64)
     q = np.frombuffer(raw[8 * count :], dtype="<i8").astype(np.int64)
-    return SpectrumTable(n, p, q, None if source < 0 else source)
+    if source != -1 and source != p[0]:
+        raise ValueError(f"source size {source} disagrees with c(0) = {int(p[0])}")
+    return SpectrumTable(n, p, q, None if source == -1 else source)

@@ -118,21 +118,18 @@ def build_levels(ps: PointSet, backend: str = "auto") -> LevelDecomposition:
     multiplicity is |S|), so pair counts across bands sum to |S|^2.
     """
     mm = diff_multiplicity(ps, backend=backend)
-    by_band: dict[int, list[int]] = {}
-    weight: dict[int, int] = {}
-    for idx, cnt in mm.counts.items():
-        t = cnt.bit_length() - 1
-        by_band.setdefault(t, []).append(idx)
-        weight[t] = weight.get(t, 0) + cnt
-    bands = [
-        AdditiveStructure(
+    # t = floor(log2 m(x)) in integers: the index of the last power of two <= m(x)
+    edges = 1 << np.arange(int(mm.counts.max(initial=1)).bit_length(), dtype=np.int64)
+    t = np.searchsorted(edges, mm.counts, side="right") - 1
+    bands = []
+    for k in np.unique(t).tolist():
+        in_band = t == k
+        bands.append(AdditiveStructure(
             base=ps,
-            diffs=PointSet(ps.n, np.array(sorted(by_band[t]), dtype=np.int64)),
-            m_lo=1 << t,
-            pair_count=weight[t],
-        )
-        for t in sorted(by_band)
-    ]
+            diffs=PointSet(ps.n, mm.support.indices[in_band]),
+            m_lo=1 << k,
+            pair_count=bulk.exact_sum(mm.counts[in_band]),
+        ))
     return LevelDecomposition(ps, mm, bands)
 
 
@@ -159,7 +156,7 @@ def _reach_counts(struct: AdditiveStructure) -> np.ndarray:
 
 def komity(struct: AdditiveStructure) -> int:
     """sum over x, y in D of |G[x] ^ G[y]|, by the linear identity."""
-    return sum(int(v) ** 2 for v in _reach_counts(struct))
+    return bulk.exact_sum(_reach_counts(struct) ** 2)  # r(a) <= |base| < 2^26: squares < 2^52
 
 
 def komity_reference(struct: AdditiveStructure) -> int:
@@ -398,10 +395,8 @@ def bsg_probe(b: PointSet, c: PointSet, kernel_size: int | None = None,
     if kernel_size is None:
         kernel_size = c.size
     mm = diff_multiplicity(c)
-    order = sorted(mm.counts.items(), key=lambda kv: (-kv[1], kv[0]))
-    kernel = PointSet(
-        b.n, np.array(sorted(i for i, _ in order[:kernel_size]), dtype=np.int64)
-    )
+    order = np.lexsort((mm.support.indices, -mm.counts))
+    kernel = PointSet(b.n, mm.support.indices[order[:kernel_size]])
     klo, khi = kernel.planes()
     covered = np.zeros(b.size, dtype=bool)
     centers = 0

@@ -1,3 +1,6 @@
+import io
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -146,6 +149,31 @@ class TestTableIO:
         assert back.n == table.n
         assert np.array_equal(back.p, table.p)
         assert np.array_equal(back.q, table.q)
+
+    @pytest.mark.parametrize(
+        "fault",
+        ["negative-n", "n-40", "n-20", "n-above-hard-max", "trailing-byte",
+         "source-size-mismatch", "short-header"],
+    )
+    def test_hostile_dump_rejected(self, fault):
+        # a valid dump of a 5-point set at n = 2, then one fault per case
+        buf = io.BytesIO()
+        save_table(transform_point_set(random_point_set(2, 5, 1)), buf)
+        magic, body = buf.getvalue()[:8], buf.getvalue()[20:]
+        head = {
+            "negative-n": (-1, 5),
+            "n-40": (40, 5),
+            "n-20": (20, 5),
+            "n-above-hard-max": (fourier.TRANSFORM_HARD_MAX_N + 1, 5),
+            "source-size-mismatch": (2, 999),
+        }.get(fault, (2, 5))
+        data = magic + struct.pack("<iq", *head) + body
+        if fault == "trailing-byte":
+            data += b"\0"
+        if fault == "short-header":
+            data = data[:15]
+        with pytest.raises(ValueError):
+            load_table(io.BytesIO(data))
 
 
 def _largest(ok) -> int:

@@ -29,6 +29,12 @@ small_sets = st.tuples(st.integers(3, 5), st.integers(0, 99_999)).map(
     lambda t: random_point_set(t[0], 2 + t[1] % min(30, 3 ** t[0] - 2), t[1])
 )
 
+small_pairs = st.tuples(st.integers(3, 5), st.integers(0, 99_999), st.integers(0, 99_999)).map(
+    lambda t: tuple(
+        random_point_set(t[0], 2 + s % min(30, 3 ** t[0] - 2), s) for s in t[1:]
+    )
+)
+
 
 class TestLevels:
     @given(small_sets)
@@ -47,6 +53,28 @@ class TestLevels:
                 seen[d] = m
         assert total_pairs == ps.size**2
         assert seen.keys() == ref.keys()
+
+    @pytest.mark.parametrize("backend", ["hash", "transform"])
+    @pytest.mark.parametrize(
+        "n, size, seed",
+        # sizes 2^k put the zero difference, m = |S|, on a band's lower edge
+        [(3, 1, 0), (3, 2, 1), (3, 4, 2), (4, 8, 3), (4, 16, 4), (5, 32, 5),
+         (5, 64, 6), (4, 13, 7), (5, 50, 8), (2, 9, 9)],
+    )
+    def test_bands_match_bucketed_oracle(self, n, size, seed, backend):
+        ps = random_point_set(n, size, seed)
+        want = {}
+        for d, m in oracles.naive_diff_counts(tuples_of(ps)).items():
+            m_lo = 1
+            while 2 * m_lo <= m:
+                m_lo *= 2
+            diffs, pairs = want.get(m_lo, ([], 0))
+            want[m_lo] = (diffs + [oracles.point_index(d)], pairs + m)
+        got = [
+            (band.m_lo, band.diffs.indices.tolist(), band.pair_count)
+            for band in build_levels(ps, backend=backend)
+        ]
+        assert got == [(m_lo, sorted(d), p) for m_lo, (d, p) in sorted(want.items())]
 
     @given(small_sets)
     def test_heaviest_band(self, ps):
@@ -189,6 +217,15 @@ class TestMartingale:
 
 
 class TestProbe:
+    @given(small_pairs, st.sampled_from([None, 0, 1, 2, 5]))
+    def test_probe_matches_oracle(self, pair, kernel_size):
+        # small random sets tie on most multiplicities, so a kernel cut at
+        # 1, 2 or 5 differences depends on the tie order
+        b, c = pair
+        probe = bsg_probe(b, c, kernel_size=kernel_size)
+        want = oracles.naive_bsg_probe(tuples_of(b), tuples_of(c), kernel_size)
+        assert (probe.kernel_size, probe.center_count, probe.covered, probe.coverage) == want
+
     def test_probe_is_labeled_heuristic_and_bounded(self):
         b = greedy_random_capset(5, 21)
         c = greedy_random_capset(5, 22)
