@@ -31,12 +31,14 @@ __all__ = [
     "dots_with",
     "exact_sum",
     "indices_to_planes",
+    "INT64_SAFE",
     "pair_sums",
+    "peak",
     "planes_to_indices",
 ]
 
 _PAIR_CELLS = 1 << 20  # pairs per block: 8 MB per int64 temporary
-_INT64_SAFE = 1 << 62
+INT64_SAFE = 1 << 62  # every int64 fast path keeps its partial sums below this
 
 
 _WEIGHT_TABLES: dict[int, np.ndarray] = {}
@@ -87,18 +89,26 @@ def pair_sums(
         start = stop
 
 
-def exact_sum(values: np.ndarray, peak: int | None = None) -> int:
-    """Exact sum of an int64 or object array with entries within peak.
+def peak(*arrays: np.ndarray) -> int:
+    """Largest absolute value over the given arrays, as a Python int."""
+    return max(
+        (max(int(a.max(initial=0)), -int(a.min(initial=0))) for a in arrays),
+        default=0,
+    )
 
-    An int64 array is summed in int64 chunks of at most (2^62 - 1) / peak
-    entries, so every chunk sum stays below 2^62; object arrays add as
-    Python ints.
+
+def exact_sum(values: np.ndarray, bound: int | None = None) -> int:
+    """Exact sum of an int64 or object array with entries within bound.
+
+    An int64 array is summed in int64 chunks of at most (2^62 - 1) / bound
+    entries, so every chunk sum stays below INT64_SAFE; object arrays add
+    as Python ints. Without a bound the array's own peak is used.
     """
     if values.dtype == object:
         return sum(values.tolist(), 0)
-    if peak is None:
-        peak = max(int(values.max(initial=0)), -int(values.min(initial=0)))
-    step = max(1, (_INT64_SAFE - 1) // max(peak, 1))
+    if bound is None:
+        bound = peak(values)
+    step = max(1, (INT64_SAFE - 1) // max(bound, 1))
     if values.size <= step:
         return int(values.sum())
     starts = np.arange(0, values.size, step)

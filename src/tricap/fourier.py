@@ -66,7 +66,6 @@ TRANSFORM_HARD_MAX_N = 16  # 2 * 8 bytes * 3^16 ~ 0.7 GB of table
 
 _INT32_LIMIT = 1 << 31
 _INT64_LIMIT = 1 << 63
-_INT64_SAFE = 1 << 62
 
 
 def _check_guard(n: int, force: bool) -> None:
@@ -79,14 +78,6 @@ def _check_guard(n: int, force: bool) -> None:
             f"transform dimension {n} exceeds the default guard "
             f"{TRANSFORM_GUARD_N}; pass force=True (CLI --force) to insist"
         )
-
-
-def _peak(*planes: np.ndarray) -> int:
-    """Largest absolute value over the given arrays, as a Python int."""
-    return max(
-        (max(int(a.max(initial=0)), -int(a.min(initial=0))) for a in planes),
-        default=0,
-    )
 
 
 def _kernel_dtype(peak: int, n: int):
@@ -143,7 +134,7 @@ def _butterfly(p: np.ndarray, q: np.ndarray, n: int, inverse: bool):
     pairs ping-pong and two scratch rows hold the shared differences, so
     a pass allocates nothing.
     """
-    dtype = _kernel_dtype(_peak(p, q), n)
+    dtype = _kernel_dtype(bulk.peak(p, q), n)
     wide = object if dtype is object else np.int64
     planes = (p.astype(dtype), q.astype(dtype))
     spare = (np.empty_like(planes[0]), np.empty_like(planes[1]))
@@ -187,7 +178,7 @@ class SpectrumTable:
     def norms(self) -> np.ndarray:
         """eis_norm(c(x)) per frequency; int64 when provably safe."""
         p, q = self.p, self.q
-        if p.dtype == np.int64 and 3 * _peak(p, q) ** 2 < _INT64_SAFE:
+        if p.dtype == np.int64 and 3 * bulk.peak(p, q) ** 2 < bulk.INT64_SAFE:
             return p * p - p * q + q * q
         po = p.astype(object)
         qo = q.astype(object)
@@ -264,8 +255,8 @@ def cube_sum(ps: PointSet, force: bool = False) -> Eisenstein:
 def _cube_total(table: SpectrumTable) -> Eisenstein:
     """sum_x c(x)^3 over a whole table, exactly."""
     p, q = table.p, table.q
-    bound = 8 * _peak(p, q) ** 3
-    if p.dtype != np.int64 or bound >= _INT64_SAFE:
+    bound = 8 * bulk.peak(p, q) ** 3
+    if p.dtype != np.int64 or bound >= bulk.INT64_SAFE:
         p, q = p.astype(object), q.astype(object)
     # (p + q w)^3 = (p^3 + q^3 - 3 p q^2) + 3 p q (p - q) w; every partial
     # result is at most 6 peak^3 in size, below the int64 bound checked above
@@ -325,7 +316,9 @@ def load_table(fh: BinaryIO | str) -> SpectrumTable:
     """Read a save_table dump; ValueError for a bad header or length.
 
     The dimension is checked before anything of size 3^n is read, and the
-    file must end exactly after the q plane.
+    file must end exactly after the q plane. A recorded source size must
+    lie in 0..3^n and equal c(0), or c(0) must be 0 as balanced_transform
+    leaves it.
     """
     if isinstance(fh, str):
         with open(fh, "rb") as real:
@@ -345,6 +338,7 @@ def load_table(fh: BinaryIO | str) -> SpectrumTable:
         raise ValueError(f"coefficient table body is not exactly {16 * count} bytes")
     p = np.frombuffer(raw[: 8 * count], dtype="<i8").astype(np.int64)
     q = np.frombuffer(raw[8 * count :], dtype="<i8").astype(np.int64)
-    if source != -1 and source != p[0]:
+    # c(0) is the source size, or 0 for a balanced_transform table
+    if source != -1 and not (0 <= source <= count and int(p[0]) in (source, 0)):
         raise ValueError(f"source size {source} disagrees with c(0) = {int(p[0])}")
     return SpectrumTable(n, p, q, None if source == -1 else source)

@@ -150,6 +150,17 @@ class TestTableIO:
         assert np.array_equal(back.p, table.p)
         assert np.array_equal(back.q, table.q)
 
+    @pytest.mark.parametrize("size", [0, 1, 40])
+    def test_balanced_roundtrip(self, size):
+        # a balanced table keeps the source size but stores c(0) = 0
+        table = balanced_transform(random_point_set(5, size, 99))
+        buf = io.BytesIO()
+        save_table(table, buf)
+        back = load_table(io.BytesIO(buf.getvalue()))
+        assert back.source_size == size
+        assert np.array_equal(back.p, table.p)
+        assert np.array_equal(back.q, table.q)
+
     @pytest.mark.parametrize(
         "fault",
         ["negative-n", "n-40", "n-20", "n-above-hard-max", "trailing-byte",
