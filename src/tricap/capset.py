@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import os
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable, Sequence, TextIO
 
 import numpy as np
 
@@ -170,12 +170,17 @@ class PointSet:
 # -- set files -------------------------------------------------------------
 
 
-def save_point_set(ps: PointSet, path: str | os.PathLike) -> None:
-    """Write the canonical text form: header line, one point per line."""
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(f"n={ps.n}\n")
-        for v in ps.vectors():
-            fh.write(str(v) + "\n")
+def save_point_set(ps: PointSet, out: str | os.PathLike | TextIO) -> None:
+    """Write the canonical text form: header line, one point per line.
+
+    ``out`` is a path or an open text stream.
+    """
+    text = f"n={ps.n}\n" + "".join(f"{v}\n" for v in ps.vectors())
+    if hasattr(out, "write"):
+        out.write(text)
+        return
+    with open(out, "w", encoding="ascii") as fh:
+        fh.write(text)
 
 
 def load_point_set(path: str | os.PathLike) -> PointSet:

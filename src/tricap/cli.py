@@ -158,14 +158,8 @@ def _cmd_capset_gen(args: argparse.Namespace) -> int:
         save_point_set(ps, args.out)
         _emit(args, report)
     else:
-        _dump_set(ps)
+        save_point_set(ps, sys.stdout)
     return 0
-
-
-def _dump_set(ps) -> None:
-    sys.stdout.write(f"n={ps.n}\n")
-    for v in ps.vectors():
-        sys.stdout.write(f"{v}\n")
 
 
 def _cmd_capset_verify(args: argparse.Namespace) -> int:
@@ -209,7 +203,7 @@ def _cmd_capset_product(args: argparse.Namespace) -> int:
         save_point_set(prod, args.out)
         _emit(args, report)
     else:
-        _dump_set(prod)
+        save_point_set(prod, sys.stdout)
     return 0
 
 
@@ -327,7 +321,7 @@ def _cmd_energy_e2m(args: argparse.Namespace) -> int:
 
 def _cmd_energy_holder(args: argparse.Namespace) -> int:
     ps = load_point_set(args.set_file)
-    rep = holder_check(ps, args.m, backend=args.backend)
+    rep = holder_check(ps, args.m)
     report = envelope("energy holder", None)
     report.update(report_holder(rep))
     _emit(args, report)
@@ -541,7 +535,6 @@ def _build_parser() -> _Parser:
     s = leaf(energy, "holder", _cmd_energy_holder)
     s.add_argument("set_file")
     s.add_argument("--m", type=int, required=True)
-    s.add_argument("--backend", choices=("auto", "transform", "convolution"), default="auto")
     s = leaf(energy, "smoothing", _cmd_energy_smoothing)
     s.add_argument("set_file")
     s.add_argument("--scale-n", type=int, required=True)

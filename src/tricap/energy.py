@@ -204,16 +204,16 @@ class HolderReport:
         return self.part1_holds and self.part2_holds is not False
 
 
-def holder_check(ps: PointSet, m: int, backend: str = "auto") -> HolderReport:
+def holder_check(ps: PointSet, m: int) -> HolderReport:
     if m < 3:
         raise ValueError("interpolation checks start at m = 3")
-    v4 = e4(ps, backend=backend)
-    vm = e2m(ps, m, backend=backend)
+    v4 = e4(ps)
+    vm = e2m(ps, m)
     part1 = v4 ** (m - 1) <= vm * ps.size ** (m - 2)
     v8: int | None = None
     part2: bool | None = None
     if m >= 4:
-        v8 = e2m(ps, 4, backend=backend)
+        v8 = e2m(ps, 4)
         part2 = v8 ** (m - 1) <= vm**3 * ps.size ** (m - 4)
     return HolderReport(
         m=m, size=ps.size, e4=v4, e8=v8, e2m=vm, part1_holds=part1, part2_holds=part2

@@ -227,18 +227,10 @@ def inverse_table(table: SpectrumTable, force: bool = False) -> tuple[np.ndarray
     _check_guard(table.n, force)
     scale = 3**table.n
     p, q = _butterfly(table.p, table.q, table.n, inverse=True)
-    out = []
-    for arr in (p, q):
-        if arr.dtype == np.int64:
-            if (arr % scale).any():
-                raise IdentityViolationError("inverse divisibility", "remainder", 0)
-            out.append(arr // scale)
-        else:
-            vals = arr.tolist()
-            if any(v % scale for v in vals):
-                raise IdentityViolationError("inverse divisibility", "remainder", 0)
-            out.append(np.array([v // scale for v in vals], dtype=object))
-    return out[0], out[1]
+    # % and // are exact on int64 and on Python-int object arrays alike
+    if (p % scale).any() or (q % scale).any():
+        raise IdentityViolationError("inverse divisibility", "remainder", 0)
+    return p // scale, q // scale
 
 
 def plancherel_check(ps: PointSet, force: bool = False) -> tuple[int, int]:
@@ -287,12 +279,8 @@ def eval_at(ps: PointSet, x: TritVector) -> Eisenstein:
 
 def subspace_weight(table: SpectrumTable, w: Subspace, skip_zero: bool = True) -> int:
     """Exact sum of coefficient norms over a subspace of frequencies."""
-    total = 0
-    for v in w.enumerate_points():
-        if skip_zero and v.is_zero():
-            continue
-        total += table.norm_at(v.index)
-    return total
+    idx = w.enumerate_indices()
+    return bulk.exact_sum(table.norms()[idx[1:] if skip_zero else idx])  # zero comes first
 
 
 _MAGIC = b"TCAPF3T1"

@@ -26,7 +26,6 @@ from .randomsel import NullityExperiment
 from .spectrum import IncrementReport, SpectrumSet, SubspaceSpectrumStats
 from .structure import (
     AdditiveStructure,
-    BsgProbe,
     ComityBand,
     FiberDecomposition,
     LevelDecomposition,
@@ -47,7 +46,6 @@ __all__ = [
     "report_levels",
     "report_martingale",
     "report_nullity",
-    "report_probe",
     "report_smoothing",
     "report_spectrum",
     "report_subspace_stats",
@@ -214,17 +212,6 @@ def report_martingale(rep: MartingaleReport) -> dict[str, Any]:
         "raw_lhs": str(rep.raw_lhs),
         "raw_rhs": str(rep.raw_rhs),
         "holds": rep.holds,
-    }
-
-
-def report_probe(probe: BsgProbe) -> dict[str, Any]:
-    return {
-        "heuristic": True,
-        "kernel_size": probe.kernel_size,
-        "center_count": probe.center_count,
-        "covered": probe.covered,
-        "coverage": frac_str(probe.coverage),
-        "coverage_float": float(probe.coverage),
     }
 
 

@@ -12,6 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
+import numpy as np
+
+from . import bulk
 from .errors import DimensionMismatchError, GuardExceededError
 from .gf3core import TritVector, plane_add
 
@@ -193,35 +196,33 @@ class Subspace:
                 out.append(cand)
         return out
 
-    def enumerate_points(self, force: bool = False) -> Iterator[TritVector]:
-        """All 3^dim points, zero first, in coefficient-counter order."""
+    def enumerate_indices(self, force: bool = False) -> np.ndarray:
+        """Canonical indices of all 3^dim points, int64, zero first.
+
+        The order is coefficient-counter order with the rightmost basis
+        vector fastest: each basis vector b adds 0, b and 2b = -b along a
+        new fastest axis.
+        """
         if self.dim > ENUM_GUARD_DIM and not force:
             raise GuardExceededError(
                 f"enumerating 3^{self.dim} points exceeds the guard "
                 f"(dim {ENUM_GUARD_DIM}); pass force=True to insist"
             )
-        d = self.dim
-        cur = TritVector.zero(self.n)
-        if d == 0:
-            yield cur
-            return
-        # mixed-radix counter with rightmost basis vector fastest
-        counters = [0] * d
-        while True:
-            yield cur
-            i = d - 1
-            while i >= 0:
-                counters[i] += 1
-                cur = cur + self.basis[i]
-                if counters[i] < 3:
-                    break
-                counters[i] = 0
-                i -= 1
-            else:
-                return
+        lo = hi = np.zeros(1, dtype=np.int64)
+        for b in self.basis:
+            lo, hi = plane_add(
+                lo[:, None], hi[:, None],
+                np.array([0, b.lo, b.hi], dtype=np.int64),
+                np.array([0, b.hi, b.lo], dtype=np.int64),
+            )
+            lo, hi = lo.ravel(), hi.ravel()
+        return bulk.planes_to_indices(self.n, lo, hi)
 
-    def enumerate_indices(self, force: bool = False) -> list[int]:
-        return [v.index for v in self.enumerate_points(force=force)]
+    def enumerate_points(self, force: bool = False) -> Iterator[TritVector]:
+        """The points of enumerate_indices, in the same order."""
+        lo, hi = bulk.indices_to_planes(self.n, self.enumerate_indices(force))
+        for plo, phi in zip(lo.tolist(), hi.tolist()):
+            yield TritVector(self.n, plo, phi)
 
     def __contains__(self, v: TritVector) -> bool:
         return self.contains(v)

@@ -112,7 +112,7 @@ def nullity_distribution(
     )
 
 
-def expected_tuples(ps: PointSet, d: int, m: int, backend: str = "auto") -> Fraction:
+def expected_tuples(ps: PointSet, d: int, m: int) -> Fraction:
     """Heuristic mean of equal-sum 2m-tuples inside a d-point selection.
 
     (d / |S|)^(2m) * E_2m(S): each of the E_2m source tuples survives
@@ -123,7 +123,7 @@ def expected_tuples(ps: PointSet, d: int, m: int, backend: str = "auto") -> Frac
         raise ValueError("empty source set")
     if not 0 <= d <= ps.size:
         raise ValueError(f"cannot draw {d} from {ps.size} points")
-    return Fraction(d, ps.size) ** (2 * m) * e2m(ps, m, backend=backend)
+    return Fraction(d, ps.size) ** (2 * m) * e2m(ps, m)
 
 
 def simulate_g_frequencies(d: int, trials: int, seed: int) -> dict[int, int]:

@@ -148,10 +148,7 @@ def extract_spectrum(
     num = c.numerator**2 * ps.size**4
     den = 3 ** (2 * ps.n) * c.denominator**2
     need = -(-num // den)
-    if norms.dtype == np.int64 and need < (1 << 62):
-        mask = norms >= need
-    else:
-        mask = np.array([v >= need for v in norms.tolist()])
+    mask = norms >= need  # exact for any Python int need, int64 or object norms
     mask[0] = False
     members = PointSet(ps.n, np.flatnonzero(mask))
     return SpectrumSet(ps, c, members, norms[members.indices], table)
@@ -307,15 +304,8 @@ def subspace_spectrum_stats(
 ) -> SubspaceSpectrumStats:
     if w.n != spec.n:
         raise ValueError("subspace dimension differs from the spectrum")
-    count = 0
-    if 3**w.dim <= max(spec.size * 4, 64):
-        for v in w.enumerate_points():
-            if not v.is_zero() and spec.contains(v):
-                count += 1
-    else:
-        for i in spec.members.indices:
-            if w.contains(TritVector.from_index(spec.n, int(i))):
-                count += 1
+    # frequency 0 is never a spectrum member, so W's zero counts for nothing
+    count = int(spec.members.contains_indices(w.enumerate_indices()).sum())
     weight = subspace_weight(spec.table, w)
     n = spec.n
     rho = spec.base.size / 3**n

@@ -111,6 +111,15 @@ class LevelDecomposition:
         return len(self.bands)
 
 
+def _floor_log2(values: np.ndarray) -> np.ndarray:
+    """floor(log2 v) for every v >= 1, in integers: the dyadic band rule.
+
+    The exponent of v is the index of the last power of two <= v.
+    """
+    edges = 1 << np.arange(int(values.max(initial=1)).bit_length(), dtype=np.int64)
+    return np.searchsorted(edges, values, side="right") - 1
+
+
 def build_levels(ps: PointSet, backend: str = "auto") -> LevelDecomposition:
     """Split the differences of a set into dyadic multiplicity bands.
 
@@ -118,9 +127,7 @@ def build_levels(ps: PointSet, backend: str = "auto") -> LevelDecomposition:
     multiplicity is |S|), so pair counts across bands sum to |S|^2.
     """
     mm = diff_multiplicity(ps, backend=backend)
-    # t = floor(log2 m(x)) in integers: the index of the last power of two <= m(x)
-    edges = 1 << np.arange(int(mm.counts.max(initial=1)).bit_length(), dtype=np.int64)
-    t = np.searchsorted(edges, mm.counts, side="right") - 1
+    t = _floor_log2(mm.counts)
     bands = []
     for k in np.unique(t).tolist():
         in_band = t == k
@@ -194,28 +201,31 @@ def comity_scan(struct: AdditiveStructure, force: bool = False) -> list[ComityBa
     if d > COMITY_GUARD_SIZE and not force:
         raise GuardExceededError("comity scan size", d, COMITY_GUARD_SIZE)
     base = struct.base
-    pos = {int(i): k for k, i in enumerate(base.indices)}
-    masks: list[int] = []
-    for v in struct.diffs.vectors():
-        bits = 0
-        for i in delta_g(struct, v).indices.tolist():
-            bits |= 1 << pos[i]
-        masks.append(bits)
-    acc: dict[int, list[int]] = {}
-    for mx in masks:
-        for my in masks:
-            s = (mx & my).bit_count()
-            if s:
-                t = s.bit_length() - 1
-                cell = acc.get(t)
-                if cell is None:
-                    acc[t] = [1, s]
-                else:
-                    cell[0] += 1
-                    cell[1] += s
+    # row k is G[x_k] = {a in base : a - x_k in base}, packed into 64-bit words
+    nbytes = -(-base.size // 8)
+    rows = np.zeros((d, -(-nbytes // 8) * 8), dtype=np.uint8)
+    dlo, dhi = struct.diffs.planes()
+    for start, stop, idx in bulk.pair_sums(struct.n, (dhi, dlo), base.planes()):
+        rows[start:stop, :nbytes] = np.packbits(base.contains_indices(idx), axis=1)
+    rows = rows.view(np.uint64)
+    words = rows.shape[1]
+    # hist[s] = number of ordered pairs (x, y) with |G[x] ^ G[y]| = s
+    hist = np.zeros(base.size + 1, dtype=np.int64)
+    step = max(1, bulk._PAIR_CELLS // max(1, d * words))
+    for start in range(0, d, step):
+        common = np.bitwise_count(rows[start:start + step, None, :] & rows[None, :, :])
+        hist += np.bincount(common.sum(axis=2, dtype=np.int64).ravel(), minlength=hist.size)
+    sizes = np.flatnonzero(hist[1:]) + 1
+    pairs = hist[sizes]
+    masses = sizes * pairs
+    t = _floor_log2(sizes)
     return [
-        ComityBand(size_lo=1 << t, pair_count=acc[t][0], mass=acc[t][1])
-        for t in sorted(acc)
+        ComityBand(
+            size_lo=1 << k,
+            pair_count=bulk.exact_sum(pairs[t == k]),
+            mass=bulk.exact_sum(masses[t == k]),
+        )
+        for k in np.unique(t).tolist()
     ]
 
 
@@ -264,29 +274,30 @@ class FiberDecomposition:
     def items(self):
         return zip(self.reps, self.fibers)
 
-    def sizes(self) -> list[int]:
-        return [f.size for f in self.fibers]
+
+def _dot_labels(lo: np.ndarray, hi: np.ndarray, h: Subspace) -> np.ndarray:
+    """Dot products against H's basis read as a base-3 numeral, first vector leading."""
+    label = np.zeros(lo.shape, dtype=np.int64)
+    for b in h.basis:
+        label = 3 * label + bulk.dots_with(lo, hi, b)
+    return label
 
 
 def decompose_fibers(ps: PointSet, h: Subspace) -> FiberDecomposition:
     if h.n != ps.n:
         raise ValueError("subspace dimension differs from the set")
-    reps = list(h.annihilator().transversal().enumerate_points())
-    key_of: dict[tuple[int, ...], int] = {}
-    for k, v in enumerate(reps):
-        key_of[tuple(v.dot(b) for b in h.basis)] = k
-    if len(key_of) != len(reps):
-        raise IdentityViolationError("fiber keys", len(key_of), len(reps))
-    buckets: list[list[int]] = [[] for _ in reps]
-    lo, hi = ps.planes()
-    if ps.size:
-        dots = np.stack(
-            [bulk.dots_with(lo, hi, b) for b in h.basis], axis=1
-        ) if h.dim else np.zeros((ps.size, 0), dtype=np.int64)
-        for row, idx in zip(map(tuple, dots.tolist()), ps.indices.tolist()):
-            buckets[key_of[tuple(row)]].append(idx)
-    fibers = [PointSet(ps.n, np.array(sorted(b), dtype=np.int64)) for b in buckets]
-    return FiberDecomposition(ps, h, reps, fibers)
+    rlo, rhi = bulk.indices_to_planes(ps.n, h.annihilator().transversal().enumerate_indices())
+    reps = [TritVector(ps.n, lo, hi) for lo, hi in zip(rlo.tolist(), rhi.tolist())]
+    # slot[label] = position of the representative with that dot profile
+    slot = np.full(len(reps), -1, dtype=np.int64)
+    slot[_dot_labels(rlo, rhi, h)] = np.arange(len(reps))
+    if (slot < 0).any():
+        raise IdentityViolationError("fiber keys", int((slot >= 0).sum()), len(reps))
+    owner = slot[_dot_labels(*ps.planes(), h)]
+    ends = np.cumsum(np.bincount(owner, minlength=len(reps)))
+    # a stable sort keeps each fiber in the set's canonical order
+    parts = np.split(ps.indices[np.argsort(owner, kind="stable")], ends[:-1])
+    return FiberDecomposition(ps, h, reps, [PointSet(ps.n, part) for part in parts])
 
 
 @dataclass(frozen=True)
@@ -345,15 +356,14 @@ def fiber_plancherel_check(ps: PointSet, h: Subspace, k: Subspace) -> Martingale
         raw_rhs += fiber.size**2
     raw_rhs *= size_h
 
-    ext = Subspace.span(h.extension_to(k), ps.n)
+    # the nonzero points of the transversal T; zero comes first
+    ext = list(Subspace.span(h.extension_to(k), ps.n).enumerate_points())[1:]
     fiber_term = 0
     for rep, fiber in dec.items():
         if fiber.size == 0:
             continue
         recentered = fiber.translate(-rep)
-        for t in ext.enumerate_points():
-            if t.is_zero():
-                continue
+        for t in ext:
             fiber_term += eval_at(recentered, t).norm()
     fiber_term *= size_h**2
 

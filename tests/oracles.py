@@ -165,6 +165,28 @@ def naive_cross_quadruples(bs, cs):
     return sum(v * v for v in by_sum.values())
 
 
+def naive_comity(points, diffs):
+    """[(size_lo, pairs, mass)] over the dyadic bands of |G[x] & G[y]|.
+
+    G[x] = {a in points : a - x in points}; every ordered pair (x, y) of
+    diffs with a nonempty intersection lands in the band
+    size_lo <= |G[x] & G[y]| < 2 size_lo, ascending by size_lo.
+    """
+    members = set(points)
+    hoods = [{a for a in points if vec_sub(a, x) in members} for x in diffs]
+    bands = {}
+    for gx in hoods:
+        for gy in hoods:
+            s = len(gx & gy)
+            if s:
+                size_lo = 1
+                while 2 * size_lo <= s:
+                    size_lo *= 2
+                pairs, mass = bands.get(size_lo, (0, 0))
+                bands[size_lo] = (pairs + 1, mass + s)
+    return [(lo, pairs, mass) for lo, (pairs, mass) in sorted(bands.items())]
+
+
 def naive_bsg_probe(bs, cs, kernel_size=None, max_centers=8):
     """(kernel size, centers, covered, coverage) of the greedy cover of B.
 

@@ -35,6 +35,10 @@ class TestCapsetCommands:
         path = tmp_path / "echo.txt"
         path.write_text(out)
         assert load_point_set(path).n == 4
+        out_path = tmp_path / "gen.txt"
+        assert run_cli(capsys, "capset", "gen", "--n", "4", "--seed", "1",
+                       "--out", str(out_path))[0] == 0
+        assert out_path.read_bytes() == out.encode("ascii")
 
     def test_verify_pass(self, cap_file, capsys):
         code, out, _ = run_cli(capsys, "capset", "verify", cap_file)
@@ -65,6 +69,9 @@ class TestCapsetCommands:
         assert code == 0
         assert json.loads(out)["is_capset"] is True
         assert load_point_set(out_path).n == 12
+        code, out, _ = run_cli(capsys, "capset", "product", cap_file, cap_file)
+        assert code == 0
+        assert out.encode("ascii") == open(out_path, "rb").read()
 
 
 class TestReportsAndFormats:
@@ -94,6 +101,23 @@ class TestReportsAndFormats:
         )
         assert code == 0
         assert rep_path.read_text() == out
+
+
+class TestEnergyCommands:
+    def test_holder_reports_the_same_energies(self, cap_file, capsys):
+        code, out, _ = run_cli(capsys, "energy", "holder", cap_file, "--m", "5")
+        assert code == 0
+        holder = json.loads(out)
+        e4 = json.loads(run_cli(capsys, "energy", "e4", cap_file)[1])
+        e8 = json.loads(run_cli(capsys, "energy", "e2m", cap_file, "--m", "4")[1])
+        e10 = json.loads(run_cli(capsys, "energy", "e2m", cap_file, "--m", "5")[1])
+        assert holder["E4"] == e4["E4"]
+        assert holder["E8"] == e8["E2m"]["4"]
+        assert holder["E2m"] == e10["E2m"]["5"]
+
+    def test_holder_has_no_backend_flag(self, cap_file, capsys):
+        code = run_cli(capsys, "energy", "holder", cap_file, "--m", "4", "--backend", "auto")[0]
+        assert code == 1
 
 
 class TestExitCodes:

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from tricap import (
     Eisenstein,
     GuardExceededError,
+    IdentityViolationError,
     PointSet,
     SpectrumTable,
     Subspace,
@@ -239,6 +240,16 @@ class TestOverflowBounds:
     def test_inputs_beyond_int64(self):
         table, _ = self.exact_table([2**70 * t for t in self.PATTERN])
         assert table.p.dtype == object
+
+    @pytest.mark.parametrize("c", [1, 2**70])
+    @pytest.mark.parametrize("plane", ["p", "q"])
+    def test_inexact_inverse_raises(self, c, plane):
+        # c at frequency 0 inverts to c / 3^n everywhere, not an integer
+        dtype = object if c >= 2**63 else np.int64
+        planes = {"p": np.zeros(27, dtype=dtype), "q": np.zeros(27, dtype=dtype)}
+        planes[plane][0] = c
+        with pytest.raises(IdentityViolationError):
+            inverse_table(SpectrumTable(self.N, planes["p"], planes["q"]))
 
     @pytest.mark.parametrize("offset", [0, 1, 2**20])
     def test_cube_sum_vectorised(self, offset):

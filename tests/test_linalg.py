@@ -1,8 +1,10 @@
+import itertools
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from tricap import Subspace, TritVector, nullity, rank
+from tricap import GuardExceededError, Subspace, TritVector, nullity, rank
 
 import oracles
 
@@ -81,6 +83,31 @@ class TestSubspace:
             for d in oracles.naive_span([oracles.digits(s) for s in strings], n)
         }
         assert got == want
+
+    @given(st.integers(1, 5).flatmap(lambda n: _vectors(n, 4)))
+    def test_enumerate_order_matches_product_oracle(self, strings):
+        if not strings:
+            return
+        n = len(strings[0])
+        w = Subspace.span(_tv(strings))
+        basis = [oracles.digits(str(b)) for b in w.basis]
+        # coefficient tuples in itertools.product order: rightmost basis vector fastest
+        want = []
+        for coeffs in itertools.product(range(3), repeat=len(basis)):
+            v = (0,) * n
+            for c, b in zip(coeffs, basis):
+                v = oracles.vec_add(v, tuple(c * t % 3 for t in b))
+            want.append(oracles.point_index(v))
+        assert w.enumerate_indices().tolist() == want
+        assert [v.index for v in w.enumerate_points()] == want
+
+    def test_enumerate_zero_and_guard(self):
+        assert Subspace.zero(3).enumerate_indices().tolist() == [0]
+        big = Subspace.full(17)
+        with pytest.raises(GuardExceededError):
+            big.enumerate_indices()
+        with pytest.raises(GuardExceededError):
+            next(big.enumerate_points())
 
     @given(st.integers(2, 5).flatmap(lambda n: _vectors(n, 4)))
     def test_annihilator_duality(self, strings):

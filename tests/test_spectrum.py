@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 from hypothesis import given
@@ -103,6 +104,36 @@ class TestExtraction:
         for c, size in [(Fraction(1, 2), 612), (Fraction(1), 320), (Fraction(2), 40)]:
             assert extract_spectrum(ps, c).size == size
 
+    def test_threshold_boundaries_match_integer_oracle(self):
+        # thresholds whose cleared-denominator bound `need` equals a member's
+        # norm, sits one above it, and lies past the int64 range
+        ps = greedy_random_capset(5, 77)
+        pts = tuples_of(ps)
+        dft = oracles.naive_dft(pts, ps.n)
+        norm = {oracles.point_index(x): oracles.e_norm(c) for x, c in dft.items()}
+        scale = 3 ** (2 * ps.n)
+
+        def need_of(c):
+            return -(-(c.numerator**2 * ps.size**4) // (scale * c.denominator**2))
+
+        def oracle(c):
+            return [
+                i for i in range(1, 3**ps.n)
+                if norm[i] * scale * c.denominator**2 >= c.numerator**2 * ps.size**4
+            ]
+
+        target = sorted(set(norm[i] for i in range(1, 3**ps.n)))[-3]
+        k = 10**6  # c^2 |A|^4 / 3^(2n) lands within 1 below the wanted need
+        for need in (target, target + 1):
+            c = Fraction(isqrt(need * scale * k * k), ps.size**2 * k)
+            assert need_of(c) == need
+            got = extract_spectrum(ps, c).members.indices.tolist()
+            assert got == oracle(c)
+            assert (target in [norm[i] for i in got]) == (need == target)
+        c = Fraction(2**40)
+        assert need_of(c) >= 2**63
+        assert extract_spectrum(ps, c).size == 0 == len(oracle(c))
+
     def test_rejects_negative_threshold(self):
         ps = random_point_set(3, 5, 1)
         with pytest.raises(ValueError):
@@ -172,3 +203,21 @@ class TestSubspaceStats:
         assert stats.dim == 2
         assert stats.member_count == direct_count
         assert stats.weight == direct_weight
+
+    def test_subspace_larger_than_spectrum(self):
+        # 3^dim > 4 |spec|: W has more points than four times the spectrum
+        ps = greedy_random_capset(5, 77)
+        spec = extract_spectrum(ps, 2)
+        gens = [str(TritVector.from_index(5, int(i))) for i in spec.members.indices[:2]]
+        gens += ["10000", "00100", "00001"]
+        w = Subspace.span([TritVector.from_string(s) for s in gens], 5)
+        assert 3**w.dim > max(4 * spec.size, 64)
+        points = oracles.naive_span([oracles.digits(s) for s in gens], 5)
+        members = {str(v) for v in spec.members.vectors()}
+        table = transform_point_set(ps)
+        stats = subspace_spectrum_stats(spec, w)
+        assert stats.member_count == sum(oracles.to_string(d) in members for d in points)
+        assert stats.member_count > 0
+        assert stats.weight == sum(
+            table.norm_at(oracles.point_index(d)) for d in points if any(d)
+        )

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import strategies as st
 
 from tricap import (
     GuardExceededError,
+    IdentityViolationError,
     PointSet,
     Subspace,
     TritVector,
@@ -21,6 +23,7 @@ from tricap import (
     random_point_set,
     span_hull,
 )
+from tricap import bulk
 
 import oracles
 from conftest import tuples_of
@@ -34,6 +37,14 @@ small_pairs = st.tuples(st.integers(3, 5), st.integers(0, 99_999), st.integers(0
         random_point_set(t[0], 2 + s % min(30, 3 ** t[0] - 2), s) for s in t[1:]
     )
 )
+
+
+def _check_comity_bands(ps):
+    pts = tuples_of(ps)
+    for band in build_levels(ps):
+        got = [(b.size_lo, b.pair_count, b.mass) for b in comity_scan(band)]
+        diffs = [oracles.digits(str(v)) for v in band.diffs.vectors()]
+        assert got == oracles.naive_comity(pts, diffs)
 
 
 class TestLevels:
@@ -134,6 +145,18 @@ class TestKomity:
             assert b.size_lo >= 1
             assert b.pair_count >= 1
 
+    @given(small_sets)
+    def test_comity_bands_match_oracle(self, ps):
+        _check_comity_bands(ps)
+
+    @pytest.mark.parametrize("cells", [7, 1 << 20])
+    @pytest.mark.parametrize("n, size, seed", [(4, 40, 1), (5, 70, 2), (5, 130, 3)])
+    def test_comity_multiword_rows_match_oracle(self, n, size, seed, cells, monkeypatch):
+        # more than 64 base points spread a row over several words; 7 cells
+        # make every pair block and every intersection block one row
+        monkeypatch.setattr(bulk, "_PAIR_CELLS", cells)
+        _check_comity_bands(random_point_set(n, size, seed))
+
     def test_reference_guard(self):
         ps = greedy_random_capset(7, 3)
         band = max(build_levels(ps), key=lambda b: b.diffs.size)
@@ -174,6 +197,43 @@ class TestFibers:
                 for b in h.basis:
                     assert b.dot(a) == b.dot(rep)
         assert sorted(members) == [str(v) for v in ps.vectors()]
+
+    @given(small_sets, st.data())
+    def test_fibers_follow_dot_profiles(self, ps, data):
+        strings = data.draw(
+            st.lists(st.text(alphabet="012", min_size=ps.n, max_size=ps.n), max_size=3)
+        )
+        h = Subspace.span([TritVector.from_string(s) for s in strings], ps.n)
+        dec = decompose_fibers(ps, h)
+        basis = [oracles.digits(str(b)) for b in h.basis]
+
+        def profile(d):
+            return tuple(oracles.dot(b, d) for b in basis)
+
+        # representatives: the transversal of H's annihilator in counter
+        # order, rightmost generator fastest, one per dot profile
+        gens = [oracles.digits(str(t)) for t in h.annihilator().transversal().basis]
+        want_reps = []
+        for coeffs in itertools.product(range(3), repeat=len(gens)):
+            v = (0,) * ps.n
+            for c, g in zip(coeffs, gens):
+                v = oracles.vec_add(v, tuple(c * t % 3 for t in g))
+            want_reps.append(v)
+        reps = [oracles.digits(str(r)) for r in dec.reps]
+        assert reps == want_reps
+        assert sorted(map(profile, reps)) == list(itertools.product(range(3), repeat=h.dim))
+        pts = tuples_of(ps)
+        for r, fiber in zip(reps, dec.fibers):
+            assert tuples_of(fiber) == [a for a in pts if profile(a) == profile(r)]
+
+    def test_repeated_profiles_raise(self, monkeypatch):
+        # a "transversal" inside H's annihilator gives every rep the profile 0
+        monkeypatch.setattr(
+            Subspace, "transversal", lambda self: Subspace.span([TritVector.unit(3, 1)])
+        )
+        h = Subspace.span([TritVector.unit(3, 0)])
+        with pytest.raises(IdentityViolationError):
+            decompose_fibers(random_point_set(3, 5, 1), h)
 
     def test_empty_fibers_kept(self):
         ps = PointSet.from_strings(["000"])
