@@ -42,8 +42,8 @@ from .fourier import (
     inverse_table,
     load_table,
     plancherel_check,
+    restricted_transform,
     save_table,
-    subspace_weight,
     transform_point_set,
     transform_table,
 )
@@ -138,6 +138,7 @@ __all__ = [
     "quadruple_participation",
     "random_point_set",
     "rank",
+    "restricted_transform",
     "run_criterion",
     "run_selftest",
     "sample_without_replacement",
@@ -149,7 +150,6 @@ __all__ = [
     "span_hull",
     "strong_increment_check",
     "subspace_spectrum_stats",
-    "subspace_weight",
     "transform_point_set",
     "transform_table",
 ]

@@ -21,13 +21,14 @@ int64 is exact everywhere here.
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from .gf3core import TritVector, plane_add
 
 __all__ = [
+    "dot_labels",
     "dots_with",
     "exact_sum",
     "indices_to_planes",
@@ -135,3 +136,16 @@ def dots_with(lo: np.ndarray, hi: np.ndarray, v: TritVector) -> np.ndarray:
         np.int64
     )
     return d % 3
+
+
+def dot_labels(lo: np.ndarray, hi: np.ndarray, basis: Sequence[TritVector]) -> np.ndarray:
+    """Dot products of each packed row with the basis, read as a base-3 numeral.
+
+    The first basis vector supplies the leading digit, so a row's label is
+    the canonical index of its dot profile in F_3^len(basis): the order in
+    which Subspace.enumerate_indices lists the points of the span.
+    """
+    label = np.zeros(lo.shape, dtype=np.int64)
+    for b in basis:
+        label = 3 * label + dots_with(lo, hi, b)
+    return label

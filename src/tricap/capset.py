@@ -88,12 +88,6 @@ class PointSet:
     def empty(cls, n: int) -> "PointSet":
         return cls(n, [])
 
-    @classmethod
-    def full_space(cls, n: int) -> "PointSet":
-        if n > _BITMAP_GUARD_N:
-            raise GuardExceededError(f"3^{n} points is beyond desk scale")
-        return cls(n, np.arange(3**n, dtype=np.int64))
-
     # -- views -----------------------------------------------------------
 
     @property

@@ -442,11 +442,8 @@ def _cmd_structure_martingale(args: argparse.Namespace) -> int:
 
 def _cmd_nullity_sim(args: argparse.Namespace) -> int:
     path = args.input
-    through_spectrum = args.spectrum
-    if path.startswith("spectrum-of:"):
-        path = path[len("spectrum-of:"):]
-        through_spectrum = True
-    ps = load_point_set(path)
+    through_spectrum = path.startswith("spectrum-of:")
+    ps = load_point_set(path.removeprefix("spectrum-of:"))
     if through_spectrum:
         ps = extract_spectrum(ps, _parse_fraction(args.threshold), force=args.force).members
     exp = nullity_distribution(ps, args.d, args.trials, args.seed)
@@ -566,8 +563,6 @@ def _build_parser() -> _Parser:
     s = leaf(top, "nullity-sim", _cmd_nullity_sim)
     s.add_argument("--input", required=True,
                    help="set file; prefix with spectrum-of: to draw from its spectrum")
-    s.add_argument("--spectrum", action="store_true",
-                   help="draw from the spectrum of the input set")
     s.add_argument("--threshold", default="1")
     s.add_argument("--d", type=int, required=True)
     s.add_argument("--trials", type=int, required=True)

@@ -146,9 +146,11 @@ def e2m(ps: PointSet, m: int, backend: str = "auto", force: bool = False) -> int
 
 
 def _e2m_transform(ps: PointSet, m: int, force: bool) -> int:
-    spec = transform_point_set(ps, force=force)
-    norms = spec.norms()
-    total = bulk.exact_sum(norms.astype(object) ** m)
+    # a table has far fewer distinct norms than cells (about 10^4 among
+    # 4.8 * 10^6 on a greedy cap at n = 14), so the exact Python-int powers
+    # run once per distinct value
+    values, counts = np.unique(transform_point_set(ps, force=force).norms(), return_counts=True)
+    total = sum(c * v**m for v, c in zip(values.tolist(), counts.tolist()))
     div = 3**ps.n
     if total % div:
         raise IdentityViolationError("energy divisibility", total % div, 0)

@@ -17,13 +17,19 @@ slower path takes over, never a wrapped value:
     below 2^31 (every indicator transform up to TRANSFORM_HARD_MAX_N),
     in int64 below 2^63, and on Python-int object arrays otherwise.
     Tables are widened to int64 afterwards, so a SpectrumTable is
-    always int64 or object.
+    always int64 or object. restricted_transform feeds the passes a
+    histogram of dot profiles; its entries are at most |A|, so
+    _kernel_dtype(|A|, dim W) picks an exact dtype there too.
   * Norms p^2 - p q + q^2 are int64 when 3 * peak^2 < 2^62.
   * Exact sums go through bulk.exact_sum, which adds int64 arrays in
     chunks of fewer than 2^62 / max entries each; the norm total is a
     single int64 sum when size * max_norm < 2^62.
   * The cube sum is vectorised in int64 when 8 * peak^3 < 2^62; every
     partial term is at most 6 * peak^3.
+
+Coefficients on a subspace W with basis w_1..w_d come from a pushforward:
+c_A(sum_i t_i w_i) = c_{pi(A)}(t) with pi(a) = (a.w_1, ..., a.w_d), so
+restricted_transform costs O(|A| d + d 3^d) and builds no 3^n table.
 
 Identities kept loud here:
   * Plancherel: sum_x norm(c(x)) = 3^n * |A|, exact integers.
@@ -55,8 +61,8 @@ __all__ = [
     "inverse_table",
     "load_table",
     "plancherel_check",
+    "restricted_transform",
     "save_table",
-    "subspace_weight",
     "transform_point_set",
     "transform_table",
 ]
@@ -277,10 +283,19 @@ def eval_at(ps: PointSet, x: TritVector) -> Eisenstein:
     return Eisenstein(n0 - n2, n1 - n2)
 
 
-def subspace_weight(table: SpectrumTable, w: Subspace, skip_zero: bool = True) -> int:
-    """Exact sum of coefficient norms over a subspace of frequencies."""
-    idx = w.enumerate_indices()
-    return bulk.exact_sum(table.norms()[idx[1:] if skip_zero else idx])  # zero comes first
+def restricted_transform(ps: PointSet, w: Subspace, force: bool = False) -> SpectrumTable:
+    """c(x) for the points x of W, a table of dimension dim W.
+
+    Entry j is c at the j-th point of w.enumerate_indices(). It is the
+    dim-W transform of the histogram of dot profiles against W's basis,
+    which bulk.dot_labels writes as canonical indices. The guard applies
+    to dim W and fires before the 3^dim W histogram is allocated.
+    """
+    if w.n != ps.n:
+        raise ValueError("subspace dimension differs from the set")
+    _check_guard(w.dim, force)
+    hist = np.bincount(bulk.dot_labels(*ps.planes(), w.basis), minlength=3**w.dim)
+    return transform_table(hist, w.dim, force=force)
 
 
 _MAGIC = b"TCAPF3T1"

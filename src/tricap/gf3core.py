@@ -170,14 +170,6 @@ class TritVector:
         self._check(other)
         return plane_dot(self.lo, self.hi, other.lo, other.hi)
 
-    def concat(self, other: "TritVector") -> "TritVector":
-        """Concatenate coordinates: self supplies coordinates 0..n-1."""
-        return TritVector(
-            self.n + other.n,
-            self.lo | (other.lo << self.n),
-            self.hi | (other.hi << self.n),
-        )
-
     # -- ordering / display ------------------------------------------------
 
     def __lt__(self, other: "TritVector") -> bool:

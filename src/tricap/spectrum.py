@@ -27,7 +27,7 @@ import numpy as np
 from . import bulk
 from .capset import PointSet
 from .errors import IdentityViolationError
-from .fourier import SpectrumTable, eval_at, subspace_weight, transform_point_set
+from .fourier import eval_at, restricted_transform, transform_point_set
 from .gf3core import TritVector
 from .linalg import Subspace
 from .rng import make_rng
@@ -92,27 +92,19 @@ class IncrementReport:
 
 
 class SpectrumSet:
-    """Spectrum members with their exact coefficient norms and the table.
+    """Spectrum members with their exact coefficient norms.
 
     ``norms`` is parallel to ``members.indices``: norms[k] is the norm of
     the coefficient at frequency members.indices[k].
     """
 
-    __slots__ = ("base", "threshold_c", "members", "norms", "table")
+    __slots__ = ("base", "threshold_c", "members", "norms")
 
-    def __init__(
-        self,
-        base: PointSet,
-        threshold_c: Fraction,
-        members: PointSet,
-        norms: np.ndarray,
-        table: SpectrumTable,
-    ):
+    def __init__(self, base: PointSet, threshold_c: Fraction, members: PointSet, norms: np.ndarray):
         self.base = base
         self.threshold_c = threshold_c
         self.members = members
         self.norms = norms
-        self.table = table
 
     @property
     def n(self) -> int:
@@ -151,7 +143,7 @@ def extract_spectrum(
     mask = norms >= need  # exact for any Python int need, int64 or object norms
     mask[0] = False
     members = PointSet(ps.n, np.flatnonzero(mask))
-    return SpectrumSet(ps, c, members, norms[members.indices], table)
+    return SpectrumSet(ps, c, members, norms[members.indices])
 
 
 def coset_counts(ps: PointSet, x: TritVector) -> tuple[int, int, int]:
@@ -306,7 +298,10 @@ def subspace_spectrum_stats(
         raise ValueError("subspace dimension differs from the spectrum")
     # frequency 0 is never a spectrum member, so W's zero counts for nothing
     count = int(spec.members.contains_indices(w.enumerate_indices()).sum())
-    weight = subspace_weight(spec.table, w)
+    # extracting the spectrum already held a 3^n >= 3^dim(W) table, so
+    # the transform guard has been passed at a larger size
+    table = restricted_transform(spec.base, w, force=True)
+    weight = table.norm_total() - table.norm_at(0)
     n = spec.n
     rho = spec.base.size / 3**n
     return SubspaceSpectrumStats(

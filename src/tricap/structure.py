@@ -22,8 +22,10 @@ basis. The martingale identity cleared of denominators at scale
       + |H|^2 * sum_v sum_{t in T, t != 0} |c_v(t)|^2
 
 with one v per fiber of H, T a transversal of H inside K, and c_v the
-coefficient table of the recentered fiber. Both sides are integers and
-the right side does not depend on which transversal is chosen.
+coefficient table of the fiber. Recentering a fiber by -v would multiply
+c_v(t) by w^(-v.t) and leave every norm unchanged, so fibers are used as
+they are. Both sides are integers and the right side does not depend on
+which transversal is chosen.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from . import bulk
 from .capset import PointSet
 from .energy import MultiplicityMap, diff_multiplicity
 from .errors import GuardExceededError, IdentityViolationError
-from .fourier import eval_at
+from .fourier import SpectrumTable, restricted_transform
 from .gf3core import TritVector, plane_add
 from .linalg import Subspace
 
@@ -275,14 +277,6 @@ class FiberDecomposition:
         return zip(self.reps, self.fibers)
 
 
-def _dot_labels(lo: np.ndarray, hi: np.ndarray, h: Subspace) -> np.ndarray:
-    """Dot products against H's basis read as a base-3 numeral, first vector leading."""
-    label = np.zeros(lo.shape, dtype=np.int64)
-    for b in h.basis:
-        label = 3 * label + bulk.dots_with(lo, hi, b)
-    return label
-
-
 def decompose_fibers(ps: PointSet, h: Subspace) -> FiberDecomposition:
     if h.n != ps.n:
         raise ValueError("subspace dimension differs from the set")
@@ -290,10 +284,10 @@ def decompose_fibers(ps: PointSet, h: Subspace) -> FiberDecomposition:
     reps = [TritVector(ps.n, lo, hi) for lo, hi in zip(rlo.tolist(), rhi.tolist())]
     # slot[label] = position of the representative with that dot profile
     slot = np.full(len(reps), -1, dtype=np.int64)
-    slot[_dot_labels(rlo, rhi, h)] = np.arange(len(reps))
+    slot[bulk.dot_labels(rlo, rhi, h.basis)] = np.arange(len(reps))
     if (slot < 0).any():
         raise IdentityViolationError("fiber keys", int((slot >= 0).sum()), len(reps))
-    owner = slot[_dot_labels(*ps.planes(), h)]
+    owner = slot[bulk.dot_labels(*ps.planes(), h.basis)]
     ends = np.cumsum(np.bincount(owner, minlength=len(reps)))
     # a stable sort keeps each fiber in the set's canonical order
     parts = np.split(ps.indices[np.argsort(owner, kind="stable")], ends[:-1])
@@ -324,6 +318,11 @@ class MartingaleReport:
         return self.lhs == self.rhs and self.raw_lhs == self.raw_rhs
 
 
+def _nonzero_weight(table: SpectrumTable) -> int:
+    """Sum of norms over every frequency but zero, which comes first."""
+    return table.norm_total() - table.norm_at(0)
+
+
 def fiber_plancherel_check(ps: PointSet, h: Subspace, k: Subspace) -> MartingaleReport:
     """Evaluate both sides of the fiber identity exactly.
 
@@ -331,41 +330,28 @@ def fiber_plancherel_check(ps: PointSet, h: Subspace, k: Subspace) -> Martingale
     identity degenerates to the zero-frequency form, which is still a
     real check because the left side comes from the coefficient table
     and the right side from fiber sizes.
+
+    Every coefficient comes from restricted_transform on K, on H, or on
+    T for one fiber, so no 3^n table is built and only dim K meets the
+    transform guard, before anything of size 3^dim K is allocated.
     """
     if h.n != ps.n or k.n != ps.n:
         raise ValueError("subspace dimension differs from the set")
     if not k.contains_subspace(h):
         raise ValueError("H must be contained in K")
     size_h = h.size()
+    lhs = size_h * _nonzero_weight(restricted_transform(ps, k))
+    raw_lhs = restricted_transform(ps, h).norm_total()
+
     dec = decompose_fibers(ps, h)
+    sizes = [fiber.size for fiber in dec.fibers]
+    h_term = sum((size_h * size - ps.size) ** 2 for size in sizes)
+    raw_rhs = size_h * sum(size**2 for size in sizes)
 
-    lhs = 0
-    raw_lhs = 0
-    for freq in k.enumerate_points():
-        nrm = eval_at(ps, freq).norm()
-        if not freq.is_zero():
-            lhs += nrm
-        if h.contains(freq):
-            raw_lhs += nrm
-    lhs *= size_h
-
-    h_term = 0
-    raw_rhs = 0
-    for fiber in dec.fibers:
-        h_term += (size_h * fiber.size - ps.size) ** 2
-        raw_rhs += fiber.size**2
-    raw_rhs *= size_h
-
-    # the nonzero points of the transversal T; zero comes first
-    ext = list(Subspace.span(h.extension_to(k), ps.n).enumerate_points())[1:]
-    fiber_term = 0
-    for rep, fiber in dec.items():
-        if fiber.size == 0:
-            continue
-        recentered = fiber.translate(-rep)
-        for t in ext:
-            fiber_term += eval_at(recentered, t).norm()
-    fiber_term *= size_h**2
+    t = Subspace.span(h.extension_to(k), ps.n)
+    fiber_term = size_h**2 * sum(
+        _nonzero_weight(restricted_transform(fiber, t)) for fiber in dec.fibers if fiber.size
+    )
 
     return MartingaleReport(
         dim_h=h.dim,

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from tricap import fourier, load_point_set
+from tricap import fourier, load_point_set, random_point_set, save_point_set
 from tricap.cli import main
 
 
@@ -126,6 +126,10 @@ class TestExitCodes:
         assert run_cli(capsys, "capset", "verify", cap_file, "--threads", "2")[0] == 1
         assert run_cli(capsys, "capset", "gen", "--n", "x", "--seed", "0")[0] == 1
         assert run_cli(capsys)[0] == 1
+        assert run_cli(
+            capsys, "nullity-sim", "--input", cap_file, "--spectrum",
+            "--d", "6", "--trials", "25", "--seed", "5",
+        )[0] == 1
 
     def test_missing_file_is_one(self, capsys):
         code, _, err = run_cli(capsys, "capset", "verify", "does-not-exist.txt")
@@ -135,6 +139,16 @@ class TestExitCodes:
     def test_guard_is_three(self, capsys):
         code, _, err = run_cli(capsys, "capset", "gen", "--n", "30", "--seed", "0")
         assert code == 3
+        assert "guard" in err
+
+    def test_martingale_guard_is_three(self, tmp_path, capsys):
+        path = str(tmp_path / "a.txt")
+        save_point_set(random_point_set(15, 50, 2), path)
+        units = ",".join("0" * i + "1" + "0" * (14 - i) for i in range(15))
+        code, out, err = run_cli(
+            capsys, "structure", "martingale", path, "--h", units[:15], "--k", units
+        )
+        assert (code, out) == (3, "")
         assert "guard" in err
 
     @pytest.mark.parametrize("command", ["plancherel", "cubesum"])
@@ -161,17 +175,6 @@ class TestPipelines:
         rep = json.loads(out)
         assert rep["d"] == 6
         assert sum(rep["histogram"].values()) == 25
-
-    def test_spectrum_flag_equivalent(self, cap_file, capsys):
-        _, out1, _ = run_cli(
-            capsys, "nullity-sim", "--input", f"spectrum-of:{cap_file}",
-            "--d", "6", "--trials", "25", "--seed", "5",
-        )
-        _, out2, _ = run_cli(
-            capsys, "nullity-sim", "--input", cap_file, "--spectrum",
-            "--d", "6", "--trials", "25", "--seed", "5",
-        )
-        assert out1 == out2
 
     def test_selftest_subset(self, capsys):
         code, out, err = run_cli(capsys, "selftest", "--criteria", "8")

@@ -3,7 +3,7 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from tricap import (
@@ -23,8 +23,8 @@ from tricap import (
     load_table,
     plancherel_check,
     random_point_set,
+    restricted_transform,
     save_table,
-    subspace_weight,
     transform_point_set,
     transform_table,
 )
@@ -124,20 +124,32 @@ class TestBalanced:
                 assert bal.coefficient(v) == plain.coefficient(v) * 27
 
 
-class TestSubspaceWeight:
-    def test_hyperplane_weight(self):
-        ps = random_point_set(4, 20, 8)
+class TestRestrictedTransform:
+    @given(small_sets, st.lists(st.text(alphabet="012", min_size=4, max_size=4), max_size=4))
+    @example(random_point_set(4, 20, 8), ["1000"])
+    def test_every_cell_matches_eval_at(self, ps, strings):
+        w = Subspace.span([TritVector.from_string(s[: ps.n]) for s in strings], ps.n)
+        table = restricted_transform(ps, w)
+        assert table.n == w.dim
+        points = list(w.enumerate_points())
+        assert points[0].is_zero()
+        for j, x in enumerate(points):
+            assert table.coefficient_at(j) == eval_at(ps, x)
+
+    @given(small_sets)
+    def test_whole_space_is_the_full_table(self, ps):
+        full = restricted_transform(ps, Subspace.full(ps.n))
         table = transform_point_set(ps)
-        w = Subspace.span([TritVector.from_string("1000")])
-        direct = sum(
-            table.coefficient(v).norm()
-            for v in w.enumerate_points()
-            if not v.is_zero()
-        )
-        assert subspace_weight(table, w) == direct
-        assert (
-            subspace_weight(table, w, skip_zero=False) == direct + ps.size**2
-        )
+        assert np.array_equal(full.p, table.p)
+        assert np.array_equal(full.q, table.q)
+
+    def test_guard_fires_before_the_histogram(self, monkeypatch):
+        ps = random_point_set(15, 10, 3)
+        calls = []
+        monkeypatch.setattr(np, "bincount", lambda *a, **kw: calls.append(a))
+        with pytest.raises(GuardExceededError):
+            restricted_transform(ps, Subspace.full(15))
+        assert calls == []
 
 
 class TestTableIO:

@@ -1,6 +1,8 @@
 import itertools
+import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -23,7 +25,7 @@ from tricap import (
     random_point_set,
     span_hull,
 )
-from tricap import bulk
+from tricap import bulk, fourier, structure
 
 import oracles
 from conftest import tuples_of
@@ -243,23 +245,68 @@ class TestFibers:
 
 
 class TestMartingale:
-    @given(small_sets)
-    def test_identity_matches_oracle(self, ps):
-        h = Subspace.span([TritVector.unit(ps.n, 0)])
-        k = Subspace.span([TritVector.unit(ps.n, 0), TritVector.unit(ps.n, 1)])
+    @given(small_sets, st.data())
+    def test_identity_matches_oracle(self, ps, data):
+        # K spanned by up to three random vectors, H by random combinations
+        # of K's basis, so H <= K with 0 <= dim H <= dim K <= 3
+        strings = data.draw(
+            st.lists(st.text(alphabet="012", min_size=ps.n, max_size=ps.n), max_size=3)
+        )
+        k = Subspace.span([TritVector.from_string(s) for s in strings], ps.n)
+        coeffs = data.draw(
+            st.lists(st.lists(st.integers(0, 2), min_size=k.dim, max_size=k.dim), max_size=3)
+        )
+        h = Subspace.span(
+            [sum((b.scale(c) for b, c in zip(k.basis, cs)), TritVector.zero(ps.n)) for cs in coeffs],
+            ps.n,
+        )
         rep = fiber_plancherel_check(ps, h, k)
         assert rep.holds
+        assert (rep.dim_h, rep.dim_k) == (h.dim, k.dim)
         lhs, rhs = oracles.naive_martingale_sides(
             tuples_of(ps),
-            [oracles.digits("1" + "0" * (ps.n - 1))],
-            [
-                oracles.digits("1" + "0" * (ps.n - 1)),
-                oracles.digits("01" + "0" * (ps.n - 2)),
-            ],
+            [oracles.digits(str(b)) for b in h.basis],
+            [oracles.digits(str(b)) for b in k.basis],
             ps.n,
         )
         assert lhs == rhs
-        assert rep.lhs == lhs
+        assert (rep.lhs, rep.rhs) == (lhs, rhs)
+
+    def test_high_dimension_takes_no_full_table(self, monkeypatch):
+        ps = random_point_set(16, 3000, 5)
+        rng = np.random.default_rng(11)
+        k = Subspace.span(
+            [TritVector.from_string("".join(map(str, rng.integers(0, 3, 16)))) for _ in range(8)]
+        )
+        h = Subspace.span(list(k.basis[:4]), 16)
+        assert (h.dim, k.dim) == (4, 8)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("per-frequency or full-table path taken")
+
+        for module in (fourier, structure):
+            for name in ("eval_at", "transform_point_set"):
+                monkeypatch.setattr(module, name, refuse, raising=False)
+        monkeypatch.setattr(PointSet, "translate", refuse)
+        tracemalloc.start()
+        try:
+            rep = fiber_plancherel_check(ps, h, k)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.holds
+        assert peak < 3**16  # bytes of a 3^16 indicator or bitmap
+
+    def test_guard_fires_before_a_large_allocation(self):
+        ps = random_point_set(15, 50, 2)
+        tracemalloc.start()
+        try:
+            with pytest.raises(GuardExceededError):
+                fiber_plancherel_check(ps, Subspace.zero(15), Subspace.full(15))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3**15
 
     def test_degenerate_k_equals_h(self):
         ps = random_point_set(4, 17, 6)
