@@ -25,7 +25,6 @@ from .energy import (
     e2m,
     e4,
     holder_check,
-    quadruple_participation,
     smoothing_report,
 )
 from .errors import (
@@ -50,7 +49,6 @@ from .fourier import (
 from .gf3core import Density, Eisenstein, TritVector, character
 from .linalg import Subspace, nullity, rank
 from .randomsel import (
-    expected_tuples,
     g_exact,
     h_exact,
     nullity_distribution,
@@ -117,7 +115,6 @@ __all__ = [
     "e4",
     "eval_at",
     "exhaustive_max_capset",
-    "expected_tuples",
     "extract_spectrum",
     "fiber_plancherel_check",
     "g_exact",
@@ -135,7 +132,6 @@ __all__ = [
     "nullity_distribution",
     "plancherel_check",
     "product_capset",
-    "quadruple_participation",
     "random_point_set",
     "rank",
     "restricted_transform",

@@ -46,13 +46,16 @@ _WEIGHT_TABLES: dict[int, np.ndarray] = {}
 
 
 def _weights(n: int) -> np.ndarray:
-    """weights[mask] = sum of 3^(n-1-i) over set bits i of mask."""
+    """weights[mask] = sum of 3^(n-1-i) over set bits i of mask.
+
+    Built by doubling: the masks with top bit i are those below 2^i plus
+    bit i, so no temporary is larger than the table itself.
+    """
     tab = _WEIGHT_TABLES.get(n)
     if tab is None:
-        pos = np.array([3 ** (n - 1 - i) for i in range(n)], dtype=np.int64)
-        masks = np.arange(1 << n, dtype=np.int64)
-        bits = (masks[:, None] >> np.arange(n)) & 1
-        tab = (bits * pos).sum(axis=1).astype(np.int64)
+        tab = np.zeros(1 << n, dtype=np.int64)
+        for i in range(n):
+            np.add(tab[: 1 << i], 3 ** (n - 1 - i), out=tab[1 << i : 2 << i])
         _WEIGHT_TABLES[n] = tab
     return tab
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import os
 from functools import lru_cache
-from typing import Iterable, Sequence, TextIO
+from typing import Iterable, NamedTuple, Sequence, TextIO
 
 import numpy as np
 
@@ -314,106 +314,91 @@ def product_capset(a: PointSet, b: PointSet) -> PointSet:
 
 # -- exhaustive search --------------------------------------------------------
 
+_SUB = 27  # point count of F_3^3: the whole space for n <= 3, one layer for n = 4
+_DIGITS = np.arange(_SUB) // np.array([[1], [3], [9]]) % 3  # row j: the 3^j digit
 
-def _search_max(n: int, smaller_max: int, seed_size: int) -> tuple[int, list[int]]:
-    """Branch-and-bound over lexicographically ordered point indices.
 
-    Any cap of size >= 3 has an affine image containing 0, 0..01, 0..10
-    (three points of a cap are never collinear), so for n >= 2 the search
-    roots at that prefix; n = 1 roots at {0, 1}. The bound splits
-    candidates across the three cosets of the first coordinate: each
-    coset meets a cap in at most ``smaller_max`` points.
+def _index(digits: Sequence[np.ndarray]) -> np.ndarray:
+    """Point indices of F_3^3 from its three digit arrays, 3^0 first, mod 3."""
+    return digits[0] % 3 + 3 * (digits[1] % 3) + 9 * (digits[2] % 3)
+
+
+_X0, _X1, _X2 = _DIGITS
+_THIRD = _index(-(_DIGITS[:, :, None] + _DIGITS[:, None, :]))  # -(a+b) closes a, b
+_TRANSLATES = _index(_DIGITS[:, :, None] + _DIGITS[:, None, :])  # row t: c -> c + t
+_GL3_GENERATORS = (  # two point permutations that generate all of GL(3,3)
+    _index((_X0 + _X1, _X1, _X2)),  # transvection x0 += x1
+    _index((_X1, _X2, 2 * _X0)),  # coordinate cycle with one sign, determinant 2
+)
+_THIRD_MASKS = [[1 << t for t in row] for row in _THIRD.tolist()]  # for _cap_within
+_REVERSED = np.arange(_SUB - 1, -1, -1)
+
+
+def _permute_bits(masks: np.ndarray, perm: np.ndarray) -> np.ndarray:
+    """Bitmasks of point sets mapped by a permutation: bit i moves to perm[i].
+
+    One 256-entry table per byte of the 27-bit masks, so the cost is four
+    gathers whatever the permutation.
     """
-    size = 3**n
-    third = [[0] * size for _ in range(size)]
-    vecs = [TritVector.from_index(n, i) for i in range(size)]
-    for i in range(size):
-        for j in range(i, size):
-            t = (-(vecs[i] + vecs[j])).index
-            third[i][j] = t
-            third[j][i] = t
-
-    coset_masks = [0, 0, 0]
-    step = 3 ** (n - 1)
-    for i in range(size):
-        coset_masks[i // step] |= 1 << i
-
-    if n == 1:
-        prefix = [0, 1]
-    else:
-        prefix = [0, 1, 3]
-    fb = 0
-    for i, p in enumerate(prefix):
-        for s in prefix[:i]:
-            fb |= 1 << third[p][s]
-    start_cand = 0
-    for i in range(prefix[-1] + 1, size):
-        start_cand |= 1 << i
-    start_cand &= ~fb
-
-    best = max(seed_size, len(prefix))
-    best_set: list[int] = []
-    cm0, cm1, cm2 = coset_masks
-
-    def dfs(cand: int, members: list[int]) -> None:
-        nonlocal best, best_set
-        cur = len(members)
-        if cur > best or (cur == best and not best_set):
-            best = cur
-            best_set = list(members)
-        while cand:
-            room = (
-                min((cand & cm0).bit_count() + _coset_count(members, 0, step), smaller_max)
-                + min((cand & cm1).bit_count() + _coset_count(members, 1, step), smaller_max)
-                + min((cand & cm2).bit_count() + _coset_count(members, 2, step), smaller_max)
-            )
-            if room <= best and best_set:
-                return
-            p = (cand & -cand).bit_length() - 1
-            cand &= cand - 1
-            row = third[p]
-            fb_new = 0
-            for s in members:
-                fb_new |= 1 << row[s]
-            members.append(p)
-            dfs(cand & ~fb_new, members)
-            members.pop()
-
-    dfs(start_cand, list(prefix))
-    return best, best_set
+    out = np.zeros_like(masks)
+    for lo in range(0, _SUB, 8):
+        table = np.zeros(256, dtype=np.uint32)
+        for b, target in enumerate(perm[lo : lo + 8].tolist()):
+            table[1 << b : 2 << b] = table[: 1 << b] | np.uint32(1 << target)
+        out |= table[(masks >> np.uint32(lo)) & np.uint32(255)]
+    return out
 
 
-def _coset_count(members: list[int], c: int, step: int) -> int:
-    return sum(1 for m in members if m // step == c)
+def _lexmin_translates(masks: np.ndarray) -> np.ndarray:
+    """Per mask, the numerically smallest mask among its 27 translates."""
+    best = masks.copy()
+    for perm in _TRANSLATES[1:]:
+        np.minimum(best, _permute_bits(masks, perm), out=best)
+    return best
 
 
-_SUB = 27  # point count of the layer space F_3^3 used by the n = 4 search
+def _orbit_reps(canon: np.ndarray) -> np.ndarray:
+    """The smallest translate-lexmin mask of each AGL(3,3) orbit.
+
+    Union-find over the sorted classes: every generator of GL(3,3) joins
+    a class to the class of its image. The group is finite, so its orbits
+    are the connected components. A union keeps the smaller root, so each
+    root is the first class of its orbit and the result stays sorted.
+    """
+    parent = list(range(canon.size))
+
+    def root(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for gen in _GL3_GENERATORS:
+        images = np.searchsorted(canon, _lexmin_translates(_permute_bits(canon, gen)))
+        for i, j in enumerate(images.tolist()):
+            a, b = root(i), root(j)
+            if a != b:
+                parent[max(a, b)] = min(a, b)
+    return canon[[i for i in range(canon.size) if parent[i] == i]]
+
+
+class _LayerTables(NamedTuple):
+    caps: dict[int, np.ndarray]  # every cap of F_3^3 as a uint32 bitmask, by size
+    canon: dict[int, np.ndarray]  # translate-lexmin forms, sorted and unique, by size
+    reps: dict[int, np.ndarray]  # the smallest canon mask of each AGL(3,3) orbit
 
 
 @lru_cache(maxsize=1)
-def _layer_tables() -> tuple[np.ndarray, dict[int, np.ndarray], list[list[int]]]:
-    """Tables for the layered n = 4 search, built once per process.
+def _layer_tables() -> _LayerTables:
+    """Every cap of F_3^3 and its classes, built once per process.
 
-    Returns the third-point table of F_3^3 (third[a][b] is the index of
-    -(a+b), so a line through a and b closes at third[a][b]), every cap
-    of F_3^3 canonicalized to the lexicographically smallest of its 27
-    translates and grouped by size, and the same third table as bitmask
-    rows for the tiny completion search.
+    Caps grow point by point in increasing index order, so each appears
+    once; forb carries the points that close a line with two members.
     """
-    idx = np.arange(_SUB)
-    digs = [idx % 3, (idx // 3) % 3, (idx // 9) % 3]
-    third = np.zeros((_SUB, _SUB), dtype=np.int64)
-    for a in range(_SUB):
-        t = np.zeros(_SUB, dtype=np.int64)
-        for j, col in enumerate(digs):
-            t += ((-((a // 3**j) % 3 + col)) % 3) * 3**j
-        third[a] = t
-
-    # every cap, size by size; forb carries the closed third points
     mask = np.uint32(1) << np.arange(_SUB, dtype=np.uint32)
     forb = np.zeros(_SUB, dtype=np.uint32)
     last = np.arange(_SUB, dtype=np.uint8)
-    by_size: dict[int, np.ndarray] = {1: mask.copy()}
+    caps: dict[int, np.ndarray] = {1: mask.copy()}
     for s in range(1, 9):
         nm, nf, nl = [], [], []
         for p in range(_SUB):
@@ -425,40 +410,22 @@ def _layer_tables() -> tuple[np.ndarray, dict[int, np.ndarray], list[list[int]]]
             add = np.zeros(m_sel.shape, dtype=np.uint32)
             for a in range(p):
                 has = (m_sel >> np.uint32(a)) & np.uint32(1)
-                add |= has.astype(np.uint32) << np.uint32(third[a, p])
+                add |= has.astype(np.uint32) << np.uint32(_THIRD[a, p])
             nm.append(m_sel | bit)
             nf.append(f_sel | add)
             nl.append(np.full(m_sel.shape, p, dtype=np.uint8))
         if not nm:
             break
         mask, forb, last = map(np.concatenate, (nm, nf, nl))
-        by_size[s + 1] = mask.copy()
+        caps[s + 1] = mask.copy()
 
-    add_table = np.zeros((_SUB, _SUB), dtype=np.int64)
-    for t in range(_SUB):
-        row = np.zeros(_SUB, dtype=np.int64)
-        for j, col in enumerate(digs):
-            row += (((t // 3**j) % 3 + col) % 3) * 3**j
-        add_table[t] = row
-
-    weights = np.uint32(1) << np.arange(_SUB, dtype=np.uint32)
-
-    def lexmin_translates(masks: np.ndarray) -> np.ndarray:
-        bits = ((masks[:, None] >> np.arange(_SUB, dtype=np.uint32)) & 1).astype(bool)
-        best = masks.copy()
-        for t in range(1, _SUB):
-            neg = int(third[t, 0])  # third(t, 0) = -t
-            cand = (bits[:, add_table[neg]] * weights).sum(axis=1, dtype=np.uint64)
-            best = np.minimum(best, cand.astype(np.uint32))
-        return np.unique(best)
-
-    canon = {s: lexmin_translates(m) for s, m in by_size.items()}
-    third_masks = [[1 << int(third[a, b]) for b in range(_SUB)] for a in range(_SUB)]
-    return third, canon, third_masks
+    canon = {s: np.unique(_lexmin_translates(m)) for s, m in caps.items()}
+    reps = {s: _orbit_reps(c) for s, c in canon.items()}
+    return _LayerTables(caps, canon, reps)
 
 
-def _cap_within(allowed: int, k: int, third_masks: list[list[int]],
-                lowest: int = 0, cur: list[int] | None = None, fb: int = 0) -> list[int] | None:
+def _cap_within(allowed: int, k: int, lowest: int = 0,
+                cur: list[int] | None = None, fb: int = 0) -> list[int] | None:
     """A k-point cap inside the allowed bitmask, or None."""
     if cur is None:
         cur = []
@@ -472,9 +439,9 @@ def _cap_within(allowed: int, k: int, third_masks: list[list[int]],
         if rem & 1:
             nf = fb
             for a in cur:
-                nf |= third_masks[a][p]
+                nf |= _THIRD_MASKS[a][p]
             cur.append(p)
-            r = _cap_within(allowed, k, third_masks, p + 1, cur, nf)
+            r = _cap_within(allowed, k, p + 1, cur, nf)
             if r:
                 return r
             cur.pop()
@@ -486,14 +453,19 @@ def _cap_within(allowed: int, k: int, third_masks: list[list[int]],
 def _layered_realize(total: int, layer_max: int) -> list[int] | None:
     """A cap of the given size in F_3^4 assembled layer by layer, or None.
 
-    Complete case split: relabeling the first coordinate sorts the three
-    layer sizes, a translation puts layer 0 in lexmin form, and a shear
-    (adding x0 * d to the tail coordinates) independently puts layer 1 in
-    lexmin form while fixing layer 0. Layer 2 is searched in full within
-    the points no cross-line forbids, so every cap of the target size is
-    reachable from some enumerated configuration.
+    Complete case split. Layer x0 = i of a cap of F_3^4 is a cap of F_3^3.
+    An affine map of the first coordinate permutes the three layers, so
+    their sizes may be taken sorted, s0 >= s1 >= s2. The map
+    (x0, y) -> (x0, M y + x0 d + c), with M in GL(3,3), is an affine
+    bijection of F_3^4: it fixes every layer and maps caps to caps. M and
+    c bring layer 0 to its AGL(3,3) orbit representative; then d, which
+    moves layer 1 by d and leaves layer 0 alone, brings layer 1 to its
+    translate-lexmin form. Layer 2 is searched in full within the points
+    that no line through layers 0 and 1 forbids. So every cap of the
+    target size has an image among the configurations enumerated here.
     """
-    third, canon, third_masks = _layer_tables()
+    tables = _layer_tables()
+    canon = tables.canon
     weights = np.uint32(1) << np.arange(_SUB, dtype=np.uint32)
     for s0 in range(min(layer_max, total), 0, -1):
         for s1 in range(min(s0, total - s0), -1, -1):
@@ -504,16 +476,16 @@ def _layered_realize(total: int, layer_max: int) -> list[int] | None:
                 continue
             l1_masks = canon[s1] if s1 else np.zeros(1, dtype=np.uint32)
             l1_bits = ((l1_masks[:, None] >> np.arange(_SUB, dtype=np.uint32)) & 1).astype(bool)
-            for m0 in canon[s0]:
+            for m0 in tables.reps[s0]:
                 pts0 = [c for c in range(_SUB) if (int(m0) >> c) & 1]
                 blocked = np.zeros(l1_bits.shape, dtype=bool)
                 for a in pts0:
-                    blocked |= l1_bits[:, third[a]]
+                    blocked |= l1_bits[:, _THIRD[a]]
                 open_bits = ~blocked
                 enough = open_bits.sum(axis=1) >= s2
                 for row in np.nonzero(enough)[0]:
                     allowed = int((open_bits[row] * weights).sum(dtype=np.uint64))
-                    got = [] if s2 == 0 else _cap_within(allowed, s2, third_masks)
+                    got = [] if s2 == 0 else _cap_within(allowed, s2)
                     if got is None:
                         continue
                     pts1 = [c for c in range(_SUB) if (int(l1_masks[row]) >> c) & 1]
@@ -523,50 +495,32 @@ def _layered_realize(total: int, layer_max: int) -> list[int] | None:
     return None
 
 
-def exhaustive_max_capset(n: int, greedy_seeds: Sequence[int] = (11, 23, 47)) -> tuple[int, PointSet]:
+def exhaustive_max_capset(n: int) -> tuple[int, PointSet]:
     """Exact maximum cap-set size and a witness, for n <= 4.
 
-    Dimensions up to 3 run the branch-and-bound directly; its per-coset
-    bound uses the maximum for dimension n-1, computed by this same
-    routine, so the chain of exact values is self-contained. Dimension 4
-    splits a hypothetical cap into its three hyperplane layers and runs
-    the complete layered case split instead, walking the target size up
-    from the greedy incumbent until it stops being realizable. Greedy
-    runs seed incumbents; they never decide the answer.
+    For n <= 3 the answer is read off the table of every cap of F_3^3:
+    the caps of F_3^n are exactly those whose points all have index below
+    3^n (the leading 3 - n digits zero). The maximum is the largest size
+    among them, and the witness is the one whose sorted point list comes
+    first lexicographically. For equal sizes that is the mask whose
+    lowest differing bit is set, so the largest mask with its bit order
+    reversed. Dimension 4 splits a cap into its three layers x0 = const,
+    each a cap of F_3^3, and walks the target down from three times the
+    layer maximum until the complete layered case split realizes one.
     """
     if not 1 <= n <= EXHAUSTIVE_GUARD_N:
         raise GuardExceededError(
             f"exhaustive search guard is n <= {EXHAUSTIVE_GUARD_N}"
         )
-    maxima = [1]  # dimension 0: the single point
-    witness: list[int] = [0]
-    for d in range(1, min(n, 3) + 1):
-        seed_size = 0
-        seed_set: PointSet | None = None
-        for s in greedy_seeds:
-            g = greedy_random_capset(d, s)
-            if g.size > seed_size:
-                seed_size = g.size
-                seed_set = g
-        size, found = _search_max(d, maxima[d - 1], seed_size)
-        maxima.append(size)
-        if found:
-            witness = found
-        elif seed_set is not None and seed_size == size:
-            witness = [int(i) for i in seed_set.indices]
-    if n < 4:
-        return maxima[n], PointSet(n, witness)
-
-    best = 0
-    best_set: list[int] = []
-    for s in greedy_seeds:
-        g = greedy_random_capset(4, s)
-        if g.size > best:
-            best, best_set = g.size, [int(i) for i in g.indices]
-    while True:
-        found4 = _layered_realize(best + 1, maxima[3])
-        if found4 is None:
-            break
-        best += 1
-        best_set = found4
-    return best, PointSet(4, best_set)
+    caps = _layer_tables().caps
+    if n <= 3:
+        limit = 1 << 3**n
+        size = max(s for s, m in caps.items() if m.min() < limit)
+        masks = caps[size][caps[size] < limit]
+        best = int(masks[np.argmax(_permute_bits(masks, _REVERSED))])
+        return size, PointSet(n, [p for p in range(_SUB) if best >> p & 1])
+    layer_max = max(caps)
+    total = 3 * layer_max
+    while (found := _layered_realize(total, layer_max)) is None:
+        total -= 1
+    return total, PointSet(4, found)

@@ -312,7 +312,7 @@ def _cmd_energy_e4(args: argparse.Namespace) -> int:
 
 def _cmd_energy_e2m(args: argparse.Namespace) -> int:
     ps = load_point_set(args.set_file)
-    value = e2m(ps, args.m, backend=args.backend, force=args.force)
+    value = e2m(ps, args.m, force=args.force)
     report = envelope("energy e2m", None)
     report.update(report_energy(ps.size, None, None, {args.m: value}, None))
     _emit(args, report)
@@ -330,7 +330,7 @@ def _cmd_energy_holder(args: argparse.Namespace) -> int:
 
 def _cmd_energy_smoothing(args: argparse.Namespace) -> int:
     ps = load_point_set(args.set_file)
-    rep = smoothing_report(ps, args.scale_n, epsilon=args.epsilon, backend=args.backend)
+    rep = smoothing_report(ps, args.scale_n, epsilon=args.epsilon, force=args.force)
     report = envelope("energy smoothing", None)
     report.update(report_smoothing(rep))
     _emit(args, report)
@@ -430,7 +430,7 @@ def _cmd_structure_martingale(args: argparse.Namespace) -> int:
     ps = load_point_set(args.set_file)
     h = _parse_basis(args.h, ps.n)
     k = _parse_basis(args.k, ps.n)
-    rep = fiber_plancherel_check(ps, h, k)
+    rep = fiber_plancherel_check(ps, h, k, force=args.force)
     report = envelope("structure martingale", None)
     report.update(report_martingale(rep))
     _emit(args, report)
@@ -528,7 +528,6 @@ def _build_parser() -> _Parser:
     s = leaf(energy, "e2m", _cmd_energy_e2m)
     s.add_argument("set_file")
     s.add_argument("--m", type=int, required=True)
-    s.add_argument("--backend", choices=("auto", "transform", "convolution"), default="auto")
     s = leaf(energy, "holder", _cmd_energy_holder)
     s.add_argument("set_file")
     s.add_argument("--m", type=int, required=True)
@@ -536,7 +535,6 @@ def _build_parser() -> _Parser:
     s.add_argument("set_file")
     s.add_argument("--scale-n", type=int, required=True)
     s.add_argument("--epsilon", type=float, default=0.05)
-    s.add_argument("--backend", choices=("auto", "transform", "convolution"), default="auto")
     s = leaf(energy, "cross", _cmd_energy_cross)
     s.add_argument("left")
     s.add_argument("right")

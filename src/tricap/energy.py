@@ -36,7 +36,6 @@ __all__ = [
     "e2m",
     "e4",
     "holder_check",
-    "quadruple_participation",
     "smoothing_report",
 ]
 
@@ -244,13 +243,13 @@ class SmoothingReport:
 
 
 def smoothing_report(
-    ps: PointSet, scale_n: int, epsilon: float = 0.05, backend: str = "auto"
+    ps: PointSet, scale_n: int, epsilon: float = 0.05, force: bool = False
 ) -> SmoothingReport:
     if scale_n < 2:
         raise ValueError("scale parameter must be at least 2")
     if ps.size == 0:
         raise ValueError("smoothing exponent of the empty set is undefined")
-    v8 = e2m(ps, 4, backend=backend)
+    v8 = e2m(ps, 4, force=force)
     sigma = math.log(v8) / math.log(scale_n) - 15.0
     return SmoothingReport(
         size=ps.size,
@@ -260,33 +259,6 @@ def smoothing_report(
         sigma_eff=sigma,
         boundary=30.0 * epsilon,
     )
-
-
-def quadruple_participation(a: TritVector, ps: PointSet) -> int:
-    """Signed quadruples through a fixed point.
-
-    Counts solutions of s_a a + s_b b = s_c c + s_d d with b, c, d in the
-    set and all sixteen sign patterns included. Symmetric under a -> -a
-    pattern by pattern, which the property tests exploit.
-    """
-    if a.n != ps.n:
-        raise ValueError("point dimension differs from the set")
-    if ps.n > 16:
-        raise GuardExceededError("dense participation tables", ps.n, 16)
-    sums = _pairwise_counts(ps, ps)
-    diffs = _pairwise_counts(ps, ps, negate_second=True)
-    lo, hi = ps.planes()
-    total = 0
-    for sign_a in (False, True):
-        alo, ahi = (a.hi, a.lo) if sign_a else (a.lo, a.hi)
-        for sign_b in (False, True):
-            blo, bhi = (hi, lo) if sign_b else (lo, hi)
-            zlo, zhi = plane_add(np.int64(alo), np.int64(ahi), blo, bhi)
-            zidx = bulk.planes_to_indices(ps.n, zlo, zhi)
-            znidx = bulk.planes_to_indices(ps.n, zhi, zlo)
-            total += int(sums[zidx].sum()) + int(diffs[zidx].sum())
-            total += int(diffs[znidx].sum()) + int(sums[znidx].sum())
-    return total
 
 
 def cross_quadruples(b: PointSet, c: PointSet) -> tuple[int, Fraction]:

@@ -22,14 +22,12 @@ from fractions import Fraction
 import numpy as np
 
 from .capset import PointSet
-from .energy import e2m
 from .gf3core import TritVector
 from .linalg import nullity
 from .rng import make_rng
 
 __all__ = [
     "NullityExperiment",
-    "expected_tuples",
     "g_exact",
     "h_exact",
     "nullity_distribution",
@@ -110,20 +108,6 @@ def nullity_distribution(
         seed=seed,
         histogram=dict(sorted(hist.items())),
     )
-
-
-def expected_tuples(ps: PointSet, d: int, m: int) -> Fraction:
-    """Heuristic mean of equal-sum 2m-tuples inside a d-point selection.
-
-    (d / |S|)^(2m) * E_2m(S): each of the E_2m source tuples survives
-    with probability about (d / |S|)^(2m) when the tuple entries are
-    distinct. Reported as a diagnostic, not an exact expectation.
-    """
-    if ps.size == 0:
-        raise ValueError("empty source set")
-    if not 0 <= d <= ps.size:
-        raise ValueError(f"cannot draw {d} from {ps.size} points")
-    return Fraction(d, ps.size) ** (2 * m) * e2m(ps, m)
 
 
 def simulate_g_frequencies(d: int, trials: int, seed: int) -> dict[int, int]:

@@ -323,7 +323,9 @@ def _nonzero_weight(table: SpectrumTable) -> int:
     return table.norm_total() - table.norm_at(0)
 
 
-def fiber_plancherel_check(ps: PointSet, h: Subspace, k: Subspace) -> MartingaleReport:
+def fiber_plancherel_check(
+    ps: PointSet, h: Subspace, k: Subspace, force: bool = False
+) -> MartingaleReport:
     """Evaluate both sides of the fiber identity exactly.
 
     Requires H <= K. With K = H the transversal sum is empty and the
@@ -333,15 +335,16 @@ def fiber_plancherel_check(ps: PointSet, h: Subspace, k: Subspace) -> Martingale
 
     Every coefficient comes from restricted_transform on K, on H, or on
     T for one fiber, so no 3^n table is built and only dim K meets the
-    transform guard, before anything of size 3^dim K is allocated.
+    transform guard, before anything of size 3^dim K is allocated;
+    force lifts its soft limit, as for restricted_transform.
     """
     if h.n != ps.n or k.n != ps.n:
         raise ValueError("subspace dimension differs from the set")
     if not k.contains_subspace(h):
         raise ValueError("H must be contained in K")
     size_h = h.size()
-    lhs = size_h * _nonzero_weight(restricted_transform(ps, k))
-    raw_lhs = restricted_transform(ps, h).norm_total()
+    lhs = size_h * _nonzero_weight(restricted_transform(ps, k, force=force))
+    raw_lhs = restricted_transform(ps, h, force=force).norm_total()
 
     dec = decompose_fibers(ps, h)
     sizes = [fiber.size for fiber in dec.fibers]
@@ -350,7 +353,7 @@ def fiber_plancherel_check(ps: PointSet, h: Subspace, k: Subspace) -> Martingale
 
     t = Subspace.span(h.extension_to(k), ps.n)
     fiber_term = size_h**2 * sum(
-        _nonzero_weight(restricted_transform(fiber, t)) for fiber in dec.fibers if fiber.size
+        _nonzero_weight(restricted_transform(fiber, t, force=force)) for fiber in dec.fibers if fiber.size
     )
 
     return MartingaleReport(

@@ -138,23 +138,6 @@ def naive_e2m(points, m):
     return sum(c * c for c in by_sum.values())
 
 
-def naive_participation(a, points):
-    """Solutions of sa*a + sb*b = sc*c + sd*d over all 16 sign choices."""
-    pts = list(points)
-    members = set(pts)
-    count = 0
-    for sa, sb, sc, sd in itertools.product((1, 2), repeat=4):
-        scaled_a = tuple((sa * t) % 3 for t in a)
-        for b in pts:
-            lhs = vec_add(scaled_a, tuple((sb * t) % 3 for t in b))
-            for c in pts:
-                rest = vec_sub(lhs, tuple((sc * t) % 3 for t in c))
-                # sd*d = rest, and multiplying by sd again inverts the sign
-                if tuple((sd * t) % 3 for t in rest) in members:
-                    count += 1
-    return count
-
-
 def naive_cross_quadruples(bs, cs):
     """Quadruples (b, b', c, c') with b + c = b' + c'."""
     by_sum = {}

@@ -40,7 +40,7 @@ def test_criterion_04_holder_interpolation():
 
 
 def test_criterion_05_exhaustive_maxima():
-    _run(5, budget=600.0)
+    _run(5, budget=60.0)
 
 
 def test_criterion_06_fiber_martingale():

@@ -1,3 +1,5 @@
+import itertools
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -22,11 +24,10 @@ from tricap import (
     komity_reference,
     load_point_set,
     product_capset,
-    quadruple_participation,
     random_point_set,
     save_point_set,
 )
-from tricap import bulk
+from tricap import bulk, capset
 
 import oracles
 from conftest import tuples_of
@@ -95,6 +96,25 @@ class TestPointSet:
         assert not ps.contains(TritVector.from_string("000"))
 
 
+class TestWeightTable:
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_matches_place_values(self, n):
+        want = [
+            sum(3 ** (n - 1 - i) for i in range(n) if mask >> i & 1) for mask in range(1 << n)
+        ]
+        assert bulk._weights(n).tolist() == want
+
+    def test_build_peak_is_near_the_table(self, monkeypatch):
+        monkeypatch.setattr(bulk, "_WEIGHT_TABLES", {})
+        tracemalloc.start()
+        try:
+            table = bulk._weights(16)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * table.nbytes
+
+
 class TestLineCounting:
     @given(random_sets)
     def test_line_solutions_match_reference(self, ps):
@@ -112,8 +132,6 @@ class TestLineCounting:
         other = random_point_set(4, 3 + seed, seed + 100)  # |B| != |C|
         pts, others = tuples_of(ps), tuples_of(other)
         diffs = {oracles.point_index(d): c for d, c in oracles.naive_diff_counts(pts).items()}
-        probes = ps.vectors()[:2]
-        participation = [oracles.naive_participation(oracles.digits(str(v)), pts) for v in probes]
         cap = greedy_random_capset(4, seed)
         band = build_levels(ps).heaviest()
         for cells in (7, 64):
@@ -124,7 +142,6 @@ class TestLineCounting:
             assert is_capset(cap)
             mm = diff_multiplicity(ps, backend="hash")
             assert dict(zip(mm.support.indices.tolist(), mm.counts.tolist())) == diffs
-            assert [quadruple_participation(v, ps) for v in probes] == participation
             assert cross_quadruples(ps, other)[0] == oracles.naive_cross_quadruples(pts, others)
             assert komity(band) == komity_reference(band)
             assert doubling_ratio(ps) == Fraction(len(diffs), ps.size)
@@ -255,3 +272,52 @@ class TestExhaustiveMaxima:
         assert size == 9
         assert witness.size == 9
         assert is_capset(witness)
+
+
+# AGL(3,3) from scratch: every invertible 3 x 3 matrix over F_3, acting on
+# digit vectors with the first digit most significant, then all translates
+_CUBE3 = np.array(list(itertools.product(range(3), repeat=3)))
+_MATS = np.array(list(itertools.product(range(3), repeat=9))).reshape(-1, 3, 3)
+_GL3 = _MATS[np.round(np.linalg.det(_MATS)).astype(np.int64) % 3 != 0]
+
+
+def _affine_orbit(mask: int) -> set[int]:
+    """Translate-lexmin masks of every image of a point set of F_3^3 under GL(3,3)."""
+    pts = _CUBE3[[i for i in range(27) if mask >> i & 1]]
+    images = np.einsum("gij,sj->gsi", _GL3, pts)
+    best = None
+    for t in _CUBE3:
+        masks = (1 << ((images + t) % 3 @ np.array([9, 3, 1]))).sum(axis=1)
+        best = masks if best is None else np.minimum(best, masks)
+    return set(best.tolist())
+
+
+class TestLayerOrbits:
+    def test_group_is_gl3(self):
+        assert len(_GL3) == 26 * 24 * 18
+
+    def test_every_cap_has_27_translates(self):
+        tables = capset._layer_tables()
+        for size, caps in tables.caps.items():
+            assert caps.size == 27 * tables.canon[size].size
+            assert all(is_capset(PointSet(3, [i for i in range(27) if m >> i & 1]))
+                       for m in tables.canon[size].tolist())
+
+    def test_representatives_cover_each_orbit_once(self):
+        tables = capset._layer_tables()
+        for size, canon in tables.canon.items():
+            seen: set[int] = set()
+            for rep in tables.reps[size].tolist():
+                orbit = _affine_orbit(rep)
+                assert rep in orbit
+                assert not orbit & seen, f"two representatives in one orbit, size {size}"
+                seen |= orbit
+            assert seen == set(canon.tolist()), f"a translation class of size {size} is missed"
+        counts = {s: r.size for s, r in tables.reps.items()}
+        assert counts == {1: 1, 2: 1, 3: 1, 4: 2, 5: 2, 6: 3, 7: 2, 8: 3, 9: 1}
+
+    def test_layered_search_bounds(self):
+        witness = capset._layered_realize(20, 9)
+        assert witness is not None and is_capset(PointSet(4, witness))
+        assert len(witness) == 20
+        assert capset._layered_realize(21, 9) is None

@@ -6,6 +6,7 @@ import pytest
 
 from tricap import fourier, load_point_set, random_point_set, save_point_set
 from tricap.cli import main
+from tricap.version import VERSION
 
 
 def run_cli(capsys, *argv):
@@ -60,6 +61,25 @@ class TestCapsetCommands:
         rep = json.loads(out)
         assert rep["maximum"] == 4
         assert len(rep["witness"]) == 4
+
+    @pytest.mark.parametrize("n, witness", [
+        (1, "0 1"),
+        (2, "00 01 10 11"),
+        (3, "000 001 010 011 100 101 112 122 212"),
+        (4, "0001 0010 0012 0021 0100 0101 0110 0111 0200 1000 1002 1020 1022 1102"
+            " 1112 1120 1121 1200 2011 2122"),
+    ])
+    def test_max_report_is_pinned(self, capsys, n, witness):
+        code, out, _ = run_cli(capsys, "capset", "max", "--n", str(n))
+        points = ",\n".join(f'    "{w}"' for w in witness.split())
+        assert code == 0
+        assert out == (
+            '{\n  "tool": "tricap",\n'
+            f'  "version": "{VERSION}",\n'
+            '  "command": "capset max",\n  "seed": null,\n'
+            f'  "n": {n},\n  "maximum": {len(witness.split())},\n'
+            f'  "witness": [\n{points}\n  ]\n}}\n'
+        )
 
     def test_product(self, cap_file, tmp_path, capsys):
         out_path = str(tmp_path / "prod.txt")
@@ -119,6 +139,15 @@ class TestEnergyCommands:
         code = run_cli(capsys, "energy", "holder", cap_file, "--m", "4", "--backend", "auto")[0]
         assert code == 1
 
+    @pytest.mark.parametrize("command, args", [
+        ("e2m", ("--m", "4")),
+        ("smoothing", ("--scale-n", "3")),
+    ])
+    def test_e2m_and_smoothing_have_no_backend_flag(self, cap_file, capsys, command, args):
+        assert run_cli(capsys, "energy", command, cap_file, *args)[0] == 0
+        code = run_cli(capsys, "energy", command, cap_file, *args, "--backend", "auto")[0]
+        assert code == 1
+
 
 class TestExitCodes:
     def test_usage_error_is_one(self, cap_file, capsys):
@@ -156,6 +185,13 @@ class TestExitCodes:
         monkeypatch.setattr(fourier, "TRANSFORM_GUARD_N", 4)  # cap_file has n = 6
         assert run_cli(capsys, "fourier", command, cap_file)[0] == 3
         assert run_cli(capsys, "fourier", command, cap_file, "--force")[0] == 0
+
+    def test_martingale_force_lifts_guard(self, cap_file, capsys, monkeypatch):
+        monkeypatch.setattr(fourier, "TRANSFORM_GUARD_N", 3)
+        argv = ("structure", "martingale", cap_file,
+                "--h", "100000", "--k", "100000,010000,001000,000100")  # dim K = 4
+        assert run_cli(capsys, *argv)[0] == 3
+        assert run_cli(capsys, *argv, "--force")[0] == 0
 
     def test_martingale_needs_containment(self, cap_file, capsys):
         code, _, _ = run_cli(

@@ -15,7 +15,6 @@ from tricap import (
     e2m,
     e4,
     holder_check,
-    quadruple_participation,
     random_point_set,
     smoothing_report,
 )
@@ -88,26 +87,6 @@ class TestEnergies:
         # just check the floor E4 >= |S|^2 plus the diagonal contribution
         ps = random_point_set(5, 20, 3)
         assert e4(ps) >= ps.size**2
-
-
-class TestParticipation:
-    @given(tiny_sets)
-    def test_matches_reference(self, ps):
-        pts = tuples_of(ps)
-        for v in ps.vectors()[:4]:
-            want = oracles.naive_participation(oracles.digits(str(v)), pts)
-            assert quadruple_participation(v, ps) == want
-
-    @given(tiny_sets)
-    def test_negation_symmetry(self, ps):
-        for v in ps.vectors()[:4]:
-            assert quadruple_participation(v, ps) == quadruple_participation(-v, ps)
-
-    def test_single_point_signed_count(self):
-        # sixteen sign patterns, six of which balance: (+,+|+,+), (+,-|+,-),
-        # (+,-|-,+), (-,+|+,-), (-,+|-,+), (-,-|-,-)
-        ps = PointSet.from_strings(["12"])
-        assert quadruple_participation(ps.vectors()[0], ps) == 6
 
 
 class TestCross:

@@ -3,12 +3,7 @@ from fractions import Fraction
 import pytest
 
 from tricap import (
-    PointSet,
     SELFTEST_SEED,
-    Subspace,
-    TritVector,
-    e2m,
-    expected_tuples,
     extract_spectrum,
     g_exact,
     greedy_random_capset,
@@ -116,16 +111,3 @@ class TestNullityExperiment:
         assert exp.histogram == {0: 535, 1: 439, 2: 25, 3: 1}
         assert exp.tail(0) == 1
         assert exp.tail(1) == Fraction(465, 1000)
-
-
-class TestExpectedTuples:
-    def test_subspace_closed_form(self):
-        w = Subspace.span([TritVector.unit(4, 0), TritVector.unit(4, 1)])
-        ps = PointSet.from_vectors(w.enumerate_points())
-        for m in (2, 3):
-            want = Fraction(4, 9) ** (2 * m) * 3 ** ((2 * m - 1) * 2)
-            assert expected_tuples(ps, 4, m) == want
-
-    def test_consistent_with_e2m(self):
-        ps = random_point_set(5, 40, 77)
-        assert expected_tuples(ps, 10, 2) == Fraction(10, 40) ** 4 * e2m(ps, 2)
