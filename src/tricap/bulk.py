@@ -119,16 +119,36 @@ def exact_sum(values: np.ndarray, bound: int | None = None) -> int:
     return sum(np.add.reduceat(values, starts).tolist(), 0)
 
 
+_DIGIT_TABLES: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+
+
+def _digit_planes(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """(lo, hi) planes of every index of F_3^m, indexed by the index itself."""
+    tab = _DIGIT_TABLES.get(m)
+    if tab is None:
+        lo = np.zeros(3**m, dtype=np.int64)
+        hi = np.zeros(3**m, dtype=np.int64)
+        rest = np.arange(3**m, dtype=np.int64)
+        for i in range(m - 1, -1, -1):
+            rest, t = np.divmod(rest, 3)
+            lo |= (t == 1).astype(np.int64) << i
+            hi |= (t == 2).astype(np.int64) << i
+        tab = _DIGIT_TABLES[m] = (lo, hi)
+    return tab
+
+
 def indices_to_planes(n: int, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    idx = np.asarray(idx, dtype=np.int64)
-    lo = np.zeros_like(idx)
-    hi = np.zeros_like(idx)
-    rest = idx.copy()
-    for i in range(n - 1, -1, -1):
-        rest, t = np.divmod(rest, 3)
-        lo |= (t == 1).astype(np.int64) << i
-        hi |= (t == 2).astype(np.int64) << i
-    return lo, hi
+    """Planes of canonical indices, from two half-width digit tables.
+
+    The leading n - k digits (coordinates 0..n-k-1) and the trailing k
+    digits, shifted up to coordinates n-k..n-1, are each one gather, so
+    no table is larger than 3^ceil(n/2) entries.
+    """
+    k = n // 2
+    head, tail = np.divmod(np.asarray(idx, dtype=np.int64), 3**k)
+    hlo, hhi = _digit_planes(n - k)
+    tlo, thi = _digit_planes(k)
+    return hlo[head] | (tlo[tail] << (n - k)), hhi[head] | (thi[tail] << (n - k))
 
 
 def dots_with(lo: np.ndarray, hi: np.ndarray, v: TritVector) -> np.ndarray:

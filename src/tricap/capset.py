@@ -325,13 +325,15 @@ def _index(digits: Sequence[np.ndarray]) -> np.ndarray:
 
 _X0, _X1, _X2 = _DIGITS
 _THIRD = _index(-(_DIGITS[:, :, None] + _DIGITS[:, None, :]))  # -(a+b) closes a, b
-_TRANSLATES = _index(_DIGITS[:, :, None] + _DIGITS[:, None, :])  # row t: c -> c + t
 _GL3_GENERATORS = (  # two point permutations that generate all of GL(3,3)
     _index((_X0 + _X1, _X1, _X2)),  # transvection x0 += x1
     _index((_X1, _X2, 2 * _X0)),  # coordinate cycle with one sign, determinant 2
 )
 _THIRD_MASKS = [[1 << t for t in row] for row in _THIRD.tolist()]  # for _cap_within
 _REVERSED = np.arange(_SUB - 1, -1, -1)
+# per digit j, the masks of the points whose 3^j digit is nonzero and zero
+_DIGIT_UP = [np.uint32(sum(1 << c for c in np.nonzero(row)[0].tolist())) for row in _DIGITS]
+_DIGIT_DOWN = [np.uint32(((1 << _SUB) - 1) ^ int(up)) for up in _DIGIT_UP]
 
 
 def _permute_bits(masks: np.ndarray, perm: np.ndarray) -> np.ndarray:
@@ -349,11 +351,34 @@ def _permute_bits(masks: np.ndarray, perm: np.ndarray) -> np.ndarray:
     return out
 
 
+def _add_unit(masks: np.ndarray, j: int) -> np.ndarray:
+    """Bitmasks of point sets translated by the unit vector of digit j.
+
+    Adding 1 to digit j moves bit c to c + 3^j when the digit is 0 or 1
+    and to c - 2 * 3^j when it is 2: a rotation of each block of three
+    3^j-bit groups, done with two shifts and two masks.
+    """
+    step = np.uint32(3**j)
+    return ((masks << step) & _DIGIT_UP[j]) | ((masks >> (2 * step)) & _DIGIT_DOWN[j])
+
+
 def _lexmin_translates(masks: np.ndarray) -> np.ndarray:
-    """Per mask, the numerically smallest mask among its 27 translates."""
+    """Per mask, the numerically smallest mask among its 27 translates.
+
+    The translates are walked as t0 + 3 t1 + 9 t2, one unit step at a
+    time, with t0 the fastest.
+    """
     best = masks.copy()
-    for perm in _TRANSLATES[1:]:
-        np.minimum(best, _permute_bits(masks, perm), out=best)
+    m2 = masks
+    for _ in range(3):
+        m1 = m2
+        for _ in range(3):
+            m0 = m1
+            for _ in range(3):
+                np.minimum(best, m0, out=best)
+                m0 = _add_unit(m0, 0)
+            m1 = _add_unit(m1, 1)
+        m2 = _add_unit(m2, 2)
     return best
 
 

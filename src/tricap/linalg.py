@@ -1,10 +1,15 @@
 """Linear algebra over F_3 on bit-plane-packed rows.
 
-Rows are (lo, hi) plane pairs; a full row-reduce touches each word a few
-dozen times, so rank queries stay cheap enough for simulations that call
-them millions of times. Echelon form here always means *reduced* echelon
-form with pivots normalized to 1, which makes every basis canonical:
-two subspaces are equal iff their bases compare equal.
+Rows are (lo, hi) plane pairs. ``rank`` takes a whole stack of
+selections at once, an int64 array of canonical indices of shape (T, d),
+and eliminates all T of them together: n column steps of array ops on
+the stacked planes, with no Python loop over trials or rows. A list of
+TritVectors goes through the same kernel as a (1, d) stack.
+
+``rref`` is the per-row elimination that builds ``Subspace`` bases.
+Echelon form here always means *reduced* echelon form with pivots
+normalized to 1, which makes every basis canonical: two subspaces are
+equal iff their bases compare equal.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ import numpy as np
 
 from . import bulk
 from .errors import DimensionMismatchError, GuardExceededError
-from .gf3core import TritVector, plane_add
+from .gf3core import MAX_DIM, TritVector, plane_add
 
 __all__ = [
     "ENUM_GUARD_DIM",
@@ -81,16 +86,60 @@ def rref(
     return out, pivots
 
 
-def rank(vectors: Sequence[TritVector], n: int | None = None) -> int:
-    """Rank of a list of vectors (duplicates and zeros allowed)."""
+def _stacked_rank(lo: np.ndarray, hi: np.ndarray, n: int) -> np.ndarray:
+    """Ranks of the row stacks lo[t], hi[t] (shape (T, d)), as int64.
+
+    Column by column, each stack takes its first row with a nonzero trit
+    there as pivot, scaled so the trit is 1, and subtracts trit * pivot
+    from every row. That clears the column in every row, the pivot row
+    included, so no row is chosen twice and a stack's rank is the number
+    of columns where it found a pivot.
+    """
+    ranks = np.zeros(lo.shape[0], dtype=np.int64)
+    if lo.shape[1] == 0:
+        return ranks
+    stacks = np.arange(lo.shape[0])
+    for col in range(n):
+        one = -((lo >> col) & 1)  # all ones where the trit is 1
+        two = -((hi >> col) & 1)  # all ones where the trit is 2
+        hit = (one | two) != 0
+        first = hit.argmax(axis=1)
+        ranks += hit[stacks, first]
+        plo = lo[stacks, first][:, None]
+        phi = hi[stacks, first][:, None]
+        flip = (phi >> col) & 1 == 1  # scale a pivot whose trit is 2 by 2
+        plo, phi = np.where(flip, phi, plo), np.where(flip, plo, phi)
+        # row - 1*piv adds the swapped pivot, row - 2*piv adds the pivot
+        lo, hi = plane_add(lo, hi, (phi & one) | (plo & two), (plo & one) | (phi & two))
+    return ranks
+
+
+def rank(
+    vectors: Sequence[TritVector] | np.ndarray, n: int | None = None
+) -> int | np.ndarray:
+    """Rank of a selection, or the ranks of a stack of selections.
+
+    A sequence of TritVectors (duplicates and zeros allowed) gives an int.
+    An int64 array of canonical indices of shape (T, d) gives the T ranks
+    of its rows as an int64 array; n is then required.
+    """
+    if isinstance(vectors, np.ndarray):
+        if n is None or not 1 <= n <= MAX_DIM:
+            raise ValueError("a stacked rank needs its dimension n in 1..MAX_DIM")
+        if vectors.ndim != 2:
+            raise ValueError(f"expected a (T, d) stack, got shape {vectors.shape}")
+        if vectors.size and not (0 <= vectors.min() and vectors.max() < 3**n):
+            raise ValueError(f"indices outside F_3^{n}")
+        return _stacked_rank(*bulk.indices_to_planes(n, vectors), n)
     if not vectors:
         return 0
     dim = vectors[0].n if n is None else n
     for v in vectors:
         if v.n != dim:
             raise DimensionMismatchError(f"{v.n} != {dim}")
-    _, pivots = rref(((v.lo, v.hi) for v in vectors), dim)
-    return len(pivots)
+    lo = np.array([[v.lo for v in vectors]], dtype=np.int64)
+    hi = np.array([[v.hi for v in vectors]], dtype=np.int64)
+    return int(_stacked_rank(lo, hi, dim)[0])
 
 
 def nullity(vectors: Sequence[TritVector], d: int | None = None) -> int:

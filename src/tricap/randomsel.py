@@ -10,7 +10,10 @@ degenerate on a k-cell split.
 Reproducibility is the point here. Every trial draws from its own
 counter-derived stream, so trial t of a run is the same no matter how
 many trials run or in what order, and the JSON report of an experiment
-is byte-identical across processes.
+is byte-identical across processes. Draws are canonical indices, never
+TritVectors: a block of trials is stacked into one (trials, d) array and
+ranked by a single stacked ``rank`` call, so the cost per trial is the
+stream set-up and the draw itself.
 """
 
 from __future__ import annotations
@@ -21,9 +24,9 @@ from fractions import Fraction
 
 import numpy as np
 
+from . import bulk
 from .capset import PointSet
-from .gf3core import TritVector
-from .linalg import nullity
+from .linalg import rank
 from .rng import make_rng
 
 __all__ = [
@@ -58,13 +61,12 @@ def h_exact(m: int, k: int) -> int:
 
 def sample_without_replacement(
     ps: PointSet, d: int, seed: int, *stream: int
-) -> list[TritVector]:
-    """d distinct points of the set, from a counter-derived stream."""
+) -> np.ndarray:
+    """Indices of d distinct members, int64 in draw order, from a counter-derived stream."""
     if not 0 <= d <= ps.size:
         raise ValueError(f"cannot draw {d} from {ps.size} points")
     rng = make_rng(seed, *stream)
-    picks = rng.choice(ps.indices, size=d, replace=False)
-    return [TritVector.from_index(ps.n, int(i)) for i in picks]
+    return rng.choice(ps.indices, size=d, replace=False)
 
 
 @dataclass(frozen=True)
@@ -92,21 +94,28 @@ class NullityExperiment:
 def nullity_distribution(
     ps: PointSet, d: int, trials: int, seed: int
 ) -> NullityExperiment:
-    """Run the selection experiment; trial t uses substream (seed, t)."""
+    """Run the selection experiment; trial t uses substream (seed, t).
+
+    Trials go in blocks of at most ``bulk._PAIR_CELLS`` picks, each block
+    one stacked rank call, so memory stays bounded for any trial count.
+    """
     if trials < 1:
         raise ValueError("need at least one trial")
-    hist: dict[int, int] = {}
-    for t in range(trials):
-        sel = sample_without_replacement(ps, d, seed, t)
-        nl = nullity(sel, d)
-        hist[nl] = hist.get(nl, 0) + 1
+    hist = np.zeros(d + 1, dtype=np.int64)
+    block = max(1, bulk._PAIR_CELLS // max(d, 1))
+    for start in range(0, trials, block):
+        stop = min(trials, start + block)
+        picks = np.empty((stop - start, d), dtype=np.int64)
+        for t in range(start, stop):
+            picks[t - start] = sample_without_replacement(ps, d, seed, t)
+        hist += np.bincount(d - rank(picks, ps.n), minlength=d + 1)
     return NullityExperiment(
         n=ps.n,
         source_size=ps.size,
         d=d,
         trials=trials,
         seed=seed,
-        histogram=dict(sorted(hist.items())),
+        histogram={k: v for k, v in enumerate(hist.tolist()) if v},
     )
 
 

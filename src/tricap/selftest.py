@@ -16,6 +16,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, Iterable
 
+import numpy as np
+
 from . import bulk
 from .capset import (
     PointSet,
@@ -315,7 +317,7 @@ def _c9_nullity(seed: int) -> tuple[bool, dict]:
             return False, {"stage": "overlay", "k": k2}
     s1 = sample_without_replacement(spec.members, 12, seed, 5)
     s2 = sample_without_replacement(spec.members, 12, seed, 5)
-    if s1 != s2:
+    if not np.array_equal(s1, s2):
         return False, {"stage": "sample-determinism"}
     return True, {
         "source_size": spec.members.size,

@@ -23,11 +23,13 @@ from tricap import (
     komity,
     komity_reference,
     load_point_set,
+    make_rng,
     product_capset,
     random_point_set,
     save_point_set,
 )
 from tricap import bulk, capset
+from tricap.gf3core import MAX_DIM
 
 import oracles
 from conftest import tuples_of
@@ -113,6 +115,26 @@ class TestWeightTable:
         finally:
             tracemalloc.stop()
         assert peak < 2 * table.nbytes
+
+
+class TestIndexPlanes:
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_every_index_matches_from_index(self, n):
+        lo, hi = bulk.indices_to_planes(n, np.arange(3**n))
+        want = [TritVector.from_index(n, i) for i in range(3**n)]
+        assert lo.tolist() == [v.lo for v in want]
+        assert hi.tolist() == [v.hi for v in want]
+
+    def test_random_indices_at_max_dim(self):
+        n = MAX_DIM
+        idx = make_rng(20).integers(0, 3**n, size=(40, 5))
+        idx[0, :2] = [0, 3**n - 1]
+        lo, hi = bulk.indices_to_planes(n, idx)
+        assert lo.shape == hi.shape == idx.shape
+        for i, l, h in zip(idx.ravel().tolist(), lo.ravel().tolist(), hi.ravel().tolist()):
+            v = TritVector.from_index(n, i)
+            assert (l, h) == (v.lo, v.hi)
+        assert np.array_equal(bulk.planes_to_indices(n, lo, hi), idx)
 
 
 class TestLineCounting:
@@ -302,6 +324,15 @@ class TestLayerOrbits:
             assert caps.size == 27 * tables.canon[size].size
             assert all(is_capset(PointSet(3, [i for i in range(27) if m >> i & 1]))
                        for m in tables.canon[size].tolist())
+
+    def test_unit_translates_match_the_gather_form(self):
+        digits = capset._DIGITS
+        perms = capset._index(digits[:, :, None] + digits[:, None, :])  # row t: c -> c + t
+        for caps in capset._layer_tables().caps.values():
+            want = caps.copy()
+            for perm in perms:
+                np.minimum(want, capset._permute_bits(caps, perm), out=want)
+            assert np.array_equal(capset._lexmin_translates(caps), want)
 
     def test_representatives_cover_each_orbit_once(self):
         tables = capset._layer_tables()

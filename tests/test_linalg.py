@@ -1,5 +1,6 @@
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -46,6 +47,57 @@ class TestRank:
         b = TritVector.from_string("220")
         assert rank([a, b]) == 1
         assert nullity([a, b]) == 1
+
+
+@st.composite
+def _index_stacks(draw):
+    """(n, picks): a (T, d) stack of indices with zeros, repeats and v, 2v pairs."""
+    n = draw(st.integers(1, 6))
+    d = draw(st.integers(0, n + 3))
+    rows = []
+    for _ in range(draw(st.integers(1, 5))):
+        row: list[int] = []
+        for _ in range(d):
+            kind = draw(st.sampled_from(["any", "zero", "repeat", "double"]))
+            if kind == "zero":
+                row.append(0)
+            elif kind == "any" or not row:
+                row.append(draw(st.integers(0, 3**n - 1)))
+            else:
+                v = TritVector.from_index(n, draw(st.sampled_from(row)))
+                row.append((v if kind == "repeat" else v.scale(2)).index)
+        rows.append(row)
+    return n, np.array(rows, dtype=np.int64).reshape(len(rows), d)
+
+
+class TestStackedRank:
+    @given(_index_stacks())
+    def test_matches_reference(self, case):
+        n, picks = case
+        got = rank(picks, n)
+        assert got.dtype == np.int64 and got.shape == (picks.shape[0],)
+        want = [
+            oracles.naive_rank([TritVector.from_index(n, int(i)).trits() for i in row])
+            for row in picks
+        ]
+        assert got.tolist() == want
+
+    @given(_index_stacks())
+    def test_list_form_is_a_one_row_stack(self, case):
+        n, picks = case
+        for row in picks:
+            vs = [TritVector.from_index(n, int(i)) for i in row]
+            assert rank(vs, n) == int(rank(row[None, :], n)[0])
+
+    def test_rejects_malformed_stacks(self):
+        with pytest.raises(ValueError):
+            rank(np.zeros((2, 3), dtype=np.int64))  # no dimension
+        with pytest.raises(ValueError):
+            rank(np.zeros(3, dtype=np.int64), 4)  # not (T, d)
+        with pytest.raises(ValueError):
+            rank(np.array([[0, 81]], dtype=np.int64), 4)
+        with pytest.raises(ValueError):
+            rank(np.array([[-1]], dtype=np.int64), 4)
 
 
 class TestSubspace:

@@ -1,9 +1,11 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from tricap import (
     SELFTEST_SEED,
+    TritVector,
     extract_spectrum,
     g_exact,
     greedy_random_capset,
@@ -12,6 +14,7 @@ from tricap import (
     random_point_set,
     sample_without_replacement,
 )
+from tricap import bulk, randomsel
 
 import oracles
 
@@ -62,15 +65,16 @@ class TestSampling:
         a = sample_without_replacement(ps, 10, 42, 7)
         b = sample_without_replacement(ps, 10, 42, 7)
         c = sample_without_replacement(ps, 10, 42, 8)
-        assert a == b
-        assert a != c
+        assert a.dtype == np.int64 and a.shape == (10,)
+        assert np.array_equal(a, b)
+        assert not np.array_equal(a, c)
 
     def test_samples_are_distinct_members(self):
         ps = random_point_set(5, 60, 4)
         sel = sample_without_replacement(ps, 25, 1)
-        assert len({v.index for v in sel}) == 25
-        for v in sel:
-            assert ps.contains(v)
+        assert len(set(sel.tolist())) == 25
+        for i in sel.tolist():
+            assert ps.contains(TritVector.from_index(ps.n, i))
 
     def test_rejects_oversized_draw(self):
         ps = random_point_set(4, 10, 9)
@@ -86,11 +90,45 @@ class TestNullityExperiment:
         recount: dict[int, int] = {}
         for t in range(trials):
             sel = sample_without_replacement(ps, d, seed, t)
-            tuples = [oracles.digits(str(v)) for v in sel]
+            tuples = [TritVector.from_index(ps.n, i).trits() for i in sel.tolist()]
             nl = oracles.naive_nullity(tuples)
             recount[nl] = recount.get(nl, 0) + 1
         assert exp.histogram == dict(sorted(recount.items()))
         assert sum(exp.histogram.values()) == trials
+
+    def test_empty_selection_has_nullity_zero(self):
+        ps = random_point_set(5, 40, 2)
+        assert nullity_distribution(ps, 0, 13, 4).histogram == {0: 13}
+
+    def test_blocks_do_not_change_the_histogram(self, monkeypatch):
+        ps = random_point_set(6, 200, 8)
+        d, trials, seed = 6, 60, 77
+        whole = nullity_distribution(ps, d, trials, seed)
+        assert len(whole.histogram) > 1  # a spread that a misplaced trial would move
+        monkeypatch.setattr(bulk, "_PAIR_CELLS", 7 * d)  # 7 trials per block
+        assert nullity_distribution(ps, d, trials, seed).histogram == whole.histogram
+
+    def test_rank_once_per_block_and_one_draw_per_trial(self, monkeypatch):
+        # perfbench/tracer.py reads the first positional argument of both
+        # calls (the stack's length, the PointSet's n and size)
+        calls = {"rank": [], "sample": []}
+        real_rank, real_sample = randomsel.rank, randomsel.sample_without_replacement
+
+        def spy_rank(*args, **kwargs):
+            calls["rank"].append(len(args[0]))
+            return real_rank(*args, **kwargs)
+
+        def spy_sample(*args, **kwargs):
+            calls["sample"].append(len(args[0]))
+            return real_sample(*args, **kwargs)
+
+        monkeypatch.setattr(randomsel, "rank", spy_rank)
+        monkeypatch.setattr(randomsel, "sample_without_replacement", spy_sample)
+        monkeypatch.setattr(bulk, "_PAIR_CELLS", 7 * 5)
+        ps = random_point_set(6, 90, 3)
+        nullity_distribution(ps, 5, 16, 1)
+        assert calls["rank"] == [7, 7, 2]
+        assert calls["sample"] == [90] * 16
 
     def test_tails_monotone_and_normalized(self):
         ps = random_point_set(8, 300, 55)
