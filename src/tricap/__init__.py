@@ -47,7 +47,7 @@ from .fourier import (
     transform_table,
 )
 from .gf3core import Density, Eisenstein, TritVector, character
-from .linalg import Subspace, nullity, rank
+from .linalg import Subspace, rank
 from .randomsel import (
     g_exact,
     h_exact,
@@ -68,7 +68,6 @@ from .spectrum import (
     subspace_spectrum_stats,
 )
 from .structure import (
-    bsg_probe,
     build_levels,
     comity_scan,
     decompose_fibers,
@@ -98,7 +97,6 @@ __all__ = [
     "TritVector",
     "__version__",
     "balanced_transform",
-    "bsg_probe",
     "build_levels",
     "character",
     "comity_scan",
@@ -128,7 +126,6 @@ __all__ = [
     "load_point_set",
     "load_table",
     "make_rng",
-    "nullity",
     "nullity_distribution",
     "plancherel_check",
     "product_capset",

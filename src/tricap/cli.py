@@ -257,18 +257,22 @@ def _cmd_fourier_cubesum(args: argparse.Namespace) -> int:
 # -- spectrum -------------------------------------------------------------------
 
 
+def _increment_csv(report: dict[str, Any]) -> tuple[list[str], list[list[Any]]]:
+    header = ["codim", "density", "excess", "basis", "shift"]
+    rows = [
+        [r["codim"], r["density"], r["excess"], ";".join(r["basis"]), r["shift"]]
+        for r in report["increments"]
+    ]
+    return header, rows
+
+
 def _cmd_spectrum_extract(args: argparse.Namespace) -> int:
     ps = load_point_set(args.set_file)
     spec = extract_spectrum(ps, _parse_fraction(args.threshold), force=args.force)
     increments = scan_codim1_increments(ps, force=args.force) if ps.n >= 2 else []
     report = envelope("spectrum extract", None)
     report.update(report_spectrum(spec, increments))
-    header = ["codim", "density", "excess", "basis", "shift"]
-    rows = [
-        [r["codim"], r["density"], r["excess"], ";".join(r["basis"]), r["shift"]]
-        for r in report["increments"]
-    ]
-    _emit(args, report, (header, rows))
+    _emit(args, report, _increment_csv(report))
     return 0
 
 
@@ -278,12 +282,7 @@ def _cmd_spectrum_increments(args: argparse.Namespace) -> int:
     found = sampled_increment_checks(spec, args.codim, args.samples, args.seed)
     report = envelope("spectrum increments", args.seed)
     report.update(report_spectrum(spec, found))
-    header = ["codim", "density", "excess", "basis", "shift"]
-    rows = [
-        [r["codim"], r["density"], r["excess"], ";".join(r["basis"]), r["shift"]]
-        for r in report["increments"]
-    ]
-    _emit(args, report, (header, rows))
+    _emit(args, report, _increment_csv(report))
     return 0
 
 

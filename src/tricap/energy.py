@@ -4,8 +4,11 @@ Difference multiplicities m(x) = #{(a, b) : a - b = x} drive everything
 here. The fourth energy is sum m(x)^2; higher even energies E_2m come
 from the coefficient table as sum |c(y)|^(2m) / 3^n, which is an exact
 integer because the numerator is divisible by 3^n (that divisibility is
-asserted, not assumed). A dictionary convolution backend covers sets
-living in an ambient space too large for a full table.
+asserted, not assumed). For sets in an ambient space too large for a
+full table, a convolution backend builds the m-fold sumset counts as
+sorted index and count arrays. Those counts are at most |A|^(m-1), so
+they are int64 while |A|^(m-1) < 2^62, their squares while
+|A|^(2m-2) < 2^62, and Python ints past either bound.
 
 All energies and inequality checks are computed in unbounded integers;
 no float enters any comparison. Floats appear only in report fields
@@ -24,7 +27,7 @@ from . import bulk
 from .capset import PointSet
 from .errors import GuardExceededError, IdentityViolationError
 from .fourier import TRANSFORM_GUARD_N, SpectrumTable, inverse_table, transform_point_set
-from .gf3core import TritVector, plane_add
+from .gf3core import TritVector
 
 __all__ = [
     "CONVOLUTION_OP_GUARD",
@@ -157,29 +160,60 @@ def _e2m_transform(ps: PointSet, m: int, force: bool) -> int:
 
 
 def _e2m_convolution(ps: PointSet, m: int) -> int:
-    """m-fold sumset multiplicities by dictionary convolution."""
-    base = [int(i) for i in ps.indices]
-    base_planes = ps.planes()
-    cur: dict[int, int] = {i: 1 for i in base}
+    """E_2m as the sum of squared m-fold sumset counts, on sorted arrays.
+
+    The k-fold sumset is held as sorted unique indices with parallel
+    counts. Each step adds A: every bulk.pair_sums block of (current
+    points) x A is reduced to sorted unique keys with summed counts and
+    merged into the next sumset's arrays.
+
+    Overflow bound: every count of the m-fold sumset is at most
+    |A|^(m-1), because the first m - 1 summands fix the last. Counts
+    are int64 while |A|^(m-1) < INT64_SAFE and their squares while
+    |A|^(2m-2) < INT64_SAFE; past either bound that stage runs on Python
+    ints (object dtype).
+    """
+    size = ps.size
+    idx = ps.indices
+    cnt = np.ones(size, dtype=np.int64 if size ** (m - 1) < bulk.INT64_SAFE else object)
     for _ in range(m - 1):
-        if len(cur) * ps.size > CONVOLUTION_OP_GUARD:
+        if idx.size * size > CONVOLUTION_OP_GUARD:
             raise GuardExceededError(
-                "convolution operations", len(cur) * ps.size, CONVOLUTION_OP_GUARD
+                "convolution operations", idx.size * size, CONVOLUTION_OP_GUARD
             )
-        keys = np.fromiter(cur, dtype=np.int64, count=len(cur))
-        vals = [cur[int(k)] for k in keys]
-        klo, khi = bulk.indices_to_planes(ps.n, keys)
-        nxt: dict[int, int] = {}
-        for j in range(ps.size):
-            slo, shi = plane_add(klo, khi, base_planes[0][j], base_planes[1][j])
-            sidx = bulk.planes_to_indices(ps.n, slo, shi)
-            for k, v in zip(sidx.tolist(), vals):
-                if k in nxt:
-                    nxt[k] += v
-                else:
-                    nxt[k] = v
-        cur = nxt
-    return sum(v * v for v in cur.values())
+        nidx, ncnt = np.empty(0, dtype=np.int64), np.empty(0, dtype=cnt.dtype)
+        planes = bulk.indices_to_planes(ps.n, idx)
+        for start, stop, block in bulk.pair_sums(ps.n, planes, ps.planes()):
+            keys, sums = _sorted_sums(block.ravel(), np.repeat(cnt[start:stop], size))
+            nidx, ncnt = _merge_sums(nidx, ncnt, keys, sums)
+        idx, cnt = nidx, ncnt
+    if size ** (2 * m - 2) >= bulk.INT64_SAFE:
+        cnt = cnt.astype(object)
+    return bulk.exact_sum(cnt * cnt)
+
+
+def _sorted_sums(keys: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted distinct keys, each with the sum of its counts."""
+    order = np.argsort(keys)
+    keys = keys[order]
+    starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+    return keys[starts], np.add.reduceat(counts[order], starts)
+
+
+def _merge_sums(
+    idx: np.ndarray, cnt: np.ndarray, keys: np.ndarray, sums: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Add sorted distinct (keys, sums) into sorted distinct (idx, cnt).
+
+    Counts of keys already present are added in place; the new keys go
+    in by one np.insert, so a merge is linear in the running arrays.
+    """
+    pos = np.searchsorted(idx, keys)
+    hit = pos < idx.size
+    hit[hit] = idx[pos[hit]] == keys[hit]
+    cnt[pos[hit]] += sums[hit]
+    new = ~hit
+    return np.insert(idx, pos[new], keys[new]), np.insert(cnt, pos[new], sums[new])
 
 
 @dataclass(frozen=True)
@@ -214,7 +248,7 @@ def holder_check(ps: PointSet, m: int) -> HolderReport:
     v8: int | None = None
     part2: bool | None = None
     if m >= 4:
-        v8 = e2m(ps, 4)
+        v8 = vm if m == 4 else e2m(ps, 4)
         part2 = v8 ** (m - 1) <= vm**3 * ps.size ** (m - 4)
     return HolderReport(
         m=m, size=ps.size, e4=v4, e8=v8, e2m=vm, part1_holds=part1, part2_holds=part2

@@ -3,8 +3,7 @@
 Rows are (lo, hi) plane pairs. ``rank`` takes a whole stack of
 selections at once, an int64 array of canonical indices of shape (T, d),
 and eliminates all T of them together: n column steps of array ops on
-the stacked planes, with no Python loop over trials or rows. A list of
-TritVectors goes through the same kernel as a (1, d) stack.
+the stacked planes, with no Python loop over trials or rows.
 
 ``rref`` is the per-row elimination that builds ``Subspace`` bases.
 Echelon form here always means *reduced* echelon form with pivots
@@ -26,7 +25,6 @@ from .gf3core import MAX_DIM, TritVector, plane_add
 __all__ = [
     "ENUM_GUARD_DIM",
     "Subspace",
-    "nullity",
     "rank",
     "rref",
 ]
@@ -114,38 +112,20 @@ def _stacked_rank(lo: np.ndarray, hi: np.ndarray, n: int) -> np.ndarray:
     return ranks
 
 
-def rank(
-    vectors: Sequence[TritVector] | np.ndarray, n: int | None = None
-) -> int | np.ndarray:
-    """Rank of a selection, or the ranks of a stack of selections.
+def rank(picks: np.ndarray, n: int) -> np.ndarray:
+    """Ranks of a stack of selections from F_3^n.
 
-    A sequence of TritVectors (duplicates and zeros allowed) gives an int.
-    An int64 array of canonical indices of shape (T, d) gives the T ranks
-    of its rows as an int64 array; n is then required.
+    picks is an int64 array of canonical indices of shape (T, d), one
+    selection of d vectors per row (duplicates and zeros allowed). The
+    result holds the T ranks as an int64 array.
     """
-    if isinstance(vectors, np.ndarray):
-        if n is None or not 1 <= n <= MAX_DIM:
-            raise ValueError("a stacked rank needs its dimension n in 1..MAX_DIM")
-        if vectors.ndim != 2:
-            raise ValueError(f"expected a (T, d) stack, got shape {vectors.shape}")
-        if vectors.size and not (0 <= vectors.min() and vectors.max() < 3**n):
-            raise ValueError(f"indices outside F_3^{n}")
-        return _stacked_rank(*bulk.indices_to_planes(n, vectors), n)
-    if not vectors:
-        return 0
-    dim = vectors[0].n if n is None else n
-    for v in vectors:
-        if v.n != dim:
-            raise DimensionMismatchError(f"{v.n} != {dim}")
-    lo = np.array([[v.lo for v in vectors]], dtype=np.int64)
-    hi = np.array([[v.hi for v in vectors]], dtype=np.int64)
-    return int(_stacked_rank(lo, hi, dim)[0])
-
-
-def nullity(vectors: Sequence[TritVector], d: int | None = None) -> int:
-    """d - rank for a selection of d vectors (d defaults to len)."""
-    count = len(vectors) if d is None else d
-    return count - rank(vectors)
+    if not 1 <= n <= MAX_DIM:
+        raise ValueError("a stacked rank needs its dimension n in 1..MAX_DIM")
+    if picks.ndim != 2:
+        raise ValueError(f"expected a (T, d) stack, got shape {picks.shape}")
+    if picks.size and not (0 <= picks.min() and picks.max() < 3**n):
+        raise ValueError(f"indices outside F_3^{n}")
+    return _stacked_rank(*bulk.indices_to_planes(n, picks), n)
 
 
 @dataclass(frozen=True)

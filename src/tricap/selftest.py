@@ -72,9 +72,10 @@ def _c2_cube_sums(seed: int) -> tuple[bool, dict]:
         ps = greedy_random_capset(n, seed + n)
         if not is_capset(ps):
             return False, {"stage": "greedy", "n": n}
-        if cube_sum(ps) != Eisenstein(3**n * count_line_solutions(ps), 0):
+        cube = cube_sum(ps)
+        if cube != Eisenstein(3**n * count_line_solutions(ps), 0):
             return False, {"stage": "greedy-cube", "n": n}
-        if cube_sum(ps) != Eisenstein(3**n * ps.size, 0):
+        if cube != Eisenstein(3**n * ps.size, 0):
             return False, {"stage": "greedy-cap-cube", "n": n}
         checked.append(ps.size)
     products = 0
@@ -110,9 +111,10 @@ def _c3_energy_dual(seed: int) -> tuple[bool, dict]:
         rng = make_rng(seed, 103, i)
         size = int(rng.integers(1, min(3**n, 120) + 1))
         ps = random_point_set(n, size, rng)
-        if e4(ps, backend="hash") != e4(ps, backend="transform"):
+        hashed = e4(ps, backend="hash")
+        if hashed != e4(ps, backend="transform"):
             return False, {"stage": "backends", "i": i}
-        if e4(ps, backend="hash") != e2m(ps, 2):
+        if hashed != e2m(ps, 2):
             return False, {"stage": "e2m", "i": i}
     for i in range(50):
         n = 2 + i % 5
@@ -338,11 +340,9 @@ def _c10_spectrum(seed: int) -> tuple[bool, dict]:
     if (k0, k1, k2) != (plane.size, 0, 0):
         return False, {"stage": "hyperplane-cosets"}
 
-    big = PointSet(10, Subspace.span([TritVector.unit(10, 0)], 10).annihilator().enumerate_indices())
-    aff = AffineSubspace(
-        Subspace.span([TritVector.unit(10, 0)], 10).annihilator(),
-        TritVector.zero(10),
-    )
+    ann = Subspace.span([TritVector.unit(10, 0)], 10).annihilator()
+    big = PointSet(10, ann.enumerate_indices())
+    aff = AffineSubspace(ann, TritVector.zero(10))
     rep = strong_increment_check(big, aff)
     if not rep.is_increment or rep.excess != 0:
         return False, {"stage": "boundary-increment"}

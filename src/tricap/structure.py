@@ -41,18 +41,16 @@ from .capset import PointSet
 from .energy import MultiplicityMap, diff_multiplicity
 from .errors import GuardExceededError, IdentityViolationError
 from .fourier import SpectrumTable, restricted_transform
-from .gf3core import TritVector, plane_add
+from .gf3core import TritVector
 from .linalg import Subspace
 
 __all__ = [
     "COMITY_GUARD_SIZE",
     "AdditiveStructure",
-    "BsgProbe",
     "ComityBand",
     "FiberDecomposition",
     "LevelDecomposition",
     "MartingaleReport",
-    "bsg_probe",
     "build_levels",
     "comity_scan",
     "decompose_fibers",
@@ -365,62 +363,4 @@ def fiber_plancherel_check(
         fiber_term=fiber_term,
         raw_lhs=raw_lhs,
         raw_rhs=raw_rhs,
-    )
-
-
-@dataclass(frozen=True)
-class BsgProbe:
-    """Greedy coverage probe; a heuristic witness, never a certificate."""
-
-    kernel_size: int
-    center_count: int
-    covered: int
-    coverage: Fraction
-
-
-def bsg_probe(b: PointSet, c: PointSet, kernel_size: int | None = None,
-              max_centers: int = 8) -> BsgProbe:
-    """Cover B by a few translates of a kernel of popular C-differences.
-
-    The kernel keeps the kernel_size most frequent differences of C
-    (ties broken by index); centers are chosen greedily from B to
-    maximize newly covered points. Purely a diagnostic: reported
-    coverage is a lower bound for the best possible, nothing more.
-    """
-    if b.n != c.n:
-        raise ValueError("the two sets live in different dimensions")
-    if b.size == 0 or c.size == 0:
-        return BsgProbe(0, 0, 0, Fraction(0))
-    if kernel_size is None:
-        kernel_size = c.size
-    mm = diff_multiplicity(c)
-    order = np.lexsort((mm.support.indices, -mm.counts))
-    kernel = PointSet(b.n, mm.support.indices[order[:kernel_size]])
-    klo, khi = kernel.planes()
-    covered = np.zeros(b.size, dtype=bool)
-    centers = 0
-    for _ in range(max_centers):
-        best_gain = 0
-        best_hits: np.ndarray | None = None
-        for x in b.vectors():
-            slo, shi = plane_add(klo, khi, np.int64(x.lo), np.int64(x.hi))
-            idx = bulk.planes_to_indices(b.n, slo, shi)
-            hits = b.contains_indices(idx)
-            reach = np.zeros(b.size, dtype=bool)
-            reach[np.searchsorted(b.indices, idx[hits])] = True
-            gain = int((reach & ~covered).sum())
-            if gain > best_gain:
-                best_gain = gain
-                best_hits = reach
-        if best_hits is None:
-            break
-        covered |= best_hits
-        centers += 1
-        if covered.all():
-            break
-    return BsgProbe(
-        kernel_size=kernel.size,
-        center_count=centers,
-        covered=int(covered.sum()),
-        coverage=Fraction(int(covered.sum()), b.size),
     )

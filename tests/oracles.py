@@ -170,38 +170,6 @@ def naive_comity(points, diffs):
     return [(lo, pairs, mass) for lo, (pairs, mass) in sorted(bands.items())]
 
 
-def naive_bsg_probe(bs, cs, kernel_size=None, max_centers=8):
-    """(kernel size, centers, covered, coverage) of the greedy cover of B.
-
-    The kernel is the kernel_size most frequent differences of C, ties
-    going to the smaller index. Each round takes, among the points of B in
-    index order, the first translate of the kernel that covers the most
-    points of B not covered yet.
-    """
-    if not bs or not cs:
-        return 0, 0, 0, Fraction(0)
-    if kernel_size is None:
-        kernel_size = len(cs)
-    counts = naive_diff_counts(cs)
-    kernel = sorted(counts, key=lambda d: (-counts[d], point_index(d)))[:kernel_size]
-    members = set(bs)
-    covered = set()
-    centers = 0
-    for _ in range(max_centers):
-        best_gain, best = 0, None
-        for x in sorted(members, key=point_index):
-            reach = {vec_add(x, k) for k in kernel} & members
-            if len(reach - covered) > best_gain:
-                best_gain, best = len(reach - covered), reach
-        if best is None:
-            break
-        covered |= best
-        centers += 1
-        if covered == members:
-            break
-    return len(kernel), centers, len(covered), Fraction(len(covered), len(members))
-
-
 def naive_rank(vectors):
     rows = [list(v) for v in vectors if any(v)]
     rank = 0

@@ -1,10 +1,12 @@
+import csv
+import io
 import json
 import subprocess
 import sys
 
 import pytest
 
-from tricap import fourier, load_point_set, random_point_set, save_point_set
+from tricap import PointSet, fourier, load_point_set, random_point_set, save_point_set
 from tricap.cli import main
 from tricap.version import VERSION
 
@@ -107,6 +109,28 @@ class TestReportsAndFormats:
         assert code == 0
         assert out.splitlines()[0] == "m_lo,m_hi,G_size,D_size,alpha_eff"
 
+    @pytest.mark.parametrize("command, options", [
+        ("extract", ()),
+        ("increments", ("--codim", "1", "--samples", "3", "--threshold", "400")),
+    ])
+    def test_increment_csv_matches_json(self, tmp_path, capsys, command, options):
+        # 60 points inside the hyperplane x_0 = 0 of F_3^10: that hyperplane
+        # is a strong increment, so both commands report rows
+        path = str(tmp_path / "hyperplane.txt")
+        save_point_set(PointSet(10, random_point_set(9, 60, 1).indices), path)
+        code, out, _ = run_cli(capsys, "spectrum", command, path, *options)
+        assert code == 0
+        increments = json.loads(out)["increments"]
+        assert increments
+        code, out, _ = run_cli(capsys, "spectrum", command, path, *options, "--format", "csv")
+        assert code == 0
+        rows = list(csv.reader(io.StringIO(out)))
+        assert rows[0] == ["codim", "density", "excess", "basis", "shift"]
+        assert rows[1:] == [
+            [str(r["codim"]), r["density"], r["excess"], ";".join(r["basis"]), r["shift"]]
+            for r in increments
+        ]
+
     def test_text_format(self, cap_file, capsys):
         code, out, _ = run_cli(
             capsys, "fourier", "plancherel", cap_file, "--format", "text"
@@ -169,6 +193,13 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "capset", "gen", "--n", "30", "--seed", "0")
         assert code == 3
         assert "guard" in err
+
+    def test_convolution_guard_is_three(self, tmp_path, capsys):
+        path = str(tmp_path / "a.txt")
+        save_point_set(random_point_set(15, 7100, 2), path)  # 7100^2 > 5e7 operations
+        code, out, err = run_cli(capsys, "energy", "e2m", path, "--m", "2")
+        assert (code, out) == (3, "")
+        assert "convolution operations" in err
 
     def test_martingale_guard_is_three(self, tmp_path, capsys):
         path = str(tmp_path / "a.txt")

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from tricap import (
+    GuardExceededError,
     PointSet,
     Subspace,
     TritVector,
@@ -18,6 +20,7 @@ from tricap import (
     random_point_set,
     smoothing_report,
 )
+from tricap import bulk, energy
 
 import oracles
 from conftest import tuples_of
@@ -77,16 +80,59 @@ class TestEnergies:
         for m in (2, 3, 4):
             assert e2m(ps, m, backend="transform") == e2m(ps, m, backend="convolution")
 
-    @pytest.mark.parametrize("d,m", [(1, 2), (1, 3), (2, 2), (2, 3), (2, 4), (3, 2)])
+    @pytest.mark.parametrize("cells", [1, 7])
+    def test_convolution_blocks_do_not_change_e2m(self, monkeypatch, cells):
+        # with small blocks every step merges many of them into its arrays
+        monkeypatch.setattr(bulk, "_PAIR_CELLS", cells)
+        ps = random_point_set(5, 30, 9)
+        pts = tuples_of(ps)
+        for m in (2, 3):
+            assert e2m(ps, m, backend="convolution") == oracles.naive_e2m(pts, m)
+
+    @pytest.mark.parametrize("d,m", [
+        (1, 2), (1, 3), (2, 2), (2, 3), (2, 4), (3, 2), (4, 5), (4, 6), (4, 10), (4, 11),
+    ])
     def test_subspace_energy_closed_form(self, d, m):
+        # every m-fold sumset count of a subspace is |A|^(m-1), the convolution
+        # bound; at |A| = 81 its squares pass 2^62 between m = 5 and 6, the
+        # counts themselves between m = 10 and 11
         ps = _subspace_set(d + 1, d)
-        assert e2m(ps, m) == 3 ** ((2 * m - 1) * d)
+        want = 3 ** ((2 * m - 1) * d)
+        assert e2m(ps, m) == want
+        assert e2m(ps, m, backend="convolution") == want
 
     def test_e4_lower_bound_attained_by_sidon_like_sets(self):
         # m(x) <= 1 off zero gives the minimum |S|^2 + 2 binom(|S|, 2) ... here
         # just check the floor E4 >= |S|^2 plus the diagonal contribution
         ps = random_point_set(5, 20, 3)
         assert e4(ps) >= ps.size**2
+
+
+class TestConvolutionGuard:
+    def test_guard_counts_the_sumset_times_the_set(self, monkeypatch):
+        ps = random_point_set(5, 20, 4)
+        pts = tuples_of(ps)
+        sumset = {oracles.vec_add(a, b) for a in pts for b in pts}
+        monkeypatch.setattr(energy, "CONVOLUTION_OP_GUARD", ps.size**2)
+        assert e2m(ps, 2, backend="convolution") == e4(ps)
+        with pytest.raises(GuardExceededError) as exc:
+            e2m(ps, 3, backend="convolution")
+        assert exc.value.args == ("convolution operations", len(sumset) * ps.size, ps.size**2)
+        monkeypatch.setattr(energy, "CONVOLUTION_OP_GUARD", ps.size**2 - 1)
+        with pytest.raises(GuardExceededError) as exc:
+            e2m(ps, 2, backend="convolution")
+        assert exc.value.args[1] == ps.size**2
+
+    def test_guard_fires_before_the_step_allocates(self):
+        ps = random_point_set(17, 7100, 5)  # 7100^2 > 5e7 operations
+        tracemalloc.start()
+        try:
+            with pytest.raises(GuardExceededError):
+                e2m(ps, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 class TestCross:

@@ -13,7 +13,6 @@ from tricap import (
     PointSet,
     Subspace,
     TritVector,
-    bsg_probe,
     build_levels,
     comity_scan,
     decompose_fibers,
@@ -33,13 +32,6 @@ from conftest import tuples_of
 small_sets = st.tuples(st.integers(3, 5), st.integers(0, 99_999)).map(
     lambda t: random_point_set(t[0], 2 + t[1] % min(30, 3 ** t[0] - 2), t[1])
 )
-
-small_pairs = st.tuples(st.integers(3, 5), st.integers(0, 99_999), st.integers(0, 99_999)).map(
-    lambda t: tuple(
-        random_point_set(t[0], 2 + s % min(30, 3 ** t[0] - 2), s) for s in t[1:]
-    )
-)
-
 
 def _check_comity_bands(ps):
     pts = tuples_of(ps)
@@ -321,23 +313,3 @@ class TestMartingale:
         k = Subspace.span([TritVector.unit(4, 1)])
         with pytest.raises(ValueError):
             fiber_plancherel_check(ps, h, k)
-
-
-class TestProbe:
-    @given(small_pairs, st.sampled_from([None, 0, 1, 2, 5]))
-    def test_probe_matches_oracle(self, pair, kernel_size):
-        # small random sets tie on most multiplicities, so a kernel cut at
-        # 1, 2 or 5 differences depends on the tie order
-        b, c = pair
-        probe = bsg_probe(b, c, kernel_size=kernel_size)
-        want = oracles.naive_bsg_probe(tuples_of(b), tuples_of(c), kernel_size)
-        assert (probe.kernel_size, probe.center_count, probe.covered, probe.coverage) == want
-
-    def test_probe_is_labeled_heuristic_and_bounded(self):
-        b = greedy_random_capset(5, 21)
-        c = greedy_random_capset(5, 22)
-        probe = bsg_probe(b, c)
-        assert 0 < probe.center_count <= 8
-        assert probe.kernel_size > 0
-        assert 0 <= probe.coverage <= 1
-        assert probe.covered <= b.size
