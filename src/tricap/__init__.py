@@ -35,7 +35,6 @@ from .errors import (
 )
 from .fourier import (
     SpectrumTable,
-    balanced_transform,
     cube_sum,
     eval_at,
     inverse_table,
@@ -96,7 +95,6 @@ __all__ = [
     "Subspace",
     "TritVector",
     "__version__",
-    "balanced_transform",
     "build_levels",
     "character",
     "comity_scan",

@@ -28,6 +28,7 @@ import numpy as np
 from .gf3core import TritVector, plane_add
 
 __all__ = [
+    "dot_histogram",
     "dot_labels",
     "dots_with",
     "exact_sum",
@@ -172,3 +173,12 @@ def dot_labels(lo: np.ndarray, hi: np.ndarray, basis: Sequence[TritVector]) -> n
     for b in basis:
         label = 3 * label + dots_with(lo, hi, b)
     return label
+
+
+def dot_histogram(lo: np.ndarray, hi: np.ndarray, basis: Sequence[TritVector]) -> np.ndarray:
+    """How many packed rows have each dot profile: 3^len(basis) bins by label.
+
+    Bin t counts the rows whose dot_labels label is t, so for the basis of
+    a subspace W it holds the sizes of the cosets of W's annihilator.
+    """
+    return np.bincount(dot_labels(lo, hi, basis), minlength=3 ** len(basis))

@@ -110,8 +110,6 @@ def _emit(args: argparse.Namespace, report: dict[str, Any],
     if args.format == "json":
         sys.stdout.write(dumps_canonical(report))
     elif args.format == "csv":
-        if csv_form is None:
-            raise _UsageError("this command has no CSV form")
         sys.stdout.write(render_csv(*csv_form))
     else:
         for key, value in _flatten(report):
@@ -132,13 +130,6 @@ def _flatten(obj: Any, prefix: str = "") -> list[tuple[str, Any]]:
     else:
         rows.append((prefix[:-1], obj))
     return rows
-
-
-def _common(sub: argparse.ArgumentParser, out_kind: str = "report") -> None:
-    sub.add_argument("--format", choices=("json", "csv", "text"), default="json")
-    sub.add_argument("--out", default=None, help="write the %s here" % out_kind)
-    sub.add_argument("--force", action="store_true", help="lift soft guards")
-    sub.set_defaults(out_kind=out_kind)
 
 
 # -- capset ---------------------------------------------------------------------
@@ -304,7 +295,7 @@ def _cmd_energy_e4(args: argparse.Namespace) -> int:
     ps = load_point_set(args.set_file)
     value = e4(ps, backend=args.backend)
     report = envelope("energy e4", None)
-    report.update(report_energy(ps.size, value, None, {}, None))
+    report.update(report_energy(ps.size, value, {}))
     _emit(args, report)
     return 0
 
@@ -313,7 +304,7 @@ def _cmd_energy_e2m(args: argparse.Namespace) -> int:
     ps = load_point_set(args.set_file)
     value = e2m(ps, args.m, force=args.force)
     report = envelope("energy e2m", None)
-    report.update(report_energy(ps.size, None, None, {args.m: value}, None))
+    report.update(report_energy(ps.size, None, {args.m: value}))
     _emit(args, report)
     return 0
 
@@ -477,10 +468,15 @@ def _build_parser() -> _Parser:
     top = parser.add_subparsers(dest="group", required=True)
 
     def leaf(subparsers, name: str, fn: Callable, out_kind: str = "report",
-             **kwargs) -> argparse.ArgumentParser:
-        sub = subparsers.add_parser(name, **kwargs)
-        sub.set_defaults(fn=fn)
-        _common(sub, out_kind)
+             force: bool = False, csv: bool = False) -> argparse.ArgumentParser:
+        """A leaf command; --force and the csv format only where it honours them."""
+        sub = subparsers.add_parser(name)
+        sub.set_defaults(fn=fn, out_kind=out_kind)
+        formats = ("json", "csv", "text") if csv else ("json", "text")
+        sub.add_argument("--format", choices=formats, default="json")
+        sub.add_argument("--out", default=None, help="write the %s here" % out_kind)
+        if force:
+            sub.add_argument("--force", action="store_true", help="lift soft guards")
         return sub
 
     cap = top.add_parser("capset").add_subparsers(dest="cmd", required=True)
@@ -496,24 +492,25 @@ def _build_parser() -> _Parser:
     s.add_argument("right")
 
     fourier = top.add_parser("fourier").add_subparsers(dest="cmd", required=True)
-    s = leaf(fourier, "transform", _cmd_fourier_transform, out_kind="table file")
+    s = leaf(fourier, "transform", _cmd_fourier_transform, out_kind="table file",
+             force=True)
     s.add_argument("set_file")
-    s = leaf(fourier, "plancherel", _cmd_fourier_plancherel)
+    s = leaf(fourier, "plancherel", _cmd_fourier_plancherel, force=True)
     s.add_argument("set_file")
-    s = leaf(fourier, "cubesum", _cmd_fourier_cubesum)
+    s = leaf(fourier, "cubesum", _cmd_fourier_cubesum, force=True)
     s.add_argument("set_file")
 
     spectrum = top.add_parser("spectrum").add_subparsers(dest="cmd", required=True)
-    s = leaf(spectrum, "extract", _cmd_spectrum_extract)
+    s = leaf(spectrum, "extract", _cmd_spectrum_extract, force=True, csv=True)
     s.add_argument("set_file")
     s.add_argument("--threshold", default="1")
-    s = leaf(spectrum, "increments", _cmd_spectrum_increments)
+    s = leaf(spectrum, "increments", _cmd_spectrum_increments, force=True, csv=True)
     s.add_argument("set_file")
     s.add_argument("--threshold", default="1")
     s.add_argument("--codim", type=int, required=True)
     s.add_argument("--samples", type=int, default=20)
     s.add_argument("--seed", type=int, default=SELFTEST_SEED)
-    s = leaf(spectrum, "subspace", _cmd_spectrum_subspace)
+    s = leaf(spectrum, "subspace", _cmd_spectrum_subspace, force=True)
     s.add_argument("set_file")
     s.add_argument("--threshold", default="1")
     s.add_argument("--basis", required=True,
@@ -524,13 +521,13 @@ def _build_parser() -> _Parser:
     s = leaf(energy, "e4", _cmd_energy_e4)
     s.add_argument("set_file")
     s.add_argument("--backend", choices=("auto", "hash", "transform"), default="auto")
-    s = leaf(energy, "e2m", _cmd_energy_e2m)
+    s = leaf(energy, "e2m", _cmd_energy_e2m, force=True)
     s.add_argument("set_file")
     s.add_argument("--m", type=int, required=True)
     s = leaf(energy, "holder", _cmd_energy_holder)
     s.add_argument("set_file")
     s.add_argument("--m", type=int, required=True)
-    s = leaf(energy, "smoothing", _cmd_energy_smoothing)
+    s = leaf(energy, "smoothing", _cmd_energy_smoothing, force=True)
     s.add_argument("set_file")
     s.add_argument("--scale-n", type=int, required=True)
     s.add_argument("--epsilon", type=float, default=0.05)
@@ -539,25 +536,25 @@ def _build_parser() -> _Parser:
     s.add_argument("right")
 
     structure = top.add_parser("structure").add_subparsers(dest="cmd", required=True)
-    s = leaf(structure, "levels", _cmd_structure_levels)
+    s = leaf(structure, "levels", _cmd_structure_levels, csv=True)
     s.add_argument("set_file")
     s = leaf(structure, "komity", _cmd_structure_komity)
     s.add_argument("set_file")
     s.add_argument("--m-lo", type=int, default=None)
-    s = leaf(structure, "comity", _cmd_structure_comity)
+    s = leaf(structure, "comity", _cmd_structure_comity, force=True, csv=True)
     s.add_argument("set_file")
     s.add_argument("--m-lo", type=int, default=None)
     s = leaf(structure, "doubling", _cmd_structure_doubling)
     s.add_argument("set_file")
-    s = leaf(structure, "fibers", _cmd_structure_fibers)
+    s = leaf(structure, "fibers", _cmd_structure_fibers, csv=True)
     s.add_argument("set_file")
     s.add_argument("--h", required=True, help="comma-separated basis of H")
-    s = leaf(structure, "martingale", _cmd_structure_martingale)
+    s = leaf(structure, "martingale", _cmd_structure_martingale, force=True)
     s.add_argument("set_file")
     s.add_argument("--h", required=True, help="comma-separated basis of H")
     s.add_argument("--k", required=True, help="comma-separated basis of K, H <= K")
 
-    s = leaf(top, "nullity-sim", _cmd_nullity_sim)
+    s = leaf(top, "nullity-sim", _cmd_nullity_sim, force=True, csv=True)
     s.add_argument("--input", required=True,
                    help="set file; prefix with spectrum-of: to draw from its spectrum")
     s.add_argument("--threshold", default="1")

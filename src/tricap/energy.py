@@ -53,11 +53,9 @@ class MultiplicityMap:
     square is below 2^52 and bulk.exact_sum adds the squares exactly.
     """
 
-    __slots__ = ("n", "source_size", "support", "counts")
+    __slots__ = ("support", "counts")
 
-    def __init__(self, n: int, source_size: int, support: PointSet, counts: np.ndarray):
-        self.n = n
-        self.source_size = source_size
+    def __init__(self, support: PointSet, counts: np.ndarray):
         self.support = support
         self.counts = counts
 
@@ -112,7 +110,7 @@ def diff_multiplicity(ps: PointSet, backend: str = "auto") -> MultiplicityMap:
     else:
         raise ValueError(f"unknown backend {backend!r}")
     support = np.flatnonzero(table)
-    return MultiplicityMap(ps.n, ps.size, PointSet(ps.n, support), table[support])
+    return MultiplicityMap(PointSet(ps.n, support), table[support])
 
 
 def _inverse_of_real(n: int, norms: np.ndarray) -> np.ndarray:

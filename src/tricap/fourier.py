@@ -55,7 +55,6 @@ __all__ = [
     "SpectrumTable",
     "TRANSFORM_GUARD_N",
     "TRANSFORM_HARD_MAX_N",
-    "balanced_transform",
     "cube_sum",
     "eval_at",
     "inverse_table",
@@ -263,17 +262,6 @@ def _cube_total(table: SpectrumTable) -> Eisenstein:
     return Eisenstein(bulk.exact_sum(re, bound), bulk.exact_sum(im, bound))
 
 
-def balanced_transform(ps: PointSet, force: bool = False) -> SpectrumTable:
-    """Transform of 3^n * indicator - |A|: zero mean, zero at frequency 0."""
-    table = transform_point_set(ps, force=force)
-    scale = 3**ps.n
-    p = table.p * scale
-    q = table.q * scale
-    p[0] = 0
-    q[0] = 0
-    return SpectrumTable(ps.n, p, q, source_size=ps.size)
-
-
 def eval_at(ps: PointSet, x: TritVector) -> Eisenstein:
     """c(x) for a single frequency in O(|A|), no dimension guard."""
     lo, hi = ps.planes()
@@ -294,8 +282,7 @@ def restricted_transform(ps: PointSet, w: Subspace, force: bool = False) -> Spec
     if w.n != ps.n:
         raise ValueError("subspace dimension differs from the set")
     _check_guard(w.dim, force)
-    hist = np.bincount(bulk.dot_labels(*ps.planes(), w.basis), minlength=3**w.dim)
-    return transform_table(hist, w.dim, force=force)
+    return transform_table(bulk.dot_histogram(*ps.planes(), w.basis), w.dim, force=force)
 
 
 _MAGIC = b"TCAPF3T1"
@@ -320,8 +307,7 @@ def load_table(fh: BinaryIO | str) -> SpectrumTable:
 
     The dimension is checked before anything of size 3^n is read, and the
     file must end exactly after the q plane. A recorded source size must
-    lie in 0..3^n and equal c(0), or c(0) must be 0 as balanced_transform
-    leaves it.
+    lie in 0..3^n and equal c(0).
     """
     if isinstance(fh, str):
         with open(fh, "rb") as real:
@@ -341,7 +327,7 @@ def load_table(fh: BinaryIO | str) -> SpectrumTable:
         raise ValueError(f"coefficient table body is not exactly {16 * count} bytes")
     p = np.frombuffer(raw[: 8 * count], dtype="<i8").astype(np.int64)
     q = np.frombuffer(raw[8 * count :], dtype="<i8").astype(np.int64)
-    # c(0) is the source size, or 0 for a balanced_transform table
-    if source != -1 and not (0 <= source <= count and int(p[0]) in (source, 0)):
-        raise ValueError(f"source size {source} disagrees with c(0) = {int(p[0])}")
+    c0 = (int(p[0]), int(q[0]))
+    if source != -1 and not (0 <= source <= count and c0 == (source, 0)):
+        raise ValueError(f"source size {source} disagrees with c(0) = {c0}")
     return SpectrumTable(n, p, q, None if source == -1 else source)

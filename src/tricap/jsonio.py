@@ -112,17 +112,12 @@ def report_subspace_stats(stats: SubspaceSpectrumStats) -> dict[str, Any]:
     }
 
 
-def report_energy(size: int, e4: int | None, e8: int | None,
-                  e2m: dict[int, int], sigma_eff: float | None) -> dict[str, Any]:
+def report_energy(size: int, e4: int | None, e2m: dict[int, int]) -> dict[str, Any]:
     out: dict[str, Any] = {"size": size}
     if e4 is not None:
         out["E4"] = str(e4)
-    if e8 is not None:
-        out["E8"] = str(e8)
     if e2m:
         out["E2m"] = {str(m): str(v) for m, v in sorted(e2m.items())}
-    if sigma_eff is not None:
-        out["sigma_eff"] = sigma_eff
     return out
 
 

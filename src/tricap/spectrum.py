@@ -14,11 +14,16 @@ Increment checks are affine throughout: a direction subspace plus a
 shift. A set has a strong increment on an affine subspace V of
 codimension d when its density there reaches rho * (1 + 20 d / n); the
 comparison is exact rational and equality counts as an increment (the
-worked hyperplane case at n = 10 lands exactly on the boundary).
+worked hyperplane case at n = 10 lands exactly on the boundary). The
+empty set has no increment. Hyperplane scans read the coset counts of
+every functional off the coefficient table; explicit and sampled cosets
+are counted from one histogram of dot profiles against the direction's
+annihilator, one pass over A and 3^d bins per sample.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -65,12 +70,6 @@ class AffineSubspace:
     def codim(self) -> int:
         return self.direction.codim
 
-    def size(self) -> int:
-        return self.direction.size()
-
-    def contains(self, v: TritVector) -> bool:
-        return self.direction.contains(v - self.shift)
-
 
 @dataclass(frozen=True)
 class IncrementReport:
@@ -88,7 +87,8 @@ class IncrementReport:
 
     @property
     def is_increment(self) -> bool:
-        return self.density >= self.threshold
+        # the threshold is 0 only for the empty set, which has no increment
+        return self.density >= self.threshold > 0
 
 
 class SpectrumSet:
@@ -146,22 +146,78 @@ def extract_spectrum(
     return SpectrumSet(ps, c, members, norms[members.indices])
 
 
-def coset_counts(ps: PointSet, x: TritVector) -> tuple[int, int, int]:
-    """|A| split across the three level sets of a nonzero functional x.
+def _level_counts(p, q, size: int):
+    """(k0, k1, k2) with k0 - k2 = p, k1 - k2 = q and k0 + k1 + k2 = size.
 
-    Recovered from the single coefficient c(x): with c = p + q*w,
-    k0 - k2 = p, k1 - k2 = q, k0 + k1 + k2 = |A|.
+    The level-set sizes of a functional whose coefficient is p + q*w;
+    works on Python ints and elementwise on integer arrays alike.
     """
+    rem = size - p - q
+    if np.any(rem % 3):
+        raise IdentityViolationError("coset count divisibility", "nonzero remainder", 0)
+    k2 = rem // 3
+    return p + k2, q + k2, k2
+
+
+def coset_counts(ps: PointSet, x: TritVector) -> tuple[int, int, int]:
+    """|A| split across the three level sets of a nonzero functional x, from c(x)."""
     if x.n != ps.n:
         raise ValueError("frequency dimension differs from the set")
     if x.is_zero():
         raise ValueError("coset counts need a nonzero functional")
     cx = eval_at(ps, x)
-    rem = ps.size - cx.p - cx.q
-    if rem % 3:
-        raise IdentityViolationError("coset count divisibility", rem % 3, 0)
-    k2 = rem // 3
-    return cx.p + k2, cx.q + k2, k2
+    return _level_counts(cx.p, cx.q, ps.size)
+
+
+def _coset_sizes(ps: PointSet, functionals: Subspace, shifts: np.ndarray) -> np.ndarray:
+    """|A on s + V| for each canonical index s in shifts, V = functionals^perp.
+
+    A point's coset is fixed by its dot profile against the functionals'
+    basis, so one histogram of those profiles (a single pass over A)
+    holds every coset count, and a shift reads its coset at its own label.
+    """
+    basis = functionals.basis
+    hist = bulk.dot_histogram(*ps.planes(), basis)
+    return hist[bulk.dot_labels(*bulk.indices_to_planes(ps.n, shifts), basis)]
+
+
+class _ReportBuilder:
+    """IncrementReports on the cosets of codimension d in one set.
+
+    The one place that sets density, the threshold rho * (1 + 20 d / n)
+    and the basis and shift strings. ``need`` is the fewest points of A
+    on such a coset that reach the threshold.
+    """
+
+    def __init__(self, ps: PointSet, codim: int):
+        self.n = ps.n
+        self.codim = codim
+        self.cells = 3 ** (ps.n - codim)
+        self.threshold = Fraction(ps.size, 3**ps.n) * (1 + Fraction(20 * codim, ps.n))
+        self.need = math.ceil(self.threshold * self.cells)
+
+    def report(self, direction: Subspace, count: int, shift: int) -> IncrementReport:
+        """The coset shift + direction, shift a canonical index, holding count points."""
+        return IncrementReport(
+            codim=self.codim,
+            density=Fraction(count, self.cells),
+            threshold=self.threshold,
+            basis=tuple(str(b) for b in direction.basis),
+            shift=str(TritVector.from_index(self.n, shift)),
+        )
+
+    def increments(self, direction: Subspace, counts, shifts) -> list[IncrementReport]:
+        """Reports on the cosets holding at least ``need`` points, in order.
+
+        Each is also checked against the exact rational comparison.
+        """
+        out = [self.report(direction, k, s) for k, s in zip(counts, shifts) if k >= self.need]
+        for rep in out:
+            if not rep.is_increment:
+                raise IdentityViolationError(
+                    "increment mask agreement", str(rep.density), str(rep.threshold)
+                )
+        return out
 
 
 def strong_increment_check(ps: PointSet, aff: AffineSubspace) -> IncrementReport:
@@ -171,84 +227,45 @@ def strong_increment_check(ps: PointSet, aff: AffineSubspace) -> IncrementReport
     d = aff.codim
     if d < 1 or 2 * d > ps.n:
         raise ValueError(f"codimension {d} outside 1..n/2")
-    ann = aff.direction.annihilator()
-    lo, hi = ps.planes()
-    inside = np.ones(ps.size, dtype=bool)
-    for w in ann.basis:
-        inside &= bulk.dots_with(lo, hi, w) == aff.shift.dot(w)
-    count = int(inside.sum())
-    density = Fraction(count, 3 ** (ps.n - d))
-    rho = Fraction(ps.size, 3**ps.n)
-    threshold = rho * (1 + Fraction(20 * d, ps.n))
-    return IncrementReport(
-        codim=d,
-        density=density,
-        threshold=threshold,
-        basis=tuple(str(b) for b in aff.direction.basis),
-        shift=str(aff.shift),
-    )
+    count = _coset_sizes(ps, aff.direction.annihilator(), np.array([aff.shift.index]))
+    return _ReportBuilder(ps, d).report(aff.direction, int(count[0]), aff.shift.index)
 
 
-def _unit_functional_rep(x: TritVector) -> TritVector:
-    """A vector w with x.w = 1 (first nonzero coordinate, self-inverse)."""
-    for i in range(x.n):
-        t = x.trit(i)
-        if t:
-            return TritVector.unit(x.n, i, t)  # t*t = 1 mod 3 for t in {1,2}
-    raise ValueError("zero functional has no unit representative")
+def _canonical_ranges(n: int) -> list[range]:
+    """Nonzero functionals whose leading nonzero digit is 1, as index ranges.
+
+    Range k is 3^k <= i < 2 * 3^k, leading digit at coordinate n - 1 - k.
+    Negation swaps the digits 1 and 2, so each pair {x, 2x} has its
+    smaller index here.
+    """
+    return [range(3**k, 2 * 3**k) for k in range(n)]
 
 
 def scan_codim1_increments(ps: PointSet, force: bool = False) -> list[IncrementReport]:
     """Every affine hyperplane carrying a strong increment.
 
-    One pass over the full coefficient table recovers all coset counts;
-    the pair {x, 2x} describes the same hyperplane family, so only the
-    smaller index of each pair is scanned. Reports come back ordered by
-    (frequency index, coset label).
+    One pass over the full coefficient table recovers all coset counts.
+    The pair {x, 2x} describes the same hyperplane family, so only the
+    functionals of _canonical_ranges are scanned. For x in range k the
+    unit vector of index 3^k has dot product 1 with x, so coset j of x has
+    shift index j * 3^k. Reports come back ordered by (frequency index,
+    coset label).
     """
     if ps.n < 2:
         raise ValueError("codimension-1 scan needs n >= 2")
     if ps.size == 0:
         return []
     table = transform_point_set(ps, force=force)
-    size3 = 3**ps.n
-    all_idx = np.arange(size3, dtype=np.int64)
-    lo, hi = bulk.indices_to_planes(ps.n, all_idx)
-    neg_idx = bulk.planes_to_indices(ps.n, hi, lo)
-    p, q = table.p, table.q
-    rem = ps.size - p - q
-    if (rem % 3).any():
-        raise IdentityViolationError("coset count divisibility", "remainder", 0)
-    k2 = rem // 3
-    k0 = p + k2
-    k1 = q + k2
-    # density >= rho (1 + 20/n)  <=>  3 n k_j >= |A| (n + 20), all int64
-    lhs_scale = 3 * ps.n
-    rhs = ps.size * (ps.n + 20)
+    build = _ReportBuilder(ps, 1)
     reports: list[IncrementReport] = []
-    canonical = (all_idx != 0) & (all_idx <= neg_idx)
-    hit_any = (
-        (lhs_scale * k0 >= rhs) | (lhs_scale * k1 >= rhs) | (lhs_scale * k2 >= rhs)
-    ) & canonical
-    for i in np.nonzero(hit_any)[0]:
-        x = TritVector.from_index(ps.n, int(i))
-        w = _unit_functional_rep(x)
-        direction = Subspace.span([x], ps.n).annihilator()
-        for j, kj in enumerate((int(k0[i]), int(k1[i]), int(k2[i]))):
-            if lhs_scale * kj >= rhs:
-                rep = IncrementReport(
-                    codim=1,
-                    density=Fraction(kj, 3 ** (ps.n - 1)),
-                    threshold=Fraction(ps.size, 3**ps.n)
-                    * (1 + Fraction(20, ps.n)),
-                    basis=tuple(str(b) for b in direction.basis),
-                    shift=str(w.scale(j)),
-                )
-                if not rep.is_increment:
-                    raise IdentityViolationError(
-                        "increment mask agreement", str(rep.density), str(rep.threshold)
-                    )
-                reports.append(rep)
+    for r in _canonical_ranges(ps.n):
+        levels = _level_counts(table.p[r.start : r.stop], table.q[r.start : r.stop], ps.size)
+        top = np.maximum(np.maximum(levels[0], levels[1]), levels[2])
+        for i in np.flatnonzero(top >= build.need).tolist():
+            x = TritVector.from_index(ps.n, r.start + i)
+            direction = Subspace.span([x], ps.n).annihilator()
+            counts = [int(k[i]) for k in levels]
+            reports += build.increments(direction, counts, (0, r.start, 2 * r.start))
     return reports
 
 
@@ -258,10 +275,11 @@ def sampled_increment_checks(
     """Increment spot-checks on subspaces spanned by random spectrum members.
 
     For each sample, span up to ``codim`` random members of the spectrum,
-    take the annihilator as the direction, and check every coset. Only
-    cosets that are strong increments are reported.
+    take the annihilator as the direction, and check every coset: one
+    histogram over A counts them all. Only cosets that are strong
+    increments are reported, in the order of the direction's transversal.
     """
-    if spec.size == 0:
+    if spec.size == 0 or spec.base.size == 0:
         return []
     out: list[IncrementReport] = []
     for s in range(samples):
@@ -272,10 +290,9 @@ def sampled_increment_checks(
         if w.dim < 1 or 2 * w.dim > spec.n:
             continue
         direction = w.annihilator()
-        for shift in direction.transversal().enumerate_points():
-            rep = strong_increment_check(spec.base, AffineSubspace(direction, shift))
-            if rep.is_increment:
-                out.append(rep)
+        shifts = direction.transversal().enumerate_indices()
+        counts = _coset_sizes(spec.base, w, shifts).tolist()
+        out += _ReportBuilder(spec.base, w.dim).increments(direction, counts, shifts.tolist())
     return out
 
 

@@ -38,7 +38,7 @@ import numpy as np
 
 from . import bulk
 from .capset import PointSet
-from .energy import MultiplicityMap, diff_multiplicity
+from .energy import diff_multiplicity
 from .errors import GuardExceededError, IdentityViolationError
 from .fourier import SpectrumTable, restricted_transform
 from .gf3core import TritVector
@@ -90,12 +90,10 @@ class AdditiveStructure:
 class LevelDecomposition:
     """All nonempty bands of a difference set, ascending by multiplicity."""
 
-    __slots__ = ("base", "multiplicity", "bands")
+    __slots__ = ("base", "bands")
 
-    def __init__(self, base: PointSet, multiplicity: MultiplicityMap,
-                 bands: list[AdditiveStructure]):
+    def __init__(self, base: PointSet, bands: list[AdditiveStructure]):
         self.base = base
-        self.multiplicity = multiplicity
         self.bands = bands
 
     def heaviest(self) -> AdditiveStructure:
@@ -137,7 +135,7 @@ def build_levels(ps: PointSet, backend: str = "auto") -> LevelDecomposition:
             m_lo=1 << k,
             pair_count=bulk.exact_sum(mm.counts[in_band]),
         ))
-    return LevelDecomposition(ps, mm, bands)
+    return LevelDecomposition(ps, bands)
 
 
 def delta_g(struct: AdditiveStructure, x: TritVector) -> PointSet:

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import io
 import json
@@ -6,7 +7,7 @@ import sys
 
 import pytest
 
-from tricap import PointSet, fourier, load_point_set, random_point_set, save_point_set
+from tricap import PointSet, cli, fourier, load_point_set, random_point_set, save_point_set
 from tricap.cli import main
 from tricap.version import VERSION
 
@@ -131,6 +132,20 @@ class TestReportsAndFormats:
             for r in increments
         ]
 
+    def test_empty_set_has_no_increments(self, tmp_path, capsys):
+        # the empty set's spectrum is every nonzero frequency, yet no coset
+        # of any sample is an increment
+        path = tmp_path / "empty.txt"
+        path.write_text("n=6\n")
+        for command, options in [
+            ("extract", ()),
+            ("increments", ("--codim", "1", "--samples", "2", "--seed", "5")),
+        ]:
+            code, out, _ = run_cli(capsys, "spectrum", command, str(path), *options)
+            assert code == 0
+            rep = json.loads(out)
+            assert (rep["spectrum_size"], rep["increments"]) == (3**6 - 1, [])
+
     def test_text_format(self, cap_file, capsys):
         code, out, _ = run_cli(
             capsys, "fourier", "plancherel", cap_file, "--format", "text"
@@ -145,6 +160,79 @@ class TestReportsAndFormats:
         )
         assert code == 0
         assert rep_path.read_text() == out
+
+
+# every leaf command, its required arguments, whether it honours --force
+# and whether it has a CSV form
+LEAVES = [
+    (("capset", "gen"), ("--n", "3", "--seed", "1"), False, False),
+    (("capset", "verify"), ("A",), False, False),
+    (("capset", "max"), ("--n", "2"), False, False),
+    (("capset", "product"), ("A", "B"), False, False),
+    (("fourier", "transform"), ("A",), True, False),
+    (("fourier", "plancherel"), ("A",), True, False),
+    (("fourier", "cubesum"), ("A",), True, False),
+    (("spectrum", "extract"), ("A",), True, True),
+    (("spectrum", "increments"), ("A", "--codim", "1"), True, True),
+    (("spectrum", "subspace"), ("A", "--basis", "100"), True, False),
+    (("energy", "e4"), ("A",), False, False),
+    (("energy", "e2m"), ("A", "--m", "2"), True, False),
+    (("energy", "holder"), ("A", "--m", "2"), False, False),
+    (("energy", "smoothing"), ("A", "--scale-n", "2"), True, False),
+    (("energy", "cross"), ("A", "B"), False, False),
+    (("structure", "levels"), ("A",), False, True),
+    (("structure", "komity"), ("A",), False, False),
+    (("structure", "comity"), ("A",), True, True),
+    (("structure", "doubling"), ("A",), False, False),
+    (("structure", "fibers"), ("A", "--h", "100"), False, True),
+    (("structure", "martingale"), ("A", "--h", "100", "--k", "100"), True, False),
+    (("nullity-sim",), ("--input", "A", "--d", "2", "--trials", "1", "--seed", "1"), True, True),
+    (("selftest",), (), False, False),
+]
+
+
+def _leaf_names(parser, prefix=()):
+    """Command paths of every leaf parser, walked from the subparsers."""
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        return [prefix]
+    return [
+        name
+        for key, sub in subs[0].choices.items()
+        for name in _leaf_names(sub, prefix + (key,))
+    ]
+
+
+class TestLeafFlags:
+    def test_table_covers_every_leaf(self):
+        assert sorted(_leaf_names(cli._build_parser())) == sorted(c for c, *_ in LEAVES)
+
+    @pytest.mark.parametrize("command, args, force, csv_form", LEAVES,
+                             ids=[" ".join(c) for c, *_ in LEAVES])
+    def test_leaf_accepts_only_the_flags_it_honours(self, command, args, force, csv_form):
+        parser = cli._build_parser()
+        argv = [*command, *args]
+        for extra, honoured in [
+            ((), True),
+            (("--format", "json"), True),
+            (("--format", "text"), True),
+            (("--force",), force),
+            (("--format", "csv"), csv_form),
+        ]:
+            if honoured:
+                parser.parse_args([*argv, *extra])
+            else:
+                with pytest.raises(cli._UsageError):
+                    parser.parse_args([*argv, *extra])
+
+    def test_rejected_flag_stops_before_any_work(self, cap_file, tmp_path, capsys):
+        table = tmp_path / "T.tbl"
+        code, out, _ = run_cli(
+            capsys, "fourier", "transform", cap_file, "--out", str(table), "--format", "csv"
+        )
+        assert (code, out) == (1, "")
+        assert not table.exists()
+        assert run_cli(capsys, "capset", "verify", cap_file, "--force")[:2] == (1, "")
 
 
 class TestEnergyCommands:

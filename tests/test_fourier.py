@@ -14,7 +14,6 @@ from tricap import (
     SpectrumTable,
     Subspace,
     TritVector,
-    balanced_transform,
     count_line_solutions,
     cube_sum,
     eval_at,
@@ -109,21 +108,6 @@ class TestCubeSum:
         assert cube_sum(bad) == Eisenstein(3**5 * lines, 0)
 
 
-class TestBalanced:
-    @given(small_sets)
-    def test_balanced_zeroes_dc_term(self, ps):
-        table = balanced_transform(ps)
-        assert table.coefficient(TritVector.zero(ps.n)) == Eisenstein(0, 0)
-
-    def test_balanced_scales_nonzero_terms(self):
-        ps = random_point_set(3, 9, 4)
-        plain = transform_point_set(ps)
-        bal = balanced_transform(ps)
-        for v in all_vectors(3):
-            if not v.is_zero():
-                assert bal.coefficient(v) == plain.coefficient(v) * 27
-
-
 class TestRestrictedTransform:
     @given(small_sets, st.lists(st.text(alphabet="012", min_size=4, max_size=4), max_size=4))
     @example(random_point_set(4, 20, 8), ["1000"])
@@ -163,34 +147,28 @@ class TestTableIO:
         assert np.array_equal(back.p, table.p)
         assert np.array_equal(back.q, table.q)
 
-    @pytest.mark.parametrize("size", [0, 1, 40])
-    def test_balanced_roundtrip(self, size):
-        # a balanced table keeps the source size but stores c(0) = 0
-        table = balanced_transform(random_point_set(5, size, 99))
-        buf = io.BytesIO()
-        save_table(table, buf)
-        back = load_table(io.BytesIO(buf.getvalue()))
-        assert back.source_size == size
-        assert np.array_equal(back.p, table.p)
-        assert np.array_equal(back.q, table.q)
-
     @pytest.mark.parametrize(
         "fault",
         ["negative-n", "n-40", "n-20", "n-above-hard-max", "trailing-byte",
-         "source-size-mismatch", "short-header"],
+         "source-size-mismatch", "short-header", "zero-c0"],
     )
     def test_hostile_dump_rejected(self, fault):
-        # a valid dump of a 5-point set at n = 2, then one fault per case
+        # a valid dump of a 5-point set at n = 2, then one fault per case;
+        # zero-c0 keeps the header of a 40-point set at n = 5 but stores
+        # c(0) = 0, as a zero-mean table would
+        ps = random_point_set(5, 40, 99) if fault == "zero-c0" else random_point_set(2, 5, 1)
         buf = io.BytesIO()
-        save_table(transform_point_set(random_point_set(2, 5, 1)), buf)
+        save_table(transform_point_set(ps), buf)
         magic, body = buf.getvalue()[:8], buf.getvalue()[20:]
+        if fault == "zero-c0":
+            body = bytes(8) + body[8:]
         head = {
             "negative-n": (-1, 5),
             "n-40": (40, 5),
             "n-20": (20, 5),
             "n-above-hard-max": (fourier.TRANSFORM_HARD_MAX_N + 1, 5),
             "source-size-mismatch": (2, 999),
-        }.get(fault, (2, 5))
+        }.get(fault, (ps.n, ps.size))
         data = magic + struct.pack("<iq", *head) + body
         if fault == "trailing-byte":
             data += b"\0"

@@ -1,6 +1,7 @@
 from fractions import Fraction
 from math import isqrt
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -11,12 +12,15 @@ from tricap import (
     SELFTEST_SEED,
     Subspace,
     TritVector,
+    bulk,
     coset_counts,
     extract_spectrum,
     greedy_random_capset,
+    make_rng,
     random_point_set,
     sampled_increment_checks,
     scan_codim1_increments,
+    spectrum,
     strong_increment_check,
     subspace_spectrum_stats,
     transform_point_set,
@@ -33,6 +37,32 @@ small_sets = st.tuples(st.integers(3, 5), st.integers(0, 99_999)).map(
 def _hyperplane(n: int) -> PointSet:
     w = Subspace.span([TritVector.unit(n, i) for i in range(1, n)])
     return PointSet.from_vectors(w.enumerate_points())
+
+
+def _digit_rows(indices, n: int) -> np.ndarray:
+    """Digits of canonical indices, one row each, coordinate 0 first."""
+    return np.asarray(indices, dtype=np.int64)[:, None] // 3 ** np.arange(n - 1, -1, -1) % 3
+
+
+def _row_indices(rows: np.ndarray, n: int) -> np.ndarray:
+    return rows @ 3 ** np.arange(n - 1, -1, -1)
+
+
+def _on_affine_coset(n: int, codim: int, seed: int) -> PointSet:
+    """A third of the points x with x . F = t, F random of rank codim.
+
+    t is nonzero, so the coset misses the origin.
+    """
+    rng = np.random.default_rng(seed)
+    while True:
+        f = rng.integers(0, 3, size=(codim, n))
+        if oracles.naive_rank(f.tolist()) == codim:
+            break
+    t = rng.integers(0, 3, size=codim)
+    t[0] = t[0] or 1
+    cube = _digit_rows(np.arange(3**n), n)
+    coset = np.flatnonzero((cube @ f.T % 3 == t).all(axis=1))
+    return PointSet(n, rng.choice(coset, size=max(3, coset.size // 3), replace=False))
 
 
 class TestSpectrumLookups:
@@ -184,6 +214,106 @@ class TestIncrements:
         a = sampled_increment_checks(spec, 2, 10, 42)
         b = sampled_increment_checks(spec, 2, 10, 42)
         assert a == b
+
+
+class TestIncrementOracles:
+    """The increment family against brute-force coset counts."""
+
+    @pytest.mark.parametrize("n, codim, seed", [
+        (6, 2, 1), (7, 3, 2), (8, 2, 3), (9, 3, 4), (10, 1, 5), (11, 1, 6), (11, 2, 7),
+    ])
+    def test_sampled_checks_match_brute_force(self, n, codim, seed):
+        ps = _on_affine_coset(n, codim, seed)
+        spec = extract_spectrum(ps, Fraction(3**n, ps.size))
+        samples = 6
+        reports = sampled_increment_checks(spec, codim, samples, seed)
+        assert reports
+        cube = _digit_rows(np.arange(3**n), n)
+        points = _digit_rows(ps.indices, n)
+        pos = 0
+        for s in range(samples):
+            # the draw of sampled_increment_checks: stream (seed, 31, s)
+            picks = make_rng(seed, 31, s).choice(
+                spec.members.indices, size=min(codim, spec.size), replace=False
+            )
+            funcs = _digit_rows(picks, n)
+            k = oracles.naive_rank(funcs.tolist())
+            if not (1 <= k and 2 * k <= n):
+                continue
+            in_v = (cube @ funcs.T % 3 == 0).all(axis=1)  # the direction V
+            threshold = Fraction(ps.size, 3**n) * (1 + Fraction(20 * k, n))
+            profiles = [tuple(r) for r in (points @ funcs.T % 3).tolist()]
+            want = {
+                t for t in set(profiles)
+                if Fraction(profiles.count(t), 3 ** (n - k)) >= threshold
+            }
+            seen = set()
+            for rep in reports[pos : pos + len(want)]:
+                assert (rep.codim, rep.threshold) == (k, threshold)
+                basis = _digit_rows([TritVector.from_string(b).index for b in rep.basis], n)
+                assert in_v[_row_indices(basis, n)].all()
+                assert oracles.naive_rank(basis.tolist()) == n - k
+                shift = np.array(oracles.digits(rep.shift))
+                seen.add(tuple((funcs @ shift % 3).tolist()))
+                on_coset = in_v[_row_indices((points - shift) % 3, n)]
+                assert rep.density == Fraction(int(on_coset.sum()), 3 ** (n - k))
+            # the reported cosets are exactly those at or above the threshold
+            assert seen == want
+            pos += len(want)
+        assert pos == len(reports)
+
+    def test_scan_matches_brute_force_hyperplanes(self):
+        # three points, not on a line, lie on (3^8 - 1) / 2 affine hyperplanes
+        # of F_3^10, and each is an increment: it needs ceil(3 (1 + 20/10) / 3) = 3
+        ps = random_point_set(10, 3, 11)
+        pts = tuples_of(ps)
+        assert any(x % 3 for x in map(sum, zip(*pts)))
+        reports = scan_codim1_increments(ps)
+        assert len(reports) == 3280
+        assert len({(r.basis, r.shift) for r in reports}) == 3280
+        for rep in reports:
+            basis = [oracles.digits(b) for b in rep.basis]
+            shift = oracles.digits(rep.shift)
+            count = sum(
+                oracles.naive_rank(basis + [oracles.vec_sub(a, shift)]) == 9 for a in pts
+            )
+            assert rep.codim == 1 and len(basis) == 9
+            assert rep.density == Fraction(count, 3**9) == Fraction(3, 3**9)
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_canonical_ranges_keep_the_smaller_of_x_and_2x(self, n):
+        got = [i for r in spectrum._canonical_ranges(n) for i in r]
+        neg = [oracles.point_index(oracles.vec_neg(d)) for d in oracles.all_points(n)]
+        assert got == [i for i in range(1, 3**n) if i <= neg[i]]
+
+    def test_one_pass_over_the_set_per_sample(self, monkeypatch):
+        ps = greedy_random_capset(8, 3)
+        spec = extract_spectrum(ps, 1)
+        sizes = []
+        real = bulk.dot_labels
+
+        def spy(lo, hi, basis):
+            sizes.append(lo.size)
+            return real(lo, hi, basis)
+
+        monkeypatch.setattr(bulk, "dot_labels", spy)
+        samples = 7
+        sampled_increment_checks(spec, 3, samples, 5)
+        # per sample one labelling of A, then one of the 3^dim W shifts
+        assert ps.size not in (3, 9, 27)
+        assert sizes[::2] == [ps.size] * samples
+        assert sizes[1::2] == [27] * samples
+
+    def test_empty_set_has_no_increment(self):
+        empty = PointSet(6, [])
+        spec = extract_spectrum(empty, 1)
+        assert spec.size == 3**6 - 1
+        assert sampled_increment_checks(spec, 1, 2, 5) == []
+        assert scan_codim1_increments(empty) == []
+        plane = Subspace.span([TritVector.unit(6, i) for i in range(1, 6)])
+        rep = strong_increment_check(empty, AffineSubspace(plane, TritVector.zero(6)))
+        assert rep.density == rep.threshold == 0
+        assert not rep.is_increment
 
 
 class TestSubspaceStats:
