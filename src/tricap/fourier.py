@@ -13,14 +13,19 @@ slower path takes over, never a wrapped value:
   * Butterfly passes. With peak the largest input component, every
     intermediate component stays within 2 * peak * 3^n (|c| grows at
     most 3x per pass from sqrt(3) * peak, and a component is at most
-    2 / sqrt(3) times |c|). The passes run in int32 when that bound is
+    2 / sqrt(3) times |c|). _kernel_dtype picks int32 when that bound is
     below 2^31 (every indicator transform up to TRANSFORM_HARD_MAX_N),
-    in int64 below 2^63, and on Python-int object arrays otherwise.
-    Tables are widened to int64 afterwards, so a SpectrumTable is
-    always int64 or object. restricted_transform feeds the passes a
-    histogram of dot profiles; its entries are at most |A|, so
-    _kernel_dtype(|A|, dim W) picks an exact dtype there too.
-  * Norms p^2 - p q + q^2 are int64 when 3 * peak^2 < 2^62.
+    int64 below 2^63, and Python-int object arrays otherwise. A
+    SpectrumTable, and the planes inverse_table returns, keep that
+    dtype: an indicator table is int32, 4 bytes a cell per plane.
+    restricted_transform feeds the passes a histogram of dot profiles;
+    its entries are at most |A|, so _kernel_dtype(|A|, dim W) picks an
+    exact dtype there too.
+  * Consumers of int32 and int64 tables (norms, the cube sum, the binary
+    dump) widen _BLOCK cells at a time into int64 scratch, so no
+    full-size int64 copy of a plane is made.
+  * Norms p^2 - p q + q^2 of int32 and int64 tables are int64 when
+    3 * peak^2 < 2^62.
   * Exact sums go through bulk.exact_sum, which adds int64 arrays in
     chunks of fewer than 2^62 / max entries each; the norm total is a
     single int64 sum when size * max_norm < 2^62.
@@ -67,10 +72,11 @@ __all__ = [
 ]
 
 TRANSFORM_GUARD_N = 14
-TRANSFORM_HARD_MAX_N = 16  # 2 * 8 bytes * 3^16 ~ 0.7 GB of table
+TRANSFORM_HARD_MAX_N = 16  # the passes hold 4 int32 planes and 2 rows of 3^15: 0.8 GB
 
 _INT32_LIMIT = 1 << 31
 _INT64_LIMIT = 1 << 63
+_BLOCK = 1 << 16  # cells per int64 scratch block: 512 KB per plane
 
 
 def _check_guard(n: int, force: bool) -> None:
@@ -130,29 +136,26 @@ def _pass(src, dst, d, e, s: int, inverse: bool) -> None:
 
 
 def _butterfly(p: np.ndarray, q: np.ndarray, n: int, inverse: bool):
-    """Run the n butterfly passes over copies of (p, q); int64 or object out.
+    """Run the n butterfly passes over copies of (p, q).
 
-    A pass is fast when the digit it transforms has a long contiguous
-    trailing block, so the leading half of the digits is transformed in
-    place, the layout is rotated to bring the other half to the front,
-    that half is transformed, and the layout is rotated back. Two plane
-    pairs ping-pong and two scratch rows hold the shared differences, so
-    a pass allocates nothing.
+    The passes and the returned planes use _kernel_dtype(peak, n): int32,
+    int64 or object, whichever is proved exact for these inputs; nothing
+    is widened afterwards. A pass is fast when the digit it transforms
+    has a long contiguous trailing block, so the leading half of the
+    digits is transformed in place, the layout is rotated to bring the
+    other half to the front, that half is transformed, and the layout is
+    rotated back. Two plane pairs ping-pong and two scratch rows hold the
+    shared differences, so a pass allocates nothing.
     """
     dtype = _kernel_dtype(bulk.peak(p, q), n)
-    wide = object if dtype is object else np.int64
     planes = (p.astype(dtype), q.astype(dtype))
     spare = (np.empty_like(planes[0]), np.empty_like(planes[1]))
     d = np.empty(3**n // 3, dtype=dtype)
     e = np.empty_like(d)
-    for k, last in ((n // 2, False), (n - n // 2, True)):
+    for k in (n // 2, n - n // 2):
         for j in range(k):
             _pass(planes, spare, d, e, 3 ** (n - 1 - j), inverse)
             planes, spare = spare, planes
-        if last:
-            # the final rotation also widens into the result planes
-            del spare, d, e
-            spare = (np.empty(3**n, dtype=wide), np.empty(3**n, dtype=wide))
         # rotate the k transformed digits from the front to the back
         for src, dst in zip(planes, spare):
             np.copyto(dst.reshape(3 ** (n - k), 3**k), src.reshape(3**k, 3 ** (n - k)).T)
@@ -160,8 +163,33 @@ def _butterfly(p: np.ndarray, q: np.ndarray, n: int, inverse: bool):
     return planes
 
 
+def _int64_blocks(*planes: np.ndarray):
+    """(start, stop, blocks): int64 copies of plane[start:stop], _BLOCK at a time.
+
+    The blocks are scratch rows reused from one step to the next, so a
+    caller must be done with them before it asks for the next step.
+    """
+    size = planes[0].size
+    scratch = [np.empty(min(size, _BLOCK), dtype=np.int64) for _ in planes]
+    for start in range(0, size, _BLOCK):
+        stop = min(size, start + _BLOCK)
+        blocks = [buf[: stop - start] for buf in scratch]
+        for src, dst in zip(planes, blocks):
+            np.copyto(dst, src[start:stop])
+        yield start, stop, blocks
+
+
+def _fixed_width(*planes: np.ndarray) -> bool:
+    """True for signed fixed-width planes, which widen to int64 exactly."""
+    return all(a.dtype.kind == "i" for a in planes)
+
+
 class SpectrumTable:
-    """Dense table of c(x) for every frequency x, canonical index order."""
+    """Dense table of c(x) for every frequency x, canonical index order.
+
+    The planes p and q keep the dtype the transform kernel ran in (see
+    _kernel_dtype); an indicator table is int32.
+    """
 
     __slots__ = ("n", "p", "q", "source_size")
 
@@ -181,10 +209,26 @@ class SpectrumTable:
         return Eisenstein(int(self.p[index]), int(self.q[index]))
 
     def norms(self) -> np.ndarray:
-        """eis_norm(c(x)) per frequency; int64 when provably safe."""
+        """eis_norm(c(x)) per frequency; int64 when provably safe.
+
+        Int32 and int64 planes go int64 when 3 * peak^2 < 2^62: the norm is
+        built as p (p - q) + q^2, whose partial terms stay within
+        3 * peak^2, one _BLOCK of cells at a time into the output. The
+        ufuncs read the planes with an int64 loop, so only q^2 needs a
+        scratch block.
+        """
         p, q = self.p, self.q
-        if p.dtype == np.int64 and 3 * bulk.peak(p, q) ** 2 < bulk.INT64_SAFE:
-            return p * p - p * q + q * q
+        if _fixed_width(p, q) and 3 * bulk.peak(p, q) ** 2 < bulk.INT64_SAFE:
+            out = np.empty(p.size, dtype=np.int64)
+            scratch = np.empty(min(p.size, _BLOCK), dtype=np.int64)
+            for start in range(0, p.size, _BLOCK):
+                a, b = p[start : start + _BLOCK], q[start : start + _BLOCK]
+                o, sq = out[start : start + _BLOCK], scratch[: a.size]
+                np.subtract(a, b, out=o, dtype=np.int64)
+                np.multiply(o, a, out=o)
+                np.multiply(b, b, out=sq, dtype=np.int64)
+                o += sq
+            return out
         po = p.astype(object)
         qo = q.astype(object)
         return po * po - po * qo + qo * qo
@@ -199,13 +243,19 @@ class SpectrumTable:
 
 
 def transform_table(f, n: int, force: bool = False) -> SpectrumTable:
-    """Transform an arbitrary integer function given as a dense array."""
+    """Transform an arbitrary integer function given as a dense array.
+
+    Any integer dtype, or an object array of Python ints, goes to the
+    kernel as it is: _kernel_dtype reads the exact peak, so an unsigned
+    input at or above 2^63 runs on Python ints instead of wrapping.
+    """
     _check_guard(n, force)
     f = np.asarray(f)
     if f.shape != (3**n,):
         raise ValueError("input array must have length 3^n")
-    p = f if f.dtype == object else f.astype(np.int64, copy=False)
-    p, q = _butterfly(p, np.zeros(p.shape, dtype=np.int8), n, inverse=False)
+    if f.dtype != object and f.dtype.kind not in "biu":
+        raise ValueError(f"input array must hold integers, not {f.dtype}")
+    p, q = _butterfly(f, np.zeros(f.shape, dtype=np.int8), n, inverse=False)
     return SpectrumTable(n, p, q)
 
 
@@ -225,6 +275,8 @@ def transform_point_set(ps: PointSet, force: bool = False) -> SpectrumTable:
 def inverse_table(table: SpectrumTable, force: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """Exact inverse as an (p, q) Eisenstein value pair per point.
 
+    The arrays have the dtype _kernel_dtype picks for the table's peak,
+    int32, int64 or object, like the table a forward transform returns.
     Raises IdentityViolationError if the final division by 3^n is not
     exact; for a table produced by transform_table the q plane comes
     back identically zero and p equals the original input bit for bit.
@@ -232,7 +284,7 @@ def inverse_table(table: SpectrumTable, force: bool = False) -> tuple[np.ndarray
     _check_guard(table.n, force)
     scale = 3**table.n
     p, q = _butterfly(table.p, table.q, table.n, inverse=True)
-    # % and // are exact on int64 and on Python-int object arrays alike
+    # % and // are exact on int32, int64 and Python-int object arrays alike
     if (p % scale).any() or (q % scale).any():
         raise IdentityViolationError("inverse divisibility", "remainder", 0)
     return p // scale, q // scale
@@ -250,16 +302,26 @@ def cube_sum(ps: PointSet, force: bool = False) -> Eisenstein:
 
 
 def _cube_total(table: SpectrumTable) -> Eisenstein:
-    """sum_x c(x)^3 over a whole table, exactly."""
+    """sum_x c(x)^3 over a whole table, exactly.
+
+    (p + q w)^3 = (p^3 + q^3 - 3 p q^2) + 3 p q (p - q) w; every partial
+    result is at most 6 peak^3 in size. Int32 and int64 planes below
+    8 * peak^3 < 2^62 are cubed in int64 one _BLOCK at a time; anything
+    else runs on Python ints.
+    """
     p, q = table.p, table.q
     bound = 8 * bulk.peak(p, q) ** 3
-    if p.dtype != np.int64 or bound >= bulk.INT64_SAFE:
+    if not _fixed_width(p, q) or bound >= bulk.INT64_SAFE:
         p, q = p.astype(object), q.astype(object)
-    # (p + q w)^3 = (p^3 + q^3 - 3 p q^2) + 3 p q (p - q) w; every partial
-    # result is at most 6 peak^3 in size, below the int64 bound checked above
-    re = p**3 + q**3 - 3 * p * q**2
-    im = 3 * p * q * (p - q)
-    return Eisenstein(bulk.exact_sum(re, bound), bulk.exact_sum(im, bound))
+        re = p**3 + q**3 - 3 * p * q**2
+        im = 3 * p * q * (p - q)
+        return Eisenstein(bulk.exact_sum(re), bulk.exact_sum(im))
+    re_total = im_total = 0
+    for _, _, (a, b) in _int64_blocks(p, q):
+        ab = a * b
+        re_total += bulk.exact_sum(a * a * a + b * b * b - 3 * ab * b, bound)
+        im_total += bulk.exact_sum(3 * ab * (a - b), bound)
+    return Eisenstein(re_total, im_total)
 
 
 def eval_at(ps: PointSet, x: TritVector) -> Eisenstein:
@@ -289,17 +351,22 @@ _MAGIC = b"TCAPF3T1"
 
 
 def save_table(table: SpectrumTable, fh: BinaryIO | str) -> None:
-    """Binary dump: magic, n, then int64 p and q arrays, little endian."""
+    """Binary dump: magic, n, then int64 p and q arrays, little endian.
+
+    Int32 and int64 tables write the same bytes: the planes are widened
+    to <i8 one _BLOCK at a time. Object tables have no binary form.
+    """
     if isinstance(fh, str):
         with open(fh, "wb") as real:
             save_table(table, real)
         return
-    if table.p.dtype != np.int64:
+    if not _fixed_width(table.p, table.q):
         raise ValueError("object-precision tables have no binary form")
     fh.write(_MAGIC)
     fh.write(struct.pack("<iq", table.n, -1 if table.source_size is None else table.source_size))
-    fh.write(table.p.astype("<i8").tobytes())
-    fh.write(table.q.astype("<i8").tobytes())
+    for plane in (table.p, table.q):
+        for _, _, (block,) in _int64_blocks(plane):
+            fh.write(block.astype("<i8", copy=False).tobytes())
 
 
 def load_table(fh: BinaryIO | str) -> SpectrumTable:

@@ -134,8 +134,7 @@ def extract_spectrum(
     c = Fraction(threshold_c)
     if c < 0:
         raise ValueError("threshold must be nonnegative")
-    table = transform_point_set(ps, force=force)
-    norms = table.norms()
+    norms = transform_point_set(ps, force=force).norms()
     # norm >= ceil(c_num^2 |A|^4 / (3^(2n) c_den^2)), exact integer form
     num = c.numerator**2 * ps.size**4
     den = 3 ** (2 * ps.n) * c.denominator**2
@@ -150,7 +149,9 @@ def _level_counts(p, q, size: int):
     """(k0, k1, k2) with k0 - k2 = p, k1 - k2 = q and k0 + k1 + k2 = size.
 
     The level-set sizes of a functional whose coefficient is p + q*w;
-    works on Python ints and elementwise on integer arrays alike.
+    works on Python ints and elementwise on integer arrays alike. An int32
+    slice of an indicator table stays exact: size - p - q = 3 * k2, so
+    every value here is within 3|A| <= 3^17 < 2^31 for |A| <= 3^16.
     """
     rem = size - p - q
     if np.any(rem % 3):

@@ -1,3 +1,4 @@
+import io
 import itertools
 import tracemalloc
 from fractions import Fraction
@@ -261,6 +262,15 @@ class TestSetFiles:
         path = tmp_path / "s.txt"
         save_point_set(ps, path)
         assert load_point_set(path) == ps
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_text_is_the_trit_vector_strings(self, n):
+        # the first and last index pin the leading and trailing digits
+        rest = random_point_set(n, min(3**n, 200), n).indices
+        for ps in (PointSet(n, np.concatenate(([0, 3**n - 1], rest))), PointSet(n, [])):
+            buf = io.StringIO()
+            save_point_set(ps, buf)
+            assert buf.getvalue() == f"n={n}\n" + "".join(f"{v}\n" for v in ps.vectors())
 
     def test_rejects_missing_header(self, tmp_path):
         path = tmp_path / "bad.txt"

@@ -1,5 +1,6 @@
 import io
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from tricap import (
     count_line_solutions,
     cube_sum,
     eval_at,
+    extract_spectrum,
     greedy_random_capset,
     inverse_table,
     load_table,
@@ -147,6 +149,29 @@ class TestTableIO:
         assert np.array_equal(back.p, table.p)
         assert np.array_equal(back.q, table.q)
 
+    @pytest.mark.parametrize("block", [5, 1 << 16])
+    def test_int32_table_dumps_as_its_int64_copy(self, monkeypatch, block):
+        # the dump widens block by block; 5 cuts 3^5 cells into ragged blocks
+        monkeypatch.setattr(fourier, "_BLOCK", block)
+        table = transform_point_set(random_point_set(5, 40, 99))
+        assert table.p.dtype == table.q.dtype == np.int32
+        wide = SpectrumTable(
+            table.n, table.p.astype(np.int64), table.q.astype(np.int64), table.source_size
+        )
+        narrow_buf, wide_buf = io.BytesIO(), io.BytesIO()
+        save_table(table, narrow_buf)
+        save_table(wide, wide_buf)
+        assert narrow_buf.getvalue() == wide_buf.getvalue()
+        back = load_table(io.BytesIO(narrow_buf.getvalue()))
+        assert back.p.dtype == back.q.dtype == np.int64
+        assert np.array_equal(back.p, table.p) and np.array_equal(back.q, table.q)
+        assert back.source_size == table.source_size
+
+    def test_object_table_has_no_dump(self):
+        p = np.zeros(27, dtype=object)
+        with pytest.raises(ValueError):
+            save_table(SpectrumTable(3, p, p), io.BytesIO())
+
     @pytest.mark.parametrize(
         "fault",
         ["negative-n", "n-40", "n-20", "n-above-hard-max", "trailing-byte",
@@ -213,11 +238,12 @@ class TestOverflowBounds:
 
     @pytest.mark.parametrize("above", [False, True])
     def test_int32_passes(self, above):
-        # 2 * peak * 3^n < 2^31 runs the butterflies in int32
+        # 2 * peak * 3^n < 2^31 runs the butterflies in int32, and the
+        # table keeps the kernel's dtype
         c = _largest(lambda c: 2 * c * 3**self.N < 2**31) + above
         assert fourier._kernel_dtype(c, self.N) is (np.int64 if above else np.int32)
         table, _ = self.exact_table([c * t for t in self.PATTERN])
-        assert table.p.dtype == np.int64
+        assert table.p.dtype == table.q.dtype == (np.int64 if above else np.int32)
 
     @pytest.mark.parametrize("above", [False, True])
     def test_int64_object_switch(self, above):
@@ -226,6 +252,22 @@ class TestOverflowBounds:
         assert fourier._kernel_dtype(c, self.N) is (object if above else np.int64)
         table, _ = self.exact_table([c * t for t in self.PATTERN])
         assert table.p.dtype == (object if above else np.int64)
+
+    @pytest.mark.parametrize(
+        "dtype, base", [(np.bool_, 0), (np.int8, 0), (np.uint16, 0), (np.uint64, 2**63)]
+    )
+    def test_integer_dtypes_enter_the_kernel_exactly(self, dtype, base):
+        # an unsigned input at or above 2^63 reaches the object tier unwrapped
+        values = [base + abs(t) for t in self.PATTERN]
+        table = transform_table(np.array(values, dtype=dtype), self.N)
+        assert table.p.dtype == fourier._kernel_dtype(base + 1, self.N)
+        assert [(int(p), int(q)) for p, q in zip(table.p, table.q)] == oracles.naive_transform(
+            values, self.N
+        )
+
+    def test_non_integer_input_rejected(self):
+        with pytest.raises(ValueError):
+            transform_table(np.full(27, 0.5), self.N)
 
     def test_inputs_beyond_int64(self):
         table, _ = self.exact_table([2**70 * t for t in self.PATTERN])
@@ -257,6 +299,52 @@ class TestOverflowBounds:
             -3 * 27 * c**3, -6 * 27 * c**3
         )
 
+    @pytest.mark.parametrize("block", [5, 1 << 16])
+    @pytest.mark.parametrize("dtype", [np.int32, np.int64])
+    @pytest.mark.parametrize("above", [False, True])
+    def test_norms_int64_object_switch(self, monkeypatch, block, dtype, above):
+        # 3 * peak^2 < 2^62 keeps the norms int64 for int32 and int64 planes
+        # alike; q = -p reaches the largest norm, 3 peak^2
+        monkeypatch.setattr(fourier, "_BLOCK", block)
+        c = _largest(lambda c: 3 * c**2 < 2**62) + above
+        p = np.array([c * t for t in self.PATTERN], dtype=dtype)
+        q = np.roll(-p, 1)
+        q[0] = -p[0]
+        norms = SpectrumTable(self.N, p, q).norms()
+        assert norms.dtype == (object if above else np.int64)
+        assert [int(v) for v in norms] == [
+            oracles.e_norm((int(a), int(b))) for a, b in zip(p, q)
+        ]
+        assert max(norms) == 3 * c**2
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.int64])
+    def test_cube_sum_where_int64_would_wrap(self, dtype):
+        # the smallest peak whose worst partial term, 6 peak^3 in the omega
+        # part of (c, -c), passes 2^63; a looser bound would wrap here
+        c = _largest(lambda c: 6 * c**3 < 2**63) + 1
+        p = np.full(27, c, dtype=dtype)
+        assert fourier._cube_total(SpectrumTable(self.N, p, -p)) == Eisenstein(
+            -3 * 27 * c**3, -6 * 27 * c**3
+        )
+
+    @pytest.mark.parametrize("block", [5, 1 << 16])
+    @pytest.mark.parametrize("dtype", [np.int32, np.int64])
+    def test_cube_total_on_fixed_width_planes(self, monkeypatch, block, dtype):
+        # a table of a signed function, held in either dtype and cubed in
+        # ragged int64 blocks, against the cubes of the oracle's table
+        monkeypatch.setattr(fourier, "_BLOCK", block)
+        values = [(5 * i * i + 3 * i) % 11 - 5 for i in range(27)]
+        want = oracles.naive_transform(values, self.N)
+        table = SpectrumTable(
+            self.N,
+            np.array([z[0] for z in want], dtype=dtype),
+            np.array([z[1] for z in want], dtype=dtype),
+        )
+        cubes = [oracles.e_mul(oracles.e_mul(z, z), z) for z in want]
+        expect = Eisenstein(sum(z[0] for z in cubes), sum(z[1] for z in cubes))
+        assert fourier._cube_total(table) == expect
+        assert fourier._cube_total(transform_table(np.array(values), self.N)) == expect
+
     @pytest.mark.parametrize("above", [False, True])
     def test_norm_total_int64_sum(self, above):
         # a constant table c has size * max_norm = 27 c^2; below 2^62 it is
@@ -265,3 +353,32 @@ class TestOverflowBounds:
         table, want = self.exact_table([c * t for t in self.DELTA])
         assert table.norms().dtype == np.int64
         assert table.norm_total() == sum(oracles.e_norm(z) for z in want)
+
+
+class TestMemoryPeaks:
+    """Traced peaks of the dense-table paths on the n = 12 greedy cap.
+
+    An int32 table is 8 bytes a cell; the butterflies hold two plane pairs
+    and two scratch rows of 3^(n-1), about 21 bytes a cell, and the
+    consumers widen to int64 in blocks. A full-size int64 copy of a table
+    (16 bytes a cell) pushes a path past these bounds.
+    """
+
+    N = 12
+
+    @pytest.fixture(scope="class")
+    def cap(self):
+        return greedy_random_capset(self.N, 7)
+
+    @pytest.mark.parametrize(
+        "run, per_cell",
+        [(transform_point_set, 22), (plancherel_check, 22), (cube_sum, 22), (extract_spectrum, 28)],
+    )
+    def test_traced_peak(self, cap, run, per_cell):
+        tracemalloc.start()
+        try:
+            run(cap)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= per_cell * 3**self.N

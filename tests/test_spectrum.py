@@ -94,6 +94,29 @@ class TestCosetCounts:
         for v in all_vectors(ps.n)[1:8]:
             assert sum(coset_counts(ps, v)) == ps.size
 
+    def test_level_counts_on_int32_table_slices(self):
+        # an indicator table is int32; every functional's counts off its
+        # slices agree with a direct count of the dot products
+        ps = greedy_random_capset(6, 3)
+        table = transform_point_set(ps)
+        assert table.p.dtype == table.q.dtype == np.int32
+        levels = spectrum._level_counts(table.p[1:], table.q[1:], ps.size)
+        lo, hi = ps.planes()
+        want = [
+            np.bincount(bulk.dots_with(lo, hi, TritVector.from_index(6, x)), minlength=3)
+            for x in range(1, 3**6)
+        ]
+        assert np.array_equal(np.stack(levels, axis=1), np.array(want))
+
+    @pytest.mark.parametrize("level", [0, 1, 2])
+    def test_level_counts_int32_at_the_largest_set(self, level):
+        # |A| = 3^16 all on one level: size - p - q reaches 3 |A| = 3^17 < 2^31
+        size = 3**16
+        p = np.array([size if level == 0 else -size if level == 2 else 0], dtype=np.int32)
+        q = np.array([size if level == 1 else -size if level == 2 else 0], dtype=np.int32)
+        counts = spectrum._level_counts(p, q, size)
+        assert [int(k[0]) for k in counts] == [size if j == level else 0 for j in range(3)]
+
 
 class TestExtraction:
     @given(small_sets)
