@@ -9,7 +9,7 @@ lookup tables.
 Every pairwise a + b or a - b count in the package (difference
 multiplicities, sumsets, reach counts, doubling, line solutions) walks
 ``pair_sums``. It yields the canonical index of a[i] + b[j] in row
-blocks sized so a block holds about ``_PAIR_CELLS`` pairs, 8 MB per int64
+blocks sized so a block holds about ``_PAIR_CELLS`` pairs, 1 MB per int64
 temporary whatever the set sizes. Selftest's recount of E4 is the one
 exception: it stays independent of the code it checks. Swapping the two
 planes of a vector negates it, so a caller asks for a - b by passing b
@@ -39,7 +39,7 @@ __all__ = [
     "planes_to_indices",
 ]
 
-_PAIR_CELLS = 1 << 20  # pairs per block: 8 MB per int64 temporary
+_PAIR_CELLS = 1 << 17  # pairs per block: 1 MB per int64 temporary
 INT64_SAFE = 1 << 62  # every int64 fast path keeps its partial sums below this
 
 

@@ -70,6 +70,21 @@ class PointSet:
     # -- constructors ----------------------------------------------------
 
     @classmethod
+    def _from_sorted(cls, n: int, indices: np.ndarray) -> "PointSet":
+        """Take ownership of strictly increasing int64 indices in 0..3^n - 1.
+
+        Nothing is checked, sorted or copied: for callers that produce
+        such arrays themselves, such as np.flatnonzero over a 3^n mask.
+        """
+        ps = cls.__new__(cls)
+        ps.n = n
+        ps.indices = indices
+        ps.indices.setflags(write=False)
+        ps._planes = None
+        ps._bitmap = None
+        return ps
+
+    @classmethod
     def from_vectors(cls, vectors: Iterable[TritVector]) -> "PointSet":
         vs = list(vectors)
         if not vs:
@@ -275,13 +290,17 @@ def greedy_random_capset(n: int, seed: int) -> PointSet:
 
     Every point is visited once; a point joins unless it completes a line
     with two current members. The result is maximal: any point outside
-    was rejected against a subset of the final set. Memory is O(3^n);
-    n = 16 needs roughly a gigabyte and a minute.
+    was rejected against a subset of the final set. Memory is 5 bytes a
+    point of the cube: the visiting order as int32, widened to int64 one
+    chunk at a time, and the forbidden mask; 24 MB at n = 14 and 215 MB
+    at n = 16.
     """
     if not 1 <= n <= GREEDY_GUARD_N:
         raise GuardExceededError(f"greedy generation guard is n <= {GREEDY_GUARD_N}")
     rng = make_rng(seed)
-    order = rng.permutation(3**n)
+    # shuffling an int32 arange draws the same order as rng.permutation(3^n)
+    order = np.arange(3**n, dtype=np.int32)
+    rng.shuffle(order)
     forbidden = np.zeros(3**n, dtype=bool)
     cap = 1024
     mem_lo = np.zeros(cap, dtype=np.int64)
@@ -290,7 +309,7 @@ def greedy_random_capset(n: int, seed: int) -> PointSet:
     accepted: list[int] = []
     chunk = 1 << 14
     for cstart in range(0, order.size, chunk):
-        cblock = order[cstart : cstart + chunk]
+        cblock = order[cstart : cstart + chunk].astype(np.int64)
         for idx in cblock[~forbidden[cblock]]:
             if forbidden[idx]:  # may have flipped since the chunk prefilter
                 continue

@@ -109,20 +109,22 @@ def diff_multiplicity(ps: PointSet, backend: str = "auto") -> MultiplicityMap:
         table = _inverse_of_real(ps.n, transform_point_set(ps).norms())
     else:
         raise ValueError(f"unknown backend {backend!r}")
-    support = np.flatnonzero(table)
-    return MultiplicityMap(PointSet(ps.n, support), table[support])
+    support = np.flatnonzero(table)  # sorted and distinct: no copy for the PointSet
+    return MultiplicityMap(PointSet._from_sorted(ps.n, support), table[support])
 
 
 def _inverse_of_real(n: int, norms: np.ndarray) -> np.ndarray:
     """Exact inverse of a norm table: the difference multiplicities, int64.
 
-    The result is m(x) <= |A|, so the int64 cast is exact whatever dtype
-    the kernel had to use on the way.
+    The kernel runs in norms itself whenever they already have its dtype,
+    so norms is spent. The result is m(x) <= |A|, so the int64 cast is
+    exact whatever dtype the kernel had to use on the way.
     """
-    rp, rq = inverse_table(SpectrumTable(n, norms, np.zeros_like(norms)), force=True)
+    table = SpectrumTable(n, norms, np.zeros_like(norms))
+    rp, rq = inverse_table(table, force=True, overwrite=True)
     if rq.any():
         raise IdentityViolationError("real inverse", "nonzero imaginary part", 0)
-    return rp.astype(np.int64)
+    return rp.astype(np.int64, copy=False)
 
 
 def e4(ps: PointSet, backend: str = "auto") -> int:

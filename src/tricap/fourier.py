@@ -32,6 +32,12 @@ slower path takes over, never a wrapped value:
   * The cube sum is vectorised in int64 when 8 * peak^3 < 2^62; every
     partial term is at most 6 * peak^3.
 
+Memory: the passes run in place in the table's own planes, a tile of
+_TILE cells at a time (see _butterfly), so a transform holds the table,
+8 bytes a cell for an indicator, and a fixed scratch of about 2.4 MB:
+344 MB in all at n = 16. Consumers read the table in _BLOCK-cell
+blocks, and norms(start, stop) computes the norms of one block.
+
 Coefficients on a subspace W with basis w_1..w_d come from a pushforward:
 c_A(sum_i t_i w_i) = c_{pi(A)}(t) with pi(a) = (a.w_1, ..., a.w_d), so
 restricted_transform costs O(|A| d + d 3^d) and builds no 3^n table.
@@ -45,6 +51,7 @@ Identities kept loud here:
 
 from __future__ import annotations
 
+import io
 import struct
 from typing import BinaryIO
 
@@ -72,11 +79,12 @@ __all__ = [
 ]
 
 TRANSFORM_GUARD_N = 14
-TRANSFORM_HARD_MAX_N = 16  # the passes hold 4 int32 planes and 2 rows of 3^15: 0.8 GB
+TRANSFORM_HARD_MAX_N = 16  # an int32 table of 3^16 cells is 344 MB; the passes add 2.4 MB
 
 _INT32_LIMIT = 1 << 31
 _INT64_LIMIT = 1 << 63
 _BLOCK = 1 << 16  # cells per int64 scratch block: 512 KB per plane
+_TILE = 1 << 17  # cells per butterfly tile: 512 KB per int32 plane
 
 
 def _check_guard(n: int, force: bool) -> None:
@@ -135,32 +143,44 @@ def _pass(src, dst, d, e, s: int, inverse: bool) -> None:
     np.subtract(oq[kb], e, out=oq[kb])
 
 
-def _butterfly(p: np.ndarray, q: np.ndarray, n: int, inverse: bool):
-    """Run the n butterfly passes over copies of (p, q).
+def _butterfly(p: np.ndarray, q: np.ndarray, n: int, inverse: bool) -> None:
+    """Run the n butterfly passes over the planes p and q, in place.
 
-    The passes and the returned planes use _kernel_dtype(peak, n): int32,
-    int64 or object, whichever is proved exact for these inputs; nothing
-    is widened afterwards. A pass is fast when the digit it transforms
-    has a long contiguous trailing block, so the leading half of the
-    digits is transformed in place, the layout is rotated to bring the
-    other half to the front, that half is transformed, and the layout is
-    rotated back. Two plane pairs ping-pong and two scratch rows hold the
-    shared differences, so a pass allocates nothing.
+    p and q must be contiguous, of length 3^n and already in the dtype
+    _kernel_dtype proves exact for them; nothing is widened. A pass is
+    fast when the digit it transforms has a long contiguous trailing
+    block, so each plane is read as a (3^k, 3^(n-k)) matrix, k = n // 2.
+    The leading k digits index its rows: chunks of all rows and a few
+    columns, about _TILE cells, are copied into a tile, transformed
+    there and copied back. The trailing n - k digits index its columns,
+    and the same is done on the transposed matrix, so those digits lead
+    inside the tile too. Two tile pairs ping-pong and two scratch rows
+    hold the shared differences: beside the planes, the passes need
+    scratch for about 4.7 tiles, whatever n is.
     """
-    dtype = _kernel_dtype(bulk.peak(p, q), n)
-    planes = (p.astype(dtype), q.astype(dtype))
-    spare = (np.empty_like(planes[0]), np.empty_like(planes[1]))
-    d = np.empty(3**n // 3, dtype=dtype)
+    k = n // 2
+    mats = [plane.reshape(3**k, 3 ** (n - k)) for plane in (p, q)]
+    cells = min(3**n, max(_TILE, 3 ** (n - k)))
+    tiles = np.empty((2, 2, cells), dtype=p.dtype)
+    d = np.empty(cells // 3, dtype=p.dtype)
     e = np.empty_like(d)
-    for k in (n // 2, n - n // 2):
-        for j in range(k):
-            _pass(planes, spare, d, e, 3 ** (n - 1 - j), inverse)
-            planes, spare = spare, planes
-        # rotate the k transformed digits from the front to the back
-        for src, dst in zip(planes, spare):
-            np.copyto(dst.reshape(3 ** (n - k), 3**k), src.reshape(3**k, 3 ** (n - k)).T)
-        planes, spare = spare, planes
-    return planes
+    for half, digits in ((mats, k), ([m.T for m in mats], n - k)):
+        if not digits:
+            continue
+        rows, cols = half[0].shape
+        width = min(cols, max(1, _TILE // rows))
+        for start in range(0, cols, width):
+            chunk = [m[:, start : start + width] for m in half]
+            w = chunk[0].shape[1]
+            size = rows * w
+            src, dst = tiles[0, :, :size], tiles[1, :, :size]
+            for plane, tile in zip(chunk, src):
+                np.copyto(tile.reshape(rows, w), plane)
+            for j in range(digits):
+                _pass(src, dst, d[: size // 3], e[: size // 3], 3 ** (digits - 1 - j) * w, inverse)
+                src, dst = dst, src
+            for plane, tile in zip(chunk, src):
+                np.copyto(plane, tile.reshape(rows, w))
 
 
 def _int64_blocks(*planes: np.ndarray):
@@ -208,22 +228,22 @@ class SpectrumTable:
     def coefficient_at(self, index: int) -> Eisenstein:
         return Eisenstein(int(self.p[index]), int(self.q[index]))
 
-    def norms(self) -> np.ndarray:
-        """eis_norm(c(x)) per frequency; int64 when provably safe.
+    def norms(self, start: int = 0, stop: int | None = None) -> np.ndarray:
+        """eis_norm(c(x)) for the frequencies start <= x < stop; int64 when provably safe.
 
-        Int32 and int64 planes go int64 when 3 * peak^2 < 2^62: the norm is
-        built as p (p - q) + q^2, whose partial terms stay within
-        3 * peak^2, one _BLOCK of cells at a time into the output. The
-        ufuncs read the planes with an int64 loop, so only q^2 needs a
-        scratch block.
+        Int32 and int64 planes go int64 when 3 * peak^2 < 2^62, peak taken
+        over the range: the norm is built as p (p - q) + q^2, whose partial
+        terms stay within 3 * peak^2, one _BLOCK of cells at a time into
+        the output. The ufuncs read the planes with an int64 loop, so only
+        q^2 needs a scratch block.
         """
-        p, q = self.p, self.q
+        p, q = self.p[start:stop], self.q[start:stop]
         if _fixed_width(p, q) and 3 * bulk.peak(p, q) ** 2 < bulk.INT64_SAFE:
             out = np.empty(p.size, dtype=np.int64)
             scratch = np.empty(min(p.size, _BLOCK), dtype=np.int64)
-            for start in range(0, p.size, _BLOCK):
-                a, b = p[start : start + _BLOCK], q[start : start + _BLOCK]
-                o, sq = out[start : start + _BLOCK], scratch[: a.size]
+            for at in range(0, p.size, _BLOCK):
+                a, b = p[at : at + _BLOCK], q[at : at + _BLOCK]
+                o, sq = out[at : at + _BLOCK], scratch[: a.size]
                 np.subtract(a, b, out=o, dtype=np.int64)
                 np.multiply(o, a, out=o)
                 np.multiply(b, b, out=sq, dtype=np.int64)
@@ -233,13 +253,20 @@ class SpectrumTable:
         qo = q.astype(object)
         return po * po - po * qo + qo * qo
 
+    def norm_blocks(self):
+        """(start, stop, norms(start, stop)) over consecutive _BLOCK-cell ranges."""
+        size = self.p.size
+        for start in range(0, size, _BLOCK):
+            stop = min(size, start + _BLOCK)
+            yield start, stop, self.norms(start, stop)
+
     def norm_at(self, index: int) -> int:
         p, q = int(self.p[index]), int(self.q[index])
         return p * p - p * q + q * q
 
     def norm_total(self) -> int:
-        """Exact big-int sum of all coefficient norms."""
-        return bulk.exact_sum(self.norms())
+        """Exact big-int sum of all coefficient norms, a block at a time."""
+        return sum((bulk.exact_sum(norms) for _, _, norms in self.norm_blocks()), 0)
 
 
 def transform_table(f, n: int, force: bool = False) -> SpectrumTable:
@@ -255,16 +282,24 @@ def transform_table(f, n: int, force: bool = False) -> SpectrumTable:
         raise ValueError("input array must have length 3^n")
     if f.dtype != object and f.dtype.kind not in "biu":
         raise ValueError(f"input array must hold integers, not {f.dtype}")
-    p, q = _butterfly(f, np.zeros(f.shape, dtype=np.int8), n, inverse=False)
+    dtype = _kernel_dtype(bulk.peak(f), n)
+    p, q = f.astype(dtype), np.zeros(f.shape, dtype=dtype)
+    _butterfly(p, q, n, inverse=False)
     return SpectrumTable(n, p, q)
 
 
 def transform_point_set(ps: PointSet, force: bool = False) -> SpectrumTable:
-    """Character-sum table of a point set's indicator function."""
+    """Character-sum table of a point set's indicator function.
+
+    The indicator is written straight into int32 planes, the dtype
+    _kernel_dtype picks for a peak of 1 up to TRANSFORM_HARD_MAX_N, and
+    transformed in place.
+    """
     _check_guard(ps.n, force)
-    f = np.zeros(3**ps.n, dtype=np.int8)
-    f[ps.indices] = 1
-    p, q = _butterfly(f, np.zeros_like(f), ps.n, inverse=False)
+    dtype = _kernel_dtype(1, ps.n)
+    p, q = np.zeros(3**ps.n, dtype=dtype), np.zeros(3**ps.n, dtype=dtype)
+    p[ps.indices] = 1
+    _butterfly(p, q, ps.n, inverse=False)
     t = SpectrumTable(ps.n, p, q, source_size=ps.size)
     c0 = t.coefficient_at(0)
     if (c0.p, c0.q) != (ps.size, 0):
@@ -272,7 +307,9 @@ def transform_point_set(ps: PointSet, force: bool = False) -> SpectrumTable:
     return t
 
 
-def inverse_table(table: SpectrumTable, force: bool = False) -> tuple[np.ndarray, np.ndarray]:
+def inverse_table(
+    table: SpectrumTable, force: bool = False, overwrite: bool = False
+) -> tuple[np.ndarray, np.ndarray]:
     """Exact inverse as an (p, q) Eisenstein value pair per point.
 
     The arrays have the dtype _kernel_dtype picks for the table's peak,
@@ -280,14 +317,27 @@ def inverse_table(table: SpectrumTable, force: bool = False) -> tuple[np.ndarray
     Raises IdentityViolationError if the final division by 3^n is not
     exact; for a table produced by transform_table the q plane comes
     back identically zero and p equals the original input bit for bit.
+    With overwrite=True, contiguous planes that already have that dtype
+    are transformed in place and returned, so the table is spent.
     """
     _check_guard(table.n, force)
-    scale = 3**table.n
-    p, q = _butterfly(table.p, table.q, table.n, inverse=True)
+    dtype = _kernel_dtype(bulk.peak(table.p, table.q), table.n)
+    p = table.p.astype(dtype, order="C", copy=not overwrite)
+    q = table.q.astype(dtype, order="C", copy=not overwrite)
+    _butterfly(p, q, table.n, inverse=True)
+    # divide _BLOCK cells at a time in place, checking each block first;
     # % and // are exact on int32, int64 and Python-int object arrays alike
-    if (p % scale).any() or (q % scale).any():
-        raise IdentityViolationError("inverse divisibility", "remainder", 0)
-    return p // scale, q // scale
+    scale = 3**table.n
+    rem = np.empty(min(p.size, _BLOCK), dtype=dtype)
+    for plane in (p, q):
+        for start in range(0, plane.size, _BLOCK):
+            block = plane[start : start + _BLOCK]
+            r = rem[: block.size]
+            np.remainder(block, scale, out=r)
+            if r.any():
+                raise IdentityViolationError("inverse divisibility", "remainder", 0)
+            np.floor_divide(block, scale, out=block)
+    return p, q
 
 
 def plancherel_check(ps: PointSet, force: bool = False) -> tuple[int, int]:
@@ -372,9 +422,10 @@ def save_table(table: SpectrumTable, fh: BinaryIO | str) -> None:
 def load_table(fh: BinaryIO | str) -> SpectrumTable:
     """Read a save_table dump; ValueError for a bad header or length.
 
-    The dimension is checked before anything of size 3^n is read, and the
-    file must end exactly after the q plane. A recorded source size must
-    lie in 0..3^n and equal c(0).
+    The dimension is checked before anything of size 3^n is read; each
+    plane is then read straight into its int64 array, 16 bytes a cell in
+    all, and the file must end exactly after the q plane. A recorded
+    source size must lie in 0..3^n and equal c(0).
     """
     if isinstance(fh, str):
         with open(fh, "rb") as real:
@@ -389,11 +440,18 @@ def load_table(fh: BinaryIO | str) -> SpectrumTable:
     if not 0 <= n <= TRANSFORM_HARD_MAX_N:
         raise ValueError(f"table dimension {n} outside 0..{TRANSFORM_HARD_MAX_N}")
     count = 3**n
-    raw = fh.read(16 * count + 1)
-    if len(raw) != 16 * count:
-        raise ValueError(f"coefficient table body is not exactly {16 * count} bytes")
-    p = np.frombuffer(raw[: 8 * count], dtype="<i8").astype(np.int64)
-    q = np.frombuffer(raw[8 * count :], dtype="<i8").astype(np.int64)
+    wrong_length = ValueError(f"coefficient table body is not exactly {16 * count} bytes")
+    if fh.seekable():
+        # a seekable file of the wrong length is refused before 16 * 3^n
+        # bytes are allocated for it
+        start = fh.tell()
+        if fh.seek(0, io.SEEK_END) - start != 16 * count:
+            raise wrong_length
+        fh.seek(start)
+    p, q = np.empty(count, dtype="<i8"), np.empty(count, dtype="<i8")
+    # a buffered reader's readinto fills the plane unless the body ends first
+    if any(fh.readinto(plane) != plane.nbytes for plane in (p, q)) or fh.read(1):
+        raise wrong_length
     c0 = (int(p[0]), int(q[0]))
     if source != -1 and not (0 <= source <= count and c0 == (source, 0)):
         raise ValueError(f"source size {source} disagrees with c(0) = {c0}")

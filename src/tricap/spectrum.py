@@ -92,19 +92,14 @@ class IncrementReport:
 
 
 class SpectrumSet:
-    """Spectrum members with their exact coefficient norms.
+    """The spectrum members of a base set at one threshold."""
 
-    ``norms`` is parallel to ``members.indices``: norms[k] is the norm of
-    the coefficient at frequency members.indices[k].
-    """
+    __slots__ = ("base", "threshold_c", "members")
 
-    __slots__ = ("base", "threshold_c", "members", "norms")
-
-    def __init__(self, base: PointSet, threshold_c: Fraction, members: PointSet, norms: np.ndarray):
+    def __init__(self, base: PointSet, threshold_c: Fraction, members: PointSet):
         self.base = base
         self.threshold_c = threshold_c
         self.members = members
-        self.norms = norms
 
     @property
     def n(self) -> int:
@@ -118,10 +113,10 @@ class SpectrumSet:
         return Fraction(self.base.size, 3**self.base.n)
 
     def norm_of(self, x: TritVector) -> int:
-        """Exact norm at a member frequency; KeyError for a non-member."""
+        """Exact norm at a member frequency, from eval_at; KeyError for a non-member."""
         if not self.contains(x):
             raise KeyError(x.index)
-        return int(self.norms[np.searchsorted(self.members.indices, x.index)])
+        return eval_at(self.base, x).norm()
 
     def contains(self, x: TritVector) -> bool:
         return self.members.contains(x)
@@ -130,19 +125,26 @@ class SpectrumSet:
 def extract_spectrum(
     ps: PointSet, threshold_c: Fraction | int = 1, force: bool = False
 ) -> SpectrumSet:
-    """All nonzero frequencies whose coefficient passes the threshold."""
+    """All nonzero frequencies whose coefficient passes the threshold.
+
+    The membership mask is built from the table's norms one block at a
+    time, and the table is dropped before the members are listed, so the
+    peak is the table plus a byte a cell, then the mask plus the members.
+    """
     c = Fraction(threshold_c)
     if c < 0:
         raise ValueError("threshold must be nonnegative")
-    norms = transform_point_set(ps, force=force).norms()
     # norm >= ceil(c_num^2 |A|^4 / (3^(2n) c_den^2)), exact integer form
     num = c.numerator**2 * ps.size**4
     den = 3 ** (2 * ps.n) * c.denominator**2
     need = -(-num // den)
-    mask = norms >= need  # exact for any Python int need, int64 or object norms
+    table = transform_point_set(ps, force=force)
+    mask = np.empty(table.p.size, dtype=bool)
+    for start, stop, norms in table.norm_blocks():
+        mask[start:stop] = norms >= need  # exact for any Python int need
+    del table
     mask[0] = False
-    members = PointSet(ps.n, np.flatnonzero(mask))
-    return SpectrumSet(ps, c, members, norms[members.indices])
+    return SpectrumSet(ps, c, PointSet._from_sorted(ps.n, np.flatnonzero(mask)))
 
 
 def _level_counts(p, q, size: int):

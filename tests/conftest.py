@@ -14,6 +14,19 @@ settings.register_profile(
 settings.load_profile("suite")
 
 
+def pytest_addoption(parser):
+    parser.addoption("--large", action="store_true", help="also run tests marked large")
+
+
+def pytest_collection_modifyitems(config, items):
+    if config.getoption("--large"):
+        return
+    skip = pytest.mark.skip(reason="large: pass --large to run")
+    for item in items:
+        if "large" in item.keywords:
+            item.add_marker(skip)
+
+
 def tuples_of(ps: PointSet) -> list[tuple[int, ...]]:
     """Digit-tuple view of a point set, for feeding the oracles."""
     return [tuple(int(c) for c in str(v)) for v in ps.vectors()]

@@ -200,6 +200,19 @@ class TestLineCounting:
         else:
             assert (seen == 1).all()
 
+    def test_traced_peak_is_the_bitmap_plus_fixed_blocks(self):
+        # 4.2M pairs at n = 12 go in blocks of 2^17 pairs, 1 MB per int64
+        # temporary; beside the 3^n-byte membership bitmap the peak is a
+        # few such temporaries, whatever |A| is
+        ps = greedy_random_capset(12, 7)
+        tracemalloc.start()
+        try:
+            assert count_line_solutions(ps) == ps.size
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3**12 + (8 << 20)
+
     def test_single_line_counted_six_ways(self):
         ps = PointSet.from_strings(["000", "111", "222"])
         # |A| degenerate triples plus 6 orderings of the one line

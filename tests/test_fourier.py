@@ -1,3 +1,4 @@
+import functools
 import io
 import struct
 import tracemalloc
@@ -18,11 +19,13 @@ from tricap import (
     count_line_solutions,
     cube_sum,
     eval_at,
+    exhaustive_max_capset,
     extract_spectrum,
     greedy_random_capset,
     inverse_table,
     load_table,
     plancherel_check,
+    product_capset,
     random_point_set,
     restricted_transform,
     save_table,
@@ -79,6 +82,20 @@ class TestTransform:
         for v in all_vectors(ps.n)[:10]:
             assert eval_at(ps, v) == table.coefficient(v)
 
+    def test_inverse_overwrites_only_when_asked(self):
+        ps = random_point_set(4, 20, 3)
+        bm = np.zeros(81, dtype=np.int32)
+        bm[ps.indices] = 1
+        table = transform_point_set(ps)
+        kept = table.p.copy(), table.q.copy()
+        re, im = inverse_table(table)
+        assert np.array_equal(re, bm) and not im.any()
+        assert np.array_equal(table.p, kept[0]) and np.array_equal(table.q, kept[1])
+        # the inverse of a 20-point table is exact in int32, the table's own dtype
+        re, im = inverse_table(table, overwrite=True)
+        assert re is table.p and im is table.q
+        assert np.array_equal(re, bm) and not im.any()
+
     def test_arbitrary_integer_function(self):
         # transform_table accepts any integer-valued function on the cube
         f = np.arange(27, dtype=np.int64) - 13
@@ -93,6 +110,75 @@ class TestTransform:
         ps = PointSet.from_strings(["0" * 15])
         with pytest.raises(GuardExceededError):
             transform_point_set(ps)
+
+
+def _eis_outer(a, b):
+    """Planes of the Eisenstein outer product: cell i * len(b) + j is a[i] * b[j].
+
+    a and b are (p, q) plane pairs; entries stay exact in int64 or object.
+    """
+    (ap, aq), (bp, bq) = a, b
+    mul = np.multiply.outer
+    return (
+        (mul(ap, bp) - mul(aq, bq)).ravel(),
+        (mul(ap, bq) + mul(aq, bp) - mul(aq, bq)).ravel(),
+    )
+
+
+@functools.cache
+def _pattern_table(n: int):
+    """(values, naive table) of a fixed signed pattern on F_3^n, n <= 5."""
+    values = [(5 * i * i + 3 * i) % 11 - 5 for i in range(3**n)]
+    table = oracles.naive_transform(values, n)
+    return (
+        np.array(values, dtype=np.int64),
+        (np.array([z[0] for z in table]), np.array([z[1] for z in table])),
+    )
+
+
+def _pinned_function(n: int):
+    """(values, expected table) as int64 arrays, every cell from naive_transform.
+
+    Up to n = 5 the oracle transforms a non-product pattern directly; above
+    that the input is the product of two such patterns, whose table is the
+    outer product of the two oracle tables.
+    """
+    if n <= 5:
+        return _pattern_table(n)
+    (f, tf), (g, tg) = _pattern_table(n - 4), _pattern_table(4)
+    return np.multiply.outer(f, g).ravel(), _eis_outer(tf, tg)
+
+
+class TestTiledKernel:
+    """The tiled butterfly against the oracle, with tiles far below 3^n.
+
+    Tiles of 27 and 81 cells cut chunks one to three columns wide. A
+    100-cell tile cuts the 9 x 27 leading matrix at n = 5 into chunks of
+    11, 11 and 5 columns, and a 200-cell tile leaves ragged last chunks
+    (widths 7 and 2) at n = 6..8. Scaling the input by c moves it into
+    the int64 and object tiers without changing its shape.
+    """
+
+    @pytest.mark.parametrize("tile", [27, 81, 100, 200])
+    @pytest.mark.parametrize("n", range(1, 9))
+    @pytest.mark.parametrize(
+        "c, dtype",
+        [(1, np.int32), (2**31, np.int64), (2**70, object)],
+        ids=["int32", "int64", "object"],
+    )
+    def test_forward_and_inverse_match_oracle(self, monkeypatch, tile, n, c, dtype):
+        monkeypatch.setattr(fourier, "_TILE", tile)
+        values, (wp, wq) = _pinned_function(n)
+        # object arrays scale by Python ints, so 2^70 stays exact
+        scale = (lambda a: a.astype(object) * c) if dtype is object else (lambda a: a * c)
+        f = scale(values)
+        table = transform_table(f, n)
+        assert table.p.dtype == table.q.dtype == dtype
+        assert np.array_equal(table.p, scale(wp))
+        assert np.array_equal(table.q, scale(wq))
+        re, im = inverse_table(table)
+        assert np.array_equal(re, f)
+        assert not im.any()
 
 
 class TestCubeSum:
@@ -201,6 +287,32 @@ class TestTableIO:
             data = data[:15]
         with pytest.raises(ValueError):
             load_table(io.BytesIO(data))
+
+
+    @pytest.mark.parametrize("seekable", [True, False])
+    @pytest.mark.parametrize("extra", [-1, 1])
+    def test_body_length_checked(self, seekable, extra):
+        # truncated and oversized bodies; a seekable file is refused before
+        # its planes are allocated, a stream after reading them
+        buf = io.BytesIO()
+        save_table(transform_point_set(random_point_set(5, 40, 99)), buf)
+        data = buf.getvalue()[:extra] if extra < 0 else buf.getvalue() + b"\0" * extra
+        stream = io.BytesIO(data)
+        if not seekable:
+            stream.seekable = lambda: False
+        with pytest.raises(ValueError):
+            load_table(stream)
+
+    def test_short_body_at_n16_allocates_nothing(self):
+        data = fourier._MAGIC + struct.pack("<iq", 16, -1) + bytes(16)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError):
+                load_table(io.BytesIO(data))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 def _largest(ok) -> int:
@@ -358,13 +470,16 @@ class TestOverflowBounds:
 class TestMemoryPeaks:
     """Traced peaks of the dense-table paths on the n = 12 greedy cap.
 
-    An int32 table is 8 bytes a cell; the butterflies hold two plane pairs
-    and two scratch rows of 3^(n-1), about 21 bytes a cell, and the
-    consumers widen to int64 in blocks. A full-size int64 copy of a table
-    (16 bytes a cell) pushes a path past these bounds.
+    An int32 table is 8 bytes a cell. The butterflies run in place
+    beside a fixed scratch of two tile pairs and two scratch rows, about
+    2.4 MB, and the consumers read the table in fixed blocks; extraction
+    also holds a byte-a-cell mask until the table is dropped. A
+    full-size copy of a plane (4 bytes a cell or more) or a spare plane
+    pair pushes a path past these bounds.
     """
 
     N = 12
+    ALLOWANCE = 3 << 20  # fixed scratch, whatever n is
 
     @pytest.fixture(scope="class")
     def cap(self):
@@ -372,7 +487,7 @@ class TestMemoryPeaks:
 
     @pytest.mark.parametrize(
         "run, per_cell",
-        [(transform_point_set, 22), (plancherel_check, 22), (cube_sum, 22), (extract_spectrum, 28)],
+        [(transform_point_set, 8), (plancherel_check, 8), (cube_sum, 8), (extract_spectrum, 9)],
     )
     def test_traced_peak(self, cap, run, per_cell):
         tracemalloc.start()
@@ -381,4 +496,57 @@ class TestMemoryPeaks:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= per_cell * 3**self.N
+        assert peak <= per_cell * 3**self.N + self.ALLOWANCE
+
+    def test_load_reads_each_plane_in_place(self, cap, tmp_path):
+        # the two int64 planes are 16 bytes a cell; nothing else is full size
+        path = str(tmp_path / "t.bin")
+        save_table(transform_point_set(cap), path)
+        tracemalloc.start()
+        try:
+            table = load_table(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert table.source_size == cap.size
+        assert peak <= 16 * 3**self.N + (64 << 10)
+
+
+class TestProductOracle:
+    """Every cell of a product's table, n = 15 and 16, against its factors.
+
+    c_{AxB}(x, y) = c_A(x) c_B(y), so the table of a product of exact
+    maximal caps is the Eisenstein outer product of the factor tables,
+    and each factor table is pinned to oracles.naive_transform. The
+    expected values are built one cell of the leading factor at a time,
+    so the check holds no second 3^n table.
+    """
+
+    @staticmethod
+    def factor_table(n: int):
+        cap = exhaustive_max_capset(n)[1]
+        values = [0] * 3**n
+        for i in cap.indices.tolist():
+            values[i] = 1
+        want = oracles.naive_transform(values, n)
+        table = transform_point_set(cap)
+        assert [(int(p), int(q)) for p, q in zip(table.p, table.q)] == want
+        return cap, (table.p.astype(np.int64), table.q.astype(np.int64))
+
+    @pytest.mark.parametrize(
+        "dims",
+        [(4, 4, 2, 2, 3), pytest.param((4, 4, 4, 4), marks=pytest.mark.large)],
+        ids=["20^2.4^2.9-n15", "20^4-n16"],
+    )
+    def test_every_cell_is_the_outer_product(self, dims):
+        factors = {n: self.factor_table(n) for n in set(dims)}
+        ps = functools.reduce(product_capset, [factors[n][0] for n in dims])
+        table = transform_point_set(ps, force=True)
+        assert table.p.dtype == np.int32
+        rp, rq = functools.reduce(_eis_outer, [factors[n][1] for n in dims[1:]])
+        head_p, head_q = factors[dims[0]][1]
+        span = rp.size
+        for i, (a, b) in enumerate(zip(head_p.tolist(), head_q.tolist())):
+            cells = slice(i * span, (i + 1) * span)
+            assert np.array_equal(table.p[cells], a * rp - b * rq), i
+            assert np.array_equal(table.q[cells], a * rq + b * rp - b * rq), i

@@ -15,6 +15,7 @@ from tricap import (
     bulk,
     coset_counts,
     extract_spectrum,
+    fourier,
     greedy_random_capset,
     make_rng,
     random_point_set,
@@ -70,7 +71,6 @@ class TestSpectrumLookups:
     def test_norm_of_matches_table(self, ps):
         spec = extract_spectrum(ps, Fraction(1, 2))
         table = transform_point_set(ps)
-        assert spec.norms.shape == spec.members.indices.shape
         for v in all_vectors(ps.n):
             if spec.contains(v):
                 assert spec.norm_of(v) == table.norm_at(v.index)
@@ -127,6 +127,18 @@ class TestExtraction:
         for v in all_vectors(ps.n):
             inside = not v.is_zero() and Fraction(table.coefficient(v).norm()) >= bound
             assert spec.contains(v) == inside
+
+    @pytest.mark.parametrize("block", [5, 7])
+    def test_blockwise_mask_matches_every_cell(self, monkeypatch, block):
+        # ragged norm blocks: every frequency's own norm decides membership
+        monkeypatch.setattr(fourier, "_BLOCK", block)
+        ps = greedy_random_capset(5, 7)
+        table = transform_point_set(ps)
+        assert table.norm_total() == 3**5 * ps.size
+        for c in (Fraction(1, 2), Fraction(1), Fraction(2)):
+            need = c * c * ps.size**4 / 3**10
+            want = [x for x in range(1, 3**5) if table.norm_at(x) >= need]
+            assert extract_spectrum(ps, c).members.indices.tolist() == want
 
     @given(small_sets)
     def test_threshold_monotone(self, ps):
