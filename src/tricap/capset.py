@@ -200,29 +200,46 @@ def save_point_set(ps: PointSet, out: str | os.PathLike | TextIO) -> None:
 
 
 def load_point_set(path: str | os.PathLike) -> PointSet:
-    """Read a set file; malformed lines and duplicates are hard errors."""
+    """Read a set file; malformed lines and duplicates are hard errors.
+
+    The header is parsed as text and the body in one vectorised pass over
+    its ASCII bytes. The first offending line raises, with its line
+    number: a line that is not n base-3 digits, or the second occurrence
+    of a point.
+    """
     with open(path, "r", encoding="ascii") as fh:
-        lines = [ln.rstrip("\n") for ln in fh]
-    while lines and lines[-1] == "":
-        lines.pop()
-    if not lines or not lines[0].startswith("n="):
+        text = fh.read().rstrip("\n")
+    header, newline, body = text.partition("\n")
+    if not header.startswith("n="):
         raise SetFileError("first line must be n=<dim>")
     try:
-        n = int(lines[0][2:])
+        n = int(header[2:])
     except ValueError:
-        raise SetFileError(f"bad dimension in header {lines[0]!r}") from None
+        raise SetFileError(f"bad dimension in header {header!r}") from None
     if not 1 <= n <= MAX_DIM:
         raise SetFileError(f"dimension {n} outside 1..{MAX_DIM}")
-    seen: set[int] = set()
-    idx = []
-    for lineno, ln in enumerate(lines[1:], start=2):
-        if len(ln) != n or any(c not in "012" for c in ln):
-            raise SetFileError(f"line {lineno}: {ln!r} is not a base-3 string of length {n}")
-        i = int(ln, 3)
-        if i in seen:
-            raise SetFileError(f"line {lineno}: duplicate point {ln!r}")
-        seen.add(i)
-        idx.append(i)
+    if not newline:
+        return PointSet(n, [])
+    # every line, the last one included, ends at a newline of data
+    data = np.frombuffer((body + "\n").encode("ascii"), dtype=np.uint8)
+    ends = np.flatnonzero(data == ord("\n"))
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    # the lines before the first one of another length lie n + 1 bytes apart
+    wrong_length = np.flatnonzero(ends - starts != n)
+    good = int(wrong_length[0]) if wrong_length.size else ends.size
+    digits = data[: good * (n + 1)].reshape(good, n + 1)[:, :n] - ord("0")
+    bad_digit = (digits > 2).any(axis=1)  # uint8: bytes below "0" wrap past 2
+    if bad_digit.any():
+        good = int(np.argmax(bad_digit))
+    idx = digits[:good].astype(np.int64) @ 3 ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    first = np.zeros(good, dtype=bool)
+    first[np.unique(idx, return_index=True)[1]] = True
+    if not first.all():
+        line = int(np.argmin(first))
+        raise SetFileError(f"line {line + 2}: duplicate point {body[starts[line] : ends[line]]!r}")
+    if good < ends.size:
+        bad = body[starts[good] : ends[good]]
+        raise SetFileError(f"line {good + 2}: {bad!r} is not a base-3 string of length {n}")
     return PointSet(n, idx)
 
 

@@ -10,6 +10,13 @@ sorted index and count arrays. Those counts are at most |A|^(m-1), so
 they are int64 while |A|^(m-1) < 2^62, their squares while
 |A|^(2m-2) < 2^62, and Python ints past either bound.
 
+Memory: each path holds one dense table plus fixed, block-sized
+scratch. The difference multiplicities are one int64 count table of
+3^n cells, summed one fourier._BLOCK of cells at a time; the transform
+backend also holds the imaginary plane of the inverse while it runs.
+E_2m by transform holds the coefficient table and counts its distinct
+norms one block at a time, so no full-size norm array is made.
+
 All energies and inequality checks are computed in unbounded integers;
 no float enters any comparison. Floats appear only in report fields
 that carry asymptotic context (the smoothing exponent).
@@ -23,7 +30,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import bulk
+from . import bulk, fourier
 from .capset import PointSet
 from .errors import GuardExceededError, IdentityViolationError
 from .fourier import TRANSFORM_GUARD_N, SpectrumTable, inverse_table, transform_point_set
@@ -46,37 +53,54 @@ CONVOLUTION_OP_GUARD = 50_000_000
 
 
 class MultiplicityMap:
-    """Difference multiplicities of a point set, zero entries omitted.
+    """Difference multiplicities of a point set as one dense count table.
 
-    counts[k] = m(x) for x = support.indices[k], an int64 array parallel to
-    the sorted support. Every count is at most |A| <= 3^16 < 2^26, so every
-    square is below 2^52 and bulk.exact_sum adds the squares exactly.
+    table[x] = m(x) for every canonical index x of F_3^n, int64, zero off
+    the difference set; nothing else of size 3^n is kept. support and
+    counts are read off the table only when asked. Every count is at most
+    |A| <= 3^16 < 2^26, so every square is below 2^52, and energy() adds
+    the squares one fourier._BLOCK of cells at a time, exactly, through
+    bulk.exact_sum.
     """
 
-    __slots__ = ("support", "counts")
+    __slots__ = ("n", "table")
 
-    def __init__(self, support: PointSet, counts: np.ndarray):
-        self.support = support
-        self.counts = counts
+    def __init__(self, n: int, table: np.ndarray):
+        self.n = n
+        self.table = table
 
     def of_index(self, i: int) -> int:
-        idx = self.support.indices
-        k = int(np.searchsorted(idx, i))
-        return int(self.counts[k]) if k < idx.size and idx[k] == i else 0
+        """m(x) for the canonical index i; 0 for an index outside F_3^n."""
+        return int(self.table[i]) if 0 <= i < self.table.size else 0
 
     def of(self, v: TritVector) -> int:
         return self.of_index(v.index)
 
     @property
+    def support(self) -> PointSet:
+        """The nonzero differences, sorted and distinct by construction."""
+        return PointSet._from_sorted(self.n, np.flatnonzero(self.table))
+
+    @property
+    def counts(self) -> np.ndarray:
+        """m(x) for each x of support, in the same order."""
+        return self.table[self.table != 0]
+
+    @property
     def support_size(self) -> int:
-        return self.support.size
+        return int(np.count_nonzero(self.table))
 
     def total(self) -> int:
-        return bulk.exact_sum(self.counts)
+        return bulk.exact_sum(self.table)
 
     def energy(self) -> int:
         """sum of m(x)^2, the fourth additive energy."""
-        return bulk.exact_sum(self.counts**2)
+        table, step = self.table, fourier._BLOCK
+        bound = bulk.peak(table) ** 2
+        return sum(
+            (bulk.exact_sum(table[at : at + step] ** 2, bound) for at in range(0, table.size, step)),
+            0,
+        )
 
 
 def _pairwise_counts(a: PointSet, b: PointSet, negate_second: bool = False) -> np.ndarray:
@@ -109,8 +133,7 @@ def diff_multiplicity(ps: PointSet, backend: str = "auto") -> MultiplicityMap:
         table = _inverse_of_real(ps.n, transform_point_set(ps).norms())
     else:
         raise ValueError(f"unknown backend {backend!r}")
-    support = np.flatnonzero(table)  # sorted and distinct: no copy for the PointSet
-    return MultiplicityMap(PointSet._from_sorted(ps.n, support), table[support])
+    return MultiplicityMap(ps.n, table)
 
 
 def _inverse_of_real(n: int, norms: np.ndarray) -> np.ndarray:
@@ -148,10 +171,17 @@ def e2m(ps: PointSet, m: int, backend: str = "auto", force: bool = False) -> int
 
 
 def _e2m_transform(ps: PointSet, m: int, force: bool) -> int:
-    # a table has far fewer distinct norms than cells (about 10^4 among
-    # 4.8 * 10^6 on a greedy cap at n = 14), so the exact Python-int powers
-    # run once per distinct value
-    values, counts = np.unique(transform_point_set(ps, force=force).norms(), return_counts=True)
+    """sum |c(y)|^(2m) / 3^n over the distinct norms of the table.
+
+    A table has far fewer distinct norms than cells (about 10^4 among
+    4.8 * 10^6 on a greedy cap at n = 14), so the norms are counted one
+    norm_blocks() block at a time and the small (value, count) arrays
+    merged; the exact Python-int powers then run once per distinct value.
+    """
+    values = counts = None
+    for _, _, norms in transform_point_set(ps, force=force).norm_blocks():
+        v, c = np.unique(norms, return_counts=True)
+        values, counts = (v, c) if values is None else _merge_sums(values, counts, v, c)
     total = sum(c * v**m for v, c in zip(values.tolist(), counts.tolist()))
     div = 3**ps.n
     if total % div:

@@ -422,10 +422,12 @@ def save_table(table: SpectrumTable, fh: BinaryIO | str) -> None:
 def load_table(fh: BinaryIO | str) -> SpectrumTable:
     """Read a save_table dump; ValueError for a bad header or length.
 
-    The dimension is checked before anything of size 3^n is read; each
-    plane is then read straight into its int64 array, 16 bytes a cell in
-    all, and the file must end exactly after the q plane. A recorded
-    source size must lie in 0..3^n and equal c(0).
+    The dimension is checked before anything of size 3^n is read. A
+    seekable file's length is checked next, and each plane is then read
+    straight into its int64 array, 16 bytes a cell in all; a stream's
+    planes grow _BLOCK cells a read, so a short body allocates no more
+    than it delivered. The file must end exactly after the q plane. A
+    recorded source size must lie in 0..3^n and equal c(0).
     """
     if isinstance(fh, str):
         with open(fh, "rb") as real:
@@ -448,11 +450,34 @@ def load_table(fh: BinaryIO | str) -> SpectrumTable:
         if fh.seek(0, io.SEEK_END) - start != 16 * count:
             raise wrong_length
         fh.seek(start)
-    p, q = np.empty(count, dtype="<i8"), np.empty(count, dtype="<i8")
-    # a buffered reader's readinto fills the plane unless the body ends first
-    if any(fh.readinto(plane) != plane.nbytes for plane in (p, q)) or fh.read(1):
+        p, q = np.empty(count, dtype="<i8"), np.empty(count, dtype="<i8")
+        # a buffered reader's readinto fills the plane unless the body ends first
+        if any(fh.readinto(plane) != plane.nbytes for plane in (p, q)):
+            raise wrong_length
+    else:
+        p, q = _read_plane(fh, count), _read_plane(fh, count)
+        if p is None or q is None:
+            raise wrong_length
+    if fh.read(1):
         raise wrong_length
     c0 = (int(p[0]), int(q[0]))
     if source != -1 and not (0 <= source <= count and c0 == (source, 0)):
         raise ValueError(f"source size {source} disagrees with c(0) = {c0}")
     return SpectrumTable(n, p, q, None if source == -1 else source)
+
+
+def _read_plane(fh: BinaryIO, count: int) -> np.ndarray | None:
+    """One <i8 plane of count cells from a stream, _BLOCK cells a read.
+
+    The buffer grows only by what the stream has delivered, so a body
+    shorter than its header claims allocates no more than the body
+    itself. None when the stream ends before the plane does.
+    """
+    size = 8 * count
+    buf = bytearray()
+    while len(buf) < size:
+        chunk = fh.read(min(8 * _BLOCK, size - len(buf)))
+        if not chunk:
+            return None
+        buf += chunk
+    return np.frombuffer(buf, dtype="<i8")

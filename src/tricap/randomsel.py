@@ -14,6 +14,12 @@ is byte-identical across processes. Draws are canonical indices, never
 TritVectors: a block of trials is stacked into one (trials, d) array and
 ranked by a single stacked ``rank`` call, so the cost per trial is the
 stream set-up and the draw itself.
+
+Memory is bounded for any trial count. Nullity trials are ranked in
+blocks of at most ``bulk._PAIR_CELLS`` picks, and the g(k, d) Monte
+Carlo draws its (trials, d) matrix in row blocks of about as many
+cells, one generator for all of them, so the draws equal those of a
+single call.
 """
 
 from __future__ import annotations
@@ -123,13 +129,20 @@ def simulate_g_frequencies(d: int, trials: int, seed: int) -> dict[int, int]:
     """Monte Carlo occupancy counts for the g(k, d) bin model.
 
     Each trial throws d balls into d bins and records how many land in
-    bin 0; the histogram over trials estimates g(-, d).
+    bin 0; the histogram over trials estimates g(-, d). The (trials, d)
+    draws come in row blocks of about ``bulk._PAIR_CELLS`` cells, each
+    block's histogram added into one, so memory is bounded for any trial
+    count. The blocks are consecutive calls on one generator, which give
+    the same draws as a single (trials, d) call.
     """
     if d < 1:
         raise ValueError("d must be positive")
     if trials < 1:
         raise ValueError("need at least one trial")
     rng = make_rng(seed, 8, d)
-    counts = (rng.integers(0, d, size=(trials, d)) == 0).sum(axis=1)
-    hist = np.bincount(counts, minlength=d + 1)
-    return {int(k): int(v) for k, v in enumerate(hist) if v}
+    hist = np.zeros(d + 1, dtype=np.int64)
+    block = max(1, bulk._PAIR_CELLS // d)
+    for start in range(0, trials, block):
+        draws = rng.integers(0, d, size=(min(block, trials - start), d))
+        hist += np.bincount((draws == 0).sum(axis=1), minlength=d + 1)
+    return {k: v for k, v in enumerate(hist.tolist()) if v}

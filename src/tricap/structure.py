@@ -36,7 +36,7 @@ import math
 
 import numpy as np
 
-from . import bulk
+from . import bulk, fourier
 from .capset import PointSet
 from .energy import diff_multiplicity
 from .errors import GuardExceededError, IdentityViolationError
@@ -114,8 +114,12 @@ def _floor_log2(values: np.ndarray) -> np.ndarray:
 
     The exponent of v is the index of the last power of two <= v.
     """
-    edges = 1 << np.arange(int(values.max(initial=1)).bit_length(), dtype=np.int64)
-    return np.searchsorted(edges, values, side="right") - 1
+    return np.searchsorted(_powers_of_two(values), values, side="right") - 1
+
+
+def _powers_of_two(values: np.ndarray) -> np.ndarray:
+    """1, 2, 4, ... up to the largest value: the edges of the dyadic bands."""
+    return 1 << np.arange(int(values.max(initial=1)).bit_length(), dtype=np.int64)
 
 
 def build_levels(ps: PointSet, backend: str = "auto") -> LevelDecomposition:
@@ -123,18 +127,34 @@ def build_levels(ps: PointSet, backend: str = "auto") -> LevelDecomposition:
 
     Bands partition all of D = S - S (the zero difference included, its
     multiplicity is |S|), so pair counts across bands sum to |S|^2.
+
+    The dense multiplicity table is read fourier._BLOCK cells at a time
+    into a byte-a-cell band label: floor(log2 m) + 1 by the _floor_log2
+    rule, and 0 where m = 0 (m <= |S| < 2^26, so labels fit a uint8).
+    Each band's differences are np.flatnonzero of its label, already
+    sorted, and its pair count is summed off the table fourier._BLOCK
+    differences at a time. Beside the table and the labels, only the
+    bands themselves are full size.
     """
-    mm = diff_multiplicity(ps, backend=backend)
-    t = _floor_log2(mm.counts)
+    table = diff_multiplicity(ps, backend=backend).table
+    block = fourier._BLOCK
+    edges = _powers_of_two(table)
+    labels = np.empty(table.size, dtype=np.uint8)
+    for at in range(0, table.size, block):
+        labels[at : at + block] = np.searchsorted(edges, table[at : at + block], side="right")
     bands = []
-    for k in np.unique(t).tolist():
-        in_band = t == k
-        bands.append(AdditiveStructure(
-            base=ps,
-            diffs=PointSet(ps.n, mm.support.indices[in_band]),
-            m_lo=1 << k,
-            pair_count=bulk.exact_sum(mm.counts[in_band]),
-        ))
+    for k in range(edges.size):
+        diffs = np.flatnonzero(labels == k + 1)
+        if diffs.size:
+            bands.append(AdditiveStructure(
+                base=ps,
+                diffs=PointSet._from_sorted(ps.n, diffs),
+                m_lo=1 << k,
+                pair_count=sum(  # every m(x) <= |S|: one int64 sum per block
+                    bulk.exact_sum(table[diffs[at : at + block]], ps.size)
+                    for at in range(0, diffs.size, block)
+                ),
+            ))
     return LevelDecomposition(ps, bands)
 
 

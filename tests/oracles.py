@@ -286,3 +286,15 @@ def g_reference(k, d):
     from math import comb
 
     return Fraction(comb(d, k) * (d - 1) ** (d - k), d**d)
+
+
+def occupancy_counts(rng, d, trials):
+    """The g(k, d) Monte Carlo in one call: all (trials, d) throws at once.
+
+    Returns {k: trials in which exactly k balls landed in bin 0}.
+    """
+    out = {}
+    for row in rng.integers(0, d, size=(trials, d)).tolist():
+        k = row.count(0)
+        out[k] = out.get(k, 0) + 1
+    return out

@@ -304,6 +304,52 @@ class TestSetFiles:
             load_point_set(path)
 
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("n=3\n012\n012\n", "line 3: duplicate point '012'"),
+            ("n=3\n012\n0123\n", "line 3: '0123' is not a base-3 string of length 3"),
+            ("n=3\n012\n\n120\n", "line 3: '' is not a base-3 string of length 3"),
+            ("n=3\n012\n01\n", "line 3: '01' is not a base-3 string of length 3"),
+            ("n=3\n012\n0 2\n", "line 3: '0 2' is not a base-3 string of length 3"),
+            ("n=3\n012\n01/\n", "line 3: '01/' is not a base-3 string of length 3"),
+            ("n=3\n000\n111\n013\n000\n", "line 4: '013' is not a base-3 string of length 3"),
+            ("n=3\n000\n111\n000\n013\n", "line 4: duplicate point '000'"),
+            ("n=3\n000\n111\n222\n111\n000\n", "line 5: duplicate point '111'"),
+            ("n=2\n00\n11\n1\n11\n", "line 4: '1' is not a base-3 string of length 2"),
+            ("n=2\r\n00\r\n22\r\n00\r\n", "line 4: duplicate point '00'"),
+            ("n=x\n", "bad dimension in header 'n=x'"),
+            ("", "first line must be n=<dim>"),
+            ("n=21\n", "dimension 21 outside 1..20"),
+        ],
+    )
+    def test_first_offending_line_is_reported(self, tmp_path, text, message):
+        path = tmp_path / "bad.txt"
+        path.write_bytes(text.encode("ascii"))
+        with pytest.raises(SetFileError) as exc:
+            load_point_set(path)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize(
+        "text, n, strings",
+        [
+            ("n=3\n", 3, []),
+            ("n=3\n\n\n", 3, []),
+            ("n=3", 3, []),
+            ("n=2\n21\n00\n", 2, ["00", "21"]),
+            ("n=2\n21\n00", 2, ["00", "21"]),
+            ("n=2\r\n21\r\n00\r\n\r\n", 2, ["00", "21"]),
+            ("n=1\n2\n0\n1\n", 1, ["0", "1", "2"]),
+        ],
+    )
+    def test_body_forms_accepted(self, tmp_path, text, n, strings):
+        path = tmp_path / "ok.txt"
+        path.write_bytes(text.encode("ascii"))
+        ps = load_point_set(path)
+        assert ps.n == n
+        assert [str(v) for v in ps.vectors()] == strings
+
+
 class TestExhaustiveMaxima:
     def test_tiny_dimensions_match_reference(self):
         for n in (1, 2):

@@ -16,11 +16,12 @@ from tricap import (
     diff_multiplicity,
     e2m,
     e4,
+    greedy_random_capset,
     holder_check,
     random_point_set,
     smoothing_report,
 )
-from tricap import bulk, energy
+from tricap import bulk, energy, fourier
 
 import oracles
 from conftest import tuples_of
@@ -57,8 +58,31 @@ class TestMultiplicity:
     def test_backends_agree(self, ps):
         a = diff_multiplicity(ps, backend="hash")
         b = diff_multiplicity(ps, backend="transform")
+        assert np.array_equal(a.table, b.table)
         assert np.array_equal(a.support.indices, b.support.indices)
         assert np.array_equal(a.counts, b.counts)
+
+    @pytest.mark.parametrize("backend", ["hash", "transform"])
+    @pytest.mark.parametrize("n, size, seed", [(6, 64, 1), (7, 90, 2), (8, 128, 3), (8, 41, 4)])
+    def test_every_cell_matches_brute_force(self, n, size, seed, backend):
+        ps = random_point_set(n, size, seed)
+        ref = {
+            oracles.point_index(d): m
+            for d, m in oracles.naive_diff_counts(tuples_of(ps)).items()
+        }
+        mm = diff_multiplicity(ps, backend=backend)
+        assert [mm.of_index(i) for i in range(3**n)] == [ref.get(i, 0) for i in range(3**n)]
+        assert mm.support.indices.tolist() == sorted(ref)
+        assert mm.counts.tolist() == [ref[i] for i in sorted(ref)]
+        assert mm.support_size == len(ref)
+        assert mm.total() == size**2
+        assert mm.energy() == sum(m * m for m in ref.values())
+
+    def test_of_index_is_zero_outside_the_cube(self):
+        # a negative index must not wrap round to the table's last cells
+        mm = diff_multiplicity(random_point_set(3, 27, 1))
+        assert mm.of_index(26) == 27
+        assert mm.of_index(-1) == mm.of_index(27) == 0
 
 
 class TestEnergies:
@@ -79,6 +103,25 @@ class TestEnergies:
     def test_e2m_backends_agree(self, ps):
         for m in (2, 3, 4):
             assert e2m(ps, m, backend="transform") == e2m(ps, m, backend="convolution")
+
+    @pytest.mark.parametrize("block", [5, 7, 64])
+    def test_norm_blocks_do_not_change_e2m(self, monkeypatch, block):
+        # 3^5 cells in ragged blocks: every block's distinct norms must reach
+        # the merged count
+        ps = random_point_set(5, 30, 9)
+        pts = tuples_of(ps)
+        want = {m: oracles.naive_e2m(pts, m) for m in (2, 3)}
+        want[4] = e2m(ps, 4, backend="convolution")
+        monkeypatch.setattr(fourier, "_BLOCK", block)
+        for m, value in want.items():
+            assert e2m(ps, m, backend="transform") == value
+
+    @pytest.mark.parametrize("block", [5, 7, 64])
+    def test_energy_blocks_do_not_change_e4(self, monkeypatch, block):
+        ps = random_point_set(5, 30, 9)
+        want = oracles.naive_e4(tuples_of(ps))
+        monkeypatch.setattr(fourier, "_BLOCK", block)
+        assert e4(ps, backend="hash") == e4(ps, backend="transform") == want
 
     @pytest.mark.parametrize("cells", [1, 7])
     def test_convolution_blocks_do_not_change_e2m(self, monkeypatch, cells):
@@ -106,6 +149,52 @@ class TestEnergies:
         # just check the floor E4 >= |S|^2 plus the diagonal contribution
         ps = random_point_set(5, 20, 3)
         assert e4(ps) >= ps.size**2
+
+
+class TestMemoryPeaks:
+    """Traced peaks of the energy paths on the n = 12 greedy cap.
+
+    The difference table is 8 bytes a cell, int64. The transform backend
+    gets there through the norm table, which holds an imaginary plane
+    beside it while it is inverted (16 bytes a cell) and int64 butterfly
+    tiles of about 4.9 MB. E_2m holds the int32 coefficient table, 8 bytes
+    a cell, its tiles of about 2.4 MB and one norm block. Pairwise
+    counting takes 1 MB a temporary. A full-size copy of the counts, a
+    support array or an array of all the norms pushes a path past these
+    bounds.
+    """
+
+    N = 12
+
+    @pytest.fixture(scope="class")
+    def cap(self):
+        return greedy_random_capset(self.N, 7)
+
+    @staticmethod
+    def traced_peak(run) -> int:
+        tracemalloc.start()
+        try:
+            run()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize(
+        "run, per_cell, allowance",
+        [
+            (lambda ps: e4(ps, backend="transform"), 16, 6 << 20),
+            (lambda ps: e4(ps, backend="hash"), 8, 8 << 20),
+            (lambda ps: e2m(ps, 4), 8, 3 << 20),
+        ],
+        ids=["e4-transform", "e4-hash", "e2m-4"],
+    )
+    def test_traced_peak(self, cap, run, per_cell, allowance):
+        assert self.traced_peak(lambda: run(cap)) <= per_cell * 3**self.N + allowance
+
+    def test_sums_take_block_scratch_only(self, cap):
+        mm = diff_multiplicity(cap, backend="hash")
+        assert self.traced_peak(mm.energy) <= 8 * fourier._BLOCK + (64 << 10)
+        assert self.traced_peak(mm.total) <= 64 << 10
 
 
 class TestConvolutionGuard:

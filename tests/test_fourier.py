@@ -303,6 +303,47 @@ class TestTableIO:
         with pytest.raises(ValueError):
             load_table(stream)
 
+    class _Stream(io.RawIOBase):
+        """A pipe-like stream: readable, not seekable, a few bytes a read."""
+
+        def __init__(self, data: bytes, step: int = 100_003):
+            self._data, self._at, self._step = data, 0, step
+
+        def readable(self):
+            return True
+
+        def readinto(self, buf):
+            view = memoryview(buf).cast("B")
+            chunk = self._data[self._at : self._at + min(view.nbytes, self._step)]
+            view[: len(chunk)] = chunk
+            self._at += len(chunk)
+            return len(chunk)
+
+    def test_stream_short_body_at_n16_allocates_nothing(self):
+        # 36 bytes in all: the header claims 3^16 cells, the body holds one
+        stream = self._Stream(fourier._MAGIC + struct.pack("<iq", 16, -1) + bytes(16))
+        assert not stream.seekable()
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError):
+                load_table(stream)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    @pytest.mark.parametrize("block", [None, 5])
+    def test_stream_round_trips(self, monkeypatch, block):
+        if block:
+            monkeypatch.setattr(fourier, "_BLOCK", block)
+        table = transform_point_set(random_point_set(8, 300, 4))
+        buf = io.BytesIO()
+        save_table(table, buf)
+        back = load_table(self._Stream(buf.getvalue(), step=4097))
+        assert back.n == table.n and back.source_size == table.source_size
+        assert np.array_equal(back.p, table.p) and np.array_equal(back.q, table.q)
+        assert back.p.dtype == back.q.dtype == np.int64
+
     def test_short_body_at_n16_allocates_nothing(self):
         data = fourier._MAGIC + struct.pack("<iq", 16, -1) + bytes(16)
         tracemalloc.start()

@@ -10,6 +10,7 @@ from tricap import (
     g_exact,
     greedy_random_capset,
     h_exact,
+    make_rng,
     nullity_distribution,
     random_point_set,
     sample_without_replacement,
@@ -57,6 +58,28 @@ class TestHExact:
         for m, k in [(2, 1), (2, 3), (3, 2), (4, 1)]:
             want = 2**m * factorial(2 * m) * comb(2 * m * k, 2 * m)
             assert h_exact(m, k) == want
+
+
+class TestOccupancyMonteCarlo:
+    @pytest.mark.parametrize("d", [1, 3, 4, 5, 16, 64, 100])
+    @pytest.mark.parametrize("cells", [1, 7, 250])
+    def test_row_blocks_match_one_call(self, monkeypatch, d, cells):
+        # an odd trial count and small blocks leave a ragged last block
+        trials = 301
+        want = oracles.occupancy_counts(make_rng(5, 8, d), d, trials)
+        monkeypatch.setattr(bulk, "_PAIR_CELLS", cells)
+        assert randomsel.simulate_g_frequencies(d, trials, 5) == want
+
+    def test_default_blocks_match_one_call(self):
+        # 2^17 cells make 2048 rows a block at d = 64, and 5001 is not a multiple
+        want = oracles.occupancy_counts(make_rng(9, 8, 64), 64, 5001)
+        assert randomsel.simulate_g_frequencies(64, 5001, 9) == want
+
+    def test_rejects_bad_arguments(self):
+        with pytest.raises(ValueError):
+            randomsel.simulate_g_frequencies(0, 10, 1)
+        with pytest.raises(ValueError):
+            randomsel.simulate_g_frequencies(4, 0, 1)
 
 
 class TestSampling:

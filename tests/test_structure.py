@@ -81,6 +81,49 @@ class TestLevels:
         ]
         assert got == [(m_lo, sorted(d), p) for m_lo, (d, p) in sorted(want.items())]
 
+    @pytest.mark.parametrize("block", [None, 7])
+    @pytest.mark.parametrize("backend", ["hash", "transform"])
+    @pytest.mark.parametrize(
+        "n, size, seed",
+        # |S| = 2^k puts m(0) on a band's lower edge; the 128-point sets
+        # also have many differences at m = 2, 4 and 8
+        [(6, 64, 11), (7, 128, 12), (8, 128, 13), (8, 300, 14), (8, 37, 15)],
+    )
+    def test_bands_match_brute_force_up_to_n8(self, n, size, seed, backend, block, monkeypatch):
+        if block:
+            monkeypatch.setattr(fourier, "_BLOCK", block)
+        ps = random_point_set(n, size, seed)
+        counts = {
+            oracles.point_index(d): m
+            for d, m in oracles.naive_diff_counts(tuples_of(ps)).items()
+        }
+        want = {}
+        for x, m in counts.items():
+            t = m.bit_length() - 1  # 2^t <= m < 2^(t+1)
+            want.setdefault(t, []).append(x)
+        got = [
+            (band.m_lo, band.diffs.indices.tolist(), band.pair_count)
+            for band in build_levels(ps, backend=backend)
+        ]
+        assert got == [
+            (1 << t, sorted(xs), sum(counts[x] for x in xs)) for t, xs in sorted(want.items())
+        ]
+
+    def test_traced_peak_is_table_labels_and_bands(self):
+        # the inverse holds the norm table and its imaginary plane, 16 bytes a
+        # cell, with int64 butterfly tiles of about 4.9 MB; afterwards the
+        # count table (8), the labels (1) and the bands' indices (8 a
+        # difference) are the only full-size arrays
+        n = 12
+        ps = greedy_random_capset(n, 7)
+        tracemalloc.start()
+        try:
+            build_levels(ps)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 17 * 3**n + (6 << 20)
+
     @given(small_sets)
     def test_heaviest_band(self, ps):
         levels = build_levels(ps)
