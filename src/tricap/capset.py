@@ -246,43 +246,88 @@ def load_point_set(path: str | os.PathLike) -> PointSet:
 # -- line solutions ---------------------------------------------------------
 
 
-def _upper_pair_hits(ps: PointSet):
-    """Per row block [start, stop): whether -(a+b) is a member, for every
-    member a in the block and every member b from index start on.
+def _line_hits(ps: PointSet):
+    """Blocks (weight, diagonal, hits) covering every line solution of A.
 
-    The blocks are ``bulk.pair_sums`` with upper=True: the first
-    stop - start columns are the diagonal block, the rest lie strictly
-    above it. -(a+b) is (-a) + (-b), both operands negated by swapping
-    their planes.
+    hits[i, j] says whether -(a_i + b_j) is a member, for the pairs of one
+    block. Counting its hits times weight, over every block, counts the
+    ordered triples (a, b, c) in A^3 with a + b + c = 0; a block with
+    diagonal=True is square and its diagonal holds the degenerate
+    triples (a, a, a).
+
+    The digits of a solution at any coordinate are (d, d, d) or a
+    permutation of (0, 1, 2). So the sorted members split by their
+    leading digit into three classes, each a contiguous run: a solution
+    inside one class shares that digit and is found by splitting the
+    class on the next digit, and every other solution has one point in
+    each class, so it is found once, with weight 6, among the pairs of
+    the two smallest classes. Third points keep the prefix their pair
+    shares, so one membership bitmap serves every level. A class whose
+    pairs fit one ``bulk.pair_sums`` block (at most _PAIR_CELLS) is a
+    leaf: its upper-triangle blocks count a diagonal block once and each
+    strictly-upper block twice. About |A|^2 / 6 pairs in all, against
+    |A|^2 / 2 unsplit.
     """
     lo, hi = ps.planes()
-    for start, stop, third in bulk.pair_sums(ps.n, (hi, lo), (hi, lo), upper=True):
-        yield start, stop, ps.contains_indices(third)
+    neg = (hi, lo)  # -(a+b) is (-a) + (-b), both operands negated
+    idx = ps.indices
+
+    def part(start: int, stop: int, digit: int):
+        m = stop - start
+        if m * m <= bulk._PAIR_CELLS:
+            run = tuple(plane[start:stop] for plane in neg)
+            for s, e, third in bulk.pair_sums(ps.n, run, run, upper=True):
+                hits = ps.contains_indices(third)
+                yield 1, True, hits[:, : e - s]
+                yield 2, False, hits[:, e - s :]
+            return
+        width = 3 ** (ps.n - 1 - digit)
+        base = int(idx[start]) - int(idx[start]) % (3 * width)
+        edges = np.searchsorted(idx[start:stop], [base + width, base + 2 * width])
+        cuts = [start, *(start + edges).tolist(), stop]
+        classes = list(zip(cuts, cuts[1:]))
+        for a, b in classes:
+            if b > a:
+                yield from part(a, b, digit + 1)
+        (a0, b0), (a1, b1), _ = sorted(classes, key=lambda c: c[1] - c[0])
+        if b0 > a0:
+            x = tuple(plane[a0:b0] for plane in neg)
+            y = tuple(plane[a1:b1] for plane in neg)
+            for _, _, third in bulk.pair_sums(ps.n, x, y):
+                yield 6, False, ps.contains_indices(third)
+
+    if ps.size:
+        yield from part(0, ps.size, 0)
 
 
 def count_line_solutions(ps: PointSet) -> int:
     """Ordered triples (a, b, c) in A^3 with a + b + c = 0.
 
     Counts the degenerate a = b = c triples, so a cap set scores exactly
-    |A|. (a, b) and (b, a) close at the same third point, so each diagonal
-    block is counted in full and each strictly-upper block twice; the cost
-    is |A|^2 / 2 pairs, vectorized in blocks.
+    |A|. The pairs are split into leading-digit classes (see _line_hits):
+    same-class solutions recurse on the next digit and the mixed ones,
+    a point in each class, are counted once over the two smallest
+    classes and weighted 6, about |A|^2 / 6 pairs vectorized in blocks.
     """
-    total = 0
-    for start, stop, hits in _upper_pair_hits(ps):
-        diag = int(np.count_nonzero(hits[:, : stop - start]))
-        total += diag + 2 * int(np.count_nonzero(hits[:, stop - start :]))
-    return total
+    return sum(
+        weight * int(np.count_nonzero(hits)) for weight, _, hits in _line_hits(ps)
+    )
 
 
 def is_capset(ps: PointSet) -> bool:
-    """True iff no three distinct points of the set sum to zero."""
+    """True iff no three distinct points of the set sum to zero.
+
+    Walks the same leading-digit classes as count_line_solutions, about
+    |A|^2 / 6 pairs, and stops at the first block with a hit off the
+    diagonal of degenerate triples.
+    """
     if ps.size < 3:
         return True
-    for start, stop, hits in _upper_pair_hits(ps):
-        # a == b gives the degenerate triple (a, a, a); mask the diagonal
-        rows = np.arange(stop - start)
-        hits[rows, rows] = False
+    for _, diagonal, hits in _line_hits(ps):
+        if diagonal:
+            # a == b gives the degenerate triple (a, a, a); mask the diagonal
+            rows = np.arange(hits.shape[0])
+            hits[rows, rows] = False
         if hits.any():
             return False
     return True

@@ -32,11 +32,24 @@ slower path takes over, never a wrapped value:
   * The cube sum is vectorised in int64 when 8 * peak^3 < 2^62; every
     partial term is at most 6 * peak^3.
 
+Real inputs (q plane zero) above _TILE cells take a conjugate split
+(see _butterfly_real): one pass over the leading digit x0 leaves the
+real slice g0 = f0 + f1 + f2 and the complex slice g1 = (f0 - f2) +
+(f1 - f2) w (conjugate rows for the inverse); g1 goes through the n - 1
+remaining passes, g0 recurses, and the x0 = 2 slice is the reflection
+c(2, x') = conj c(1, -x'). The bound carries over: after the digit-0
+pass |g1| <= 3 * peak and the components of g0 are at most 3 * peak, so
+each slice's later passes stay within 2 * (3 * peak) * 3^(n-1) =
+2 * peak * 3^n, and a conjugate (p - q) - q w has the same norm as
+p + q w, so its components obey the same bound.
+
 Memory: the passes run in place in the table's own planes, a tile of
 _TILE cells at a time (see _butterfly), so a transform holds the table,
 8 bytes a cell for an indicator, and a fixed scratch of about 2.4 MB:
-344 MB in all at n = 16. Consumers read the table in _BLOCK-cell
-blocks, and norms(start, stop) computes the norms of one block.
+344 MB in all at n = 16. The conjugate split shares that scratch and
+adds only its digit negation tables, 3^ceil((n-1)/2) entries at most.
+Consumers read the table in _BLOCK-cell blocks, and norms(start, stop)
+computes the norms of one block.
 
 Coefficients on a subspace W with basis w_1..w_d come from a pushforward:
 c_A(sum_i t_i w_i) = c_{pi(A)}(t) with pi(a) = (a.w_1, ..., a.w_d), so
@@ -143,7 +156,14 @@ def _pass(src, dst, d, e, s: int, inverse: bool) -> None:
     np.subtract(oq[kb], e, out=oq[kb])
 
 
-def _butterfly(p: np.ndarray, q: np.ndarray, n: int, inverse: bool) -> None:
+def _butterfly_scratch(n: int, dtype):
+    """(tiles, d, e): the scratch _butterfly needs for n digits, or fewer."""
+    cells = min(3**n, max(_TILE, 3 ** (n - n // 2)))
+    d = np.empty(cells // 3, dtype=dtype)
+    return np.empty((2, 2, cells), dtype=dtype), d, np.empty_like(d)
+
+
+def _butterfly(p: np.ndarray, q: np.ndarray, n: int, inverse: bool, scratch=None) -> None:
     """Run the n butterfly passes over the planes p and q, in place.
 
     p and q must be contiguous, of length 3^n and already in the dtype
@@ -156,14 +176,12 @@ def _butterfly(p: np.ndarray, q: np.ndarray, n: int, inverse: bool) -> None:
     and the same is done on the transposed matrix, so those digits lead
     inside the tile too. Two tile pairs ping-pong and two scratch rows
     hold the shared differences: beside the planes, the passes need
-    scratch for about 4.7 tiles, whatever n is.
+    scratch for about 4.7 tiles, whatever n is. A caller that runs
+    several transforms passes one _butterfly_scratch for the largest.
     """
     k = n // 2
     mats = [plane.reshape(3**k, 3 ** (n - k)) for plane in (p, q)]
-    cells = min(3**n, max(_TILE, 3 ** (n - k)))
-    tiles = np.empty((2, 2, cells), dtype=p.dtype)
-    d = np.empty(cells // 3, dtype=p.dtype)
-    e = np.empty_like(d)
+    tiles, d, e = scratch or _butterfly_scratch(n, p.dtype)
     for half, digits in ((mats, k), ([m.T for m in mats], n - k)):
         if not digits:
             continue
@@ -181,6 +199,77 @@ def _butterfly(p: np.ndarray, q: np.ndarray, n: int, inverse: bool) -> None:
                 src, dst = dst, src
             for plane, tile in zip(chunk, src):
                 np.copyto(plane, tile.reshape(rows, w))
+
+
+_NEGATIONS: dict[int, np.ndarray] = {}
+
+
+def _negation(m: int) -> np.ndarray:
+    """neg[i] = index of -x for the m-digit index i of x (digits 1 and 2 swap).
+
+    Built a leading digit at a time: -(d, x') = (-d, -x').
+    """
+    tab = _NEGATIONS.get(m)
+    if tab is None:
+        tab = np.zeros(1, dtype=np.intp)
+        for j in range(m):
+            tab = np.concatenate((tab, tab + 2 * 3**j, tab + 3**j))
+        _NEGATIONS[m] = tab
+    return tab
+
+
+def _butterfly_real(p: np.ndarray, q: np.ndarray, n: int, inverse: bool, scratch=None) -> None:
+    """_butterfly for planes whose q is zero, by conjugate symmetry.
+
+    A real f has c(-x) = conj c(x). Tables of at most _TILE cells go to
+    _butterfly, where per-call overhead would eat the saving. Above that
+    the leading digit is transformed here: slice 0 gets the real g0 =
+    f0 + f1 + f2 and recurses, slice 1 gets g1 = (f0 - f2) + (f1 - f2) w
+    (f1 and f2 swap for the inverse's conjugate rows) and goes through
+    _butterfly over the n - 1 remaining digits, and slice 2 is then
+    written as c(2, x') = conj c(1, -x') by _reflect_conjugate. Slice 2
+    of q is the scratch of the digit-0 pass. Every level shares one
+    _butterfly scratch, allocated once: freeing and allocating it per
+    level would leave the allocator holding spare heap.
+    """
+    if p.size <= _TILE:
+        _butterfly(p, q, n, inverse, scratch)
+        return
+    scratch = scratch or _butterfly_scratch(n - 1, p.dtype)
+    (p0, p1, p2), (q0, q1, q2) = p.reshape(3, -1), q.reshape(3, -1)
+    x1, x2 = (p2, p1) if inverse else (p1, p2)
+    np.subtract(x1, x2, out=q1)
+    np.subtract(p0, x2, out=q2)
+    p0 += p1
+    p0 += p2
+    np.copyto(p1, q2)
+    _butterfly_real(p0, q0, n - 1, inverse, scratch)
+    _butterfly(p1, q1, n - 1, inverse, scratch)
+    _reflect_conjugate(p1, q1, p2, q2, n - 1)
+
+
+def _reflect_conjugate(p1, q1, p2, q2, m: int) -> None:
+    """(p2, q2)[x] = conj of (p1, q1)[-x] for every m-digit index x.
+
+    Each plane is read as a matrix of 3^(m - k) rows by 3^k columns, k =
+    ceil(m / 2), so -x is row neg(head) and column neg(tail): one
+    np.take per row gathers it straight into its destination. The
+    conjugate of p + q w is (p - q) - q w, applied _TILE cells of rows
+    at a time while they are in cache.
+    """
+    k = m - m // 2
+    heads, tails = _negation(m - k), _negation(k)
+    src = [a.reshape(-1, 3**k) for a in (p1, q1)]
+    dst = [a.reshape(-1, 3**k) for a in (p2, q2)]
+    rows = max(1, _TILE // 3**k)
+    for start in range(0, heads.size, rows):
+        stop = min(heads.size, start + rows)
+        for r in range(start, stop):
+            for a, b in zip(src, dst):
+                np.take(a[heads[r]], tails, out=b[r], mode="clip")
+        bp, bq = dst[0][start:stop], dst[1][start:stop]
+        np.subtract(bp, bq, out=bp)
+        np.negative(bq, out=bq)
 
 
 def _int64_blocks(*planes: np.ndarray):
@@ -284,7 +373,7 @@ def transform_table(f, n: int, force: bool = False) -> SpectrumTable:
         raise ValueError(f"input array must hold integers, not {f.dtype}")
     dtype = _kernel_dtype(bulk.peak(f), n)
     p, q = f.astype(dtype), np.zeros(f.shape, dtype=dtype)
-    _butterfly(p, q, n, inverse=False)
+    _butterfly_real(p, q, n, inverse=False)
     return SpectrumTable(n, p, q)
 
 
@@ -299,7 +388,7 @@ def transform_point_set(ps: PointSet, force: bool = False) -> SpectrumTable:
     dtype = _kernel_dtype(1, ps.n)
     p, q = np.zeros(3**ps.n, dtype=dtype), np.zeros(3**ps.n, dtype=dtype)
     p[ps.indices] = 1
-    _butterfly(p, q, ps.n, inverse=False)
+    _butterfly_real(p, q, ps.n, inverse=False)
     t = SpectrumTable(ps.n, p, q, source_size=ps.size)
     c0 = t.coefficient_at(0)
     if (c0.p, c0.q) != (ps.size, 0):
@@ -324,7 +413,7 @@ def inverse_table(
     dtype = _kernel_dtype(bulk.peak(table.p, table.q), table.n)
     p = table.p.astype(dtype, order="C", copy=not overwrite)
     q = table.q.astype(dtype, order="C", copy=not overwrite)
-    _butterfly(p, q, table.n, inverse=True)
+    (_butterfly if q.any() else _butterfly_real)(p, q, table.n, inverse=True)
     # divide _BLOCK cells at a time in place, checking each block first;
     # % and // are exact on int32, int64 and Python-int object arrays alike
     scale = 3**table.n

@@ -228,6 +228,62 @@ class TestLineCounting:
         assert is_capset(PointSet.from_strings(["120"]))
 
 
+def _brute_line_solutions(ps: PointSet) -> int:
+    """Ordered (a, b, c) in A^3 with a + b + c = 0, from base-3 digits.
+
+    Every pair is visited, one row a at a time: the digits of -(a + b)
+    are read back as an index and looked up among the sorted members.
+    """
+    place = 3 ** np.arange(ps.n - 1, -1, -1)
+    digits = ps.indices[:, None] // place % 3
+    total = 0
+    for row in digits:
+        third = (-(row + digits) % 3) @ place
+        pos = np.minimum(np.searchsorted(ps.indices, third), ps.size - 1)
+        total += int(np.count_nonzero(ps.indices[pos] == third))
+    return total
+
+
+def _split_cases():
+    """(name, set) at n <= 8 covering the shapes the digit classes meet."""
+    yield "empty", PointSet.empty(5)
+    yield "one point", PointSet.from_strings(["21012"])
+    yield "two points", PointSet.from_strings(["21012", "12021"])
+    for n in (4, 6, 8):
+        yield f"greedy n={n}", greedy_random_capset(n, 40 + n)
+    for n in (4, 5, 7):
+        yield f"quarter n={n}", random_point_set(n, 3**n // 4, n)
+    for n in (4, 6, 8):
+        # every member has leading digit 0, so two classes are empty
+        inside = random_point_set(n - 1, 3 ** (n - 1) // 4, n).indices
+        yield f"hyperplane n={n}", PointSet(n, inside)
+    yield "cap x cap", product_capset(greedy_random_capset(3, 1), greedy_random_capset(4, 2))
+    yield "cap x dense", product_capset(greedy_random_capset(2, 3), random_point_set(4, 30, 4))
+
+
+class TestLineCountSplit:
+    """The leading-digit classes against a brute-force count.
+
+    Pair budgets of 4 and 40 cells make every class of more than 2 or 6
+    members split on its next digit, several levels deep at n <= 8, and
+    leave ragged pair blocks in the leaves. A cap scores exactly |A|, so
+    is_capset must agree with count == |A| in every case. A mixed term
+    weighted 3, paired within one class, or a leaf without its diagonal
+    block changes some count.
+    """
+
+    CASES = list(_split_cases())
+
+    @pytest.mark.parametrize("cells", [4, 40])
+    @pytest.mark.parametrize("case", range(len(CASES)), ids=[c[0] for c in CASES])
+    def test_count_matches_brute_force(self, monkeypatch, cells, case):
+        _, ps = self.CASES[case]
+        want = _brute_line_solutions(ps)
+        monkeypatch.setattr(bulk, "_PAIR_CELLS", cells)
+        assert count_line_solutions(ps) == want
+        assert is_capset(ps) == (want == ps.size)
+
+
 class TestGreedy:
     @pytest.mark.parametrize("n,expected", [(4, 18), (6, 71), (8, 259)])
     def test_frozen_sizes(self, n, expected):

@@ -125,15 +125,17 @@ def _eis_outer(a, b):
     )
 
 
+def _pattern_like(f, n: int):
+    """(p, q) int64 planes of naive_transform(f), f an int64 array on F_3^n."""
+    table = oracles.naive_transform([int(v) for v in f], n)
+    return np.array([z[0] for z in table]), np.array([z[1] for z in table])
+
+
 @functools.cache
 def _pattern_table(n: int):
     """(values, naive table) of a fixed signed pattern on F_3^n, n <= 5."""
-    values = [(5 * i * i + 3 * i) % 11 - 5 for i in range(3**n)]
-    table = oracles.naive_transform(values, n)
-    return (
-        np.array(values, dtype=np.int64),
-        (np.array([z[0] for z in table]), np.array([z[1] for z in table])),
-    )
+    values = np.array([(5 * i * i + 3 * i) % 11 - 5 for i in range(3**n)], dtype=np.int64)
+    return values, _pattern_like(values, n)
 
 
 def _pinned_function(n: int):
@@ -156,10 +158,13 @@ class TestTiledKernel:
     100-cell tile cuts the 9 x 27 leading matrix at n = 5 into chunks of
     11, 11 and 5 columns, and a 200-cell tile leaves ragged last chunks
     (widths 7 and 2) at n = 6..8. Scaling the input by c moves it into
-    the int64 and object tiers without changing its shape.
+    the int64 and object tiers without changing its shape. The input is
+    real, so above the tile the forward transform takes the conjugate
+    split, up to five levels deep; the inverse of its complex table
+    takes the plain passes.
     """
 
-    @pytest.mark.parametrize("tile", [27, 81, 100, 200])
+    @pytest.mark.parametrize("tile", [27, 81, 100, 200, 243])
     @pytest.mark.parametrize("n", range(1, 9))
     @pytest.mark.parametrize(
         "c, dtype",
@@ -179,6 +184,78 @@ class TestTiledKernel:
         re, im = inverse_table(table)
         assert np.array_equal(re, f)
         assert not im.any()
+
+
+def _negated(n: int) -> np.ndarray:
+    """Index of -x for every index x of F_3^n, digit by digit."""
+    idx = np.arange(3**n)
+    return sum((-(idx // 3**j) % 3) * 3**j for j in range(n))
+
+
+class TestConjugateSplit:
+    """Real tables above _TILE cells, through the conjugate split.
+
+    Tiles of 27, 81 and 243 cells make the split recurse at n = 3..8, up
+    to five levels deep before _butterfly takes over; TestTiledKernel
+    runs the forward transform of a real function the same way. Here the
+    inverse input is 3^n g for the pinned function g, a real table with
+    no symmetry, so its exact inverse at a is c_g(-a): a digit-0 pass
+    with forward rows, a reflection that keeps x' or a dropped
+    conjugation each change some cell. Indicator tables are pinned to
+    oracles.naive_transform through products of two random sets.
+    """
+
+    @pytest.mark.parametrize("tile", [27, 81, 243])
+    @pytest.mark.parametrize("n", range(3, 9))
+    @pytest.mark.parametrize("c", [1, 2**31, 2**70], ids=["int32", "int64", "object"])
+    def test_inverse_of_real_table_matches_oracle(self, monkeypatch, tile, n, c):
+        monkeypatch.setattr(fourier, "_TILE", tile)
+        values, (wp, wq) = _pinned_function(n)
+        # object arrays scale by Python ints, so 2^70 stays exact
+        scale = (lambda a: a.astype(object) * c) if c >= 2**63 else (lambda a: a * c)
+        planes = scale(values * 3**n)
+        re, im = inverse_table(SpectrumTable(n, planes, np.zeros_like(planes)))
+        peak = max(abs(int(v)) for v in planes)
+        assert re.dtype == im.dtype == fourier._kernel_dtype(peak, n)
+        neg = _negated(n)
+        assert np.array_equal(re, scale(wp[neg]))
+        assert np.array_equal(im, scale(wq[neg]))
+
+    @pytest.mark.parametrize("tile", [27, 81, 243])
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_indicator_matches_oracle(self, monkeypatch, tile, n):
+        monkeypatch.setattr(fourier, "_TILE", tile)
+        head, tail = min(n, 5), n - min(n, 5)
+        fa = np.zeros(3**head, dtype=np.int64)
+        fa[random_point_set(head, 3**head // 3, n).indices] = 1
+        want = _pattern_like(fa, head)
+        if tail:
+            fb = np.zeros(3**tail, dtype=np.int64)
+            fb[random_point_set(tail, 3**tail // 2, n + 1).indices] = 1
+            fa, want = np.multiply.outer(fa, fb).ravel(), _eis_outer(want, _pattern_like(fb, tail))
+        table = transform_point_set(PointSet(n, np.flatnonzero(fa)))
+        assert table.p.dtype == np.int32
+        assert np.array_equal(table.p, want[0]) and np.array_equal(table.q, want[1])
+        re, im = inverse_table(table)
+        assert np.array_equal(re, fa) and not im.any()
+
+    def test_complex_tables_keep_the_complex_path(self, monkeypatch):
+        # a nonzero q plane must not reach the split, which assumes q = 0
+        monkeypatch.setattr(fourier, "_TILE", 27)
+        calls = []
+        real = fourier._butterfly_real
+        monkeypatch.setattr(
+            fourier, "_butterfly_real", lambda *a, **kw: calls.append(a) or real(*a, **kw)
+        )
+        values, _ = _pinned_function(5)
+        table = transform_table(values, 5)
+        assert calls and table.q.any()
+        calls.clear()
+        re, im = inverse_table(table)
+        assert not calls
+        assert np.array_equal(re, values) and not im.any()
+        inverse_table(SpectrumTable(5, table.p * 3**5, np.zeros_like(table.p)))
+        assert calls
 
 
 class TestCubeSum:
@@ -397,6 +474,20 @@ class TestOverflowBounds:
         assert fourier._kernel_dtype(c, self.N) is (np.int64 if above else np.int32)
         table, _ = self.exact_table([c * t for t in self.PATTERN])
         assert table.p.dtype == table.q.dtype == (np.int64 if above else np.int32)
+
+    @pytest.mark.parametrize("above", [False, True])
+    def test_int32_passes_through_the_conjugate_split(self, monkeypatch, above):
+        # a 9-cell tile sends every real 27-cell table through one split
+        # level, where g0's components reach 3 * peak: the pattern runs it
+        # forward, and the constant table c, the transform of c at 0, runs
+        # it in the inverse; both stay exact in the same tiers
+        monkeypatch.setattr(fourier, "_TILE", 9)
+        c = _largest(lambda c: 2 * c * 3**self.N < 2**31) + above
+        pattern, _ = self.exact_table([c * t for t in self.PATTERN])
+        constant, _ = self.exact_table([c * t for t in self.DELTA])
+        assert not constant.q.any()  # real, so exact_table's inverse takes the split
+        for table in (pattern, constant):
+            assert table.p.dtype == table.q.dtype == (np.int64 if above else np.int32)
 
     @pytest.mark.parametrize("above", [False, True])
     def test_int64_object_switch(self, above):
