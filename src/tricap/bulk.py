@@ -32,6 +32,7 @@ __all__ = [
     "dot_labels",
     "dots_with",
     "exact_sum",
+    "index_text",
     "indices_to_planes",
     "INT64_SAFE",
     "pair_sums",
@@ -64,6 +65,17 @@ def _weights(n: int) -> np.ndarray:
 def planes_to_indices(n: int, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     w = _weights(n)
     return w[lo] + 2 * w[hi]
+
+
+def index_text(n: int, idx: np.ndarray) -> str:
+    """The string forms of the indices, one line each, peeled a digit a pass."""
+    rest = np.asarray(idx, dtype=np.int64).ravel()
+    rows = np.empty((rest.size, n + 1), dtype=np.uint8)
+    rows[:, n] = ord("\n")
+    for col in range(n - 1, -1, -1):
+        rest, digit = np.divmod(rest, 3)
+        rows[:, col] = digit + ord("0")
+    return rows.tobytes().decode("ascii")
 
 
 def pair_sums(

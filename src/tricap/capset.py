@@ -182,16 +182,10 @@ class PointSet:
 def save_point_set(ps: PointSet, out: str | os.PathLike | TextIO) -> None:
     """Write the canonical text form: header line, one point per line.
 
-    ``out`` is a path or an open text stream. The digits of every point
-    are peeled off the index array at once into one ASCII buffer.
+    ``out`` is a path or an open text stream. The point lines come from
+    one ``bulk.index_text`` pass over the index array.
     """
-    rows = np.empty((ps.size, ps.n + 1), dtype=np.uint8)
-    rows[:, ps.n] = ord("\n")
-    rest = ps.indices
-    for col in range(ps.n - 1, -1, -1):
-        rest, digit = np.divmod(rest, 3)
-        rows[:, col] = digit + ord("0")
-    text = f"n={ps.n}\n" + rows.tobytes().decode("ascii")
+    text = f"n={ps.n}\n" + bulk.index_text(ps.n, ps.indices)
     if hasattr(out, "write"):
         out.write(text)
         return

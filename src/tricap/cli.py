@@ -100,8 +100,6 @@ def _parse_basis(text: str, n: int) -> Subspace:
         if len(part) != n or any(ch not in "012" for ch in part):
             raise _UsageError(f"bad basis vector {part!r} for dimension {n}")
         vectors.append(TritVector.from_string(part))
-    if not vectors:
-        return Subspace.zero(n)
     return Subspace.span(vectors, n)
 
 

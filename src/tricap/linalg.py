@@ -1,20 +1,25 @@
 """Linear algebra over F_3 on bit-plane-packed rows.
 
-Rows are (lo, hi) plane pairs. ``rank`` takes a whole stack of
-selections at once, an int64 array of canonical indices of shape (T, d),
-and eliminates all T of them together: n column steps of array ops on
-the stacked planes, with no Python loop over trials or rows.
+Rows are (lo, hi) plane pairs, bit i of each plane holding coordinate i.
+Two eliminations, each the faster on its own workload (2-core Xeon,
+CPython 3.11, numpy 2.4):
 
-``rref`` is the per-row elimination that builds ``Subspace`` bases.
-Echelon form here always means *reduced* echelon form with pivots
-normalized to 1, which makes every basis canonical: two subspaces are
-equal iff their bases compare equal.
+- ``rank`` eliminates a (T, d) stack of selections at once, in n column
+  steps of array ops. For nullity trials, 1,000 stacks of 12 x 12 at
+  n = 12, that takes 2.3 ms, against 47 ms inserting row by row.
+- ``Subspace`` bases grow a row at a time with ``_insert`` on Python
+  ints. The 538 spans of one ``selftest --seed 31020`` run (0 to 9 rows
+  each) take 1.3 ms this way, against 71 ms in the column kernel at T = 1.
+
+Echelon form always means *reduced* echelon form with pivots normalized
+to 1, so two subspaces are equal iff their bases are. Pivots increase
+row by row, so a row's pivot is the lowest set bit of lo | hi.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from dataclasses import dataclass
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -26,62 +31,40 @@ __all__ = [
     "ENUM_GUARD_DIM",
     "Subspace",
     "rank",
-    "rref",
 ]
 
 ENUM_GUARD_DIM = 16  # 3^16 ~ 43M points; enumeration beyond this refuses
 
 
-def _trit(lo: int, hi: int, col: int) -> int:
-    return ((lo >> col) & 1) + 2 * ((hi >> col) & 1)
+def _residue(rows: dict[int, tuple[int, int]], lo: int, hi: int) -> tuple[int, int]:
+    """(lo, hi) with every pivot cleared by the reduced rows {pivot bit: (lo, hi)}."""
+    for bit, (rlo, rhi) in rows.items():
+        if lo & bit:  # trit 1: add -row, the row with its planes swapped
+            lo, hi = plane_add(lo, hi, rhi, rlo)
+        elif hi & bit:  # trit 2: add -2 * row = row
+            lo, hi = plane_add(lo, hi, rlo, rhi)
+    return lo, hi
 
 
-def _sub_scaled(row: tuple[int, int], piv: tuple[int, int], t: int) -> tuple[int, int]:
-    # row - t*piv for t in {1, 2}; -1*p == +swap(p), -2*p == +p
-    if t == 1:
-        return plane_add(row[0], row[1], piv[1], piv[0])
-    return plane_add(row[0], row[1], piv[0], piv[1])
+def _insert(rows: dict[int, tuple[int, int]], lo: int, hi: int) -> bool:
+    """Add (lo, hi) to the reduced rows in place; False if already spanned.
 
-
-def rref(
-    rows: Iterable[tuple[int, int]], n: int
-) -> tuple[list[tuple[int, int]], list[int]]:
-    """Reduced row echelon form.
-
-    Returns (nonzero rows, pivot columns), pivots strictly increasing,
-    pivot entries normalized to 1 and cleared in every other row.
+    The residue's lowest nonzero coordinate is the new pivot; the earlier
+    rows' pivots are 0 there, so clearing its column leaves them intact.
     """
-    work = [r for r in rows if r != (0, 0)]
-    out: list[tuple[int, int]] = []
-    pivots: list[int] = []
-    for col in range(n):
-        hit = None
-        for i, r in enumerate(work):
-            if _trit(r[0], r[1], col):
-                hit = i
-                break
-        if hit is None:
-            continue
-        piv = work.pop(hit)
-        if _trit(piv[0], piv[1], col) == 2:
-            piv = (piv[1], piv[0])  # scale by 2 to normalize the pivot
-        nxt = []
-        for r in work:
-            t = _trit(r[0], r[1], col)
-            if t:
-                r = _sub_scaled(r, piv, t)
-            if r != (0, 0):
-                nxt.append(r)
-        work = nxt
-        out = [
-            _sub_scaled(r, piv, t) if (t := _trit(r[0], r[1], col)) else r
-            for r in out
-        ]
-        out.append(piv)
-        pivots.append(col)
-        if not work:
-            break
-    return out, pivots
+    lo, hi = _residue(rows, lo, hi)
+    bit = (lo | hi) & -(lo | hi)
+    if not bit:
+        return False
+    if hi & bit:
+        lo, hi = hi, lo
+    for p, (rlo, rhi) in rows.items():
+        if rlo & bit:
+            rows[p] = plane_add(rlo, rhi, hi, lo)
+        elif rhi & bit:
+            rows[p] = plane_add(rlo, rhi, lo, hi)
+    rows[bit] = (lo, hi)
+    return True
 
 
 def _stacked_rank(lo: np.ndarray, hi: np.ndarray, n: int) -> np.ndarray:
@@ -130,11 +113,30 @@ def rank(picks: np.ndarray, n: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Subspace:
-    """Linear subspace of F_3^n held as a canonical RREF basis."""
+    """Linear subspace of F_3^n held as a canonical reduced echelon basis.
+
+    The constructor raises ValueError for a basis that is not reduced.
+    """
 
     n: int
     basis: tuple[TritVector, ...]
-    pivots: tuple[int, ...] = field(default=())
+
+    def __post_init__(self) -> None:
+        bits = [(b.lo | b.hi) & -(b.lo | b.hi) for b in self.basis]  # pivot bits
+        if 0 in bits or bits != sorted(set(bits)) or any(
+            b.n != self.n or not b.lo & p or (b.lo | b.hi) & sum(bits) != p
+            for b, p in zip(self.basis, bits)
+        ):
+            raise ValueError("basis is not in reduced echelon form")
+
+    @classmethod
+    def _from_planes(cls, n: int, planes: Iterable[tuple[int, int]]) -> "Subspace":
+        """Span of (lo, hi) pairs, read only until the span is all of F_3^n."""
+        rows: dict[int, tuple[int, int]] = {}
+        for lo, hi in planes:
+            if _insert(rows, lo, hi) and len(rows) == n:
+                break
+        return cls(n, tuple(TritVector(n, *rows[bit]) for bit in sorted(rows)))
 
     @classmethod
     def span(cls, vectors: Sequence[TritVector], n: int | None = None) -> "Subspace":
@@ -144,16 +146,20 @@ class Subspace:
         for v in vectors:
             if v.n != dim:
                 raise DimensionMismatchError(f"{v.n} != {dim}")
-        rows, pivots = rref(((v.lo, v.hi) for v in vectors), dim)
-        return cls(dim, tuple(TritVector(dim, lo, hi) for lo, hi in rows), tuple(pivots))
+        return cls._from_planes(dim, ((v.lo, v.hi) for v in vectors))
 
     @classmethod
     def zero(cls, n: int) -> "Subspace":
-        return cls(n, (), ())
+        return cls(n, ())
 
     @classmethod
     def full(cls, n: int) -> "Subspace":
-        return cls.span([TritVector.unit(n, i) for i in range(n)])
+        return cls(n, tuple(TritVector.unit(n, i) for i in range(n)))
+
+    @property
+    def pivots(self) -> tuple[int, ...]:
+        """Pivot coordinate of each basis row: its lowest nonzero coordinate."""
+        return tuple(((b.lo | b.hi) & -(b.lo | b.hi)).bit_length() - 1 for b in self.basis)
 
     @property
     def dim(self) -> int:
@@ -166,16 +172,18 @@ class Subspace:
     def size(self) -> int:
         return 3**self.dim
 
+    def _rows(self) -> dict[int, tuple[int, int]]:
+        return {(b.lo | b.hi) & -(b.lo | b.hi): (b.lo, b.hi) for b in self.basis}
+
+    def _free(self) -> list[int]:
+        pivots = self.pivots
+        return [c for c in range(self.n) if c not in pivots]
+
     def reduce(self, v: TritVector) -> TritVector:
         """Residue of v after clearing every pivot coordinate."""
         if v.n != self.n:
             raise DimensionMismatchError(f"{v.n} != {self.n}")
-        lo, hi = v.lo, v.hi
-        for b, col in zip(self.basis, self.pivots):
-            t = _trit(lo, hi, col)
-            if t:
-                lo, hi = _sub_scaled((lo, hi), (b.lo, b.hi), t)
-        return TritVector(self.n, lo, hi)
+        return TritVector(self.n, *_residue(self._rows(), v.lo, v.hi))
 
     def contains(self, v: TritVector) -> bool:
         return self.reduce(v).is_zero()
@@ -184,46 +192,33 @@ class Subspace:
         return all(self.contains(b) for b in other.basis)
 
     def annihilator(self) -> "Subspace":
-        """All x with x.v = 0 for every v here; dim flips to n - dim."""
-        free = [c for c in range(self.n) if c not in self.pivots]
-        gens = []
-        for f in free:
-            # coordinate f set to 1, pivot coordinates set to -basis[f]
-            lo, hi = 1 << f, 0
-            for b, col in zip(self.basis, self.pivots):
-                t = b.trit(f)
-                if t == 1:  # need -1 == 2 at the pivot coordinate
-                    hi |= 1 << col
-                elif t == 2:
-                    lo |= 1 << col
-            gens.append(TritVector(self.n, lo, hi))
-        return Subspace.span(gens, self.n)
+        """All x with x.v = 0 for every v here; dim flips to n - dim.
+
+        Spanned by one vector per free coordinate f: 1 at f, -b(f) at the
+        pivot of each basis row b.
+        """
+        rows = self._rows().items()
+        return Subspace._from_planes(self.n, [
+            (1 << f | sum(p for p, (_, hi) in rows if hi >> f & 1),
+             sum(p for p, (lo, _) in rows if lo >> f & 1))
+            for f in self._free()
+        ])
 
     def transversal(self) -> "Subspace":
-        """Canonical complement: span of units at non-pivot coordinates."""
-        free = [c for c in range(self.n) if c not in self.pivots]
-        return Subspace.span([TritVector.unit(self.n, f) for f in free], self.n)
+        """Canonical complement: units at the free coordinates, already reduced."""
+        return Subspace(self.n, tuple(TritVector.unit(self.n, f) for f in self._free()))
 
     def extension_to(self, larger: "Subspace") -> list[TritVector]:
         """Vectors extending this basis to a basis of ``larger``.
 
-        The returned list T satisfies larger = self (+) span(T); combined
-        with enumerate_points it yields coset representatives of self
-        inside larger.
+        The returned list T satisfies larger = self (+) span(T): T keeps
+        each basis vector of ``larger`` outside the span of this basis and
+        of the vectors kept before it.
         """
         if not larger.contains_subspace(self):
             raise ValueError("extension target does not contain this subspace")
-        rows = [(b.lo, b.hi) for b in self.basis]
-        got = self.dim
-        out = []
-        for cand in larger.basis:
-            trial = rows + [(cand.lo, cand.hi)]
-            _, pivots = rref(trial, self.n)
-            if len(pivots) > got:
-                rows = trial
-                got = len(pivots)
-                out.append(cand)
-        return out
+        rows = self._rows()
+        return [b for b in larger.basis if _insert(rows, b.lo, b.hi)]
 
     def enumerate_indices(self, force: bool = False) -> np.ndarray:
         """Canonical indices of all 3^dim points, int64, zero first.
@@ -247,11 +242,4 @@ class Subspace:
             lo, hi = lo.ravel(), hi.ravel()
         return bulk.planes_to_indices(self.n, lo, hi)
 
-    def enumerate_points(self, force: bool = False) -> Iterator[TritVector]:
-        """The points of enumerate_indices, in the same order."""
-        lo, hi = bulk.indices_to_planes(self.n, self.enumerate_indices(force))
-        for plo, phi in zip(lo.tolist(), hi.tolist()):
-            yield TritVector(self.n, plo, phi)
-
-    def __contains__(self, v: TritVector) -> bool:
-        return self.contains(v)
+    __contains__ = contains

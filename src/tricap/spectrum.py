@@ -19,6 +19,12 @@ empty set has no increment. Hyperplane scans read the coset counts of
 every functional off the coefficient table; explicit and sampled cosets
 are counted from one histogram of dot profiles against the direction's
 annihilator, one pass over A and 3^d bins per sample.
+
+A hyperplane x^perp needs no elimination: with q the last nonzero
+coordinate of x, its reduced echelon basis is {e_j - x_j x_q e_q : j != q}.
+Each row has dot x_j - x_j x_q^2 = 0 with x, row j has its pivot at j
+(x_j != 0 only for j < q), and every other entry lies in column q, which
+is no pivot.
 """
 
 from __future__ import annotations
@@ -61,14 +67,6 @@ class AffineSubspace:
     def __post_init__(self) -> None:
         if self.direction.n != self.shift.n:
             raise ValueError("shift dimension differs from direction")
-
-    @property
-    def n(self) -> int:
-        return self.direction.n
-
-    @property
-    def codim(self) -> int:
-        return self.direction.codim
 
 
 @dataclass(frozen=True)
@@ -187,34 +185,27 @@ def _coset_sizes(ps: PointSet, functionals: Subspace, shifts: np.ndarray) -> np.
 class _ReportBuilder:
     """IncrementReports on the cosets of codimension d in one set.
 
-    The one place that sets density, the threshold rho * (1 + 20 d / n)
-    and the basis and shift strings. ``need`` is the fewest points of A
-    on such a coset that reach the threshold.
+    The one place that sets density and the threshold rho * (1 + 20 d / n);
+    ``need`` is the fewest points of A on such a coset that reach it.
     """
 
     def __init__(self, ps: PointSet, codim: int):
-        self.n = ps.n
         self.codim = codim
         self.cells = 3 ** (ps.n - codim)
         self.threshold = Fraction(ps.size, 3**ps.n) * (1 + Fraction(20 * codim, ps.n))
         self.need = math.ceil(self.threshold * self.cells)
 
-    def report(self, direction: Subspace, count: int, shift: int) -> IncrementReport:
-        """The coset shift + direction, shift a canonical index, holding count points."""
-        return IncrementReport(
-            codim=self.codim,
-            density=Fraction(count, self.cells),
-            threshold=self.threshold,
-            basis=tuple(str(b) for b in direction.basis),
-            shift=str(TritVector.from_index(self.n, shift)),
-        )
+    def report(self, basis: tuple[str, ...], count: int, shift: str) -> IncrementReport:
+        """The coset shift + span(basis) holding count points."""
+        density = Fraction(count, self.cells)
+        return IncrementReport(self.codim, density, self.threshold, basis, shift)
 
-    def increments(self, direction: Subspace, counts, shifts) -> list[IncrementReport]:
+    def increments(self, basis: tuple[str, ...], counts, shifts) -> list[IncrementReport]:
         """Reports on the cosets holding at least ``need`` points, in order.
 
         Each is also checked against the exact rational comparison.
         """
-        out = [self.report(direction, k, s) for k, s in zip(counts, shifts) if k >= self.need]
+        out = [self.report(basis, k, s) for k, s in zip(counts, shifts) if k >= self.need]
         for rep in out:
             if not rep.is_increment:
                 raise IdentityViolationError(
@@ -225,13 +216,13 @@ class _ReportBuilder:
 
 def strong_increment_check(ps: PointSet, aff: AffineSubspace) -> IncrementReport:
     """Exact rational density-vs-threshold comparison on one affine piece."""
-    if aff.n != ps.n:
+    if aff.shift.n != ps.n:
         raise ValueError("subspace dimension differs from the set")
-    d = aff.codim
+    d = aff.direction.codim
     if d < 1 or 2 * d > ps.n:
         raise ValueError(f"codimension {d} outside 1..n/2")
-    count = _coset_sizes(ps, aff.direction.annihilator(), np.array([aff.shift.index]))
-    return _ReportBuilder(ps, d).report(aff.direction, int(count[0]), aff.shift.index)
+    count = int(_coset_sizes(ps, aff.direction.annihilator(), np.array([aff.shift.index]))[0])
+    return _ReportBuilder(ps, d).report(tuple(map(str, aff.direction.basis)), count, str(aff.shift))
 
 
 def _canonical_ranges(n: int) -> list[range]:
@@ -242,6 +233,16 @@ def _canonical_ranges(n: int) -> list[range]:
     smaller index here.
     """
     return [range(3**k, 2 * 3**k) for k in range(n)]
+
+
+def _hyperplane_bases(n: int, x: np.ndarray) -> np.ndarray:
+    """Row i: indices of the reduced basis of x[i]^perp, in the module's closed form."""
+    place = 3 ** np.arange(n - 1, -1, -1, dtype=np.int64)  # index of e_j
+    digits = x[:, None] // place % 3
+    q = n - 1 - np.argmax(digits[:, ::-1] != 0, axis=1)
+    xq = digits[np.arange(x.size), q]
+    rows = place + (-digits * xq[:, None]) % 3 * place[q][:, None]
+    return rows[np.arange(n) != q[:, None]].reshape(x.size, n - 1)
 
 
 def scan_codim1_increments(ps: PointSet, force: bool = False) -> list[IncrementReport]:
@@ -258,17 +259,19 @@ def scan_codim1_increments(ps: PointSet, force: bool = False) -> list[IncrementR
         raise ValueError("codimension-1 scan needs n >= 2")
     if ps.size == 0:
         return []
+    n = ps.n
     table = transform_point_set(ps, force=force)
     build = _ReportBuilder(ps, 1)
     reports: list[IncrementReport] = []
-    for r in _canonical_ranges(ps.n):
+    for r in _canonical_ranges(n):
         levels = _level_counts(table.p[r.start : r.stop], table.q[r.start : r.stop], ps.size)
         top = np.maximum(np.maximum(levels[0], levels[1]), levels[2])
-        for i in np.flatnonzero(top >= build.need).tolist():
-            x = TritVector.from_index(ps.n, r.start + i)
-            direction = Subspace.span([x], ps.n).annihilator()
-            counts = [int(k[i]) for k in levels]
-            reports += build.increments(direction, counts, (0, r.start, 2 * r.start))
+        hits = np.flatnonzero(top >= build.need)
+        shifts = bulk.index_text(n, np.array([0, r.start, 2 * r.start])).split()
+        words = bulk.index_text(n, _hyperplane_bases(n, r.start + hits)).split()
+        counts = np.stack([k[hits] for k in levels], axis=1).tolist()
+        for basis, three in zip(zip(*[iter(words)] * (n - 1)), counts):  # n - 1 words a hit
+            reports += build.increments(basis, three, shifts)
     return reports
 
 
@@ -295,7 +298,9 @@ def sampled_increment_checks(
         direction = w.annihilator()
         shifts = direction.transversal().enumerate_indices()
         counts = _coset_sizes(spec.base, w, shifts).tolist()
-        out += _ReportBuilder(spec.base, w.dim).increments(direction, counts, shifts.tolist())
+        basis = tuple(map(str, direction.basis))
+        words = bulk.index_text(spec.n, shifts).split()
+        out += _ReportBuilder(spec.base, w.dim).increments(basis, counts, words)
     return out
 
 

@@ -1,9 +1,12 @@
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
 from tricap import PointSet, TritVector, make_rng
+
+import oracles
 
 settings.register_profile(
     "suite",
@@ -34,6 +37,28 @@ def tuples_of(ps: PointSet) -> list[tuple[int, ...]]:
 
 def set_of(tuples) -> PointSet:
     return PointSet.from_strings("".join(str(t) for t in d) for d in tuples)
+
+
+def digit_rows(indices, n: int) -> np.ndarray:
+    """Digits of canonical indices, one row each, coordinate 0 first."""
+    return np.asarray(indices, dtype=np.int64)[:, None] // 3 ** np.arange(n - 1, -1, -1) % 3
+
+
+def on_affine_coset(n: int, codim: int, seed: int) -> PointSet:
+    """A third of the points x with x . F = t, F random of rank codim.
+
+    t is nonzero, so the coset misses the origin.
+    """
+    rng = np.random.default_rng(seed)
+    while True:
+        f = rng.integers(0, 3, size=(codim, n))
+        if oracles.naive_rank(f.tolist()) == codim:
+            break
+    t = rng.integers(0, 3, size=codim)
+    t[0] = t[0] or 1
+    cube = digit_rows(np.arange(3**n), n)
+    coset = np.flatnonzero((cube @ f.T % 3 == t).all(axis=1))
+    return PointSet(n, rng.choice(coset, size=max(3, coset.size // 3), replace=False))
 
 
 @pytest.fixture

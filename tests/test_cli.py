@@ -1,5 +1,6 @@
 import argparse
 import csv
+import hashlib
 import io
 import json
 import subprocess
@@ -7,9 +8,19 @@ import sys
 
 import pytest
 
-from tricap import PointSet, cli, fourier, load_point_set, random_point_set, save_point_set
+from tricap import (
+    PointSet,
+    cli,
+    fourier,
+    greedy_random_capset,
+    load_point_set,
+    random_point_set,
+    save_point_set,
+)
 from tricap.cli import main
 from tricap.version import VERSION
+
+from conftest import on_affine_coset
 
 
 def run_cli(capsys, *argv):
@@ -160,6 +171,63 @@ class TestReportsAndFormats:
         )
         assert code == 0
         assert rep_path.read_text() == out
+
+
+# sets whose reports carry basis, shift and fiber strings: 60 points in
+# the hyperplane x_0 = 0 of F_3^10, three points of F_3^10 (3,280
+# increments), a third of a codimension-2 coset and a greedy cap
+PINNED_SETS = {
+    "hyperplane": lambda: PointSet(10, random_point_set(9, 60, 1).indices),
+    "three": lambda: random_point_set(10, 3, 11),
+    "coset": lambda: on_affine_coset(8, 2, 3),
+    "cap": lambda: greedy_random_capset(6, 3),
+}
+
+# sha256 of stdout
+PINNED_REPORTS = [
+    ("spectrum extract", "hyperplane", (), "json",
+     "a078aed258345661be122e9737b0c81746f0be50e16e1dae00e77f5fa0d13b14"),
+    ("spectrum extract", "hyperplane", (), "csv",
+     "0549ce8fcdde9425f8e8e0cbcb7a9bf1bed26efd1f93072b47b5359442ed8c90"),
+    ("spectrum extract", "three", (), "json",
+     "c168b1c5db37adae21cbe871e96c34a9453d5be7ddcb0aa965c898568ffeb9d7"),
+    ("spectrum extract", "three", (), "csv",
+     "c81ce4d34113b0c2444be5c8655e53896eed3a9167c4cce281defa222bb3ddef"),
+    ("spectrum increments", "coset",
+     ("--codim", "2", "--threshold", "27", "--samples", "6", "--seed", "3"), "json",
+     "0aff6002e5f868a0a37f73df3849711e6f55bf68e7b67122894dd7f502a2b746"),
+    ("spectrum increments", "coset",
+     ("--codim", "2", "--threshold", "27", "--samples", "6", "--seed", "3"), "csv",
+     "c5c8c27375f989879b29a00af7ebe20aa6fb8f18b2554e83a0c35b92aa994130"),
+    ("structure fibers", "cap", ("--h", "120000,111111"), "json",
+     "24da927855c39fa78292ce11869898ccef89b70af402bd1476ee44b2610596fa"),
+    ("structure fibers", "cap", ("--h", "120000,111111"), "csv",
+     "cfd76521f9c5c4a2e2672ddb47882ed2f7cc832046c34ffab768b8575f8fd28c"),
+    ("structure martingale", "cap", ("--h", "120000", "--k", "100000,010000,001200"),
+     "json", "417e9e2379e0b7b140f7f54d41babb3dd729f8d252ab89dee10073a8914b6a55"),
+]
+
+
+@pytest.fixture(scope="module")
+def pinned_paths(tmp_path_factory):
+    root = tmp_path_factory.mktemp("pinned")
+    paths = {}
+    for name, build in PINNED_SETS.items():
+        paths[name] = str(root / f"{name}.txt")
+        save_point_set(build(), paths[name])
+    return paths
+
+
+class TestPinnedReports:
+    @pytest.mark.parametrize("command, name, options, fmt, digest", PINNED_REPORTS, ids=[
+        f"{command.replace(' ', '-')}-{name}-{fmt}" for command, name, _, fmt, _ in PINNED_REPORTS
+    ])
+    def test_stdout_digest(self, pinned_paths, capsys, command, name, options, fmt, digest):
+        code, out, _ = run_cli(
+            capsys, *command.split(), pinned_paths[name], *options, "--format", fmt
+        )
+        assert code == 0
+        assert hashlib.sha256(out.encode("ascii")).hexdigest() == digest
 
 
 # every leaf command, its required arguments, whether it honours --force

@@ -22,6 +22,11 @@ def _tv(strings):
     return [TritVector.from_string(s) for s in strings]
 
 
+def _points(w):
+    """The points of w in enumerate_indices order."""
+    return [TritVector.from_index(w.n, i) for i in w.enumerate_indices().tolist()]
+
+
 def _stack(strings):
     """One selection as a (1, d) stack of canonical indices."""
     return np.array([[TritVector.from_string(s).index for s in strings]], dtype=np.int64)
@@ -120,7 +125,7 @@ class TestSubspace:
             return
         n = len(strings[0])
         w = Subspace.span(_tv(strings))
-        got = {str(v) for v in w.enumerate_points()}
+        got = {str(v) for v in _points(w)}
         want = {
             oracles.to_string(d)
             for d in oracles.naive_span([oracles.digits(s) for s in strings], n)
@@ -142,15 +147,12 @@ class TestSubspace:
                 v = oracles.vec_add(v, tuple(c * t % 3 for t in b))
             want.append(oracles.point_index(v))
         assert w.enumerate_indices().tolist() == want
-        assert [v.index for v in w.enumerate_points()] == want
 
     def test_enumerate_zero_and_guard(self):
         assert Subspace.zero(3).enumerate_indices().tolist() == [0]
         big = Subspace.full(17)
         with pytest.raises(GuardExceededError):
             big.enumerate_indices()
-        with pytest.raises(GuardExceededError):
-            next(big.enumerate_points())
 
     @given(st.integers(2, 5).flatmap(lambda n: _vectors(n, 4)))
     def test_annihilator_duality(self, strings):
@@ -159,7 +161,7 @@ class TestSubspace:
         w = Subspace.span(_tv(strings))
         ann = w.annihilator()
         assert ann.dim == w.codim
-        for u in w.enumerate_points():
+        for u in _points(w):
             for x in ann.basis:
                 assert u.dot(x) == 0
         assert ann.annihilator().dim == w.dim
@@ -171,8 +173,8 @@ class TestSubspace:
         t = w.transversal()
         assert t.dim == w.codim
         seen = set()
-        for r in t.enumerate_points():
-            for u in w.enumerate_points():
+        for r in _points(t):
+            for u in _points(w):
                 seen.add(str(r + u))
         assert len(seen) == 27
 
@@ -193,6 +195,62 @@ class TestSubspace:
         k = Subspace.span(_tv(["010"]))
         with pytest.raises(Exception):
             h.extension_to(k)
+
+    @given(st.integers(1, 8).flatmap(lambda n: _vectors(n, 12)))
+    def test_span_is_canonical_reduced_basis(self, strings):
+        if not strings:
+            return
+        n = len(strings[0])
+        w = Subspace.span(_tv(strings))
+        pivots = list(w.pivots)
+        assert pivots == sorted(set(pivots))
+        for b, p in zip(w.basis, pivots):
+            assert b.trits()[:p] == (0,) * p and b.trit(p) == 1
+            assert [b.trit(c) for c in pivots if c != p] == [0] * (len(pivots) - 1)
+        want = oracles.naive_span([oracles.digits(s) for s in strings], n)
+        assert {oracles.digits(str(v)) for v in _points(w)} == want
+        assert 3**w.dim == len(want)
+
+    @given(st.integers(1, 7).flatmap(lambda n: st.tuples(_vectors(n, 4), _vectors(n, 5))))
+    def test_extension_matches_greedy_rank(self, parts):
+        inner, extra = parts
+        if not inner + extra:
+            return
+        n = len((inner + extra)[0])
+        h = Subspace.span(_tv(inner), n)
+        k = Subspace.span(_tv(inner + extra), n)
+        kept = list(h.basis)
+        want = []
+        for cand in k.basis:
+            picks = np.array([[v.index for v in kept + [cand]]], dtype=np.int64)
+            if rank(picks, n)[0] > len(kept):
+                kept.append(cand)
+                want.append(cand)
+        assert h.extension_to(k) == want
+
+    def test_constructor_derives_pivots(self):
+        e0 = TritVector.unit(3, 0)
+        w = Subspace(3, (e0,))
+        assert w.pivots == (0,)
+        assert w.contains(e0)
+        assert w.annihilator().dim == 2
+        assert Subspace(3, tuple(_tv(["120"]))).pivots == (0,)
+        assert Subspace(3, tuple(_tv(["102", "011"]))) == Subspace.span(_tv(["102", "011"]))
+
+    @pytest.mark.parametrize("rows", [
+        ["210"],  # pivot trit 2
+        ["000"],  # zero row
+        ["010", "100"],  # pivots decrease
+        ["100", "110"],  # two rows share a pivot
+        ["110", "010"],  # row 0 is nonzero at row 1's pivot
+    ])
+    def test_constructor_rejects_unreduced_basis(self, rows):
+        with pytest.raises(ValueError):
+            Subspace(3, tuple(_tv(rows)))
+
+    def test_constructor_rejects_wrong_dimension(self):
+        with pytest.raises(ValueError):
+            Subspace(4, tuple(_tv(["100"])))
 
     def test_reduce_is_canonical_rep(self):
         w = Subspace.span(_tv(["100"]))

@@ -28,7 +28,7 @@ from tricap import (
 )
 
 import oracles
-from conftest import all_vectors, tuples_of
+from conftest import all_vectors, digit_rows, on_affine_coset, tuples_of
 
 small_sets = st.tuples(st.integers(3, 5), st.integers(0, 99_999)).map(
     lambda t: random_point_set(t[0], 1 + t[1] % min(40, 3 ** t[0] - 1), t[1])
@@ -37,33 +37,11 @@ small_sets = st.tuples(st.integers(3, 5), st.integers(0, 99_999)).map(
 
 def _hyperplane(n: int) -> PointSet:
     w = Subspace.span([TritVector.unit(n, i) for i in range(1, n)])
-    return PointSet.from_vectors(w.enumerate_points())
-
-
-def _digit_rows(indices, n: int) -> np.ndarray:
-    """Digits of canonical indices, one row each, coordinate 0 first."""
-    return np.asarray(indices, dtype=np.int64)[:, None] // 3 ** np.arange(n - 1, -1, -1) % 3
+    return PointSet(n, w.enumerate_indices())
 
 
 def _row_indices(rows: np.ndarray, n: int) -> np.ndarray:
     return rows @ 3 ** np.arange(n - 1, -1, -1)
-
-
-def _on_affine_coset(n: int, codim: int, seed: int) -> PointSet:
-    """A third of the points x with x . F = t, F random of rank codim.
-
-    t is nonzero, so the coset misses the origin.
-    """
-    rng = np.random.default_rng(seed)
-    while True:
-        f = rng.integers(0, 3, size=(codim, n))
-        if oracles.naive_rank(f.tolist()) == codim:
-            break
-    t = rng.integers(0, 3, size=codim)
-    t[0] = t[0] or 1
-    cube = _digit_rows(np.arange(3**n), n)
-    coset = np.flatnonzero((cube @ f.T % 3 == t).all(axis=1))
-    return PointSet(n, rng.choice(coset, size=max(3, coset.size // 3), replace=False))
 
 
 class TestSpectrumLookups:
@@ -258,20 +236,20 @@ class TestIncrementOracles:
         (6, 2, 1), (7, 3, 2), (8, 2, 3), (9, 3, 4), (10, 1, 5), (11, 1, 6), (11, 2, 7),
     ])
     def test_sampled_checks_match_brute_force(self, n, codim, seed):
-        ps = _on_affine_coset(n, codim, seed)
+        ps = on_affine_coset(n, codim, seed)
         spec = extract_spectrum(ps, Fraction(3**n, ps.size))
         samples = 6
         reports = sampled_increment_checks(spec, codim, samples, seed)
         assert reports
-        cube = _digit_rows(np.arange(3**n), n)
-        points = _digit_rows(ps.indices, n)
+        cube = digit_rows(np.arange(3**n), n)
+        points = digit_rows(ps.indices, n)
         pos = 0
         for s in range(samples):
             # the draw of sampled_increment_checks: stream (seed, 31, s)
             picks = make_rng(seed, 31, s).choice(
                 spec.members.indices, size=min(codim, spec.size), replace=False
             )
-            funcs = _digit_rows(picks, n)
+            funcs = digit_rows(picks, n)
             k = oracles.naive_rank(funcs.tolist())
             if not (1 <= k and 2 * k <= n):
                 continue
@@ -285,7 +263,7 @@ class TestIncrementOracles:
             seen = set()
             for rep in reports[pos : pos + len(want)]:
                 assert (rep.codim, rep.threshold) == (k, threshold)
-                basis = _digit_rows([TritVector.from_string(b).index for b in rep.basis], n)
+                basis = digit_rows([TritVector.from_string(b).index for b in rep.basis], n)
                 assert in_v[_row_indices(basis, n)].all()
                 assert oracles.naive_rank(basis.tolist()) == n - k
                 shift = np.array(oracles.digits(rep.shift))
@@ -314,6 +292,15 @@ class TestIncrementOracles:
             )
             assert rep.codim == 1 and len(basis) == 9
             assert rep.density == Fraction(count, 3**9) == Fraction(3, 3**9)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_hyperplane_bases_match_annihilator(self, n):
+        x = np.arange(1, 3**n)
+        want = [
+            [b.index for b in Subspace.span([TritVector.from_index(n, int(i))]).annihilator().basis]
+            for i in x
+        ]
+        assert spectrum._hyperplane_bases(n, x).tolist() == want
 
     @pytest.mark.parametrize("n", range(1, 11))
     def test_canonical_ranges_keep_the_smaller_of_x_and_2x(self, n):
@@ -360,7 +347,7 @@ class TestSubspaceStats:
         table = transform_point_set(ps)
         direct_count = 0
         direct_weight = 0
-        for v in w.enumerate_points():
+        for v in PointSet(5, w.enumerate_indices()).vectors():
             if v.is_zero():
                 continue
             if spec.contains(v):
