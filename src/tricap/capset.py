@@ -148,7 +148,8 @@ class PointSet:
         return bool(i < self.indices.size and self.indices[i] == v.index)
 
     def vectors(self) -> list[TritVector]:
-        return [TritVector.from_index(self.n, int(i)) for i in self.indices]
+        lo, hi = self.planes()
+        return [TritVector(self.n, a, b) for a, b in zip(lo.tolist(), hi.tolist())]
 
     def translate(self, v: TritVector) -> "PointSet":
         if v.n != self.n:

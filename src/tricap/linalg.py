@@ -19,7 +19,7 @@ row by row, so a row's pivot is the lowest set bit of lo | hi.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -241,5 +241,11 @@ class Subspace:
             )
             lo, hi = lo.ravel(), hi.ravel()
         return bulk.planes_to_indices(self.n, lo, hi)
+
+    def enumerate_points(self, force: bool = False) -> Iterator[TritVector]:
+        """The points of enumerate_indices, in the same order."""
+        lo, hi = bulk.indices_to_planes(self.n, self.enumerate_indices(force))
+        for plo, phi in zip(lo.tolist(), hi.tolist()):
+            yield TritVector(self.n, plo, phi)
 
     __contains__ = contains

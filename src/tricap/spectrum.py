@@ -68,6 +68,14 @@ class AffineSubspace:
         if self.direction.n != self.shift.n:
             raise ValueError("shift dimension differs from direction")
 
+    @property
+    def n(self) -> int:
+        return self.direction.n
+
+    @property
+    def codim(self) -> int:
+        return self.direction.codim
+
 
 @dataclass(frozen=True)
 class IncrementReport:
@@ -186,7 +194,9 @@ class _ReportBuilder:
     """IncrementReports on the cosets of codimension d in one set.
 
     The one place that sets density and the threshold rho * (1 + 20 d / n);
-    ``need`` is the fewest points of A on such a coset that reach it.
+    ``need`` is the fewest points of A on such a coset that reach it. Its
+    basis and shift strings all come from ``bulk.index_text`` over
+    canonical indices.
     """
 
     def __init__(self, ps: PointSet, codim: int):
@@ -216,13 +226,15 @@ class _ReportBuilder:
 
 def strong_increment_check(ps: PointSet, aff: AffineSubspace) -> IncrementReport:
     """Exact rational density-vs-threshold comparison on one affine piece."""
-    if aff.shift.n != ps.n:
+    if aff.n != ps.n:
         raise ValueError("subspace dimension differs from the set")
-    d = aff.direction.codim
+    d = aff.codim
     if d < 1 or 2 * d > ps.n:
         raise ValueError(f"codimension {d} outside 1..n/2")
     count = int(_coset_sizes(ps, aff.direction.annihilator(), np.array([aff.shift.index]))[0])
-    return _ReportBuilder(ps, d).report(tuple(map(str, aff.direction.basis)), count, str(aff.shift))
+    indices = [b.index for b in aff.direction.basis] + [aff.shift.index]
+    *basis, shift = bulk.index_text(ps.n, indices).split()
+    return _ReportBuilder(ps, d).report(tuple(basis), count, shift)
 
 
 def _canonical_ranges(n: int) -> list[range]:
@@ -267,7 +279,7 @@ def scan_codim1_increments(ps: PointSet, force: bool = False) -> list[IncrementR
         levels = _level_counts(table.p[r.start : r.stop], table.q[r.start : r.stop], ps.size)
         top = np.maximum(np.maximum(levels[0], levels[1]), levels[2])
         hits = np.flatnonzero(top >= build.need)
-        shifts = bulk.index_text(n, np.array([0, r.start, 2 * r.start])).split()
+        shifts = bulk.index_text(n, [0, r.start, 2 * r.start]).split()
         words = bulk.index_text(n, _hyperplane_bases(n, r.start + hits)).split()
         counts = np.stack([k[hits] for k in levels], axis=1).tolist()
         for basis, three in zip(zip(*[iter(words)] * (n - 1)), counts):  # n - 1 words a hit
@@ -298,7 +310,7 @@ def sampled_increment_checks(
         direction = w.annihilator()
         shifts = direction.transversal().enumerate_indices()
         counts = _coset_sizes(spec.base, w, shifts).tolist()
-        basis = tuple(map(str, direction.basis))
+        basis = tuple(bulk.index_text(spec.n, [b.index for b in direction.basis]).split())
         words = bulk.index_text(spec.n, shifts).split()
         out += _ReportBuilder(spec.base, w.dim).increments(basis, counts, words)
     return out

@@ -262,7 +262,7 @@ def span_hull(ps: PointSet) -> tuple[Subspace, Fraction]:
     """Linear span of the set and the fill ratio |span| / |S|."""
     if ps.size == 0:
         return Subspace.zero(ps.n), Fraction(0)
-    span = Subspace._from_planes(ps.n, zip(*(plane.tolist() for plane in ps.planes())))
+    span = Subspace.span(list(ps.vectors()), ps.n)
     return span, Fraction(span.size(), ps.size)
 
 

@@ -36,7 +36,7 @@ tiny_sets = st.tuples(st.integers(2, 4), st.integers(0, 99_999)).map(
 
 def _subspace_set(n: int, d: int) -> PointSet:
     w = Subspace.span([TritVector.unit(n, i) for i in range(d)])
-    return PointSet(n, w.enumerate_indices())
+    return PointSet.from_vectors(w.enumerate_points())
 
 
 class TestMultiplicity:

@@ -280,7 +280,7 @@ class TestRestrictedTransform:
         w = Subspace.span([TritVector.from_string(s[: ps.n]) for s in strings], ps.n)
         table = restricted_transform(ps, w)
         assert table.n == w.dim
-        points = [TritVector.from_index(w.n, i) for i in w.enumerate_indices().tolist()]
+        points = list(w.enumerate_points())
         assert points[0].is_zero()
         for j, x in enumerate(points):
             assert table.coefficient_at(j) == eval_at(ps, x)

@@ -22,11 +22,6 @@ def _tv(strings):
     return [TritVector.from_string(s) for s in strings]
 
 
-def _points(w):
-    """The points of w in enumerate_indices order."""
-    return [TritVector.from_index(w.n, i) for i in w.enumerate_indices().tolist()]
-
-
 def _stack(strings):
     """One selection as a (1, d) stack of canonical indices."""
     return np.array([[TritVector.from_string(s).index for s in strings]], dtype=np.int64)
@@ -125,7 +120,7 @@ class TestSubspace:
             return
         n = len(strings[0])
         w = Subspace.span(_tv(strings))
-        got = {str(v) for v in _points(w)}
+        got = {str(v) for v in w.enumerate_points()}
         want = {
             oracles.to_string(d)
             for d in oracles.naive_span([oracles.digits(s) for s in strings], n)
@@ -147,12 +142,15 @@ class TestSubspace:
                 v = oracles.vec_add(v, tuple(c * t % 3 for t in b))
             want.append(oracles.point_index(v))
         assert w.enumerate_indices().tolist() == want
+        assert [v.index for v in w.enumerate_points()] == want
 
     def test_enumerate_zero_and_guard(self):
         assert Subspace.zero(3).enumerate_indices().tolist() == [0]
         big = Subspace.full(17)
         with pytest.raises(GuardExceededError):
             big.enumerate_indices()
+        with pytest.raises(GuardExceededError):
+            next(big.enumerate_points())
 
     @given(st.integers(2, 5).flatmap(lambda n: _vectors(n, 4)))
     def test_annihilator_duality(self, strings):
@@ -161,7 +159,7 @@ class TestSubspace:
         w = Subspace.span(_tv(strings))
         ann = w.annihilator()
         assert ann.dim == w.codim
-        for u in _points(w):
+        for u in w.enumerate_points():
             for x in ann.basis:
                 assert u.dot(x) == 0
         assert ann.annihilator().dim == w.dim
@@ -173,8 +171,8 @@ class TestSubspace:
         t = w.transversal()
         assert t.dim == w.codim
         seen = set()
-        for r in _points(t):
-            for u in _points(w):
+        for r in t.enumerate_points():
+            for u in w.enumerate_points():
                 seen.add(str(r + u))
         assert len(seen) == 27
 
@@ -208,7 +206,7 @@ class TestSubspace:
             assert b.trits()[:p] == (0,) * p and b.trit(p) == 1
             assert [b.trit(c) for c in pivots if c != p] == [0] * (len(pivots) - 1)
         want = oracles.naive_span([oracles.digits(s) for s in strings], n)
-        assert {oracles.digits(str(v)) for v in _points(w)} == want
+        assert {oracles.digits(str(v)) for v in w.enumerate_points()} == want
         assert 3**w.dim == len(want)
 
     @given(st.integers(1, 7).flatmap(lambda n: st.tuples(_vectors(n, 4), _vectors(n, 5))))

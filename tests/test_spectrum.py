@@ -37,7 +37,7 @@ small_sets = st.tuples(st.integers(3, 5), st.integers(0, 99_999)).map(
 
 def _hyperplane(n: int) -> PointSet:
     w = Subspace.span([TritVector.unit(n, i) for i in range(1, n)])
-    return PointSet(n, w.enumerate_indices())
+    return PointSet.from_vectors(w.enumerate_points())
 
 
 def _row_indices(rows: np.ndarray, n: int) -> np.ndarray:
@@ -347,7 +347,7 @@ class TestSubspaceStats:
         table = transform_point_set(ps)
         direct_count = 0
         direct_weight = 0
-        for v in PointSet(5, w.enumerate_indices()).vectors():
+        for v in w.enumerate_points():
             if v.is_zero():
                 continue
             if spec.contains(v):

@@ -132,7 +132,7 @@ class TestLevels:
 
     def test_band_exponent_subspace(self):
         w = Subspace.span([TritVector.unit(4, 0), TritVector.unit(4, 1)])
-        ps = PointSet(4, w.enumerate_indices())
+        ps = PointSet.from_vectors(w.enumerate_points())
         levels = build_levels(ps)
         # every difference of a subspace has multiplicity |S|, one band
         assert len(list(levels)) == 1
