@@ -11,11 +11,11 @@ they are int64 while |A|^(m-1) < 2^62, their squares while
 |A|^(2m-2) < 2^62, and Python ints past either bound.
 
 Memory: each path holds one dense table plus fixed, block-sized
-scratch. The difference multiplicities are one int64 count table of
-3^n cells, summed one fourier._BLOCK of cells at a time; the transform
-backend also holds the imaginary plane of the inverse while it runs.
-E_2m by transform holds the coefficient table and counts its distinct
-norms one block at a time, so no full-size norm array is made.
+scratch. Every transform-side energy, E4 included, counts the distinct
+norms of one coefficient table a block at a time, and nothing inverts
+it. Only diff_multiplicity, whose callers need the full map, inverts
+the norm table: one int64 count table of 3^n cells, plus the imaginary
+plane of the inverse while it runs.
 
 All energies and inequality checks are computed in unbounded integers;
 no float enters any comparison. Floats appear only in report fields
@@ -122,9 +122,7 @@ def diff_multiplicity(ps: PointSet, backend: str = "auto") -> MultiplicityMap:
     agree exactly and tests pin that down.
     """
     if backend == "auto":
-        backend = "transform" if (
-            ps.n <= TRANSFORM_GUARD_N and 3**ps.n < 4 * max(ps.size, 1) ** 2
-        ) else "hash"
+        backend = "transform" if _table_pays(ps) else "hash"
     if backend == "hash":
         if ps.n > 16:
             raise GuardExceededError("dense difference table", ps.n, 16)
@@ -134,6 +132,14 @@ def diff_multiplicity(ps: PointSet, backend: str = "auto") -> MultiplicityMap:
     else:
         raise ValueError(f"unknown backend {backend!r}")
     return MultiplicityMap(ps.n, table)
+
+
+def _table_pays(ps: PointSet) -> bool:  # auto rule of e4 and diff_multiplicity
+    return ps.n <= TRANSFORM_GUARD_N and 3**ps.n < 4 * max(ps.size, 1) ** 2
+
+
+def _table_serves(ps: PointSet, force: bool = False) -> bool:  # auto rule of every E_2m
+    return ps.n <= TRANSFORM_GUARD_N or force
 
 
 def _inverse_of_real(n: int, norms: np.ndarray) -> np.ndarray:
@@ -151,7 +157,9 @@ def _inverse_of_real(n: int, norms: np.ndarray) -> np.ndarray:
 
 
 def e4(ps: PointSet, backend: str = "auto") -> int:
-    """Number of quadruples a + b = c + d (equivalently a - c = d - b)."""
+    """Quadruples a + b = c + d: E_2m at m = 2 by transform, sum m(x)^2 by hash."""
+    if backend == "transform" or backend == "auto" and _table_pays(ps):
+        return e2m(ps, 2, backend="transform")
     return diff_multiplicity(ps, backend=backend).energy()
 
 
@@ -159,34 +167,31 @@ def e2m(ps: PointSet, m: int, backend: str = "auto", force: bool = False) -> int
     """E_2m: tuples (a_1..a_m, b_1..b_m) with equal sums. Exact."""
     if m < 1:
         raise ValueError("m must be positive")
-    if ps.size == 0:
-        return 0
     if backend == "auto":
-        backend = "transform" if ps.n <= TRANSFORM_GUARD_N or force else "convolution"
+        backend = "transform" if _table_serves(ps, force) else "convolution"
     if backend == "transform":
-        return _e2m_transform(ps, m, force)
+        return _e2m_transform(ps, (m,), force)[0]
     if backend == "convolution":
         return _e2m_convolution(ps, m)
     raise ValueError(f"unknown backend {backend!r}")
 
 
-def _e2m_transform(ps: PointSet, m: int, force: bool) -> int:
-    """sum |c(y)|^(2m) / 3^n over the distinct norms of the table.
+def _e2m_transform(ps: PointSet, ms: tuple[int, ...], force: bool) -> list[int]:
+    """sum |c(y)|^(2m) / 3^n for each m of ms, in order, from one table.
 
     A table has far fewer distinct norms than cells (about 10^4 among
     4.8 * 10^6 on a greedy cap at n = 14), so the norms are counted one
     norm_blocks() block at a time and the small (value, count) arrays
     merged; the exact Python-int powers then run once per distinct value.
     """
-    values = counts = None
+    values, counts = np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
     for _, _, norms in transform_point_set(ps, force=force).norm_blocks():
-        v, c = np.unique(norms, return_counts=True)
-        values, counts = (v, c) if values is None else _merge_sums(values, counts, v, c)
-    total = sum(c * v**m for v, c in zip(values.tolist(), counts.tolist()))
-    div = 3**ps.n
-    if total % div:
-        raise IdentityViolationError("energy divisibility", total % div, 0)
-    return total // div
+        values, counts = _merge_sums(values, counts, *np.unique(norms, return_counts=True))
+    pairs = list(zip(values.tolist(), counts.tolist()))
+    totals = [divmod(sum(c * v**m for v, c in pairs), 3**ps.n) for m in ms]
+    if any(rest for _, rest in totals):
+        raise IdentityViolationError("energy divisibility", [rest for _, rest in totals], 0)
+    return [energy for energy, _ in totals]
 
 
 def _e2m_convolution(ps: PointSet, m: int) -> int:
@@ -272,14 +277,14 @@ class HolderReport:
 def holder_check(ps: PointSet, m: int) -> HolderReport:
     if m < 3:
         raise ValueError("interpolation checks start at m = 3")
-    v4 = e4(ps)
-    vm = e2m(ps, m)
+    wants = (2, m) if m <= 4 else (2, 4, m)
+    if _table_serves(ps):
+        got = dict(zip(wants, _e2m_transform(ps, wants, False)))
+    else:
+        got = {k: e4(ps) if k == 2 else e2m(ps, k) for k in wants}
+    v4, vm, v8 = got[2], got[m], got.get(4)
     part1 = v4 ** (m - 1) <= vm * ps.size ** (m - 2)
-    v8: int | None = None
-    part2: bool | None = None
-    if m >= 4:
-        v8 = vm if m == 4 else e2m(ps, 4)
-        part2 = v8 ** (m - 1) <= vm**3 * ps.size ** (m - 4)
+    part2 = None if v8 is None else v8 ** (m - 1) <= vm**3 * ps.size ** (m - 4)
     return HolderReport(
         m=m, size=ps.size, e4=v4, e8=v8, e2m=vm, part1_holds=part1, part2_holds=part2
     )

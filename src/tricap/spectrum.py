@@ -194,16 +194,19 @@ class _ReportBuilder:
     """IncrementReports on the cosets of codimension d in one set.
 
     The one place that sets density and the threshold rho * (1 + 20 d / n);
-    ``need`` is the fewest points of A on such a coset that reach it. Its
-    basis and shift strings all come from ``bulk.index_text`` over
-    canonical indices.
+    ``need``, checked once as the exact boundary, is the fewest points of A
+    on such a coset that reach it, so by monotonicity the cosets holding
+    ``need`` or more are exactly the increments. Basis and shift strings
+    all come from ``bulk.index_text`` over canonical indices.
     """
 
     def __init__(self, ps: PointSet, codim: int):
         self.codim = codim
         self.cells = 3 ** (ps.n - codim)
         self.threshold = Fraction(ps.size, 3**ps.n) * (1 + Fraction(20 * codim, ps.n))
-        self.need = math.ceil(self.threshold * self.cells)
+        self.need = need = math.ceil(self.threshold * self.cells)
+        if self.threshold and not need - 1 < self.threshold * self.cells <= need:
+            raise IdentityViolationError("increment boundary", need, str(self.threshold))
 
     def report(self, basis: tuple[str, ...], count: int, shift: str) -> IncrementReport:
         """The coset shift + span(basis) holding count points."""
@@ -211,17 +214,8 @@ class _ReportBuilder:
         return IncrementReport(self.codim, density, self.threshold, basis, shift)
 
     def increments(self, basis: tuple[str, ...], counts, shifts) -> list[IncrementReport]:
-        """Reports on the cosets holding at least ``need`` points, in order.
-
-        Each is also checked against the exact rational comparison.
-        """
-        out = [self.report(basis, k, s) for k, s in zip(counts, shifts) if k >= self.need]
-        for rep in out:
-            if not rep.is_increment:
-                raise IdentityViolationError(
-                    "increment mask agreement", str(rep.density), str(rep.threshold)
-                )
-        return out
+        """Reports on the cosets holding at least ``need`` points, in order."""
+        return [self.report(basis, k, s) for k, s in zip(counts, shifts) if k >= self.need]
 
 
 def strong_increment_check(ps: PointSet, aff: AffineSubspace) -> IncrementReport:

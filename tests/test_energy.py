@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from tricap import (
     GuardExceededError,
+    IdentityViolationError,
     PointSet,
     Subspace,
     TritVector,
@@ -151,17 +152,88 @@ class TestEnergies:
         assert e4(ps) >= ps.size**2
 
 
+class TestOneTable:
+    """E4, E8 and E_2m by transform come from one table's distinct norms.
+
+    Within the transform guard every holder_check and every e4 on the
+    transform backend makes one transform and inverts nothing; past it
+    holder_check makes the separate e4 and e2m calls.
+    """
+
+    @staticmethod
+    def spy(monkeypatch, name):
+        calls = []
+        real = getattr(energy, name)
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(energy, name, counted)
+        return calls
+
+    @pytest.mark.parametrize("n", [5, 9, 14])
+    def test_one_transform_no_inverse(self, monkeypatch, n):
+        ps = greedy_random_capset(n, 7)
+        transforms = self.spy(monkeypatch, "transform_point_set")
+        inverses = self.spy(monkeypatch, "inverse_table")
+        runs = [lambda: e4(ps, backend="transform")]
+        runs += [lambda m=m: holder_check(ps, m) for m in (3, 4, 5, 6)]
+        for run in runs:
+            transforms.clear()
+            run()
+            assert (len(transforms), len(inverses)) == (1, 0)
+
+    def test_moments_in_the_order_asked(self):
+        ps = random_point_set(4, 12, 5)
+        pts = tuples_of(ps)
+        want = {m: oracles.naive_e2m(pts, m) for m in (2, 3, 4)}
+        for ms in ((2, 3, 4), (4, 2, 3), (3, 2)):
+            assert energy._e2m_transform(ps, ms, False) == [want[m] for m in ms]
+
+    @pytest.mark.parametrize("m", [3, 4, 5, 6])
+    def test_holder_values_match_separate_calls(self, m):
+        for ps in (greedy_random_capset(6, 3), random_point_set(5, 40, 2)):
+            rep = holder_check(ps, m)
+            assert rep.e4 == e4(ps, backend="hash")
+            assert rep.e2m == e2m(ps, m, backend="convolution")
+            assert rep.e8 == (None if m == 3 else e2m(ps, 4, backend="convolution"))
+
+    @pytest.mark.parametrize("ms", [(2, 3), (3, 2)])
+    def test_every_moment_is_checked_for_divisibility(self, monkeypatch, ms):
+        # norms 1, 2, 1 over 3 cells: sum v^2 = 6 divides by 3, sum v^3 = 10
+        # does not, so a check of either moment alone misses one order
+        class Table:
+            def norm_blocks(self):
+                yield 0, 3, np.array([1, 2, 1], dtype=np.int64)
+
+        monkeypatch.setattr(energy, "transform_point_set", lambda ps, force: Table())
+        ps = PointSet(1, [0])
+        assert energy._e2m_transform(ps, (2,), False) == [2]
+        with pytest.raises(IdentityViolationError):
+            energy._e2m_transform(ps, ms, False)
+
+    @pytest.mark.parametrize("m", [3, 4, 5])
+    def test_past_the_guard_makes_the_separate_calls(self, monkeypatch, m):
+        ps = random_point_set(fourier.TRANSFORM_GUARD_N + 1, 12, 4)
+        want = (e4(ps), e2m(ps, m), None if m == 3 else e2m(ps, 4))
+        moments = self.spy(monkeypatch, "e2m")
+        rep = holder_check(ps, m)
+        assert (rep.e4, rep.e2m, rep.e8) == want
+        assert sorted(args[1] for args in moments) == sorted({m, 4} if m > 3 else {m})
+
+
 class TestMemoryPeaks:
     """Traced peaks of the energy paths on the n = 12 greedy cap.
 
     The difference table is 8 bytes a cell, int64. The transform backend
-    gets there through the norm table, which holds an imaginary plane
-    beside it while it is inverted (16 bytes a cell) and int64 butterfly
-    tiles of about 4.9 MB. E_2m holds the int32 coefficient table, 8 bytes
-    a cell, its tiles of about 2.4 MB and one norm block. Pairwise
-    counting takes 1 MB a temporary. A full-size copy of the counts, a
-    support array or an array of all the norms pushes a path past these
-    bounds.
+    of diff_multiplicity gets there through the norm table, which holds an
+    imaginary plane beside it while it is inverted (16 bytes a cell) and
+    int64 butterfly tiles of about 4.9 MB. E4 by transform and E_2m hold
+    the int32 coefficient table, 8 bytes a cell, its tiles of about 2.4 MB
+    and one norm block. Pairwise counting takes 1 MB a temporary. A
+    full-size copy of the counts, a support array, an array of all the
+    norms or an inverse behind E4 pushes a path past these bounds.
     """
 
     N = 12
@@ -182,11 +254,12 @@ class TestMemoryPeaks:
     @pytest.mark.parametrize(
         "run, per_cell, allowance",
         [
-            (lambda ps: e4(ps, backend="transform"), 16, 6 << 20),
+            (lambda ps: diff_multiplicity(ps, backend="transform"), 16, 6 << 20),
+            (lambda ps: e4(ps, backend="transform"), 8, 3 << 20),
             (lambda ps: e4(ps, backend="hash"), 8, 8 << 20),
             (lambda ps: e2m(ps, 4), 8, 3 << 20),
         ],
-        ids=["e4-transform", "e4-hash", "e2m-4"],
+        ids=["multiplicity-transform", "e4-transform", "e4-hash", "e2m-4"],
     )
     def test_traced_peak(self, cap, run, per_cell, allowance):
         assert self.traced_peak(lambda: run(cap)) <= per_cell * 3**self.N + allowance

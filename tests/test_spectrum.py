@@ -1,5 +1,7 @@
+import math
 from fractions import Fraction
 from math import isqrt
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 
 from tricap import (
     AffineSubspace,
+    IdentityViolationError,
     PointSet,
     SELFTEST_SEED,
     Subspace,
@@ -214,6 +217,15 @@ class TestIncrements:
         # of the 4 available, so the scan must come back empty
         ps = random_point_set(6, 4, 3)
         assert scan_codim1_increments(ps) == []
+
+    @pytest.mark.parametrize("shift", [-1, 1])
+    def test_need_off_the_boundary_raises(self, monkeypatch, shift):
+        # need is checked once, as the exact boundary: one below it would
+        # report cosets under the threshold, one above would drop some
+        exact = math.ceil
+        monkeypatch.setattr(spectrum, "math", SimpleNamespace(ceil=lambda x: exact(x) + shift))
+        with pytest.raises(IdentityViolationError):
+            scan_codim1_increments(_hyperplane(6))
 
     def test_check_rejects_bad_codim(self):
         ps = random_point_set(6, 10, 5)
