@@ -41,7 +41,7 @@ from .capset import PointSet
 from .energy import diff_multiplicity
 from .errors import GuardExceededError, IdentityViolationError
 from .fourier import SpectrumTable, restricted_transform
-from .gf3core import TritVector
+from .gf3core import TritVector, plane_add
 from .linalg import Subspace
 
 __all__ = [
@@ -161,13 +161,17 @@ def build_levels(ps: PointSet, backend: str = "auto") -> LevelDecomposition:
 def delta_g(struct: AdditiveStructure, x: TritVector) -> PointSet:
     """Neighborhood of x in the band graph: {a in base : a - x in base}.
 
-    Requires x in D; its size equals m(x) by construction.
+    Requires x in D; its size equals m(x) by construction. One gather:
+    the base indices whose a - x is a member, so the result keeps the
+    base's increasing order.
     """
     if not struct.diffs.contains(x):
         raise ValueError("x is not a difference in this band")
-    shifted = struct.base.translate(x)
-    common = np.intersect1d(struct.base.indices, shifted.indices)
-    return PointSet(struct.n, common)
+    base = struct.base
+    lo, hi = base.planes()
+    dlo, dhi = plane_add(lo, hi, x.hi, x.lo)  # a - x, negation by swap
+    hit = base.contains_indices(bulk.planes_to_indices(struct.n, dlo, dhi))
+    return PointSet._from_sorted(struct.n, base.indices[hit])
 
 
 def _reach_counts(struct: AdditiveStructure) -> np.ndarray:

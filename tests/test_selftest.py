@@ -1,9 +1,14 @@
+import json
+
 import numpy as np
 import pytest
 
 from tricap import SELFTEST_SEED, criterion_ids, run_criterion, run_selftest
 from tricap import selftest
+from tricap.cli import main
 from tricap.rng import make_rng
+
+import oracles
 
 
 def test_criterion_catalog():
@@ -54,3 +59,73 @@ def test_criterion_8_monte_carlo_catches_biased_simulator(monkeypatch):
     rep = run_criterion(8, SELFTEST_SEED)
     assert rep["pass"] is False
     assert rep["details"]["stage"] == "monte-carlo"
+
+
+# -- the naive recount behind criterion 5 ------------------------------------
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_naive_max_capset_matches_oracle(n):
+    assert selftest._naive_max_capset(n) == oracles.naive_max_capset(n)
+
+
+def test_naive_max_capset_n3():
+    # an off-by-one in the counting bound (from p + 1, or the count minus 1)
+    # prunes the last optimal branch and returns 8
+    assert selftest._naive_max_capset(3) == 9
+
+
+# -- criterion 11 reuses the suite's runs of 7-9 -----------------------------
+
+
+def _spy_criteria(monkeypatch, calls, drifting=()):
+    """Replace criteria 1-10 with cheap passing stubs that count their calls.
+
+    A stub in ``drifting`` reports its call number, so its details differ
+    between runs; criterion 11 stays the real one.
+    """
+    for cid in range(1, 11):
+        name = selftest._CRITERIA[cid][0]
+
+        def stub(seed, cid=cid):
+            calls[cid] = calls.get(cid, 0) + 1
+            return True, {"call": calls[cid]} if cid in drifting else {}
+
+        monkeypatch.setitem(selftest._CRITERIA, cid, (name, stub))
+
+
+@pytest.mark.parametrize("ids, want", [
+    (None, {7: 2, 8: 2, 9: 2}),
+    ([11], {7: 2, 8: 2, 9: 2}),
+    ([7, 8, 11], {7: 3, 8: 3, 9: 2}),
+    ([9, 10, 11], {7: 2, 8: 2, 9: 3}),
+])
+def test_criterion_11_runs_the_subset_once_more(monkeypatch, ids, want):
+    calls = {}
+    _spy_criteria(monkeypatch, calls)
+    report, ok = run_selftest(SELFTEST_SEED, ids)
+    assert ok
+    assert {k: calls.get(k, 0) for k in (7, 8, 9)} == want
+    assert report["criteria"][-1]["details"]["subset"] == [7, 8, 9]
+
+
+@pytest.mark.parametrize("ids", [None, [11], [9, 11]])
+def test_criterion_11_fails_on_drifting_details(monkeypatch, ids):
+    calls = {}
+    _spy_criteria(monkeypatch, calls, drifting=(9,))
+    report, ok = run_selftest(SELFTEST_SEED, ids)
+    c11 = report["criteria"][-1]
+    assert c11["id"] == 11 and c11["pass"] is False
+    assert c11["details"]["stage"] == "bytes"
+    assert ok is False
+
+
+def test_criterion_11_alone_prints_the_full_runs_entry(capsys):
+    assert main(["selftest"]) == 0
+    full = capsys.readouterr().out
+    assert main(["selftest", "--criteria", "11"]) == 0
+    alone = capsys.readouterr().out
+    # from criterion 11's entry to the end, both reports hold the same bytes
+    tail = alone[alone.index('    {\n      "id": 11,'):]
+    assert full.endswith(tail)
+    assert json.loads(full)["all_pass"] is True

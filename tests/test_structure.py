@@ -144,14 +144,22 @@ class TestLevels:
 class TestDeltaG:
     @given(small_sets)
     def test_neighborhood_size_is_multiplicity(self, ps):
-        levels = build_levels(ps)
-        band = levels.heaviest()
+        # every band and every difference, against the definition
         ref = oracles.naive_diff_counts(tuples_of(ps))
-        for v in band.diffs.vectors()[:6]:
-            hood = delta_g(band, v)
-            assert hood.size == ref[oracles.digits(str(v))]
-            for a in hood.vectors():
-                assert ps.contains(a) and ps.contains(a - v)
+        base = set(tuples_of(ps))
+        for band in build_levels(ps):
+            for v in band.diffs.vectors():
+                d = oracles.digits(str(v))
+                hood = delta_g(band, v)
+                assert set(tuples_of(hood)) == {a for a in base if oracles.vec_sub(a, d) in base}
+                assert hood.size == ref[d]
+                assert hood.indices.dtype == np.int64
+                assert np.all(np.diff(hood.indices) > 0)
+                assert not hood.indices.flags.writeable
+            foreign = np.setdiff1d(np.arange(3**ps.n), band.diffs.indices)
+            if foreign.size:
+                with pytest.raises(ValueError):
+                    delta_g(band, TritVector.from_index(ps.n, int(foreign[0])))
 
     def test_rejects_foreign_difference(self):
         ps = PointSet.from_strings(["000", "001"])
