@@ -19,8 +19,8 @@ from typing import Iterable, NamedTuple, Sequence, TextIO
 import numpy as np
 
 from . import bulk
-from .errors import DimensionMismatchError, GuardExceededError, SetFileError
-from .gf3core import MAX_DIM, Density, TritVector, plane_add
+from .errors import DimensionMismatchError, SetFileError, guard
+from .gf3core import DENSE_MAX_N, MAX_DIM, Density, TritVector, plane_add
 from .rng import make_rng
 
 __all__ = [
@@ -37,9 +37,8 @@ __all__ = [
     "save_point_set",
 ]
 
-GREEDY_GUARD_N = 16
+GREEDY_GUARD_N = DENSE_MAX_N
 EXHAUSTIVE_GUARD_N = 4  # the combinatorial wall; n=5 is out of desk range
-_BITMAP_GUARD_N = 16
 
 
 class PointSet:
@@ -121,10 +120,9 @@ class PointSet:
         return self._planes
 
     def bitmap(self) -> np.ndarray:
-        """Dense membership array over all 3^n indices (n <= 16 only)."""
-        if self.n > _BITMAP_GUARD_N:
-            raise GuardExceededError(f"dense bitmap over 3^{self.n} refused")
+        """Dense membership array over all 3^n indices (n <= DENSE_MAX_N only)."""
         if self._bitmap is None:
+            guard("dense bitmap dimension", self.n, DENSE_MAX_N)
             bm = np.zeros(3**self.n, dtype=bool)
             bm[self.indices] = True
             bm.setflags(write=False)
@@ -133,7 +131,7 @@ class PointSet:
 
     def contains_indices(self, idx: np.ndarray) -> np.ndarray:
         """Vectorized membership test for an int64 index array."""
-        if self.n <= _BITMAP_GUARD_N:
+        if self.n <= DENSE_MAX_N:
             return self.bitmap()[idx]
         pos = np.searchsorted(self.indices, idx)
         pos_clipped = np.minimum(pos, self.indices.size - 1)
@@ -352,8 +350,9 @@ def greedy_random_capset(n: int, seed: int) -> PointSet:
     chunk at a time, and the forbidden mask; 24 MB at n = 14 and 215 MB
     at n = 16.
     """
-    if not 1 <= n <= GREEDY_GUARD_N:
-        raise GuardExceededError(f"greedy generation guard is n <= {GREEDY_GUARD_N}")
+    if n < 1:
+        raise ValueError(f"dimension {n} is below 1")
+    guard("greedy generation dimension", n, GREEDY_GUARD_N)
     rng = make_rng(seed)
     # shuffling an int32 arange draws the same order as rng.permutation(3^n)
     order = np.arange(3**n, dtype=np.int32)
@@ -388,8 +387,7 @@ def greedy_random_capset(n: int, seed: int) -> PointSet:
 def product_capset(a: PointSet, b: PointSet) -> PointSet:
     """Coordinate-concatenation product; products of caps are caps."""
     n = a.n + b.n
-    if n > MAX_DIM:
-        raise GuardExceededError(f"product dimension {n} exceeds {MAX_DIM}")
+    guard("product dimension", n, MAX_DIM)
     scale = 3**b.n
     combined = (a.indices[:, None] * scale + b.indices[None, :]).ravel()
     return PointSet(n, combined)
@@ -413,7 +411,6 @@ _GL3_GENERATORS = (  # two point permutations that generate all of GL(3,3)
     _index((_X1, _X2, 2 * _X0)),  # coordinate cycle with one sign, determinant 2
 )
 _THIRD_MASKS = [[1 << t for t in row] for row in _THIRD.tolist()]  # for _cap_within
-_REVERSED = np.arange(_SUB - 1, -1, -1)
 # per digit j, the masks of the points whose 3^j digit is nonzero and zero
 _DIGIT_UP = [np.uint32(sum(1 << c for c in np.nonzero(row)[0].tolist())) for row in _DIGITS]
 _DIGIT_DOWN = [np.uint32(((1 << _SUB) - 1) ^ int(up)) for up in _DIGIT_UP]
@@ -609,24 +606,21 @@ def exhaustive_max_capset(n: int) -> tuple[int, PointSet]:
     For n <= 3 the answer is read off the table of every cap of F_3^3:
     the caps of F_3^n are exactly those whose points all have index below
     3^n (the leading 3 - n digits zero). The maximum is the largest size
-    among them, and the witness is the one whose sorted point list comes
-    first lexicographically. For equal sizes that is the mask whose
-    lowest differing bit is set, so the largest mask with its bit order
-    reversed. Dimension 4 splits a cap into its three layers x0 = const,
-    each a cap of F_3^3, and walks the target down from three times the
-    layer maximum until the complete layered case split realizes one.
+    among them. The witness is the one whose sorted point list comes
+    first lexicographically: the first that the depth-first search
+    _cap_within finds among those 3^n points. Dimension 4 splits a cap
+    into its three layers x0 = const, each a cap of F_3^3, and walks the
+    target down from three times the layer maximum until the complete
+    layered case split realizes one.
     """
-    if not 1 <= n <= EXHAUSTIVE_GUARD_N:
-        raise GuardExceededError(
-            f"exhaustive search guard is n <= {EXHAUSTIVE_GUARD_N}"
-        )
+    if n < 1:
+        raise ValueError(f"dimension {n} is below 1")
+    guard("exhaustive search dimension", n, EXHAUSTIVE_GUARD_N)
     caps = _layer_tables().caps
     if n <= 3:
         limit = 1 << 3**n
         size = max(s for s, m in caps.items() if m.min() < limit)
-        masks = caps[size][caps[size] < limit]
-        best = int(masks[np.argmax(_permute_bits(masks, _REVERSED))])
-        return size, PointSet(n, [p for p in range(_SUB) if best >> p & 1])
+        return size, PointSet(n, _cap_within(limit - 1, size))
     layer_max = max(caps)
     total = 3 * layer_max
     while (found := _layered_realize(total, layer_max)) is None:

@@ -32,9 +32,9 @@ import numpy as np
 
 from . import bulk, fourier
 from .capset import PointSet
-from .errors import GuardExceededError, IdentityViolationError
+from .errors import IdentityViolationError, guard
 from .fourier import TRANSFORM_GUARD_N, SpectrumTable, inverse_table, transform_point_set
-from .gf3core import TritVector
+from .gf3core import DENSE_MAX_N, TritVector
 
 __all__ = [
     "CONVOLUTION_OP_GUARD",
@@ -124,8 +124,7 @@ def diff_multiplicity(ps: PointSet, backend: str = "auto") -> MultiplicityMap:
     if backend == "auto":
         backend = "transform" if _table_pays(ps) else "hash"
     if backend == "hash":
-        if ps.n > 16:
-            raise GuardExceededError("dense difference table", ps.n, 16)
+        guard("dense difference table dimension", ps.n, DENSE_MAX_N)
         table = _pairwise_counts(ps, ps, negate_second=True)
     elif backend == "transform":
         table = _inverse_of_real(ps.n, transform_point_set(ps).norms())
@@ -212,10 +211,7 @@ def _e2m_convolution(ps: PointSet, m: int) -> int:
     idx = ps.indices
     cnt = np.ones(size, dtype=np.int64 if size ** (m - 1) < bulk.INT64_SAFE else object)
     for _ in range(m - 1):
-        if idx.size * size > CONVOLUTION_OP_GUARD:
-            raise GuardExceededError(
-                "convolution operations", idx.size * size, CONVOLUTION_OP_GUARD
-            )
+        guard("convolution operations", idx.size * size, CONVOLUTION_OP_GUARD)
         nidx, ncnt = np.empty(0, dtype=np.int64), np.empty(0, dtype=cnt.dtype)
         planes = bulk.indices_to_planes(ps.n, idx)
         for start, stop, block in bulk.pair_sums(ps.n, planes, ps.planes()):
@@ -338,8 +334,7 @@ def cross_quadruples(b: PointSet, c: PointSet) -> tuple[int, Fraction]:
     """
     if b.n != c.n:
         raise ValueError("the two sets live in different dimensions")
-    if b.n > 16:
-        raise GuardExceededError("dense sumset table", b.n, 16)
+    guard("dense sumset table dimension", b.n, DENSE_MAX_N)
     if b.size == 0 or c.size == 0:
         return 0, Fraction(0)
     count = bulk.exact_sum(_pairwise_counts(b, c) ** 2)  # counts <= 3^16: squares < 2^52

@@ -11,6 +11,7 @@ __all__ = [
     "GuardExceededError",
     "IdentityViolationError",
     "SetFileError",
+    "guard",
 ]
 
 
@@ -23,11 +24,35 @@ class SetFileError(ValueError):
 
 
 class GuardExceededError(RuntimeError):
-    """A resource guard (dimension / enumeration size) was exceeded.
+    """A resource guard refused a run: value exceeds the limit for what.
 
     Guards exist so desk-scale commands fail fast instead of thrashing.
-    Most carry a force override; the hard ceilings do not.
+    A soft guard is lifted by force=True; the hard ceilings are not.
+    args is the (what, value, limit) triple.
     """
+
+    def __init__(self, what: str, value: int, limit: int, soft: bool = False):
+        self.what = what
+        self.value = value
+        self.limit = limit
+        self.soft = soft
+        super().__init__(what, value, limit)
+
+    def __str__(self) -> str:
+        text = f"{self.what} {self.value} exceeds the limit {self.limit}"
+        if self.soft:
+            text += "; force=True lifts it (--force on the commands that accept it)"
+        return text
+
+
+def guard(what: str, value: int, limit: int, force: bool | None = None) -> None:
+    """Refuse a run whose value exceeds limit, before it allocates anything.
+
+    force=None marks a hard guard; any other force makes the guard soft,
+    and a true one lifts it.
+    """
+    if value > limit and not force:
+        raise GuardExceededError(what, value, limit, soft=force is not None)
 
 
 class IdentityViolationError(RuntimeError):

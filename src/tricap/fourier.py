@@ -72,8 +72,8 @@ import numpy as np
 
 from . import bulk
 from .capset import PointSet
-from .errors import GuardExceededError, IdentityViolationError
-from .gf3core import Eisenstein, TritVector
+from .errors import IdentityViolationError, guard
+from .gf3core import DENSE_MAX_N, Eisenstein, TritVector
 from .linalg import Subspace
 
 __all__ = [
@@ -92,7 +92,7 @@ __all__ = [
 ]
 
 TRANSFORM_GUARD_N = 14
-TRANSFORM_HARD_MAX_N = 16  # an int32 table of 3^16 cells is 344 MB; the passes add 2.4 MB
+TRANSFORM_HARD_MAX_N = DENSE_MAX_N  # an int32 table of 3^16 cells is 344 MB; passes add 2.4 MB
 
 _INT32_LIMIT = 1 << 31
 _INT64_LIMIT = 1 << 63
@@ -101,15 +101,8 @@ _TILE = 1 << 17  # cells per butterfly tile: 512 KB per int32 plane
 
 
 def _check_guard(n: int, force: bool) -> None:
-    if n > TRANSFORM_HARD_MAX_N:
-        raise GuardExceededError(
-            f"transform dimension {n} exceeds the hard maximum {TRANSFORM_HARD_MAX_N}"
-        )
-    if n > TRANSFORM_GUARD_N and not force:
-        raise GuardExceededError(
-            f"transform dimension {n} exceeds the default guard "
-            f"{TRANSFORM_GUARD_N}; pass force=True (CLI --force) to insist"
-        )
+    guard("transform dimension", n, TRANSFORM_HARD_MAX_N)
+    guard("transform dimension", n, TRANSFORM_GUARD_N, force)
 
 
 def _kernel_dtype(peak: int, n: int):
@@ -201,23 +194,6 @@ def _butterfly(p: np.ndarray, q: np.ndarray, n: int, inverse: bool, scratch=None
                 np.copyto(plane, tile.reshape(rows, w))
 
 
-_NEGATIONS: dict[int, np.ndarray] = {}
-
-
-def _negation(m: int) -> np.ndarray:
-    """neg[i] = index of -x for the m-digit index i of x (digits 1 and 2 swap).
-
-    Built a leading digit at a time: -(d, x') = (-d, -x').
-    """
-    tab = _NEGATIONS.get(m)
-    if tab is None:
-        tab = np.zeros(1, dtype=np.intp)
-        for j in range(m):
-            tab = np.concatenate((tab, tab + 2 * 3**j, tab + 3**j))
-        _NEGATIONS[m] = tab
-    return tab
-
-
 def _butterfly_real(p: np.ndarray, q: np.ndarray, n: int, inverse: bool, scratch=None) -> None:
     """_butterfly for planes whose q is zero, by conjugate symmetry.
 
@@ -258,7 +234,11 @@ def _reflect_conjugate(p1, q1, p2, q2, m: int) -> None:
     at a time while they are in cache.
     """
     k = m - m // 2
-    heads, tails = _negation(m - k), _negation(k)
+    # neg[i] = index of -x for the index i of x: its two bit planes swap
+    heads, tails = (
+        bulk.planes_to_indices(j, *bulk.indices_to_planes(j, np.arange(3**j))[::-1])
+        for j in (m - k, k)
+    )
     src = [a.reshape(-1, 3**k) for a in (p1, q1)]
     dst = [a.reshape(-1, 3**k) for a in (p2, q2)]
     rows = max(1, _TILE // 3**k)

@@ -24,6 +24,7 @@ from typing import Iterable
 from .errors import DimensionMismatchError
 
 __all__ = [
+    "DENSE_MAX_N",
     "MAX_DIM",
     "Density",
     "Eisenstein",
@@ -34,6 +35,7 @@ __all__ = [
 ]
 
 MAX_DIM = 20  # 3^20 ~ 3.5e9 cells; beyond this nothing here is desk-scale
+DENSE_MAX_N = 16  # the largest n any table of 3^n cells is built for: 43M cells
 
 
 def plane_add(alo, ahi, blo, bhi):

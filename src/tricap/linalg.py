@@ -24,8 +24,8 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from . import bulk
-from .errors import DimensionMismatchError, GuardExceededError
-from .gf3core import MAX_DIM, TritVector, plane_add
+from .errors import DimensionMismatchError, guard
+from .gf3core import DENSE_MAX_N, MAX_DIM, TritVector, plane_add
 
 __all__ = [
     "ENUM_GUARD_DIM",
@@ -33,7 +33,7 @@ __all__ = [
     "rank",
 ]
 
-ENUM_GUARD_DIM = 16  # 3^16 ~ 43M points; enumeration beyond this refuses
+ENUM_GUARD_DIM = DENSE_MAX_N  # 3^16 ~ 43M points; enumeration beyond this refuses
 
 
 def _residue(rows: dict[int, tuple[int, int]], lo: int, hi: int) -> tuple[int, int]:
@@ -227,11 +227,7 @@ class Subspace:
         vector fastest: each basis vector b adds 0, b and 2b = -b along a
         new fastest axis.
         """
-        if self.dim > ENUM_GUARD_DIM and not force:
-            raise GuardExceededError(
-                f"enumerating 3^{self.dim} points exceeds the guard "
-                f"(dim {ENUM_GUARD_DIM}); pass force=True to insist"
-            )
+        guard("subspace enumeration dimension", self.dim, ENUM_GUARD_DIM, force)
         lo = hi = np.zeros(1, dtype=np.int64)
         for b in self.basis:
             lo, hi = plane_add(

@@ -39,9 +39,9 @@ import numpy as np
 from . import bulk, fourier
 from .capset import PointSet
 from .energy import diff_multiplicity
-from .errors import GuardExceededError, IdentityViolationError
+from .errors import IdentityViolationError, guard
 from .fourier import SpectrumTable, restricted_transform
-from .gf3core import TritVector, plane_add
+from .gf3core import DENSE_MAX_N, TritVector, plane_add
 from .linalg import Subspace
 
 __all__ = [
@@ -190,10 +190,7 @@ def komity(struct: AdditiveStructure) -> int:
 
 def komity_reference(struct: AdditiveStructure) -> int:
     """The same second moment by its definition, for cross-checking."""
-    if struct.diffs.size > _REFERENCE_GUARD:
-        raise GuardExceededError(
-            "reference komity size", struct.diffs.size, _REFERENCE_GUARD
-        )
+    guard("reference komity size", struct.diffs.size, _REFERENCE_GUARD)
     hoods = [
         set(delta_g(struct, v).indices.tolist()) for v in struct.diffs.vectors()
     ]
@@ -220,8 +217,7 @@ def comity_scan(struct: AdditiveStructure, force: bool = False) -> list[ComityBa
     all bands add up to the komity. Quadratic in |D|, guarded.
     """
     d = struct.diffs.size
-    if d > COMITY_GUARD_SIZE and not force:
-        raise GuardExceededError("comity scan size", d, COMITY_GUARD_SIZE)
+    guard("comity scan size", d, COMITY_GUARD_SIZE, force)
     base = struct.base
     # row k is G[x_k] = {a in base : a - x_k in base}, packed into 64-bit words
     nbytes = -(-base.size // 8)
@@ -252,9 +248,10 @@ def comity_scan(struct: AdditiveStructure, force: bool = False) -> list[ComityBa
 
 
 def doubling_ratio(ps: PointSet) -> Fraction:
-    """|S - S| / |S|, exact."""
+    """|S - S| / |S|, exact, from a dense table of 3^n cells."""
     if ps.size == 0:
         raise ValueError("doubling of the empty set is undefined")
+    guard("dense doubling table dimension", ps.n, DENSE_MAX_N)
     lo, hi = ps.planes()
     seen = np.zeros(3**ps.n, dtype=bool)
     for _, _, idx in bulk.pair_sums(ps.n, (lo, hi), (hi, lo)):

@@ -345,6 +345,16 @@ class TestExitCodes:
         assert code == 1
         assert "does-not-exist" in err
 
+    @pytest.mark.parametrize("argv", [
+        ("capset", "gen", "--n", "0", "--seed", "1"),
+        ("capset", "gen", "--n", "-2", "--seed", "1"),
+        ("capset", "max", "--n", "0"),
+    ])
+    def test_dimension_below_one_is_one(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err == f"tricap: dimension {argv[3]} is below 1\n"
+
     def test_guard_is_three(self, capsys):
         code, _, err = run_cli(capsys, "capset", "gen", "--n", "30", "--seed", "0")
         assert code == 3

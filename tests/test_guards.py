@@ -1,0 +1,184 @@
+"""Every resource guard in one table.
+
+Each site is checked the same way: it refuses a value one past its
+limit with GuardExceededError(what, value, limit) and the one message
+format, it lets the limit itself through, a soft guard yields to
+force=True, and at its real limit it refuses before allocating. Every
+guard the CLI can reach exits 3 with that message.
+"""
+
+import math
+import tracemalloc
+from functools import partial
+from typing import Callable, NamedTuple
+
+import pytest
+
+from tricap import (
+    GuardExceededError,
+    PointSet,
+    Subspace,
+    comity_scan,
+    cross_quadruples,
+    diff_multiplicity,
+    doubling_ratio,
+    e2m,
+    exhaustive_max_capset,
+    greedy_random_capset,
+    komity_reference,
+    product_capset,
+    random_point_set,
+    save_point_set,
+    transform_point_set,
+)
+from tricap import capset, energy, fourier, linalg, structure
+from tricap.cli import main
+from tricap.structure import AdditiveStructure
+
+SOFT = "; force=True lifts it (--force on the commands that accept it)"
+
+
+class Site(NamedTuple):
+    what: str
+    soft: bool
+    limit: tuple[object, str]  # module and name of the limit
+    setup: Callable[[int], Callable]  # guarded value -> the guarded call, inputs built
+    small: int  # a value cheap to run: the limit is patched to it and to one less
+    big: int  # a value past the real limit whose inputs are cheap to build
+
+
+def _band(d: int) -> AdditiveStructure:
+    """A band of d differences over 4096 base points of F_3^10."""
+    return AdditiveStructure(
+        base=PointSet(10, range(1 << 12)), diffs=PointSet(10, range(d)), m_lo=1, pair_count=0
+    )
+
+
+SITES = {
+    "transform-hard": Site(
+        "transform dimension", False, (fourier, "TRANSFORM_HARD_MAX_N"),
+        lambda n: partial(transform_point_set, PointSet(n, [0]), force=True), 4, 17),
+    "transform-soft": Site(
+        "transform dimension", True, (fourier, "TRANSFORM_GUARD_N"),
+        lambda n: partial(transform_point_set, PointSet(n, [0])), 4, 15),
+    "bitmap": Site(
+        "dense bitmap dimension", False, (capset, "DENSE_MAX_N"),
+        lambda n: PointSet(n, [0]).bitmap, 4, 17),
+    "greedy": Site(
+        "greedy generation dimension", False, (capset, "GREEDY_GUARD_N"),
+        lambda n: partial(greedy_random_capset, n, 1), 4, 17),
+    "product": Site(
+        "product dimension", False, (capset, "MAX_DIM"),
+        lambda n: partial(product_capset, PointSet(n // 2, [0]), PointSet(n - n // 2, [1])),
+        4, 21),
+    "exhaustive": Site(
+        "exhaustive search dimension", False, (capset, "EXHAUSTIVE_GUARD_N"),
+        lambda n: partial(exhaustive_max_capset, n), 2, 5),
+    "enumeration": Site(
+        "subspace enumeration dimension", True, (linalg, "ENUM_GUARD_DIM"),
+        lambda n: Subspace.full(n).enumerate_indices, 3, 17),
+    "difference": Site(
+        "dense difference table dimension", False, (energy, "DENSE_MAX_N"),
+        lambda n: partial(diff_multiplicity, PointSet(n, [0, 1]), backend="hash"), 4, 17),
+    "convolution": Site(  # the first step of E_4 counts |A| * |A| operations
+        "convolution operations", False, (energy, "CONVOLUTION_OP_GUARD"),
+        lambda v: partial(e2m, random_point_set(17, math.isqrt(v), 5), 2, backend="convolution"),
+        9, 7072**2),
+    "sumset": Site(
+        "dense sumset table dimension", False, (energy, "DENSE_MAX_N"),
+        lambda n: partial(cross_quadruples, PointSet(n, [0, 1]), PointSet(n, [0, 2])), 4, 17),
+    "komity-reference": Site(
+        "reference komity size", False, (structure, "_REFERENCE_GUARD"),
+        lambda d: partial(komity_reference, _band(d)), 3, 257),
+    "comity": Site(
+        "comity scan size", True, (structure, "COMITY_GUARD_SIZE"),
+        lambda d: partial(comity_scan, _band(d)), 3, 4097),
+    "doubling": Site(
+        "dense doubling table dimension", False, (structure, "DENSE_MAX_N"),
+        lambda n: partial(doubling_ratio, PointSet(n, [0, 1])), 4, 17),
+}
+
+sites = pytest.mark.parametrize("site", SITES.values(), ids=SITES.keys())
+
+
+def message(what: str, value: int, limit: int, soft: bool) -> str:
+    return f"{what} {value} exceeds the limit {limit}" + (SOFT if soft else "")
+
+
+@sites
+def test_refuses_one_past_the_limit(site, monkeypatch):
+    call = site.setup(site.small)
+    monkeypatch.setattr(*site.limit, site.small - 1)
+    with pytest.raises(GuardExceededError) as exc:
+        call()
+    err = exc.value
+    assert err.args == (site.what, site.small, site.small - 1)
+    assert (err.what, err.value, err.limit, err.soft) == (*err.args, site.soft)
+    assert str(err) == message(site.what, site.small, site.small - 1, site.soft)
+
+
+@sites
+def test_lets_the_limit_through(site, monkeypatch):
+    call = site.setup(site.small)
+    monkeypatch.setattr(*site.limit, site.small)
+    call()
+
+
+@pytest.mark.parametrize("site", [s for s in SITES.values() if s.soft],
+                         ids=[k for k, s in SITES.items() if s.soft])
+def test_force_lifts_a_soft_guard(site, monkeypatch):
+    call = site.setup(site.small)
+    monkeypatch.setattr(*site.limit, site.small - 1)
+    call(force=True)
+
+
+@sites
+def test_refuses_before_allocating(site):
+    limit = getattr(*site.limit)
+    assert site.big > limit
+    call = site.setup(site.big)
+    tracemalloc.start()
+    try:
+        with pytest.raises(GuardExceededError) as exc:
+            call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert exc.value.args == (site.what, site.big, limit)
+    assert peak < 1 << 20
+
+
+UNITS_17 = ",".join("0" * i + "1" + "0" * (16 - i) for i in range(17))
+
+# per site: argv, {name} standing for the files written below; the value
+# and the limit it trips at; whether that limit is patched in
+CLI_CASES = {
+    "transform-hard": (("fourier", "transform", "{n17}"), 17, 16, False),
+    "transform-soft": (("fourier", "transform", "{n15}"), 15, 14, False),
+    "greedy": (("capset", "gen", "--n", "17", "--seed", "1"), 17, 16, False),
+    "product": (("capset", "product", "{n10}", "{n11}"), 21, 20, False),
+    "exhaustive": (("capset", "max", "--n", "5"), 5, 4, False),
+    "enumeration": (("structure", "fibers", "{n17}", "--h", UNITS_17), 17, 16, False),
+    "difference": (("energy", "e4", "{n17}"), 17, 16, False),
+    "convolution": (("energy", "e2m", "{n15}", "--m", "2"), 9, 8, True),  # 3 * 3 operations
+    "sumset": (("energy", "cross", "{n17}", "{n17}"), 17, 16, False),
+    "comity": (("structure", "comity", "{n4}"), 6, 5, True),  # 6 differences in band 1
+    "doubling": (("structure", "doubling", "{n17}"), 17, 16, False),
+}
+
+
+@pytest.mark.parametrize("case", CLI_CASES.keys())
+def test_cli_guard_exits_three_with_the_message(case, tmp_path, capsys, monkeypatch):
+    argv, value, limit, patched = CLI_CASES[case]
+    site = SITES[case]
+    if patched:
+        monkeypatch.setattr(*site.limit, limit)
+    assert getattr(*site.limit) == limit
+    files = {f"n{n}": str(tmp_path / f"n{n}.txt") for n in (4, 10, 11, 15, 17)}
+    for name, path in files.items():
+        save_point_set(PointSet(int(name[1:]), [0, 1, 3]), path)
+    code = main([arg.format(**files) for arg in argv])
+    out, err = capsys.readouterr()
+    assert (code, out) == (3, "")
+    assert err == f"tricap: guard: {message(site.what, value, limit, site.soft)}\n"
+    assert "(" not in err.split(";")[0]

@@ -219,6 +219,11 @@ class TestHull:
         diffs = {oracles.vec_sub(a, b) for a in pts for b in pts}
         assert doubling_ratio(ps) == Fraction(len(diffs), ps.size)
 
+    def test_doubling_runs_at_the_dense_ceiling(self):
+        from tricap import doubling_ratio
+
+        assert doubling_ratio(PointSet(16, [0, 1])) == Fraction(3, 2)  # S - S = {0, 1, 2}
+
     @given(small_sets)
     def test_span_hull(self, ps):
         span, fill = span_hull(ps)
