@@ -39,6 +39,7 @@ __all__ = [
 
 GREEDY_GUARD_N = DENSE_MAX_N
 EXHAUSTIVE_GUARD_N = 4  # the combinatorial wall; n=5 is out of desk range
+_HEADER_BYTES = 32  # a set file's first line is refused at this length, unread beyond it
 
 
 class PointSet:
@@ -195,26 +196,29 @@ def save_point_set(ps: PointSet, out: str | os.PathLike | TextIO) -> None:
 def load_point_set(path: str | os.PathLike) -> PointSet:
     """Read a set file; malformed lines and duplicates are hard errors.
 
-    The header is parsed as text and the body in one vectorised pass over
-    its ASCII bytes. The first offending line raises, with its line
-    number: a line that is not n base-3 digits, or the second occurrence
-    of a point.
+    The header line is read first, at most _HEADER_BYTES of it, and must
+    be n= and ASCII digits before any more of the file is read. The body
+    is then read as bytes, its line ends (LF, CRLF or CR) made LF, and
+    checked in one vectorised pass. The first offending line raises,
+    with its line number: a line that is not n base-3 digits (any other
+    byte, non-ASCII included), or the second occurrence of a point.
     """
-    with open(path, "r", encoding="ascii") as fh:
-        text = fh.read().rstrip("\n")
-    header, newline, body = text.partition("\n")
-    if not header.startswith("n="):
-        raise SetFileError("first line must be n=<dim>")
-    try:
+    with open(path, "rb") as fh:
+        head = fh.readline(_HEADER_BYTES)
+        header = (head.splitlines() or [b""])[0]
+        if not header.startswith(b"n="):
+            raise SetFileError("first line must be n=<dim>")
+        if len(header) == _HEADER_BYTES or not header[2:].isdigit():
+            raise SetFileError(f"bad dimension in header {_text(header)!r}")
         n = int(header[2:])
-    except ValueError:
-        raise SetFileError(f"bad dimension in header {header!r}") from None
-    if not 1 <= n <= MAX_DIM:
-        raise SetFileError(f"dimension {n} outside 1..{MAX_DIM}")
-    if not newline:
+        if not 1 <= n <= MAX_DIM:
+            raise SetFileError(f"dimension {n} outside 1..{MAX_DIM}")
+        raw = (head + fh.read()).replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    body = raw[len(header) + 1 :].rstrip(b"\n")
+    if not body:
         return PointSet(n, [])
     # every line, the last one included, ends at a newline of data
-    data = np.frombuffer((body + "\n").encode("ascii"), dtype=np.uint8)
+    data = np.frombuffer(body + b"\n", dtype=np.uint8)
     ends = np.flatnonzero(data == ord("\n"))
     starts = np.concatenate(([0], ends[:-1] + 1))
     # the lines before the first one of another length lie n + 1 bytes apart
@@ -229,11 +233,17 @@ def load_point_set(path: str | os.PathLike) -> PointSet:
     first[np.unique(idx, return_index=True)[1]] = True
     if not first.all():
         line = int(np.argmin(first))
-        raise SetFileError(f"line {line + 2}: duplicate point {body[starts[line] : ends[line]]!r}")
+        dup = _text(body[starts[line] : ends[line]])
+        raise SetFileError(f"line {line + 2}: duplicate point {dup!r}")
     if good < ends.size:
-        bad = body[starts[good] : ends[good]]
+        bad = _text(body[starts[good] : ends[good]])
         raise SetFileError(f"line {good + 2}: {bad!r} is not a base-3 string of length {n}")
     return PointSet(n, idx)
+
+
+def _text(line: bytes) -> str:
+    """A set-file line for an error message; non-ASCII bytes show as U+FFFD."""
+    return line.decode("ascii", errors="replace")
 
 
 # -- line solutions ---------------------------------------------------------

@@ -182,17 +182,16 @@ def _cmd_capset_product(args: argparse.Namespace) -> int:
     pa = load_point_set(args.left)
     pb = load_point_set(args.right)
     prod = product_capset(pa, pb)
-    cap = is_capset(prod)
+    if not args.out:
+        save_point_set(prod, sys.stdout)
+        return 0
     report = envelope("capset product", None)
     report.update(
         n=prod.n, left_size=pa.size, right_size=pb.size,
-        size=prod.size, is_capset=cap,
+        size=prod.size, is_capset=is_capset(prod),
     )
-    if args.out:
-        save_point_set(prod, args.out)
-        _emit(args, report)
-    else:
-        save_point_set(prod, sys.stdout)
+    save_point_set(prod, args.out)
+    _emit(args, report)
     return 0
 
 

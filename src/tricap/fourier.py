@@ -10,9 +10,9 @@ the real part p and the omega part q.
 Every integer fast path follows a written bound; past it the exact
 slower path takes over, never a wrapped value:
 
-  * Butterfly passes. With peak the largest input component, every
-    intermediate component stays within 2 * peak * 3^n (|c| grows at
-    most 3x per pass from sqrt(3) * peak, and a component is at most
+  * Butterfly passes. With peak the largest input component, k passes
+    keep every intermediate component within 2 * peak * 3^k (|c| grows
+    at most 3x per pass from sqrt(3) * peak, and a component is at most
     2 / sqrt(3) times |c|). _kernel_dtype picks int32 when that bound is
     below 2^31 (every indicator transform up to TRANSFORM_HARD_MAX_N),
     int64 below 2^63, and Python-int object arrays otherwise. A
@@ -54,6 +54,9 @@ computes the norms of one block.
 Coefficients on a subspace W with basis w_1..w_d come from a pushforward:
 c_A(sum_i t_i w_i) = c_{pi(A)}(t) with pi(a) = (a.w_1, ..., a.w_d), so
 restricted_transform costs O(|A| d + d 3^d) and builds no 3^n table.
+transform_table(f, n, digits=k) runs only the passes over the trailing
+k digits: a stack of 3^(n-k) k-dimensional tables in one call, which is
+how the fiber identity in structure gets every fiber's table at once.
 
 Identities kept loud here:
   * Plancherel: sum_x norm(c(x)) = 3^n * |A|, exact integers.
@@ -156,27 +159,29 @@ def _butterfly_scratch(n: int, dtype):
     return np.empty((2, 2, cells), dtype=dtype), d, np.empty_like(d)
 
 
-def _butterfly(p: np.ndarray, q: np.ndarray, n: int, inverse: bool, scratch=None) -> None:
-    """Run the n butterfly passes over the planes p and q, in place.
+def _butterfly(p: np.ndarray, q: np.ndarray, n: int, inverse: bool, scratch=None, lead=0) -> None:
+    """Run the passes over the trailing n - lead digits of p and q, in place.
 
     p and q must be contiguous, of length 3^n and already in the dtype
     _kernel_dtype proves exact for them; nothing is widened. A pass is
     fast when the digit it transforms has a long contiguous trailing
-    block, so each plane is read as a (3^k, 3^(n-k)) matrix, k = n // 2.
-    The leading k digits index its rows: chunks of all rows and a few
-    columns, about _TILE cells, are copied into a tile, transformed
-    there and copied back. The trailing n - k digits index its columns,
-    and the same is done on the transposed matrix, so those digits lead
-    inside the tile too. Two tile pairs ping-pong and two scratch rows
-    hold the shared differences: beside the planes, the passes need
-    scratch for about 4.7 tiles, whatever n is. A caller that runs
-    several transforms passes one _butterfly_scratch for the largest.
+    block, so each plane is read as a (3^k, 3^(n-k)) matrix, k =
+    max(n // 2, lead). The leading k digits index its rows: chunks of
+    all rows and a few columns, about _TILE cells, are copied into a
+    tile, the digits past lead are transformed there (the lead digits
+    ride along in _pass's reshape) and copied back. The trailing n - k
+    digits index its columns, and the same is done on the transposed
+    matrix, of at most 3^(n - n//2) rows, so those digits lead inside
+    the tile too. Two tile pairs ping-pong and two scratch rows hold the
+    shared differences: beside the planes, the passes need scratch for
+    about 4.7 tiles, whatever n is. A caller that runs several
+    transforms passes one _butterfly_scratch for the largest.
     """
-    k = n // 2
+    k = max(n // 2, lead)
     mats = [plane.reshape(3**k, 3 ** (n - k)) for plane in (p, q)]
     tiles, d, e = scratch or _butterfly_scratch(n, p.dtype)
-    for half, digits in ((mats, k), ([m.T for m in mats], n - k)):
-        if not digits:
+    for half, first, last in ((mats, lead, k), ([m.T for m in mats], 0, n - k)):
+        if first == last:
             continue
         rows, cols = half[0].shape
         width = min(cols, max(1, _TILE // rows))
@@ -187,8 +192,8 @@ def _butterfly(p: np.ndarray, q: np.ndarray, n: int, inverse: bool, scratch=None
             src, dst = tiles[0, :, :size], tiles[1, :, :size]
             for plane, tile in zip(chunk, src):
                 np.copyto(tile.reshape(rows, w), plane)
-            for j in range(digits):
-                _pass(src, dst, d[: size // 3], e[: size // 3], 3 ** (digits - 1 - j) * w, inverse)
+            for j in range(first, last):
+                _pass(src, dst, d[: size // 3], e[: size // 3], 3 ** (last - 1 - j) * w, inverse)
                 src, dst = dst, src
             for plane, tile in zip(chunk, src):
                 np.copyto(plane, tile.reshape(rows, w))
@@ -291,8 +296,7 @@ class SpectrumTable:
         self.source_size = source_size
 
     def coefficient(self, x: TritVector) -> Eisenstein:
-        i = x.index
-        return Eisenstein(int(self.p[i]), int(self.q[i]))
+        return self.coefficient_at(x.index)
 
     def coefficient_at(self, index: int) -> Eisenstein:
         return Eisenstein(int(self.p[index]), int(self.q[index]))
@@ -338,22 +342,30 @@ class SpectrumTable:
         return sum((bulk.exact_sum(norms) for _, _, norms in self.norm_blocks()), 0)
 
 
-def transform_table(f, n: int, force: bool = False) -> SpectrumTable:
+def transform_table(f, n: int, force: bool = False, *, digits: int | None = None) -> SpectrumTable:
     """Transform an arbitrary integer function given as a dense array.
 
     Any integer dtype, or an object array of Python ints, goes to the
     kernel as it is: _kernel_dtype reads the exact peak, so an unsigned
     input at or above 2^63 runs on Python ints instead of wrapping.
+    With digits = k, row r of the result read as (3^(n-k), 3^k) is the
+    k-dimensional transform of row r of f, in _kernel_dtype(peak, k).
     """
     _check_guard(n, force)
+    digits = n if digits is None else digits
+    if not 0 <= digits <= n:
+        raise ValueError(f"digits {digits} outside 0..{n}")
     f = np.asarray(f)
     if f.shape != (3**n,):
         raise ValueError("input array must have length 3^n")
     if f.dtype != object and f.dtype.kind not in "biu":
         raise ValueError(f"input array must hold integers, not {f.dtype}")
-    dtype = _kernel_dtype(bulk.peak(f), n)
+    dtype = _kernel_dtype(bulk.peak(f), digits)
     p, q = f.astype(dtype), np.zeros(f.shape, dtype=dtype)
-    _butterfly_real(p, q, n, inverse=False)
+    if digits == n:
+        _butterfly_real(p, q, n, inverse=False)
+    else:  # the conjugate split needs the leading digit transformed
+        _butterfly(p, q, n, inverse=False, lead=n - digits)
     return SpectrumTable(n, p, q)
 
 
@@ -369,11 +381,10 @@ def transform_point_set(ps: PointSet, force: bool = False) -> SpectrumTable:
     p, q = np.zeros(3**ps.n, dtype=dtype), np.zeros(3**ps.n, dtype=dtype)
     p[ps.indices] = 1
     _butterfly_real(p, q, ps.n, inverse=False)
-    t = SpectrumTable(ps.n, p, q, source_size=ps.size)
-    c0 = t.coefficient_at(0)
-    if (c0.p, c0.q) != (ps.size, 0):
-        raise IdentityViolationError("c(0) = |A|", (c0.p, c0.q), (ps.size, 0))
-    return t
+    c0 = (int(p[0]), int(q[0]))
+    if c0 != (ps.size, 0):
+        raise IdentityViolationError("c(0) = |A|", c0, (ps.size, 0))
+    return SpectrumTable(ps.n, p, q, source_size=ps.size)
 
 
 def inverse_table(
@@ -411,8 +422,7 @@ def inverse_table(
 
 def plancherel_check(ps: PointSet, force: bool = False) -> tuple[int, int]:
     """(sum of norms, 3^n * |A|) as exact big ints; equal or it's a bug."""
-    table = transform_point_set(ps, force=force)
-    return table.norm_total(), 3**ps.n * ps.size
+    return transform_point_set(ps, force=force).norm_total(), 3**ps.n * ps.size
 
 
 def cube_sum(ps: PointSet, force: bool = False) -> Eisenstein:
@@ -445,10 +455,7 @@ def _cube_total(table: SpectrumTable) -> Eisenstein:
 
 def eval_at(ps: PointSet, x: TritVector) -> Eisenstein:
     """c(x) for a single frequency in O(|A|), no dimension guard."""
-    lo, hi = ps.planes()
-    d = bulk.dots_with(lo, hi, x)
-    counts = np.bincount(d, minlength=3)
-    n0, n1, n2 = (int(c) for c in counts)
+    n0, n1, n2 = np.bincount(bulk.dots_with(*ps.planes(), x), minlength=3).tolist()
     return Eisenstein(n0 - n2, n1 - n2)
 
 

@@ -335,11 +335,6 @@ class MartingaleReport:
         return self.lhs == self.rhs and self.raw_lhs == self.raw_rhs
 
 
-def _nonzero_weight(table: SpectrumTable) -> int:
-    """Sum of norms over every frequency but zero, which comes first."""
-    return table.norm_total() - table.norm_at(0)
-
-
 def fiber_plancherel_check(
     ps: PointSet, h: Subspace, k: Subspace, force: bool = False
 ) -> MartingaleReport:
@@ -350,36 +345,34 @@ def fiber_plancherel_check(
     real check because the left side comes from the coefficient table
     and the right side from fiber sizes.
 
-    Every coefficient comes from restricted_transform on K, on H, or on
-    T for one fiber, so no 3^n table is built and only dim K meets the
-    transform guard, before anything of size 3^dim K is allocated;
-    force lifts its soft limit, as for restricted_transform.
+    The left sides are restricted_transform on K and on H. The right
+    side is one histogram of dot profiles against H's basis and then T =
+    h.extension_to(k): row v (the leading dim H digits) is fiber v's
+    profile against T, its sum is |A_v|, and one transform over the
+    trailing dim T digits makes it c_v, zero cell first. No 3^n table is
+    built and only dim K meets the transform guard, before anything of
+    size 3^dim K is allocated; force lifts its soft limit.
     """
     if h.n != ps.n or k.n != ps.n:
         raise ValueError("subspace dimension differs from the set")
     if not k.contains_subspace(h):
         raise ValueError("H must be contained in K")
     size_h = h.size()
-    lhs = size_h * _nonzero_weight(restricted_transform(ps, k, force=force))
+    whole = restricted_transform(ps, k, force=force)
+    lhs = size_h * (whole.norm_total() - whole.norm_at(0))
     raw_lhs = restricted_transform(ps, h, force=force).norm_total()
 
-    dec = decompose_fibers(ps, h)
-    sizes = [fiber.size for fiber in dec.fibers]
+    hist = bulk.dot_histogram(*ps.planes(), [*h.basis, *h.extension_to(k)])
+    sizes = hist.reshape(size_h, -1).sum(axis=1).tolist()
     h_term = sum((size_h * size - ps.size) ** 2 for size in sizes)
     raw_rhs = size_h * sum(size**2 for size in sizes)
 
-    t = Subspace.span(h.extension_to(k), ps.n)
-    fiber_term = size_h**2 * sum(
-        _nonzero_weight(restricted_transform(fiber, t, force=force)) for fiber in dec.fibers if fiber.size
-    )
+    dim_t = k.dim - h.dim
+    fibers = fourier.transform_table(hist, k.dim, force=force, digits=dim_t)
+    zeros = SpectrumTable(h.dim, fibers.p[:: 3**dim_t], fibers.q[:: 3**dim_t])
+    fiber_term = size_h**2 * (fibers.norm_total() - zeros.norm_total())
 
     return MartingaleReport(
-        dim_h=h.dim,
-        dim_k=k.dim,
-        lhs=lhs,
-        rhs=h_term + fiber_term,
-        h_term=h_term,
-        fiber_term=fiber_term,
-        raw_lhs=raw_lhs,
-        raw_rhs=raw_rhs,
+        dim_h=h.dim, dim_k=k.dim, lhs=lhs, rhs=h_term + fiber_term,
+        h_term=h_term, fiber_term=fiber_term, raw_lhs=raw_lhs, raw_rhs=raw_rhs,
     )

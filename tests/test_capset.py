@@ -1,11 +1,12 @@
 import io
 import itertools
+import re
 import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tricap import (
@@ -375,6 +376,10 @@ class TestSetFiles:
             ("n=2\n00\n11\n1\n11\n", "line 4: '1' is not a base-3 string of length 2"),
             ("n=2\r\n00\r\n22\r\n00\r\n", "line 4: duplicate point '00'"),
             ("n=x\n", "bad dimension in header 'n=x'"),
+            ("n=1_0\n", "bad dimension in header 'n=1_0'"),
+            ("n=+3\n", "bad dimension in header 'n=+3'"),
+            ("n=3 \n", "bad dimension in header 'n=3 '"),
+            ("n=" + "0" * 40 + "3\n", f"bad dimension in header 'n={'0' * 30}'"),
             ("", "first line must be n=<dim>"),
             ("n=21\n", "dimension 21 outside 1..20"),
         ],
@@ -396,6 +401,8 @@ class TestSetFiles:
             ("n=2\n21\n00", 2, ["00", "21"]),
             ("n=2\r\n21\r\n00\r\n\r\n", 2, ["00", "21"]),
             ("n=1\n2\n0\n1\n", 1, ["0", "1", "2"]),
+            ("n=2\r21\r00\r", 2, ["00", "21"]),
+            ("n=03\n012\n", 3, ["012"]),
         ],
     )
     def test_body_forms_accepted(self, tmp_path, text, n, strings):
@@ -404,6 +411,94 @@ class TestSetFiles:
         ps = load_point_set(path)
         assert ps.n == n
         assert [str(v) for v in ps.vectors()] == strings
+
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            (b"n=3\n012\n01\xff\n", "line 3: '01\ufffd' is not a base-3 string of length 3"),
+            (b"n=3\n\xe9\xe9\xe9\n012\n", f"line 2: '{3 * chr(0xFFFD)}' is not a base-3 string of length 3"),
+            (b"n=2\n00\n00\n\x80\n", "line 3: duplicate point '00'"),
+            (b"n=\xff\n", "bad dimension in header 'n=\ufffd'"),
+            (b"\xffn=3\n", "first line must be n=<dim>"),
+        ],
+    )
+    def test_non_ascii_bytes_name_their_line(self, tmp_path, data, message):
+        path = tmp_path / "bytes.txt"
+        path.write_bytes(data)
+        with pytest.raises(SetFileError) as exc:
+            load_point_set(path)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("header", [b"q=3\n", b"n="], ids=["not-n", "endless-digits"])
+    def test_hostile_header_refused_before_the_body_is_read(self, tmp_path, header):
+        # a 32 MB body, behind a header that is not n= or never ends
+        path = tmp_path / "big.txt"
+        path.write_bytes(header + b"0" * (32 << 20))
+        tracemalloc.start()
+        try:
+            with pytest.raises(SetFileError):
+                load_point_set(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            path.unlink()
+        assert peak < 1 << 20
+
+
+def _reference_parse(data: bytes):
+    """(n, sorted point strings) by plain string handling, None when malformed."""
+    try:
+        text = data.decode("ascii")
+    except UnicodeDecodeError:
+        return None
+    lines = re.split(r"\r\n|\r|\n", text)
+    while len(lines) > 1 and not lines[-1]:
+        lines.pop()
+    head = re.fullmatch(r"n=([0-9]{1,29})", lines[0])
+    if head is None or not 1 <= int(head[1]) <= MAX_DIM:
+        return None
+    n, body = int(head[1]), lines[1:]
+    if any(not re.fullmatch(f"[012]{{{n}}}", line) for line in body) or len(set(body)) < len(body):
+        return None
+    return n, sorted(body)
+
+
+@st.composite
+def set_file_bytes(draw):
+    """Saved set files truncated, extended or spliced with bytes, or garbage."""
+    near_text = st.lists(st.sampled_from(b"012\n\r=n\xff"), max_size=8).map(bytes)
+    noise = st.one_of(st.binary(max_size=8), near_text)
+    if draw(st.integers(0, 3)) == 0:
+        return draw(st.binary(max_size=120))
+    n = draw(st.integers(1, 4))
+    buf = io.StringIO()
+    save_point_set(random_point_set(n, draw(st.integers(0, 3**n)), draw(st.integers(0, 999))), buf)
+    data = buf.getvalue().encode("ascii")
+    at = draw(st.integers(0, len(data)))
+    how = draw(st.sampled_from(["truncate", "append", "splice"]))
+    if how == "truncate":
+        return data[:at]
+    if how == "append":
+        return data + draw(noise)
+    return data[:at] + draw(noise) + data[at + draw(st.integers(0, 4)) :]
+
+
+class TestSetFileFuzz:
+    @settings(max_examples=300)
+    @given(data=set_file_bytes())
+    def test_typed_errors_or_a_round_trip(self, tmp_path_factory, data):
+        # only SetFileError (a ValueError) or ValueError escapes; an accepted
+        # file is the set a plain parse reads, and saves and loads unchanged
+        path = tmp_path_factory.getbasetemp() / "fuzz.txt"
+        path.write_bytes(data)
+        try:
+            ps = load_point_set(path)
+        except (SetFileError, ValueError):
+            assert _reference_parse(data) is None
+            return
+        assert _reference_parse(data) == (ps.n, [str(v) for v in ps.vectors()])
+        save_point_set(ps, path)
+        assert load_point_set(path) == ps
 
 
 class TestExhaustiveMaxima:

@@ -5,6 +5,7 @@ import io
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -105,7 +106,19 @@ class TestCapsetCommands:
         assert load_point_set(out_path).n == 12
         code, out, _ = run_cli(capsys, "capset", "product", cap_file, cap_file)
         assert code == 0
-        assert out.encode("ascii") == open(out_path, "rb").read()
+        assert out.encode("ascii") == Path(out_path).read_bytes()
+
+    def test_product_to_stdout_skips_the_cap_check(self, cap_file, tmp_path, capsys, monkeypatch):
+        # only the --out report prints is_capset, so the stdout path never runs it
+        def refuse(ps):
+            raise AssertionError("is_capset run for a report that is not printed")
+
+        monkeypatch.setattr(cli, "is_capset", refuse)
+        code, out, _ = run_cli(capsys, "capset", "product", cap_file, cap_file)
+        assert code == 0
+        assert out.startswith("n=12\n")
+        with pytest.raises(AssertionError):
+            run_cli(capsys, "capset", "product", cap_file, cap_file, "--out", str(tmp_path / "o"))
 
 
 class TestReportsAndFormats:

@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tricap import (
@@ -184,6 +184,72 @@ class TestTiledKernel:
         re, im = inverse_table(table)
         assert np.array_equal(re, f)
         assert not im.any()
+
+
+class TestPartialTransform:
+    """transform_table(f, n, digits=k): the passes over the trailing k digits only.
+
+    Read as a (3^(n-k), 3^k) matrix, every row of the result is the full
+    k-dimensional transform of that row of f. Small tiles make the
+    leading half of the kernel start mid-row (lead < n // 2) and skip it
+    (lead >= n // 2) in chunks of a few columns; n = 12, digits = 11 has
+    3^11 > _TILE cells a row at the default tile.
+    """
+
+    @staticmethod
+    def assert_rows_transformed(f, n, k):
+        """Every row, or 41 evenly spaced ones (first and last included), checked."""
+        table = transform_table(f, n, digits=k)
+        rows = np.asarray(f).reshape(-1, 3**k)
+        tp, tq = table.p.reshape(rows.shape), table.q.reshape(rows.shape)
+        for r in np.unique(np.linspace(0, len(rows) - 1, 41).astype(np.int64)).tolist():
+            want = transform_table(rows[r], k)
+            assert np.array_equal(tp[r], want.p) and np.array_equal(tq[r], want.q), r
+        return table
+
+    @pytest.mark.parametrize("n, k", [(12, 11), (12, 0), (9, 9), (13, 5), (14, 1)])
+    def test_every_row_is_its_own_transform(self, n, k):
+        f = np.random.default_rng(n + k).integers(-3, 4, 3**n)
+        table = self.assert_rows_transformed(f, n, k)
+        if k == 0:  # no pass at all
+            assert np.array_equal(table.p, f) and not table.q.any()
+
+    @pytest.mark.parametrize("tile", [9, 27, 100])
+    @pytest.mark.parametrize("n", range(0, 7))
+    def test_small_tiles_match_the_oracle(self, monkeypatch, tile, n):
+        monkeypatch.setattr(fourier, "_TILE", tile)
+        values, _ = _pinned_function(max(n, 1))
+        values = values[: 3**n]
+        for k in range(n + 1):
+            table = self.assert_rows_transformed(values, n, k)
+            if k <= 3:  # and every row against the pure-Python oracle
+                planes = [a.reshape(-1, 3**k).tolist() for a in (values, table.p, table.q)]
+                for row, tp, tq in zip(*planes):
+                    assert list(zip(tp, tq)) == oracles.naive_transform(row, k)
+
+    @pytest.mark.parametrize("above", [False, True])
+    def test_dtype_follows_the_digits_bound(self, above):
+        # k passes stay within 2 * peak * 3^k: int32 just below 2^31, int64 at it,
+        # exact either way; the n - k untransformed digits do not count
+        n, k = 5, 3
+        c = _largest(lambda c: 2 * c * 3**k < 2**31) + above
+        assert (2 * c * 3**k < 2**31) is not above
+        f = np.array([c * ((7 * i) % 3 - 1) for i in range(3**n)], dtype=np.int64)
+        table = transform_table(f, n, digits=k)
+        assert table.p.dtype == table.q.dtype == (np.int64 if above else np.int32)
+        planes = [a.reshape(-1, 3**k).tolist() for a in (f, table.p, table.q)]
+        for row, tp, tq in zip(*planes):
+            assert list(zip(tp, tq)) == oracles.naive_transform(row, k)
+
+    def test_full_digits_is_the_default(self):
+        values, _ = _pinned_function(5)
+        full, default = transform_table(values, 5, digits=5), transform_table(values, 5)
+        assert np.array_equal(full.p, default.p) and np.array_equal(full.q, default.q)
+
+    @pytest.mark.parametrize("digits", [-1, 4])
+    def test_digits_outside_the_dimension_rejected(self, digits):
+        with pytest.raises(ValueError, match="digits"):
+            transform_table(np.zeros(27, dtype=np.int64), 3, digits=digits)
 
 
 def _negated(n: int) -> np.ndarray:
@@ -431,6 +497,48 @@ class TestTableIO:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
+
+
+@st.composite
+def table_dump_bytes(draw):
+    """Table dumps truncated, extended, spliced, overwritten or re-headed, or garbage."""
+    if draw(st.integers(0, 4)) == 0:
+        return draw(st.binary(max_size=80))
+    n = draw(st.integers(0, 3))
+    f = np.array(draw(st.lists(st.integers(-9, 9), min_size=3**n, max_size=3**n)))
+    buf = io.BytesIO()
+    save_table(transform_table(f, n), buf)
+    data = buf.getvalue()
+    how = draw(st.sampled_from(["truncate", "append", "splice", "overwrite", "header"]))
+    at = draw(st.integers(0, len(data)))
+    if how == "truncate":
+        return data[:at]
+    if how == "append":
+        return data + draw(st.binary(min_size=1, max_size=24))
+    if how == "splice":
+        return data[:at] + draw(st.binary(max_size=8)) + data[at + draw(st.integers(0, 8)) :]
+    if how == "overwrite":
+        patch = draw(st.binary(max_size=8))
+        return data[:at] + patch + data[at + len(patch) :]
+    dims = st.one_of(st.just(n), st.integers(-2, 40))
+    head = draw(st.tuples(dims, st.one_of(st.integers(-2, 30), st.just(int(f.sum())))))
+    return data[:8] + struct.pack("<iq", *head) + data[20:]
+
+
+class TestTableDumpFuzz:
+    @settings(max_examples=300)
+    @given(data=table_dump_bytes(), seekable=st.booleans())
+    def test_typed_errors_or_a_round_trip(self, data, seekable):
+        # only ValueError escapes, from a file or a pipe-like stream, and an
+        # accepted dump saves back to the same bytes
+        stream = io.BytesIO(data) if seekable else TestTableIO._Stream(data, step=7)
+        try:
+            table = load_table(stream)
+        except ValueError:
+            return
+        buf = io.BytesIO()
+        save_table(table, buf)
+        assert buf.getvalue() == data
 
 
 def _largest(ok) -> int:

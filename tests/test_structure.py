@@ -22,6 +22,7 @@ from tricap import (
     komity,
     komity_reference,
     random_point_set,
+    restricted_transform,
     span_hull,
 )
 from tricap import bulk, fourier, structure
@@ -319,6 +320,61 @@ class TestMartingale:
         )
         assert lhs == rhs
         assert (rep.lhs, rep.rhs) == (lhs, rhs)
+
+    @staticmethod
+    def nested_subspaces(n, dim_h, dim_k, seed):
+        rng = np.random.default_rng(seed)
+        while True:
+            k = Subspace.span([
+                TritVector.from_string("".join(map(str, row))) for row in rng.integers(0, 3, (dim_k, n))
+            ])
+            if k.dim == dim_k:
+                return Subspace.span(list(k.basis[:dim_h]), n), k
+
+    @pytest.mark.parametrize("n, dim_h, dim_k", [(6, 0, 3), (6, 2, 2), (8, 2, 5), (9, 4, 6)])
+    def test_fiber_terms_match_the_per_fiber_tables(self, n, dim_h, dim_k):
+        # reference: one PointSet and one restricted_transform per fiber
+        ps = greedy_random_capset(n, n)
+        h, k = self.nested_subspaces(n, dim_h, dim_k, n)
+        rep = fiber_plancherel_check(ps, h, k)
+        dec = decompose_fibers(ps, h)
+        t = Subspace.span(h.extension_to(k), n)
+        tables = [restricted_transform(fiber, t) for fiber in dec.fibers]
+        size_h = 3**dim_h
+        weights = [tab.norm_total() - tab.norm_at(0) for tab in tables]
+        assert rep.fiber_term == size_h**2 * sum(weights)
+        assert rep.h_term == sum((size_h * f.size - ps.size) ** 2 for f in dec.fibers)
+        assert rep.raw_rhs == size_h * sum(f.size**2 for f in dec.fibers)
+        assert rep.holds
+
+    def test_one_histogram_and_one_partial_transform(self, monkeypatch):
+        ps = greedy_random_capset(9, 2)
+        h, k = self.nested_subspaces(9, 3, 7, 5)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("per-fiber path taken")
+
+        restricted, tables = [], []
+        real_restricted, real_table = structure.restricted_transform, fourier.transform_table
+
+        def spy_restricted(ps, w, **kw):
+            restricted.append(w)
+            return real_restricted(ps, w, **kw)
+
+        def spy_table(f, n, force=False, **kw):
+            tables.append((n, kw.get("digits")))
+            return real_table(f, n, force, **kw)
+
+        monkeypatch.setattr(structure, "decompose_fibers", refuse)
+        monkeypatch.setattr(PointSet, "__init__", refuse)
+        monkeypatch.setattr(PointSet, "_from_sorted", refuse)
+        monkeypatch.setattr(structure, "restricted_transform", spy_restricted)
+        monkeypatch.setattr(fourier, "transform_table", spy_table)
+        rep = fiber_plancherel_check(ps, h, k)
+        assert rep.holds and rep.fiber_term > 0
+        # K and H through restricted_transform, then the one partial transform
+        assert restricted == [k, h]
+        assert tables == [(7, None), (3, None), (7, 4)]
 
     def test_high_dimension_takes_no_full_table(self, monkeypatch):
         ps = random_point_set(16, 3000, 5)
