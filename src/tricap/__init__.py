@@ -45,7 +45,7 @@ from .fourier import (
     transform_point_set,
     transform_table,
 )
-from .gf3core import Density, Eisenstein, TritVector, character
+from .gf3core import Eisenstein, TritVector, character
 from .linalg import Subspace, rank
 from .randomsel import (
     g_exact,
@@ -81,7 +81,6 @@ from .version import VERSION as __version__
 
 __all__ = [
     "AffineSubspace",
-    "Density",
     "DimensionMismatchError",
     "Eisenstein",
     "GuardExceededError",

@@ -13,6 +13,7 @@ value here ever approaches 2^63).
 from __future__ import annotations
 
 import os
+from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, NamedTuple, Sequence, TextIO
 
@@ -20,7 +21,7 @@ import numpy as np
 
 from . import bulk
 from .errors import DimensionMismatchError, SetFileError, guard
-from .gf3core import DENSE_MAX_N, MAX_DIM, Density, TritVector, plane_add
+from .gf3core import DENSE_MAX_N, MAX_DIM, TritVector, plane_add
 from .rng import make_rng
 
 __all__ = [
@@ -109,8 +110,9 @@ class PointSet:
     def size(self) -> int:
         return int(self.indices.size)
 
-    def density(self) -> Density:
-        return Density(self.size, self.n)
+    def density(self) -> Fraction:
+        """|A| / 3^n, exactly."""
+        return Fraction(self.size, 3**self.n)
 
     def planes(self) -> tuple[np.ndarray, np.ndarray]:
         if self._planes is None:
@@ -228,7 +230,10 @@ def load_point_set(path: str | os.PathLike) -> PointSet:
     bad_digit = (digits > 2).any(axis=1)  # uint8: bytes below "0" wrap past 2
     if bad_digit.any():
         good = int(np.argmax(bad_digit))
-    idx = digits[:good].astype(np.int64) @ 3 ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    idx = np.zeros(good, dtype=np.int64)  # a digit column at a time: no (|A|, n) int64 copy
+    for col in range(n):
+        idx *= 3
+        idx += digits[:good, col]
     first = np.zeros(good, dtype=bool)
     first[np.unique(idx, return_index=True)[1]] = True
     if not first.all():

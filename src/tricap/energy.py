@@ -1,14 +1,17 @@
 """Additive energies, exactly.
 
 Difference multiplicities m(x) = #{(a, b) : a - b = x} drive everything
-here. The fourth energy is sum m(x)^2; higher even energies E_2m come
-from the coefficient table as sum |c(y)|^(2m) / 3^n, which is an exact
-integer because the numerator is divisible by 3^n (that divisibility is
-asserted, not assumed). For sets in an ambient space too large for a
-full table, a convolution backend builds the m-fold sumset counts as
-sorted index and count arrays. Those counts are at most |A|^(m-1), so
-they are int64 while |A|^(m-1) < 2^62, their squares while
-|A|^(2m-2) < 2^62, and Python ints past either bound.
+here. diff_multiplicity returns them as they are: one int64 table of 3^n
+cells, m(x) at the canonical index of x. The fourth energy is
+sum m(x)^2; higher even energies E_2m come from the coefficient table
+as sum |c(y)|^(2m) / 3^n, which is an exact integer because the
+numerator is divisible by 3^n (that divisibility is asserted, not
+assumed). For sets in an ambient space too large for a full table
+(E4 past DENSE_MAX_N, every E_2m past the transform guard), a
+convolution backend builds the m-fold sumset counts as sorted index and
+count arrays. Those counts are at most |A|^(m-1), so they are int64
+while |A|^(m-1) < 2^62, their squares while |A|^(2m-2) < 2^62, and
+Python ints past either bound.
 
 Memory: each path holds one dense table plus fixed, block-sized
 scratch. Every transform-side energy, E4 included, counts the distinct
@@ -34,12 +37,11 @@ from . import bulk, fourier
 from .capset import PointSet
 from .errors import IdentityViolationError, guard
 from .fourier import TRANSFORM_GUARD_N, SpectrumTable, inverse_table, transform_point_set
-from .gf3core import DENSE_MAX_N, TritVector
+from .gf3core import DENSE_MAX_N
 
 __all__ = [
     "CONVOLUTION_OP_GUARD",
     "HolderReport",
-    "MultiplicityMap",
     "SmoothingReport",
     "cross_quadruples",
     "diff_multiplicity",
@@ -52,55 +54,20 @@ __all__ = [
 CONVOLUTION_OP_GUARD = 50_000_000
 
 
-class MultiplicityMap:
-    """Difference multiplicities of a point set as one dense count table.
+def _square_total(table: np.ndarray) -> int:
+    """Exact sum of squares of an int64 pair-count table.
 
-    table[x] = m(x) for every canonical index x of F_3^n, int64, zero off
-    the difference set; nothing else of size 3^n is kept. support and
-    counts are read off the table only when asked. Every count is at most
-    |A| <= 3^16 < 2^26, so every square is below 2^52, and energy() adds
-    the squares one fourier._BLOCK of cells at a time, exactly, through
-    bulk.exact_sum.
+    Every count is at most the size of a set in F_3^n with n <= 16, so
+    below 3^16 < 2^26, and every square is below 2^52. The squares are
+    taken and added one fourier._BLOCK of cells at a time through
+    bulk.exact_sum, so no full-size square is ever held.
     """
-
-    __slots__ = ("n", "table")
-
-    def __init__(self, n: int, table: np.ndarray):
-        self.n = n
-        self.table = table
-
-    def of_index(self, i: int) -> int:
-        """m(x) for the canonical index i; 0 for an index outside F_3^n."""
-        return int(self.table[i]) if 0 <= i < self.table.size else 0
-
-    def of(self, v: TritVector) -> int:
-        return self.of_index(v.index)
-
-    @property
-    def support(self) -> PointSet:
-        """The nonzero differences, sorted and distinct by construction."""
-        return PointSet._from_sorted(self.n, np.flatnonzero(self.table))
-
-    @property
-    def counts(self) -> np.ndarray:
-        """m(x) for each x of support, in the same order."""
-        return self.table[self.table != 0]
-
-    @property
-    def support_size(self) -> int:
-        return int(np.count_nonzero(self.table))
-
-    def total(self) -> int:
-        return bulk.exact_sum(self.table)
-
-    def energy(self) -> int:
-        """sum of m(x)^2, the fourth additive energy."""
-        table, step = self.table, fourier._BLOCK
-        bound = bulk.peak(table) ** 2
-        return sum(
-            (bulk.exact_sum(table[at : at + step] ** 2, bound) for at in range(0, table.size, step)),
-            0,
-        )
+    step = fourier._BLOCK
+    bound = bulk.peak(table) ** 2
+    return sum(
+        (bulk.exact_sum(table[at : at + step] ** 2, bound) for at in range(0, table.size, step)),
+        0,
+    )
 
 
 def _pairwise_counts(a: PointSet, b: PointSet, negate_second: bool = False) -> np.ndarray:
@@ -114,23 +81,23 @@ def _pairwise_counts(a: PointSet, b: PointSet, negate_second: bool = False) -> n
     return out
 
 
-def diff_multiplicity(ps: PointSet, backend: str = "auto") -> MultiplicityMap:
-    """m(x) for every difference of the set.
+def diff_multiplicity(ps: PointSet, backend: str = "auto") -> np.ndarray:
+    """m(x) for every difference of the set, as one dense count table.
 
-    The hash backend counts pairwise differences directly. The transform
-    backend inverts the norm table, which is the transform of m; the two
-    agree exactly and tests pin that down.
+    The result is one int64 table of 3^n cells holding m(x) at the
+    canonical index of x, zero off the difference set. The hash backend
+    counts pairwise differences directly. The transform backend inverts
+    the norm table, which is the transform of m; the two agree exactly
+    and tests pin that down.
     """
     if backend == "auto":
         backend = "transform" if _table_pays(ps) else "hash"
     if backend == "hash":
         guard("dense difference table dimension", ps.n, DENSE_MAX_N)
-        table = _pairwise_counts(ps, ps, negate_second=True)
-    elif backend == "transform":
-        table = _inverse_of_real(ps.n, transform_point_set(ps).norms())
-    else:
-        raise ValueError(f"unknown backend {backend!r}")
-    return MultiplicityMap(ps.n, table)
+        return _pairwise_counts(ps, ps, negate_second=True)
+    if backend == "transform":
+        return _inverse_of_real(ps.n, transform_point_set(ps).norms())
+    raise ValueError(f"unknown backend {backend!r}")
 
 
 def _table_pays(ps: PointSet) -> bool:  # auto rule of e4 and diff_multiplicity
@@ -156,10 +123,19 @@ def _inverse_of_real(n: int, norms: np.ndarray) -> np.ndarray:
 
 
 def e4(ps: PointSet, backend: str = "auto") -> int:
-    """Quadruples a + b = c + d: E_2m at m = 2 by transform, sum m(x)^2 by hash."""
-    if backend == "transform" or backend == "auto" and _table_pays(ps):
+    """Quadruples a + b = c + d: E_2m at m = 2 by transform, sum m(x)^2 by hash.
+
+    auto takes the transform where its table pays, the hash table up to
+    DENSE_MAX_N, and past it E_2m at m = 2 by convolution, which holds
+    no table of 3^n cells.
+    """
+    if backend == "auto":
+        if ps.n > DENSE_MAX_N:
+            return e2m(ps, 2, backend="convolution")
+        backend = "transform" if _table_pays(ps) else "hash"
+    if backend == "transform":
         return e2m(ps, 2, backend="transform")
-    return diff_multiplicity(ps, backend=backend).energy()
+    return _square_total(diff_multiplicity(ps, backend=backend))
 
 
 def e2m(ps: PointSet, m: int, backend: str = "auto", force: bool = False) -> int:
@@ -337,5 +313,5 @@ def cross_quadruples(b: PointSet, c: PointSet) -> tuple[int, Fraction]:
     guard("dense sumset table dimension", b.n, DENSE_MAX_N)
     if b.size == 0 or c.size == 0:
         return 0, Fraction(0)
-    count = bulk.exact_sum(_pairwise_counts(b, c) ** 2)  # counts <= 3^16: squares < 2^52
+    count = _square_total(_pairwise_counts(b, c))
     return count, Fraction(count, (b.size * c.size) ** 2)

@@ -17,7 +17,6 @@ values of all character sums exactly; components are plain Python ints.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import reduce
 from typing import Iterable
 
@@ -26,7 +25,6 @@ from .errors import DimensionMismatchError
 __all__ = [
     "DENSE_MAX_N",
     "MAX_DIM",
-    "Density",
     "Eisenstein",
     "TritVector",
     "character",
@@ -248,22 +246,3 @@ _CHAR = (ONE, OMEGA, OMEGA2)
 def character(t: int) -> Eisenstein:
     """w^t for a residue t; the additive character F_3 -> Eisenstein units."""
     return _CHAR[t % 3]
-
-
-@dataclass(frozen=True, slots=True)
-class Density:
-    """Exact density count / 3^scale of a point set in F_3^scale."""
-
-    numerator: int
-    scale: int
-
-    @property
-    def fraction(self) -> Fraction:
-        return Fraction(self.numerator, 3**self.scale)
-
-    def __float__(self) -> float:
-        return self.numerator / 3**self.scale
-
-    def __str__(self) -> str:
-        f = self.fraction
-        return f"{f.numerator}/{f.denominator}"

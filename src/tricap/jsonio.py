@@ -21,7 +21,6 @@ from fractions import Fraction
 from typing import Any
 
 from .energy import HolderReport, SmoothingReport
-from .gf3core import Density
 from .randomsel import NullityExperiment
 from .spectrum import IncrementReport, SpectrumSet, SubspaceSpectrumStats
 from .structure import (
@@ -53,9 +52,7 @@ __all__ = [
 ]
 
 
-def frac_str(x: Fraction | Density | int) -> str:
-    if isinstance(x, Density):
-        x = x.fraction
+def frac_str(x: Fraction | int) -> str:
     f = Fraction(x)
     return f"{f.numerator}/{f.denominator}"
 

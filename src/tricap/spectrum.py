@@ -116,7 +116,7 @@ class SpectrumSet:
         return self.members.size
 
     def rho(self) -> Fraction:
-        return Fraction(self.base.size, 3**self.base.n)
+        return self.base.density()
 
     def norm_of(self, x: TritVector) -> int:
         """Exact norm at a member frequency, from eval_at; KeyError for a non-member."""
@@ -203,7 +203,7 @@ class _ReportBuilder:
     def __init__(self, ps: PointSet, codim: int):
         self.codim = codim
         self.cells = 3 ** (ps.n - codim)
-        self.threshold = Fraction(ps.size, 3**ps.n) * (1 + Fraction(20 * codim, ps.n))
+        self.threshold = ps.density() * (1 + Fraction(20 * codim, ps.n))
         self.need = need = math.ceil(self.threshold * self.cells)
         if self.threshold and not need - 1 < self.threshold * self.cells <= need:
             raise IdentityViolationError("increment boundary", need, str(self.threshold))

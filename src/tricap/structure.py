@@ -5,7 +5,8 @@ the differences x with 2^t <= m(x) < 2^(t+1). Each band induces a graph
 on the base set (a is joined to b when a - b lands in the band) and the
 graph is determined by the band: its edge count, its neighborhoods, and
 the two second-moment statistics below all come from the multiplicity
-map alone.
+table alone, the int64 array of m(x) that energy.diff_multiplicity
+returns, whose own auto rule picks how it is built.
 
 Naming note: "komity" is the second moment sum_{x,y in D} |G[x] ^ G[y]|
 over neighborhood intersections, and "comity" is its refinement into a
@@ -122,7 +123,7 @@ def _powers_of_two(values: np.ndarray) -> np.ndarray:
     return 1 << np.arange(int(values.max(initial=1)).bit_length(), dtype=np.int64)
 
 
-def build_levels(ps: PointSet, backend: str = "auto") -> LevelDecomposition:
+def build_levels(ps: PointSet) -> LevelDecomposition:
     """Split the differences of a set into dyadic multiplicity bands.
 
     Bands partition all of D = S - S (the zero difference included, its
@@ -136,7 +137,7 @@ def build_levels(ps: PointSet, backend: str = "auto") -> LevelDecomposition:
     differences at a time. Beside the table and the labels, only the
     bands themselves are full size.
     """
-    table = diff_multiplicity(ps, backend=backend).table
+    table = diff_multiplicity(ps)
     block = fourier._BLOCK
     edges = _powers_of_two(table)
     labels = np.empty(table.size, dtype=np.uint8)

@@ -99,6 +99,11 @@ class TestPointSet:
         assert ps.contains(TritVector.from_string("012"))
         assert not ps.contains(TritVector.from_string("000"))
 
+    def test_density_is_the_exact_fraction(self):
+        assert PointSet(4, range(5)).density() == Fraction(5, 81)
+        assert type(PointSet(4, range(5)).density()) is Fraction
+        assert PointSet.empty(2).density() == 0
+
 
 class TestWeightTable:
     @pytest.mark.parametrize("n", range(1, 13))
@@ -164,8 +169,9 @@ class TestLineCounting:
             assert is_capset(ps) == oracles.naive_is_capset(pts)
             assert count_line_solutions(cap) == cap.size
             assert is_capset(cap)
-            mm = diff_multiplicity(ps, backend="hash")
-            assert dict(zip(mm.support.indices.tolist(), mm.counts.tolist())) == diffs
+            table = diff_multiplicity(ps, backend="hash")
+            support = np.flatnonzero(table)
+            assert dict(zip(support.tolist(), table[support].tolist())) == diffs
             assert cross_quadruples(ps, other)[0] == oracles.naive_cross_quadruples(pts, others)
             assert komity(band) == komity_reference(band)
             assert doubling_ratio(ps) == Fraction(len(diffs), ps.size)
@@ -443,6 +449,22 @@ class TestSetFiles:
             tracemalloc.stop()
             path.unlink()
         assert peak < 1 << 20
+
+    def test_load_peaks_below_ten_times_the_file(self, tmp_path):
+        # 1,000,000 points at n = 14, a 15 MB file: the index is built a
+        # digit column at a time, with no (|A|, n) int64 copy of the digits
+        n = 14
+        ps = PointSet(n, np.random.default_rng(3).permutation(3**n)[:1_000_000])
+        path = tmp_path / "big.txt"
+        save_point_set(ps, path)
+        tracemalloc.start()
+        try:
+            loaded = load_point_set(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(loaded.indices, ps.indices)
+        assert peak < 10 * path.stat().st_size
 
 
 def _reference_parse(data: bytes):

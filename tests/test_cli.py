@@ -342,6 +342,19 @@ class TestEnergyCommands:
         assert code == 1
 
 
+    def test_e4_and_holder_past_the_dense_ceiling(self, tmp_path, capsys):
+        # n = 17 is past DENSE_MAX_N: E4 comes from the convolution, as in e2m
+        path = str(tmp_path / "a.txt")
+        save_point_set(random_point_set(17, 50, 2), path)
+        reports = {}
+        for name, argv in [("e4", ("e4",)), ("e2m", ("e2m", "--m", "2")),
+                           ("holder", ("holder", "--m", "4"))]:
+            code, out, err = run_cli(capsys, "energy", *argv, path)
+            assert (code, err) == (0, "")
+            reports[name] = json.loads(out)
+        assert reports["e4"]["E4"] == reports["e2m"]["E2m"]["2"] == reports["holder"]["E4"]
+
+
 class TestExitCodes:
     def test_usage_error_is_one(self, cap_file, capsys):
         assert run_cli(capsys, "no-such-command")[0] == 1

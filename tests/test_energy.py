@@ -23,6 +23,7 @@ from tricap import (
     smoothing_report,
 )
 from tricap import bulk, energy, fourier
+from tricap.gf3core import DENSE_MAX_N
 
 import oracles
 from conftest import tuples_of
@@ -43,25 +44,24 @@ def _subspace_set(n: int, d: int) -> PointSet:
 class TestMultiplicity:
     @given(small_sets)
     def test_counts_match_reference(self, ps):
-        mm = diff_multiplicity(ps)
+        table = diff_multiplicity(ps)
         ref = oracles.naive_diff_counts(tuples_of(ps))
-        assert mm.total() == ps.size**2
+        assert (table.dtype, table.shape) == (np.int64, (3**ps.n,))
+        assert table.sum() == ps.size**2
         for d, cnt in ref.items():
-            assert mm.of(TritVector.from_string(oracles.to_string(d))) == cnt
-        assert mm.support_size == len(ref)
+            assert table[TritVector.from_string(oracles.to_string(d)).index] == cnt
+        assert np.count_nonzero(table) == len(ref)
 
     @given(small_sets)
     def test_zero_difference_weight(self, ps):
-        mm = diff_multiplicity(ps)
-        assert mm.of(TritVector.zero(ps.n)) == ps.size
+        assert diff_multiplicity(ps)[TritVector.zero(ps.n).index] == ps.size
 
     @given(small_sets)
     def test_backends_agree(self, ps):
         a = diff_multiplicity(ps, backend="hash")
         b = diff_multiplicity(ps, backend="transform")
-        assert np.array_equal(a.table, b.table)
-        assert np.array_equal(a.support.indices, b.support.indices)
-        assert np.array_equal(a.counts, b.counts)
+        assert a.dtype == b.dtype == np.int64
+        assert np.array_equal(a, b)
 
     @pytest.mark.parametrize("backend", ["hash", "transform"])
     @pytest.mark.parametrize("n, size, seed", [(6, 64, 1), (7, 90, 2), (8, 128, 3), (8, 41, 4)])
@@ -71,19 +71,14 @@ class TestMultiplicity:
             oracles.point_index(d): m
             for d, m in oracles.naive_diff_counts(tuples_of(ps)).items()
         }
-        mm = diff_multiplicity(ps, backend=backend)
-        assert [mm.of_index(i) for i in range(3**n)] == [ref.get(i, 0) for i in range(3**n)]
-        assert mm.support.indices.tolist() == sorted(ref)
-        assert mm.counts.tolist() == [ref[i] for i in sorted(ref)]
-        assert mm.support_size == len(ref)
-        assert mm.total() == size**2
-        assert mm.energy() == sum(m * m for m in ref.values())
-
-    def test_of_index_is_zero_outside_the_cube(self):
-        # a negative index must not wrap round to the table's last cells
-        mm = diff_multiplicity(random_point_set(3, 27, 1))
-        assert mm.of_index(26) == 27
-        assert mm.of_index(-1) == mm.of_index(27) == 0
+        table = diff_multiplicity(ps, backend=backend)
+        assert (table.dtype, table.shape) == (np.int64, (3**n,))
+        assert table.tolist() == [ref.get(i, 0) for i in range(3**n)]
+        assert np.flatnonzero(table).tolist() == sorted(ref)
+        assert table[table != 0].tolist() == [ref[i] for i in sorted(ref)]
+        assert np.count_nonzero(table) == len(ref)
+        assert table.sum() == size**2
+        assert energy._square_total(table) == sum(m * m for m in ref.values())
 
 
 class TestEnergies:
@@ -92,7 +87,7 @@ class TestEnergies:
         want = oracles.naive_e4(tuples_of(ps))
         assert e4(ps, backend="hash") == want
         assert e4(ps, backend="transform") == want
-        assert diff_multiplicity(ps).energy() == want
+        assert energy._square_total(diff_multiplicity(ps)) == want
 
     @given(tiny_sets)
     def test_e2m_matches_reference(self, ps):
@@ -223,6 +218,36 @@ class TestOneTable:
         assert sorted(args[1] for args in moments) == sorted({m, 4} if m > 3 else {m})
 
 
+class TestPastTheDenseCeiling:
+    """Past DENSE_MAX_N no difference table is built: E4 is E_2m at m = 2."""
+
+    def test_e4_and_holder_take_the_convolution(self):
+        ps = random_point_set(DENSE_MAX_N + 1, 50, 8)
+        want = e2m(ps, 2, backend="convolution")
+        assert e4(ps) == want == oracles.naive_e4(tuples_of(ps))
+        rep = holder_check(ps, 4)
+        assert (rep.e4, rep.e2m) == (want, e2m(ps, 4, backend="convolution"))
+        with pytest.raises(GuardExceededError) as exc:
+            e4(ps, backend="hash")
+        assert exc.value.args == ("dense difference table dimension", 17, 16)
+        big = random_point_set(DENSE_MAX_N + 1, 7100, 5)  # 7100^2 > 5e7 operations
+        with pytest.raises(GuardExceededError) as exc:
+            e4(big)
+        assert exc.value.args == ("convolution operations", 7100**2, energy.CONVOLUTION_OP_GUARD)
+
+    def test_the_ceiling_itself_keeps_the_hash_table(self, monkeypatch):
+        # a lowered ceiling moves the switch down, between n = 5 and n = 6
+        monkeypatch.setattr(energy, "DENSE_MAX_N", 5)
+        moments = TestOneTable.spy(monkeypatch, "e2m")
+        tables = TestOneTable.spy(monkeypatch, "diff_multiplicity")
+        for n, calls in ((5, (0, 1)), (6, (1, 0))):
+            ps = random_point_set(n, 4, n)  # 3^n >= 4 |A|^2: no transform
+            moments.clear()
+            tables.clear()
+            assert e4(ps) == oracles.naive_e4(tuples_of(ps))
+            assert (len(moments), len(tables)) == calls
+
+
 class TestMemoryPeaks:
     """Traced peaks of the energy paths on the n = 12 greedy cap.
 
@@ -265,9 +290,10 @@ class TestMemoryPeaks:
         assert self.traced_peak(lambda: run(cap)) <= per_cell * 3**self.N + allowance
 
     def test_sums_take_block_scratch_only(self, cap):
-        mm = diff_multiplicity(cap, backend="hash")
-        assert self.traced_peak(mm.energy) <= 8 * fourier._BLOCK + (64 << 10)
-        assert self.traced_peak(mm.total) <= 64 << 10
+        table = diff_multiplicity(cap, backend="hash")
+        squares = self.traced_peak(lambda: energy._square_total(table))
+        assert squares <= 8 * fourier._BLOCK + (64 << 10)
+        assert self.traced_peak(lambda: bulk.exact_sum(table)) <= 64 << 10
 
 
 class TestConvolutionGuard:

@@ -358,6 +358,22 @@ class TestRestrictedTransform:
         assert np.array_equal(full.p, table.p)
         assert np.array_equal(full.q, table.q)
 
+    @pytest.mark.parametrize("size, dtype", [(18_183, np.int32), (18_184, np.int64)])
+    def test_dtype_follows_the_histogram_bound(self, size, dtype):
+        # the first |A| indices at n = 19 lead with ten zero digits, so one
+        # dot profile against e_0..e_9 holds all of A: the histogram peaks
+        # at |A|, and 2 |A| 3^10 crosses 2^31 between these two sizes
+        n, dim = 19, 10
+        w = Subspace.span([TritVector.unit(n, i) for i in range(dim)])
+        ps = PointSet(n, np.arange(size))
+        assert (2 * size * 3**dim < 2**31) == (dtype is np.int32)
+        table = restricted_transform(ps, w)
+        assert table.p.dtype == table.q.dtype == dtype
+        points = w.enumerate_indices()
+        for j in (0, 1, 2, 3**dim // 2, 3**dim - 1):
+            x = TritVector.from_index(n, int(points[j]))
+            assert table.coefficient_at(j) == eval_at(ps, x)
+
     def test_guard_fires_before_the_histogram(self, monkeypatch):
         ps = random_point_set(15, 10, 3)
         calls = []

@@ -1,11 +1,10 @@
 import itertools
-from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from tricap import Density, Eisenstein, TritVector, character
+from tricap import Eisenstein, TritVector, character
 
 import oracles
 
@@ -109,13 +108,3 @@ class TestTritVector:
         with pytest.raises(Exception):
             TritVector.from_string("01") + TritVector.from_string("012")
 
-
-class TestDensity:
-    def test_fraction_exact(self):
-        d = Density(5, 4)
-        assert d.fraction == Fraction(5, 81)
-
-    def test_comparisons(self):
-        assert Density(10, 3).fraction > Density(9, 3).fraction
-        assert Density(1, 2) == Density(1, 2)
-        assert str(Density(1, 2)) == "1/9"

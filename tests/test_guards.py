@@ -4,12 +4,15 @@ Each site is checked the same way: it refuses a value one past its
 limit with GuardExceededError(what, value, limit) and the one message
 format, it lets the limit itself through, a soft guard yields to
 force=True, and at its real limit it refuses before allocating. Every
-guard the CLI can reach exits 3 with that message.
+guard the CLI can reach exits 3 with that message, and README's Guards
+table names exactly the guards the code has.
 """
 
 import math
+import re
 import tracemalloc
 from functools import partial
+from pathlib import Path
 from typing import Callable, NamedTuple
 
 import pytest
@@ -159,7 +162,7 @@ CLI_CASES = {
     "product": (("capset", "product", "{n10}", "{n11}"), 21, 20, False),
     "exhaustive": (("capset", "max", "--n", "5"), 5, 4, False),
     "enumeration": (("structure", "fibers", "{n17}", "--h", UNITS_17), 17, 16, False),
-    "difference": (("energy", "e4", "{n17}"), 17, 16, False),
+    "difference": (("energy", "e4", "{n17}", "--backend", "hash"), 17, 16, False),
     "convolution": (("energy", "e2m", "{n15}", "--m", "2"), 9, 8, True),  # 3 * 3 operations
     "sumset": (("energy", "cross", "{n17}", "{n17}"), 17, 16, False),
     "comity": (("structure", "comity", "{n4}"), 6, 5, True),  # 6 differences in band 1
@@ -182,3 +185,17 @@ def test_cli_guard_exits_three_with_the_message(case, tmp_path, capsys, monkeypa
     assert (code, out) == (3, "")
     assert err == f"tricap: guard: {message(site.what, value, limit, site.soft)}\n"
     assert "(" not in err.split(";")[0]
+
+
+def test_readme_guards_table_names_every_guard():
+    root = Path(__file__).resolve().parents[1]
+    code = {
+        what
+        for path in sorted((root / "src" / "tricap").glob("*.py"))
+        for what in re.findall(r'\bguard\(\s*"([^"]+)"', path.read_text())
+    }
+    section = root.joinpath("README.md").read_text().split("\n## Guards\n", 1)[1]
+    section = section.split("\n## ", 1)[0]
+    rows = set(re.findall(r"^\| `([^`]+)`", section, flags=re.MULTILINE))
+    assert code == {site.what for site in SITES.values()}
+    assert rows == code

@@ -3,8 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from tricap import greedy_random_capset, nullity_distribution
-from tricap.gf3core import Density
+from tricap import PointSet, greedy_random_capset, nullity_distribution
 from tricap.jsonio import (
     dumps_canonical,
     envelope,
@@ -22,7 +21,7 @@ class TestFracStr:
         assert frac_str(7) == "7/1"
 
     def test_density(self):
-        assert frac_str(Density(4, 3)) == "4/27"
+        assert frac_str(PointSet(3, range(4)).density()) == "4/27"
 
     def test_huge_values_stay_exact(self):
         f = Fraction(3**200, 2**100)

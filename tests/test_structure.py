@@ -1,6 +1,7 @@
 import itertools
 import tracemalloc
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from tricap import (
     comity_scan,
     decompose_fibers,
     delta_g,
+    diff_multiplicity,
     fiber_plancherel_check,
     greedy_random_capset,
     komity,
@@ -40,6 +42,11 @@ def _check_comity_bands(ps):
         got = [(b.size_lo, b.pair_count, b.mass) for b in comity_scan(band)]
         diffs = [oracles.digits(str(v)) for v in band.diffs.vectors()]
         assert got == oracles.naive_comity(pts, diffs)
+
+
+def _table_from(backend, monkeypatch):
+    """Make build_levels read the difference table of one backend."""
+    monkeypatch.setattr(structure, "diff_multiplicity", partial(diff_multiplicity, backend=backend))
 
 
 class TestLevels:
@@ -67,7 +74,8 @@ class TestLevels:
         [(3, 1, 0), (3, 2, 1), (3, 4, 2), (4, 8, 3), (4, 16, 4), (5, 32, 5),
          (5, 64, 6), (4, 13, 7), (5, 50, 8), (2, 9, 9)],
     )
-    def test_bands_match_bucketed_oracle(self, n, size, seed, backend):
+    def test_bands_match_bucketed_oracle(self, n, size, seed, backend, monkeypatch):
+        _table_from(backend, monkeypatch)
         ps = random_point_set(n, size, seed)
         want = {}
         for d, m in oracles.naive_diff_counts(tuples_of(ps)).items():
@@ -78,7 +86,7 @@ class TestLevels:
             want[m_lo] = (diffs + [oracles.point_index(d)], pairs + m)
         got = [
             (band.m_lo, band.diffs.indices.tolist(), band.pair_count)
-            for band in build_levels(ps, backend=backend)
+            for band in build_levels(ps)
         ]
         assert got == [(m_lo, sorted(d), p) for m_lo, (d, p) in sorted(want.items())]
 
@@ -93,6 +101,7 @@ class TestLevels:
     def test_bands_match_brute_force_up_to_n8(self, n, size, seed, backend, block, monkeypatch):
         if block:
             monkeypatch.setattr(fourier, "_BLOCK", block)
+        _table_from(backend, monkeypatch)
         ps = random_point_set(n, size, seed)
         counts = {
             oracles.point_index(d): m
@@ -104,7 +113,7 @@ class TestLevels:
             want.setdefault(t, []).append(x)
         got = [
             (band.m_lo, band.diffs.indices.tolist(), band.pair_count)
-            for band in build_levels(ps, backend=backend)
+            for band in build_levels(ps)
         ]
         assert got == [
             (1 << t, sorted(xs), sum(counts[x] for x in xs)) for t, xs in sorted(want.items())
