@@ -61,6 +61,7 @@ from .spectrum import (
     SpectrumSet,
     coset_counts,
     extract_spectrum,
+    fiber_sizes,
     sampled_increment_checks,
     scan_codim1_increments,
     strong_increment_check,
@@ -69,10 +70,10 @@ from .spectrum import (
 from .structure import (
     build_levels,
     comity_scan,
-    decompose_fibers,
     delta_g,
     doubling_ratio,
     fiber_plancherel_check,
+    heaviest_band,
     komity,
     komity_reference,
     span_hull,
@@ -102,7 +103,6 @@ __all__ = [
     "criterion_ids",
     "cross_quadruples",
     "cube_sum",
-    "decompose_fibers",
     "delta_g",
     "diff_multiplicity",
     "doubling_ratio",
@@ -112,9 +112,11 @@ __all__ = [
     "exhaustive_max_capset",
     "extract_spectrum",
     "fiber_plancherel_check",
+    "fiber_sizes",
     "g_exact",
     "greedy_random_capset",
     "h_exact",
+    "heaviest_band",
     "holder_check",
     "inverse_table",
     "is_capset",

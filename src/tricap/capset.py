@@ -27,6 +27,7 @@ from .rng import make_rng
 __all__ = [
     "EXHAUSTIVE_GUARD_N",
     "GREEDY_GUARD_N",
+    "PRODUCT_GUARD_SIZE",
     "PointSet",
     "count_line_solutions",
     "exhaustive_max_capset",
@@ -40,6 +41,7 @@ __all__ = [
 
 GREEDY_GUARD_N = DENSE_MAX_N
 EXHAUSTIVE_GUARD_N = 4  # the combinatorial wall; n=5 is out of desk range
+PRODUCT_GUARD_SIZE = 3**DENSE_MAX_N  # |A| * |B| points, as many as F_3^16 holds
 _HEADER_BYTES = 32  # a set file's first line is refused at this length, unread beyond it
 
 
@@ -201,9 +203,10 @@ def load_point_set(path: str | os.PathLike) -> PointSet:
     The header line is read first, at most _HEADER_BYTES of it, and must
     be n= and ASCII digits before any more of the file is read. The body
     is then read as bytes, its line ends (LF, CRLF or CR) made LF, and
-    checked in one vectorised pass. The first offending line raises,
-    with its line number: a line that is not n base-3 digits (any other
-    byte, non-ASCII included), or the second occurrence of a point.
+    checked in one vectorised pass over a view of that one buffer, a
+    digit column at a time. The first offending line raises, with its
+    line number: a line that is not n base-3 digits (any other byte,
+    non-ASCII included), or the second occurrence of a point.
     """
     with open(path, "rb") as fh:
         head = fh.readline(_HEADER_BYTES)
@@ -216,34 +219,35 @@ def load_point_set(path: str | os.PathLike) -> PointSet:
         if not 1 <= n <= MAX_DIM:
             raise SetFileError(f"dimension {n} outside 1..{MAX_DIM}")
         raw = (head + fh.read()).replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-    body = raw[len(header) + 1 :].rstrip(b"\n")
-    if not body:
-        return PointSet(n, [])
-    # every line, the last one included, ends at a newline of data
-    data = np.frombuffer(body + b"\n", dtype=np.uint8)
-    ends = np.flatnonzero(data == ord("\n"))
-    starts = np.concatenate(([0], ends[:-1] + 1))
-    # the lines before the first one of another length lie n + 1 bytes apart
-    wrong_length = np.flatnonzero(ends - starts != n)
-    good = int(wrong_length[0]) if wrong_length.size else ends.size
-    digits = data[: good * (n + 1)].reshape(good, n + 1)[:, :n] - ord("0")
-    bad_digit = (digits > 2).any(axis=1)  # uint8: bytes below "0" wrap past 2
-    if bad_digit.any():
-        good = int(np.argmax(bad_digit))
-    idx = np.zeros(good, dtype=np.int64)  # a digit column at a time: no (|A|, n) int64 copy
+    if not raw.endswith(b"\n"):
+        raw += b"\n"  # every line, the last one included, ends at a newline
+    body = len(header) + 1
+    # well-formed lines are rows of n digits and a newline, n + 1 bytes apart
+    data = np.frombuffer(raw, dtype=np.uint8, offset=body)
+    rows = data[: data.size // (n + 1) * (n + 1)].reshape(-1, n + 1)
+    bad = rows[:, n] != ord("\n")
+    idx = np.zeros(len(rows), dtype=np.int64)
     for col in range(n):
+        digit = rows[:, col] - ord("0")
+        bad |= digit > 2  # uint8: bytes below "0" wrap past 2
         idx *= 3
-        idx += digits[:good, col]
-    first = np.zeros(good, dtype=bool)
-    first[np.unique(idx, return_index=True)[1]] = True
-    if not first.all():
-        line = int(np.argmin(first))
-        dup = _text(body[starts[line] : ends[line]])
+        idx += digit
+    good = int(np.argmax(bad)) if bad.any() else len(rows)
+    # a stable sort keeps equal points in line order, so the second
+    # occurrence of a point is a later entry of its run
+    order = np.argsort(idx[:good], kind="stable")
+    idx = idx[order]
+    again = idx[1:] == idx[:-1]
+    if again.any():
+        line = int(order[1:][again].min())
+        at = body + line * (n + 1)
+        dup = _text(raw[at : at + n])
         raise SetFileError(f"line {line + 2}: duplicate point {dup!r}")
-    if good < ends.size:
-        bad = _text(body[starts[good] : ends[good]])
-        raise SetFileError(f"line {good + 2}: {bad!r} is not a base-3 string of length {n}")
-    return PointSet(n, idx)
+    start = body + good * (n + 1)
+    if raw.count(b"\n", start) < len(raw) - start:  # blank lines may trail the points
+        text = _text(raw[start : raw.index(b"\n", start)])
+        raise SetFileError(f"line {good + 2}: {text!r} is not a base-3 string of length {n}")
+    return PointSet._from_sorted(n, idx)
 
 
 def _text(line: bytes) -> str:
@@ -400,12 +404,15 @@ def greedy_random_capset(n: int, seed: int) -> PointSet:
 
 
 def product_capset(a: PointSet, b: PointSet) -> PointSet:
-    """Coordinate-concatenation product; products of caps are caps."""
+    """Coordinate-concatenation product; products of caps are caps.
+
+    Both index arrays increase, so the rows a_i x B come out sorted and distinct.
+    """
     n = a.n + b.n
     guard("product dimension", n, MAX_DIM)
-    scale = 3**b.n
-    combined = (a.indices[:, None] * scale + b.indices[None, :]).ravel()
-    return PointSet(n, combined)
+    guard("product size", a.size * b.size, PRODUCT_GUARD_SIZE)
+    combined = a.indices[:, None] * 3**b.n + b.indices[None, :]
+    return PointSet._from_sorted(n, combined.ravel())
 
 
 # -- exhaustive search --------------------------------------------------------

@@ -56,6 +56,7 @@ from .randomsel import nullity_distribution
 from .selftest import SELFTEST_SEED, run_selftest
 from .spectrum import (
     extract_spectrum,
+    fiber_sizes,
     sampled_increment_checks,
     scan_codim1_increments,
     subspace_spectrum_stats,
@@ -63,9 +64,9 @@ from .spectrum import (
 from .structure import (
     build_levels,
     comity_scan,
-    decompose_fibers,
     doubling_ratio,
     fiber_plancherel_check,
+    heaviest_band,
     komity,
     span_hull,
 )
@@ -340,10 +341,10 @@ def _cmd_energy_cross(args: argparse.Namespace) -> int:
 # -- structure ------------------------------------------------------------------
 
 
-def _pick_band(levels, m_lo: int | None):
+def _pick_band(bands, m_lo: int | None):
     if m_lo is None:
-        return levels.heaviest()
-    for band in levels:
+        return heaviest_band(bands)
+    for band in bands:
         if band.m_lo == m_lo:
             return band
     raise _UsageError(f"no band with m_lo = {m_lo}")
@@ -351,9 +352,8 @@ def _pick_band(levels, m_lo: int | None):
 
 def _cmd_structure_levels(args: argparse.Namespace) -> int:
     ps = load_point_set(args.set_file)
-    levels = build_levels(ps)
     report = envelope("structure levels", None)
-    report.update(report_levels(levels))
+    report.update(report_levels(ps, build_levels(ps)))
     header = ["m_lo", "m_hi", "G_size", "D_size", "alpha_eff"]
     rows = [[b["m_lo"], b["m_hi"], b["G_size"], b["D_size"], b["alpha_eff"]]
             for b in report["bands"]]
@@ -404,9 +404,8 @@ def _cmd_structure_doubling(args: argparse.Namespace) -> int:
 def _cmd_structure_fibers(args: argparse.Namespace) -> int:
     ps = load_point_set(args.set_file)
     h = _parse_basis(args.h, ps.n)
-    dec = decompose_fibers(ps, h)
     report = envelope("structure fibers", None)
-    report.update(report_fibers(dec))
+    report.update(report_fibers(ps, h.dim, *fiber_sizes(ps, h)))
     header = ["rep", "size"]
     rows = [[f["rep"], f["size"]] for f in report["fibers"]]
     _emit(args, report, (header, rows))

@@ -20,16 +20,14 @@ import math
 from fractions import Fraction
 from typing import Any
 
+import numpy as np
+
+from . import bulk
+from .capset import PointSet
 from .energy import HolderReport, SmoothingReport
 from .randomsel import NullityExperiment
 from .spectrum import IncrementReport, SpectrumSet, SubspaceSpectrumStats
-from .structure import (
-    AdditiveStructure,
-    ComityBand,
-    FiberDecomposition,
-    LevelDecomposition,
-    MartingaleReport,
-)
+from .structure import AdditiveStructure, ComityBand, MartingaleReport
 from .version import VERSION
 
 __all__ = [
@@ -142,11 +140,11 @@ def report_smoothing(rep: SmoothingReport) -> dict[str, Any]:
     }
 
 
-def report_levels(levels: LevelDecomposition) -> dict[str, Any]:
+def report_levels(ps: PointSet, bands: list[AdditiveStructure]) -> dict[str, Any]:
     return {
-        "n": levels.base.n,
-        "set_size": levels.base.size,
-        "band_count": len(levels),
+        "n": ps.n,
+        "set_size": ps.size,
+        "band_count": len(bands),
         "bands": [
             {
                 "m_lo": b.m_lo,
@@ -155,7 +153,7 @@ def report_levels(levels: LevelDecomposition) -> dict[str, Any]:
                 "D_size": b.diffs.size,
                 "alpha_eff": b.band_exponent,
             }
-            for b in levels
+            for b in bands
         ],
     }
 
@@ -181,14 +179,15 @@ def report_comity(struct: AdditiveStructure, bands: list[ComityBand],
     }
 
 
-def report_fibers(dec: FiberDecomposition) -> dict[str, Any]:
+def report_fibers(ps: PointSet, dim_h: int, reps: np.ndarray, sizes: np.ndarray) -> dict[str, Any]:
     return {
-        "n": dec.base.n,
-        "set_size": dec.base.size,
-        "dim_h": dec.h.dim,
-        "fiber_count": dec.fiber_count,
+        "n": ps.n,
+        "set_size": ps.size,
+        "dim_h": dim_h,
+        "fiber_count": len(reps),
         "fibers": [
-            {"rep": str(rep), "size": fiber.size} for rep, fiber in dec.items()
+            {"rep": rep, "size": size}
+            for rep, size in zip(bulk.index_text(ps.n, reps).split(), sizes.tolist())
         ],
     }
 

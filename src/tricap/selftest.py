@@ -45,7 +45,14 @@ from .randomsel import (
 )
 from .rng import make_rng
 from .spectrum import AffineSubspace, coset_counts, extract_spectrum, strong_increment_check
-from .structure import build_levels, comity_scan, fiber_plancherel_check, komity, komity_reference
+from .structure import (
+    build_levels,
+    comity_scan,
+    fiber_plancherel_check,
+    heaviest_band,
+    komity,
+    komity_reference,
+)
 
 __all__ = ["SELFTEST_SEED", "criterion_ids", "run_criterion", "run_selftest"]
 
@@ -259,9 +266,8 @@ def _c7_komity(seed: int) -> tuple[bool, dict]:
         n = 3 + i % 4
         size = int(rng.integers(4, min(3**n, 14) + 1))
         ps = random_point_set(n, size, rng)
-        levels = build_levels(ps)
-        picks = [levels.heaviest(), levels.bands[0]]
-        for struct in picks:
+        bands = build_levels(ps)
+        for struct in (heaviest_band(bands), bands[0]):
             kv = komity(struct)
             if kv != komity_reference(struct):
                 return False, {"i": i, "stage": "reference", "m_lo": struct.m_lo}

@@ -16,9 +16,10 @@ codimension d when its density there reaches rho * (1 + 20 d / n); the
 comparison is exact rational and equality counts as an increment (the
 worked hyperplane case at n = 10 lands exactly on the boundary). The
 empty set has no increment. Hyperplane scans read the coset counts of
-every functional off the coefficient table; explicit and sampled cosets
-are counted from one histogram of dot profiles against the direction's
-annihilator, one pass over A and 3^d bins per sample.
+every functional off the coefficient table; explicit and sampled cosets,
+and the fibers that ``structure fibers`` reports, are counted by
+_coset_sizes from one histogram of dot profiles against the direction's
+annihilator, one pass over A and 3^d bins.
 
 A hyperplane x^perp needs no elimination: with q the last nonzero
 coordinate of x, its reduced echelon basis is {e_j - x_j x_q e_q : j != q}.
@@ -50,6 +51,7 @@ __all__ = [
     "SubspaceSpectrumStats",
     "coset_counts",
     "extract_spectrum",
+    "fiber_sizes",
     "sampled_increment_checks",
     "scan_codim1_increments",
     "strong_increment_check",
@@ -184,10 +186,30 @@ def _coset_sizes(ps: PointSet, functionals: Subspace, shifts: np.ndarray) -> np.
     A point's coset is fixed by its dot profile against the functionals'
     basis, so one histogram of those profiles (a single pass over A)
     holds every coset count, and a shift reads its coset at its own label.
+    Two shifts with one label would name one coset twice, and raise.
     """
     basis = functionals.basis
     hist = bulk.dot_histogram(*ps.planes(), basis)
-    return hist[bulk.dot_labels(*bulk.indices_to_planes(ps.n, shifts), basis)]
+    labels = bulk.dot_labels(*bulk.indices_to_planes(ps.n, shifts), basis)
+    distinct = np.unique(labels).size
+    if distinct != labels.size:
+        raise IdentityViolationError("fiber keys", distinct, labels.size)
+    return hist[labels]
+
+
+def fiber_sizes(ps: PointSet, h: Subspace) -> tuple[np.ndarray, np.ndarray]:
+    """(reps, sizes): every fiber of H, as a canonical index and a point count.
+
+    Point a lies in fiber v when a.h = v.h for every h in H, so the
+    fibers are the cosets of H's annihilator. reps is the transversal of
+    that annihilator in enumerate_indices order, one rep per dot profile,
+    and sizes[i] = |A on reps[i] + H^perp|; empty fibers are kept, so
+    there are always 3^dim H of each.
+    """
+    if h.n != ps.n:
+        raise ValueError("subspace dimension differs from the set")
+    reps = h.annihilator().transversal().enumerate_indices()
+    return reps, _coset_sizes(ps, h, reps)
 
 
 class _ReportBuilder:
@@ -287,9 +309,10 @@ def sampled_increment_checks(
     """Increment spot-checks on subspaces spanned by random spectrum members.
 
     For each sample, span up to ``codim`` random members of the spectrum,
-    take the annihilator as the direction, and check every coset: one
-    histogram over A counts them all. Only cosets that are strong
-    increments are reported, in the order of the direction's transversal.
+    take the annihilator as the direction, and check every coset: they
+    are the fibers of the span, so one fiber_sizes call counts them all.
+    Only cosets that are strong increments are reported, in the order of
+    the direction's transversal.
     """
     if spec.size == 0 or spec.base.size == 0:
         return []
@@ -301,12 +324,11 @@ def sampled_increment_checks(
         w = Subspace.span([TritVector.from_index(spec.n, int(i)) for i in picks], spec.n)
         if w.dim < 1 or 2 * w.dim > spec.n:
             continue
-        direction = w.annihilator()
-        shifts = direction.transversal().enumerate_indices()
-        counts = _coset_sizes(spec.base, w, shifts).tolist()
-        basis = tuple(bulk.index_text(spec.n, [b.index for b in direction.basis]).split())
+        shifts, counts = fiber_sizes(spec.base, w)
+        direction = [b.index for b in w.annihilator().basis]
+        basis = tuple(bulk.index_text(spec.n, direction).split())
         words = bulk.index_text(spec.n, shifts).split()
-        out += _ReportBuilder(spec.base, w.dim).increments(basis, counts, words)
+        out += _ReportBuilder(spec.base, w.dim).increments(basis, counts.tolist(), words)
     return out
 
 

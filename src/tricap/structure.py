@@ -14,9 +14,11 @@ histogram by intersection size. The identity komity = sum_a r(a)^2 with
 r(a) = #{b in base : a - b in D} turns a quadratic scan into a linear
 one; both sides are implemented and tests hold them together.
 
-Fiber decompositions split a set by its dot products against a subspace
-basis. The martingale identity cleared of denominators at scale
-3^(2n) * |H| reads
+The fibers of a subspace H split a set by its dot products against H's
+basis: they are the cosets of H's annihilator, so their sizes are one
+histogram of dot profiles, which spectrum.fiber_sizes reads at a
+transversal and the identity below reads whole. The martingale identity
+cleared of denominators at scale 3^(2n) * |H| reads
 
   |H| * sum_{k in K, k != 0} |c(k)|^2
     = sum_v (|H| |A_v| - |A|)^2
@@ -40,7 +42,7 @@ import numpy as np
 from . import bulk, fourier
 from .capset import PointSet
 from .energy import diff_multiplicity
-from .errors import IdentityViolationError, guard
+from .errors import guard
 from .fourier import SpectrumTable, restricted_transform
 from .gf3core import DENSE_MAX_N, TritVector, plane_add
 from .linalg import Subspace
@@ -49,15 +51,13 @@ __all__ = [
     "COMITY_GUARD_SIZE",
     "AdditiveStructure",
     "ComityBand",
-    "FiberDecomposition",
-    "LevelDecomposition",
     "MartingaleReport",
     "build_levels",
     "comity_scan",
-    "decompose_fibers",
     "delta_g",
     "doubling_ratio",
     "fiber_plancherel_check",
+    "heaviest_band",
     "komity",
     "komity_reference",
     "span_hull",
@@ -88,26 +88,11 @@ class AdditiveStructure:
         return math.log(self.m_lo) / math.log(self.base.n) - 1.0
 
 
-class LevelDecomposition:
-    """All nonempty bands of a difference set, ascending by multiplicity."""
-
-    __slots__ = ("base", "bands")
-
-    def __init__(self, base: PointSet, bands: list[AdditiveStructure]):
-        self.base = base
-        self.bands = bands
-
-    def heaviest(self) -> AdditiveStructure:
-        """The band carrying the most pairs (ties to larger m_lo)."""
-        if not self.bands:
-            raise ValueError("empty set has no bands")
-        return max(self.bands, key=lambda s: (s.pair_count, s.m_lo))
-
-    def __iter__(self):
-        return iter(self.bands)
-
-    def __len__(self) -> int:
-        return len(self.bands)
+def heaviest_band(bands: list[AdditiveStructure]) -> AdditiveStructure:
+    """The band carrying the most pairs (ties to larger m_lo)."""
+    if not bands:
+        raise ValueError("empty set has no bands")
+    return max(bands, key=lambda s: (s.pair_count, s.m_lo))
 
 
 def _floor_log2(values: np.ndarray) -> np.ndarray:
@@ -123,8 +108,8 @@ def _powers_of_two(values: np.ndarray) -> np.ndarray:
     return 1 << np.arange(int(values.max(initial=1)).bit_length(), dtype=np.int64)
 
 
-def build_levels(ps: PointSet) -> LevelDecomposition:
-    """Split the differences of a set into dyadic multiplicity bands.
+def build_levels(ps: PointSet) -> list[AdditiveStructure]:
+    """The nonempty dyadic multiplicity bands of a set, ascending by m_lo.
 
     Bands partition all of D = S - S (the zero difference included, its
     multiplicity is |S|), so pair counts across bands sum to |S|^2.
@@ -156,7 +141,7 @@ def build_levels(ps: PointSet) -> LevelDecomposition:
                     for at in range(0, diffs.size, block)
                 ),
             ))
-    return LevelDecomposition(ps, bands)
+    return bands
 
 
 def delta_g(struct: AdditiveStructure, x: TritVector) -> PointSet:
@@ -266,50 +251,6 @@ def span_hull(ps: PointSet) -> tuple[Subspace, Fraction]:
         return Subspace.zero(ps.n), Fraction(0)
     span = Subspace.span(list(ps.vectors()), ps.n)
     return span, Fraction(span.size(), ps.size)
-
-
-class FiberDecomposition:
-    """A set split by dot products against a subspace basis.
-
-    Fibers are keyed by representatives v drawn from a transversal of
-    the annihilator of H, one per point of the quotient by H-cosets in
-    the functional sense: a lands in fiber v exactly when a.h = v.h for
-    every h in H. Every point lands in exactly one fiber; empty fibers
-    are kept so there are always 3^dim(H) of them.
-    """
-
-    __slots__ = ("base", "h", "reps", "fibers")
-
-    def __init__(self, base: PointSet, h: Subspace, reps: list[TritVector],
-                 fibers: list[PointSet]):
-        self.base = base
-        self.h = h
-        self.reps = reps
-        self.fibers = fibers
-
-    @property
-    def fiber_count(self) -> int:
-        return len(self.fibers)
-
-    def items(self):
-        return zip(self.reps, self.fibers)
-
-
-def decompose_fibers(ps: PointSet, h: Subspace) -> FiberDecomposition:
-    if h.n != ps.n:
-        raise ValueError("subspace dimension differs from the set")
-    rlo, rhi = bulk.indices_to_planes(ps.n, h.annihilator().transversal().enumerate_indices())
-    reps = [TritVector(ps.n, lo, hi) for lo, hi in zip(rlo.tolist(), rhi.tolist())]
-    # slot[label] = position of the representative with that dot profile
-    slot = np.full(len(reps), -1, dtype=np.int64)
-    slot[bulk.dot_labels(rlo, rhi, h.basis)] = np.arange(len(reps))
-    if (slot < 0).any():
-        raise IdentityViolationError("fiber keys", int((slot >= 0).sum()), len(reps))
-    owner = slot[bulk.dot_labels(*ps.planes(), h.basis)]
-    ends = np.cumsum(np.bincount(owner, minlength=len(reps)))
-    # a stable sort keeps each fiber in the set's canonical order
-    parts = np.split(ps.indices[np.argsort(owner, kind="stable")], ends[:-1])
-    return FiberDecomposition(ps, h, reps, [PointSet(ps.n, part) for part in parts])
 
 
 @dataclass(frozen=True)

@@ -170,6 +170,16 @@ class TestReportsAndFormats:
             rep = json.loads(out)
             assert (rep["spectrum_size"], rep["increments"]) == (3**6 - 1, [])
 
+    def test_empty_set_has_no_bands(self, tmp_path, capsys):
+        path = tmp_path / "empty.txt"
+        path.write_text("n=6\n")
+        code, out, _ = run_cli(capsys, "structure", "levels", str(path))
+        assert code == 0
+        rep = json.loads(out)
+        assert (rep["n"], rep["set_size"], rep["band_count"], rep["bands"]) == (6, 0, 0, [])
+        code, _, err = run_cli(capsys, "structure", "komity", str(path))
+        assert code == 1 and "empty set has no bands" in err
+
     def test_text_format(self, cap_file, capsys):
         code, out, _ = run_cli(
             capsys, "fourier", "plancherel", cap_file, "--format", "text"
@@ -245,6 +255,31 @@ class TestPinnedReports:
 
 # every leaf command, its required arguments, whether it honours --force
 # and whether it has a CSV form
+GOLDEN = json.loads((Path(__file__).resolve().parents[1] / "perfbench" / "golden.json").read_text())
+
+# (workload, golden.json key, argv): commands of the benchmark workloads at
+# their default seeds, as perfbench/run.py issues them, in order in one directory
+GOLDEN_COMMANDS = [
+    ("structure-n12", "00:capset.gen",
+     ("capset", "gen", "--n", "12", "--seed", "7", "--out", "A.txt")),
+    ("structure-n12", "06:structure.levels", ("structure", "levels", "A.txt")),
+    ("structure-n12", "07:structure.komity", ("structure", "komity", "A.txt")),
+    ("selftest", "00:selftest", ("selftest", "--seed", "31020")),
+]
+
+
+def test_benchmark_reports_match_golden_digests(tmp_path, capsys, monkeypatch):
+    assert (GOLDEN["structure-n12"]["seed"], GOLDEN["selftest"]["seed"]) == (7, 31020)
+    monkeypatch.chdir(tmp_path)
+    for workload, key, argv in GOLDEN_COMMANDS:
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        digest = hashlib.sha256(out.encode("ascii")).hexdigest()
+        assert digest == GOLDEN[workload]["digests"][key], key
+    set_file = hashlib.sha256((tmp_path / "A.txt").read_bytes()).hexdigest()
+    assert set_file == GOLDEN["structure-n12"]["digests"]["file:A.txt"]
+
+
 LEAVES = [
     (("capset", "gen"), ("--n", "3", "--seed", "1"), False, False),
     (("capset", "verify"), ("A",), False, False),

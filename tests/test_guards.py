@@ -57,6 +57,14 @@ def _band(d: int) -> AdditiveStructure:
     )
 
 
+def _product_of(size: int) -> Callable:
+    """product_capset on two sets of F_3^9 whose sizes multiply to size."""
+    right = math.isqrt(size)
+    while size % right:
+        right -= 1
+    return partial(product_capset, PointSet(9, range(size // right)), PointSet(9, range(right)))
+
+
 SITES = {
     "transform-hard": Site(
         "transform dimension", False, (fourier, "TRANSFORM_HARD_MAX_N"),
@@ -74,6 +82,9 @@ SITES = {
         "product dimension", False, (capset, "MAX_DIM"),
         lambda n: partial(product_capset, PointSet(n // 2, [0]), PointSet(n - n // 2, [1])),
         4, 21),
+    "product-size": Site(  # 6,562 x 6,561 points: one row past 3^16
+        "product size", False, (capset, "PRODUCT_GUARD_SIZE"),
+        _product_of, 6, 6562 * 6561),
     "exhaustive": Site(
         "exhaustive search dimension", False, (capset, "EXHAUSTIVE_GUARD_N"),
         lambda n: partial(exhaustive_max_capset, n), 2, 5),
@@ -160,6 +171,7 @@ CLI_CASES = {
     "transform-soft": (("fourier", "transform", "{n15}"), 15, 14, False),
     "greedy": (("capset", "gen", "--n", "17", "--seed", "1"), 17, 16, False),
     "product": (("capset", "product", "{n10}", "{n11}"), 21, 20, False),
+    "product-size": (("capset", "product", "{n4}", "{n4}"), 9, 8, True),  # 3 x 3 points
     "exhaustive": (("capset", "max", "--n", "5"), 5, 4, False),
     "enumeration": (("structure", "fibers", "{n17}", "--h", UNITS_17), 17, 16, False),
     "difference": (("energy", "e4", "{n17}", "--backend", "hash"), 17, 16, False),

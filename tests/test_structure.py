@@ -1,3 +1,4 @@
+import collections
 import itertools
 import tracemalloc
 from fractions import Fraction
@@ -16,11 +17,12 @@ from tricap import (
     TritVector,
     build_levels,
     comity_scan,
-    decompose_fibers,
     delta_g,
     diff_multiplicity,
     fiber_plancherel_check,
+    fiber_sizes,
     greedy_random_capset,
+    heaviest_band,
     komity,
     komity_reference,
     random_point_set,
@@ -28,6 +30,7 @@ from tricap import (
     span_hull,
 )
 from tricap import bulk, fourier, structure
+from tricap.structure import AdditiveStructure
 
 import oracles
 from conftest import tuples_of
@@ -136,17 +139,29 @@ class TestLevels:
 
     @given(small_sets)
     def test_heaviest_band(self, ps):
-        levels = build_levels(ps)
-        top = levels.heaviest()
-        assert top.pair_count == max(b.pair_count for b in levels)
+        bands = build_levels(ps)
+        top = heaviest_band(bands)
+        assert top.pair_count == max(b.pair_count for b in bands)
+        assert [b.m_lo for b in bands] == sorted({b.m_lo for b in bands})
+
+    def test_heaviest_band_ties_and_empty(self):
+        base = PointSet(2, [0, 1])
+        bands = [
+            AdditiveStructure(base, PointSet(2, [k]), m_lo, pairs)
+            for k, (m_lo, pairs) in enumerate([(1, 4), (2, 4), (4, 3)])
+        ]
+        assert heaviest_band(bands) is bands[1]  # equal pair counts: the larger m_lo
+        with pytest.raises(ValueError):
+            heaviest_band([])
+        assert build_levels(PointSet.empty(3)) == []
 
     def test_band_exponent_subspace(self):
         w = Subspace.span([TritVector.unit(4, 0), TritVector.unit(4, 1)])
         ps = PointSet.from_vectors(w.enumerate_points())
-        levels = build_levels(ps)
+        bands = build_levels(ps)
         # every difference of a subspace has multiplicity |S|, one band
-        assert len(list(levels)) == 1
-        band = levels.heaviest()
+        assert len(bands) == 1
+        band = heaviest_band(bands)
         assert band.m_lo <= ps.size < 2 * band.m_lo
         assert band.diffs.size == ps.size
 
@@ -173,7 +188,7 @@ class TestDeltaG:
 
     def test_rejects_foreign_difference(self):
         ps = PointSet.from_strings(["000", "001"])
-        band = build_levels(ps).heaviest()
+        band = heaviest_band(build_levels(ps))
         with pytest.raises(ValueError):
             delta_g(band, TritVector.from_string("111"))
 
@@ -181,7 +196,7 @@ class TestDeltaG:
 class TestKomity:
     @given(small_sets)
     def test_identity_against_double_loop(self, ps):
-        band = build_levels(ps).heaviest()
+        band = heaviest_band(build_levels(ps))
         fast = komity(band)
         assert fast == komity_reference(band)
         hoods = [
@@ -193,7 +208,7 @@ class TestKomity:
 
     @given(small_sets)
     def test_comity_masses_account_for_komity(self, ps):
-        band = build_levels(ps).heaviest()
+        band = heaviest_band(build_levels(ps))
         bands = comity_scan(band)
         assert sum(b.mass for b in bands) == komity(band)
         for b in bands:
@@ -243,20 +258,27 @@ class TestHull:
             assert span.contains(v)
 
 
+def _profile_sizes(ps, h, reps):
+    """Oracle: how many points of ps share each rep's dot profile against h's basis."""
+    basis = [oracles.digits(str(b)) for b in h.basis]
+
+    def profile(d):
+        return tuple(oracles.dot(b, d) for b in basis)
+
+    counts = collections.Counter(map(profile, tuples_of(ps)))
+    profiles = [profile(oracles.digits(str(TritVector.from_index(ps.n, r)))) for r in reps]
+    return profiles, [counts[p] for p in profiles]
+
+
 class TestFibers:
     @given(small_sets)
     def test_fibers_partition_set(self, ps):
         h = Subspace.span([TritVector.unit(ps.n, 0), TritVector.unit(ps.n, 1)])
-        dec = decompose_fibers(ps, h)
-        assert len(dec.fibers) == 3**h.dim
-        members = []
-        for rep, fiber in dec.items():
-            for a in fiber.vectors():
-                members.append(str(a))
-                # same dot profile against the keying basis as the rep
-                for b in h.basis:
-                    assert b.dot(a) == b.dot(rep)
-        assert sorted(members) == [str(v) for v in ps.vectors()]
+        reps, sizes = fiber_sizes(ps, h)
+        assert len(reps) == len(sizes) == 3**h.dim
+        assert sizes.dtype == np.int64
+        assert sizes.sum() == ps.size
+        assert sizes.tolist() == _profile_sizes(ps, h, reps)[1]
 
     @given(small_sets, st.data())
     def test_fibers_follow_dot_profiles(self, ps, data):
@@ -264,12 +286,7 @@ class TestFibers:
             st.lists(st.text(alphabet="012", min_size=ps.n, max_size=ps.n), max_size=3)
         )
         h = Subspace.span([TritVector.from_string(s) for s in strings], ps.n)
-        dec = decompose_fibers(ps, h)
-        basis = [oracles.digits(str(b)) for b in h.basis]
-
-        def profile(d):
-            return tuple(oracles.dot(b, d) for b in basis)
-
+        reps, sizes = fiber_sizes(ps, h)
         # representatives: the transversal of H's annihilator in counter
         # order, rightmost generator fastest, one per dot profile
         gens = [oracles.digits(str(t)) for t in h.annihilator().transversal().basis]
@@ -278,13 +295,24 @@ class TestFibers:
             v = (0,) * ps.n
             for c, g in zip(coeffs, gens):
                 v = oracles.vec_add(v, tuple(c * t % 3 for t in g))
-            want_reps.append(v)
-        reps = [oracles.digits(str(r)) for r in dec.reps]
-        assert reps == want_reps
-        assert sorted(map(profile, reps)) == list(itertools.product(range(3), repeat=h.dim))
-        pts = tuples_of(ps)
-        for r, fiber in zip(reps, dec.fibers):
-            assert tuples_of(fiber) == [a for a in pts if profile(a) == profile(r)]
+            want_reps.append(oracles.point_index(v))
+        assert reps.tolist() == want_reps
+        profiles, want_sizes = _profile_sizes(ps, h, reps)
+        assert sorted(profiles) == list(itertools.product(range(3), repeat=h.dim))
+        assert sizes.tolist() == want_sizes
+
+    def test_greedy_cap_at_n12_dim_h10(self):
+        ps = greedy_random_capset(12, 7)
+        rng = np.random.default_rng(12)
+        h = Subspace.zero(12)
+        while h.dim < 10:
+            row = "".join(map(str, rng.integers(0, 3, 12)))
+            h = Subspace.span([*h.basis, TritVector.from_string(row)], 12)
+        reps, sizes = fiber_sizes(ps, h)
+        profiles, want_sizes = _profile_sizes(ps, h, reps)
+        assert len(set(profiles)) == len(reps) == 3**10
+        assert sizes.tolist() == want_sizes
+        assert sizes.sum() == ps.size
 
     def test_repeated_profiles_raise(self, monkeypatch):
         # a "transversal" inside H's annihilator gives every rep the profile 0
@@ -293,13 +321,13 @@ class TestFibers:
         )
         h = Subspace.span([TritVector.unit(3, 0)])
         with pytest.raises(IdentityViolationError):
-            decompose_fibers(random_point_set(3, 5, 1), h)
+            fiber_sizes(random_point_set(3, 5, 1), h)
 
     def test_empty_fibers_kept(self):
         ps = PointSet.from_strings(["000"])
         h = Subspace.span([TritVector.unit(3, 0)])
-        dec = decompose_fibers(ps, h)
-        assert sorted(f.size for _, f in dec.items()) == [0, 0, 1]
+        reps, sizes = fiber_sizes(ps, h)
+        assert sorted(sizes.tolist()) == [0, 0, 1]
 
 
 class TestMartingale:
@@ -342,18 +370,23 @@ class TestMartingale:
 
     @pytest.mark.parametrize("n, dim_h, dim_k", [(6, 0, 3), (6, 2, 2), (8, 2, 5), (9, 4, 6)])
     def test_fiber_terms_match_the_per_fiber_tables(self, n, dim_h, dim_k):
-        # reference: one PointSet and one restricted_transform per fiber
+        # reference: the fibers grouped by oracle dot profiles against H's
+        # basis, empty ones included, and one restricted_transform per fiber
         ps = greedy_random_capset(n, n)
         h, k = self.nested_subspaces(n, dim_h, dim_k, n)
         rep = fiber_plancherel_check(ps, h, k)
-        dec = decompose_fibers(ps, h)
+        basis = [oracles.digits(str(b)) for b in h.basis]
+        groups = {p: [] for p in itertools.product(range(3), repeat=dim_h)}
+        for a in tuples_of(ps):
+            groups[tuple(oracles.dot(b, a) for b in basis)].append(oracles.point_index(a))
+        fibers = [PointSet(n, idx) for idx in groups.values()]
         t = Subspace.span(h.extension_to(k), n)
-        tables = [restricted_transform(fiber, t) for fiber in dec.fibers]
+        tables = [restricted_transform(fiber, t) for fiber in fibers]
         size_h = 3**dim_h
         weights = [tab.norm_total() - tab.norm_at(0) for tab in tables]
         assert rep.fiber_term == size_h**2 * sum(weights)
-        assert rep.h_term == sum((size_h * f.size - ps.size) ** 2 for f in dec.fibers)
-        assert rep.raw_rhs == size_h * sum(f.size**2 for f in dec.fibers)
+        assert rep.h_term == sum((size_h * f.size - ps.size) ** 2 for f in fibers)
+        assert rep.raw_rhs == size_h * sum(f.size**2 for f in fibers)
         assert rep.holds
 
     def test_one_histogram_and_one_partial_transform(self, monkeypatch):
@@ -374,7 +407,6 @@ class TestMartingale:
             tables.append((n, kw.get("digits")))
             return real_table(f, n, force, **kw)
 
-        monkeypatch.setattr(structure, "decompose_fibers", refuse)
         monkeypatch.setattr(PointSet, "__init__", refuse)
         monkeypatch.setattr(PointSet, "_from_sorted", refuse)
         monkeypatch.setattr(structure, "restricted_transform", spy_restricted)
