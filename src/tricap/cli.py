@@ -6,6 +6,15 @@ form exists), and signals through the exit code: 0 success, 1 usage or
 input problems, 2 a failed verification or violated identity, 3 a
 resource guard. Progress and timing chatter goes to stderr only, so
 stdout stays byte-deterministic for a given command line.
+
+Each `_cmd_*` handler computes its result and returns `(body, ok)`:
+`body` is the report's fields after the envelope, or None when the
+command wrote its set file to stdout, and `ok` is False for a failed
+verification. `_frame` does the rest once for every command: it opens
+the report with the envelope of the leaf's command path and its
+`--seed`, renders it as json, text or the leaf's CSV table (rows read
+off the report), copies the JSON to `--out` when the leaf's `--out` is
+the report, and maps `ok` to exit code 0 or 2.
 """
 
 from __future__ import annotations
@@ -41,7 +50,6 @@ from .jsonio import (
     nullity_csv_rows,
     render_csv,
     report_comity,
-    report_energy,
     report_fibers,
     report_holder,
     report_levels,
@@ -72,6 +80,9 @@ from .structure import (
 )
 
 __all__ = ["main"]
+
+Result = tuple[dict[str, Any] | None, bool]
+CsvForm = Callable[[dict[str, Any]], tuple[list[str], list[list[Any]]]]
 
 
 class _UsageError(Exception):
@@ -104,18 +115,21 @@ def _parse_basis(text: str, n: int) -> Subspace:
     return Subspace.span(vectors, n)
 
 
-def _emit(args: argparse.Namespace, report: dict[str, Any],
-          csv_form: tuple[list[str], list[list[Any]]] | None = None) -> None:
-    if args.format == "json":
-        sys.stdout.write(dumps_canonical(report))
-    elif args.format == "csv":
-        sys.stdout.write(render_csv(*csv_form))
-    else:
-        for key, value in _flatten(report):
-            sys.stdout.write(f"{key}: {value}\n")
-    if getattr(args, "out", None) and args.out_kind == "report":
-        with open(args.out, "w", encoding="ascii") as fh:
-            fh.write(dumps_canonical(report))
+def _frame(args: argparse.Namespace, body: dict[str, Any] | None, ok: bool) -> int:
+    """Envelope, render and write one handler's result; return its exit code."""
+    if body is not None:
+        report = {**envelope(args.command, getattr(args, "seed", None)), **body}
+        if args.format == "json":
+            sys.stdout.write(dumps_canonical(report))
+        elif args.format == "csv":
+            sys.stdout.write(render_csv(*args.csv(report)))
+        else:
+            for key, value in _flatten(report):
+                sys.stdout.write(f"{key}: {value}\n")
+        if args.out and args.out_kind == "report":
+            with open(args.out, "w", encoding="ascii") as fh:
+                fh.write(dumps_canonical(report))
+    return 0 if ok else 2
 
 
 def _flatten(obj: Any, prefix: str = "") -> list[tuple[str, Any]]:
@@ -131,211 +145,142 @@ def _flatten(obj: Any, prefix: str = "") -> list[tuple[str, Any]]:
     return rows
 
 
+def _table(key: str, *header: str) -> CsvForm:
+    """The CSV form that lists report[key], one row per entry, lists joined by ';'."""
+
+    def rows(report: dict[str, Any]) -> tuple[list[str], list[list[Any]]]:
+        return list(header), [
+            [";".join(v) if isinstance(v, list) else v for v in (entry[h] for h in header)]
+            for entry in report[key]
+        ]
+
+    return rows
+
+
 # -- capset ---------------------------------------------------------------------
 
 
-def _cmd_capset_gen(args: argparse.Namespace) -> int:
+def _cmd_capset_gen(args: argparse.Namespace) -> Result:
     ps = greedy_random_capset(args.n, args.seed)
-    report = envelope("capset gen", args.seed)
-    report.update(
-        n=ps.n,
-        size=ps.size,
-        density=frac_str(ps.density()),
-        is_capset=True,
-        maximal=True,
-    )
-    if args.out:
-        save_point_set(ps, args.out)
-        _emit(args, report)
-    else:
+    if not args.out:
         save_point_set(ps, sys.stdout)
-    return 0
+        return None, True
+    save_point_set(ps, args.out)
+    return dict(n=ps.n, size=ps.size, density=frac_str(ps.density()),
+                is_capset=True, maximal=True), True
 
 
-def _cmd_capset_verify(args: argparse.Namespace) -> int:
+def _cmd_capset_verify(args: argparse.Namespace) -> Result:
     ps = load_point_set(args.set_file)
     lines = count_line_solutions(ps)
     cap = is_capset(ps)
-    report = envelope("capset verify", None)
-    report.update(
-        n=ps.n, size=ps.size, density=frac_str(ps.density()),
-        line_solutions=str(lines), is_capset=cap,
-    )
-    _emit(args, report)
-    return 0 if cap else 2
+    return dict(n=ps.n, size=ps.size, density=frac_str(ps.density()),
+                line_solutions=str(lines), is_capset=cap), cap
 
 
-def _cmd_capset_max(args: argparse.Namespace) -> int:
+def _cmd_capset_max(args: argparse.Namespace) -> Result:
     size, witness = exhaustive_max_capset(args.n)
-    report = envelope("capset max", None)
-    report.update(
-        n=args.n,
-        maximum=size,
-        witness=[str(v) for v in witness.vectors()],
-    )
     if args.out:
         save_point_set(witness, args.out)
-    _emit(args, report)
-    return 0
+    return dict(n=args.n, maximum=size, witness=[str(v) for v in witness.vectors()]), True
 
 
-def _cmd_capset_product(args: argparse.Namespace) -> int:
+def _cmd_capset_product(args: argparse.Namespace) -> Result:
     pa = load_point_set(args.left)
     pb = load_point_set(args.right)
     prod = product_capset(pa, pb)
     if not args.out:
         save_point_set(prod, sys.stdout)
-        return 0
-    report = envelope("capset product", None)
-    report.update(
-        n=prod.n, left_size=pa.size, right_size=pb.size,
-        size=prod.size, is_capset=is_capset(prod),
-    )
+        return None, True
+    body = dict(n=prod.n, left_size=pa.size, right_size=pb.size,
+                size=prod.size, is_capset=is_capset(prod))
     save_point_set(prod, args.out)
-    _emit(args, report)
-    return 0
+    return body, True
 
 
 # -- fourier --------------------------------------------------------------------
 
 
-def _cmd_fourier_transform(args: argparse.Namespace) -> int:
+def _cmd_fourier_transform(args: argparse.Namespace) -> Result:
     ps = load_point_set(args.set_file)
     table = transform_point_set(ps, force=args.force)
-    report = envelope("fourier transform", None)
-    report.update(
-        n=ps.n,
-        size=ps.size,
-        zero_coefficient=str(ps.size),
-        norm_total=str(table.norm_total()),
-        plancherel=str(3**ps.n * ps.size),
-    )
     if args.out:
         save_table(table, args.out)
-    _emit(args, report)
-    return 0
+    return dict(n=ps.n, size=ps.size, zero_coefficient=str(ps.size),
+                norm_total=str(table.norm_total()), plancherel=str(3**ps.n * ps.size)), True
 
 
-def _cmd_fourier_plancherel(args: argparse.Namespace) -> int:
+def _cmd_fourier_plancherel(args: argparse.Namespace) -> Result:
     ps = load_point_set(args.set_file)
     lhs, rhs = plancherel_check(ps, force=args.force)
-    report = envelope("fourier plancherel", None)
-    report.update(n=ps.n, size=ps.size, lhs=str(lhs), rhs=str(rhs), equal=lhs == rhs)
-    _emit(args, report)
-    return 0 if lhs == rhs else 2
+    return dict(n=ps.n, size=ps.size, lhs=str(lhs), rhs=str(rhs), equal=lhs == rhs), lhs == rhs
 
 
-def _cmd_fourier_cubesum(args: argparse.Namespace) -> int:
+def _cmd_fourier_cubesum(args: argparse.Namespace) -> Result:
     ps = load_point_set(args.set_file)
     cs = cube_sum(ps, force=args.force)
     lines = count_line_solutions(ps)
     expected = Eisenstein(3**ps.n * lines, 0)
-    report = envelope("fourier cubesum", None)
-    report.update(
-        n=ps.n, size=ps.size,
-        real=str(cs.p), omega=str(cs.q),
-        line_solutions=str(lines),
-        expected_real=str(expected.p),
-        matches=cs == expected,
-        is_capset=lines == ps.size,
-    )
-    _emit(args, report)
-    return 0 if cs == expected else 2
+    return dict(n=ps.n, size=ps.size, real=str(cs.p), omega=str(cs.q),
+                line_solutions=str(lines), expected_real=str(expected.p),
+                matches=cs == expected, is_capset=lines == ps.size), cs == expected
 
 
 # -- spectrum -------------------------------------------------------------------
 
 
-def _increment_csv(report: dict[str, Any]) -> tuple[list[str], list[list[Any]]]:
-    header = ["codim", "density", "excess", "basis", "shift"]
-    rows = [
-        [r["codim"], r["density"], r["excess"], ";".join(r["basis"]), r["shift"]]
-        for r in report["increments"]
-    ]
-    return header, rows
-
-
-def _cmd_spectrum_extract(args: argparse.Namespace) -> int:
+def _cmd_spectrum_extract(args: argparse.Namespace) -> Result:
     ps = load_point_set(args.set_file)
     spec = extract_spectrum(ps, _parse_fraction(args.threshold), force=args.force)
     increments = scan_codim1_increments(ps, force=args.force) if ps.n >= 2 else []
-    report = envelope("spectrum extract", None)
-    report.update(report_spectrum(spec, increments))
-    _emit(args, report, _increment_csv(report))
-    return 0
+    return report_spectrum(spec, increments), True
 
 
-def _cmd_spectrum_increments(args: argparse.Namespace) -> int:
+def _cmd_spectrum_increments(args: argparse.Namespace) -> Result:
     ps = load_point_set(args.set_file)
     spec = extract_spectrum(ps, _parse_fraction(args.threshold), force=args.force)
     found = sampled_increment_checks(spec, args.codim, args.samples, args.seed)
-    report = envelope("spectrum increments", args.seed)
-    report.update(report_spectrum(spec, found))
-    _emit(args, report, _increment_csv(report))
-    return 0
+    return report_spectrum(spec, found), True
 
 
-def _cmd_spectrum_subspace(args: argparse.Namespace) -> int:
+def _cmd_spectrum_subspace(args: argparse.Namespace) -> Result:
     ps = load_point_set(args.set_file)
     spec = extract_spectrum(ps, _parse_fraction(args.threshold), force=args.force)
     w = _parse_basis(args.basis, ps.n)
-    stats = subspace_spectrum_stats(spec, w, epsilon=args.epsilon)
-    report = envelope("spectrum subspace", None)
-    report.update(report_subspace_stats(stats))
-    _emit(args, report)
-    return 0
+    return report_subspace_stats(subspace_spectrum_stats(spec, w, epsilon=args.epsilon)), True
 
 
 # -- energy ---------------------------------------------------------------------
 
 
-def _cmd_energy_e4(args: argparse.Namespace) -> int:
+def _cmd_energy_e4(args: argparse.Namespace) -> Result:
     ps = load_point_set(args.set_file)
-    value = e4(ps, backend=args.backend)
-    report = envelope("energy e4", None)
-    report.update(report_energy(ps.size, value, {}))
-    _emit(args, report)
-    return 0
+    return dict(size=ps.size, E4=str(e4(ps, backend=args.backend))), True
 
 
-def _cmd_energy_e2m(args: argparse.Namespace) -> int:
+def _cmd_energy_e2m(args: argparse.Namespace) -> Result:
     ps = load_point_set(args.set_file)
     value = e2m(ps, args.m, force=args.force)
-    report = envelope("energy e2m", None)
-    report.update(report_energy(ps.size, None, {args.m: value}))
-    _emit(args, report)
-    return 0
+    return dict(size=ps.size, E2m={str(args.m): str(value)}), True
 
 
-def _cmd_energy_holder(args: argparse.Namespace) -> int:
-    ps = load_point_set(args.set_file)
-    rep = holder_check(ps, args.m)
-    report = envelope("energy holder", None)
-    report.update(report_holder(rep))
-    _emit(args, report)
-    return 0 if rep.all_hold else 2
+def _cmd_energy_holder(args: argparse.Namespace) -> Result:
+    rep = holder_check(load_point_set(args.set_file), args.m)
+    return report_holder(rep), rep.all_hold
 
 
-def _cmd_energy_smoothing(args: argparse.Namespace) -> int:
+def _cmd_energy_smoothing(args: argparse.Namespace) -> Result:
     ps = load_point_set(args.set_file)
     rep = smoothing_report(ps, args.scale_n, epsilon=args.epsilon, force=args.force)
-    report = envelope("energy smoothing", None)
-    report.update(report_smoothing(rep))
-    _emit(args, report)
-    return 0
+    return report_smoothing(rep), True
 
 
-def _cmd_energy_cross(args: argparse.Namespace) -> int:
+def _cmd_energy_cross(args: argparse.Namespace) -> Result:
     pb = load_point_set(args.left)
     pc = load_point_set(args.right)
     count, rate = cross_quadruples(pb, pc)
-    report = envelope("energy cross", None)
-    report.update(
-        left_size=pb.size, right_size=pc.size,
-        count=str(count), rate=frac_str(rate), rate_float=float(rate),
-    )
-    _emit(args, report)
-    return 0
+    return dict(left_size=pb.size, right_size=pc.size, count=str(count),
+                rate=frac_str(rate), rate_float=float(rate)), True
 
 
 # -- structure ------------------------------------------------------------------
@@ -350,99 +295,61 @@ def _pick_band(bands, m_lo: int | None):
     raise _UsageError(f"no band with m_lo = {m_lo}")
 
 
-def _cmd_structure_levels(args: argparse.Namespace) -> int:
+def _cmd_structure_levels(args: argparse.Namespace) -> Result:
     ps = load_point_set(args.set_file)
-    report = envelope("structure levels", None)
-    report.update(report_levels(ps, build_levels(ps)))
-    header = ["m_lo", "m_hi", "G_size", "D_size", "alpha_eff"]
-    rows = [[b["m_lo"], b["m_hi"], b["G_size"], b["D_size"], b["alpha_eff"]]
-            for b in report["bands"]]
-    _emit(args, report, (header, rows))
-    return 0
+    return report_levels(ps, build_levels(ps)), True
 
 
-def _cmd_structure_komity(args: argparse.Namespace) -> int:
-    ps = load_point_set(args.set_file)
-    band = _pick_band(build_levels(ps), args.m_lo)
-    value = komity(band)
-    report = envelope("structure komity", None)
-    report.update(
-        m_lo=band.m_lo, D_size=band.diffs.size, G_size=band.pair_count,
-        komity=str(value),
-    )
-    _emit(args, report)
-    return 0
+def _cmd_structure_komity(args: argparse.Namespace) -> Result:
+    band = _pick_band(build_levels(load_point_set(args.set_file)), args.m_lo)
+    return dict(m_lo=band.m_lo, D_size=band.diffs.size, G_size=band.pair_count,
+                komity=str(komity(band))), True
 
 
-def _cmd_structure_comity(args: argparse.Namespace) -> int:
-    ps = load_point_set(args.set_file)
-    band = _pick_band(build_levels(ps), args.m_lo)
+def _cmd_structure_comity(args: argparse.Namespace) -> Result:
+    band = _pick_band(build_levels(load_point_set(args.set_file)), args.m_lo)
     bands = comity_scan(band, force=args.force)
-    report = envelope("structure comity", None)
-    report.update(report_comity(band, bands, komity(band)))
-    header = ["size_lo", "size_hi", "pairs", "mass", "beta_eff"]
-    rows = [[b["size_lo"], b["size_hi"], b["pairs"], b["mass"], b["beta_eff"]]
-            for b in report["bands"]]
-    _emit(args, report, (header, rows))
-    return 0
+    return report_comity(band, bands, komity(band)), True
 
 
-def _cmd_structure_doubling(args: argparse.Namespace) -> int:
+def _cmd_structure_doubling(args: argparse.Namespace) -> Result:
     ps = load_point_set(args.set_file)
     ratio = doubling_ratio(ps)
     span, fill = span_hull(ps)
-    report = envelope("structure doubling", None)
-    report.update(
-        n=ps.n, size=ps.size,
-        doubling=frac_str(ratio), doubling_float=float(ratio),
-        span_dim=span.dim, span_fill=frac_str(fill),
-    )
-    _emit(args, report)
-    return 0
+    return dict(n=ps.n, size=ps.size, doubling=frac_str(ratio), doubling_float=float(ratio),
+                span_dim=span.dim, span_fill=frac_str(fill)), True
 
 
-def _cmd_structure_fibers(args: argparse.Namespace) -> int:
+def _cmd_structure_fibers(args: argparse.Namespace) -> Result:
     ps = load_point_set(args.set_file)
     h = _parse_basis(args.h, ps.n)
-    report = envelope("structure fibers", None)
-    report.update(report_fibers(ps, h.dim, *fiber_sizes(ps, h)))
-    header = ["rep", "size"]
-    rows = [[f["rep"], f["size"]] for f in report["fibers"]]
-    _emit(args, report, (header, rows))
-    return 0
+    return report_fibers(ps, h.dim, *fiber_sizes(ps, h)), True
 
 
-def _cmd_structure_martingale(args: argparse.Namespace) -> int:
+def _cmd_structure_martingale(args: argparse.Namespace) -> Result:
     ps = load_point_set(args.set_file)
     h = _parse_basis(args.h, ps.n)
     k = _parse_basis(args.k, ps.n)
     rep = fiber_plancherel_check(ps, h, k, force=args.force)
-    report = envelope("structure martingale", None)
-    report.update(report_martingale(rep))
-    _emit(args, report)
-    return 0 if rep.holds else 2
+    return report_martingale(rep), rep.holds
 
 
 # -- random selection -----------------------------------------------------------
 
 
-def _cmd_nullity_sim(args: argparse.Namespace) -> int:
+def _cmd_nullity_sim(args: argparse.Namespace) -> Result:
     path = args.input
     through_spectrum = path.startswith("spectrum-of:")
     ps = load_point_set(path.removeprefix("spectrum-of:"))
     if through_spectrum:
         ps = extract_spectrum(ps, _parse_fraction(args.threshold), force=args.force).members
-    exp = nullity_distribution(ps, args.d, args.trials, args.seed)
-    report = envelope("nullity-sim", args.seed)
-    report.update(report_nullity(exp))
-    _emit(args, report, nullity_csv_rows(exp))
-    return 0
+    return report_nullity(nullity_distribution(ps, args.d, args.trials, args.seed)), True
 
 
 # -- selftest -------------------------------------------------------------------
 
 
-def _cmd_selftest(args: argparse.Namespace) -> int:
+def _cmd_selftest(args: argparse.Namespace) -> Result:
     ids = None
     if args.criteria:
         try:
@@ -452,8 +359,7 @@ def _cmd_selftest(args: argparse.Namespace) -> int:
     t0 = time.time()
     report, ok = run_selftest(args.seed, ids, log=lambda line: print(line, file=sys.stderr))
     print(f"selftest finished in {time.time() - t0:.1f}s", file=sys.stderr)
-    _emit(args, report)
-    return 0 if ok else 2
+    return report, ok  # opens with the same envelope the framer builds
 
 
 # -- wiring ---------------------------------------------------------------------
@@ -462,12 +368,20 @@ def _cmd_selftest(args: argparse.Namespace) -> int:
 def _build_parser() -> _Parser:
     parser = _Parser(prog="tricap", description=__doc__.splitlines()[0])
     top = parser.add_subparsers(dest="group", required=True)
+    groups: dict[str, Any] = {}
 
-    def leaf(subparsers, name: str, fn: Callable, out_kind: str = "report",
-             force: bool = False, csv: bool = False) -> argparse.ArgumentParser:
-        """A leaf command; --force and the csv format only where it honours them."""
+    def leaf(command: str, fn: Callable, out_kind: str = "report",
+             force: bool = False, csv: CsvForm | None = None) -> argparse.ArgumentParser:
+        """The leaf at a command path; --force and the csv format only where it honours them."""
+        *group, name = command.split()
+        subparsers = top
+        if group:
+            if group[0] not in groups:
+                groups[group[0]] = top.add_parser(group[0]).add_subparsers(
+                    dest="cmd", required=True)
+            subparsers = groups[group[0]]
         sub = subparsers.add_parser(name)
-        sub.set_defaults(fn=fn, out_kind=out_kind)
+        sub.set_defaults(fn=fn, command=command, out_kind=out_kind, csv=csv)
         formats = ("json", "csv", "text") if csv else ("json", "text")
         sub.add_argument("--format", choices=formats, default="json")
         sub.add_argument("--out", default=None, help="write the %s here" % out_kind)
@@ -475,82 +389,80 @@ def _build_parser() -> _Parser:
             sub.add_argument("--force", action="store_true", help="lift soft guards")
         return sub
 
-    cap = top.add_parser("capset").add_subparsers(dest="cmd", required=True)
-    s = leaf(cap, "gen", _cmd_capset_gen, out_kind="set file")
+    increments = _table("increments", "codim", "density", "excess", "basis", "shift")
+
+    s = leaf("capset gen", _cmd_capset_gen, out_kind="set file")
     s.add_argument("--n", type=int, required=True)
     s.add_argument("--seed", type=int, required=True)
-    s = leaf(cap, "verify", _cmd_capset_verify)
+    s = leaf("capset verify", _cmd_capset_verify)
     s.add_argument("set_file")
-    s = leaf(cap, "max", _cmd_capset_max, out_kind="witness set file")
+    s = leaf("capset max", _cmd_capset_max, out_kind="witness set file")
     s.add_argument("--n", type=int, required=True)
-    s = leaf(cap, "product", _cmd_capset_product, out_kind="set file")
+    s = leaf("capset product", _cmd_capset_product, out_kind="set file")
     s.add_argument("left")
     s.add_argument("right")
 
-    fourier = top.add_parser("fourier").add_subparsers(dest="cmd", required=True)
-    s = leaf(fourier, "transform", _cmd_fourier_transform, out_kind="table file",
-             force=True)
+    s = leaf("fourier transform", _cmd_fourier_transform, out_kind="table file", force=True)
     s.add_argument("set_file")
-    s = leaf(fourier, "plancherel", _cmd_fourier_plancherel, force=True)
+    s = leaf("fourier plancherel", _cmd_fourier_plancherel, force=True)
     s.add_argument("set_file")
-    s = leaf(fourier, "cubesum", _cmd_fourier_cubesum, force=True)
+    s = leaf("fourier cubesum", _cmd_fourier_cubesum, force=True)
     s.add_argument("set_file")
 
-    spectrum = top.add_parser("spectrum").add_subparsers(dest="cmd", required=True)
-    s = leaf(spectrum, "extract", _cmd_spectrum_extract, force=True, csv=True)
+    s = leaf("spectrum extract", _cmd_spectrum_extract, force=True, csv=increments)
     s.add_argument("set_file")
     s.add_argument("--threshold", default="1")
-    s = leaf(spectrum, "increments", _cmd_spectrum_increments, force=True, csv=True)
+    s = leaf("spectrum increments", _cmd_spectrum_increments, force=True, csv=increments)
     s.add_argument("set_file")
     s.add_argument("--threshold", default="1")
     s.add_argument("--codim", type=int, required=True)
     s.add_argument("--samples", type=int, default=20)
     s.add_argument("--seed", type=int, default=SELFTEST_SEED)
-    s = leaf(spectrum, "subspace", _cmd_spectrum_subspace, force=True)
+    s = leaf("spectrum subspace", _cmd_spectrum_subspace, force=True)
     s.add_argument("set_file")
     s.add_argument("--threshold", default="1")
     s.add_argument("--basis", required=True,
                    help="comma-separated trit strings spanning the subspace")
     s.add_argument("--epsilon", type=float, default=0.0)
 
-    energy = top.add_parser("energy").add_subparsers(dest="cmd", required=True)
-    s = leaf(energy, "e4", _cmd_energy_e4)
+    s = leaf("energy e4", _cmd_energy_e4)
     s.add_argument("set_file")
     s.add_argument("--backend", choices=("auto", "hash", "transform"), default="auto")
-    s = leaf(energy, "e2m", _cmd_energy_e2m, force=True)
+    s = leaf("energy e2m", _cmd_energy_e2m, force=True)
     s.add_argument("set_file")
     s.add_argument("--m", type=int, required=True)
-    s = leaf(energy, "holder", _cmd_energy_holder)
+    s = leaf("energy holder", _cmd_energy_holder)
     s.add_argument("set_file")
     s.add_argument("--m", type=int, required=True)
-    s = leaf(energy, "smoothing", _cmd_energy_smoothing, force=True)
+    s = leaf("energy smoothing", _cmd_energy_smoothing, force=True)
     s.add_argument("set_file")
     s.add_argument("--scale-n", type=int, required=True)
     s.add_argument("--epsilon", type=float, default=0.05)
-    s = leaf(energy, "cross", _cmd_energy_cross)
+    s = leaf("energy cross", _cmd_energy_cross)
     s.add_argument("left")
     s.add_argument("right")
 
-    structure = top.add_parser("structure").add_subparsers(dest="cmd", required=True)
-    s = leaf(structure, "levels", _cmd_structure_levels, csv=True)
+    s = leaf("structure levels", _cmd_structure_levels,
+             csv=_table("bands", "m_lo", "m_hi", "G_size", "D_size", "alpha_eff"))
     s.add_argument("set_file")
-    s = leaf(structure, "komity", _cmd_structure_komity)
-    s.add_argument("set_file")
-    s.add_argument("--m-lo", type=int, default=None)
-    s = leaf(structure, "comity", _cmd_structure_comity, force=True, csv=True)
+    s = leaf("structure komity", _cmd_structure_komity)
     s.add_argument("set_file")
     s.add_argument("--m-lo", type=int, default=None)
-    s = leaf(structure, "doubling", _cmd_structure_doubling)
+    s = leaf("structure comity", _cmd_structure_comity, force=True,
+             csv=_table("bands", "size_lo", "size_hi", "pairs", "mass", "beta_eff"))
     s.add_argument("set_file")
-    s = leaf(structure, "fibers", _cmd_structure_fibers, csv=True)
+    s.add_argument("--m-lo", type=int, default=None)
+    s = leaf("structure doubling", _cmd_structure_doubling)
+    s.add_argument("set_file")
+    s = leaf("structure fibers", _cmd_structure_fibers, csv=_table("fibers", "rep", "size"))
     s.add_argument("set_file")
     s.add_argument("--h", required=True, help="comma-separated basis of H")
-    s = leaf(structure, "martingale", _cmd_structure_martingale, force=True)
+    s = leaf("structure martingale", _cmd_structure_martingale, force=True)
     s.add_argument("set_file")
     s.add_argument("--h", required=True, help="comma-separated basis of H")
     s.add_argument("--k", required=True, help="comma-separated basis of K, H <= K")
 
-    s = leaf(top, "nullity-sim", _cmd_nullity_sim, force=True, csv=True)
+    s = leaf("nullity-sim", _cmd_nullity_sim, force=True, csv=nullity_csv_rows)
     s.add_argument("--input", required=True,
                    help="set file; prefix with spectrum-of: to draw from its spectrum")
     s.add_argument("--threshold", default="1")
@@ -558,7 +470,7 @@ def _build_parser() -> _Parser:
     s.add_argument("--trials", type=int, required=True)
     s.add_argument("--seed", type=int, required=True)
 
-    s = leaf(top, "selftest", _cmd_selftest)
+    s = leaf("selftest", _cmd_selftest)
     s.add_argument("--seed", type=int, default=SELFTEST_SEED)
     s.add_argument("--criteria", default=None,
                    help="comma-separated criterion ids, default all")
@@ -570,7 +482,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.fn(args)
+        return _frame(args, *args.fn(args))
     except _UsageError as exc:
         print(f"tricap: {exc}", file=sys.stderr)
         return 1

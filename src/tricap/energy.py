@@ -7,11 +7,11 @@ sum m(x)^2; higher even energies E_2m come from the coefficient table
 as sum |c(y)|^(2m) / 3^n, which is an exact integer because the
 numerator is divisible by 3^n (that divisibility is asserted, not
 assumed). For sets in an ambient space too large for a full table
-(E4 past DENSE_MAX_N, every E_2m past the transform guard), a
-convolution backend builds the m-fold sumset counts as sorted index and
-count arrays. Those counts are at most |A|^(m-1), so they are int64
-while |A|^(m-1) < 2^62, their squares while |A|^(2m-2) < 2^62, and
-Python ints past either bound.
+(E4 past DENSE_MAX_N, every E_2m past the transform guard), and for
+E4 of a sparse set, a convolution backend builds the m-fold sumset
+counts as sorted index and count arrays. Those counts are at most
+|A|^(m-1), so they are int64 while |A|^(m-1) < 2^62, their squares
+while |A|^(2m-2) < 2^62, and Python ints past either bound.
 
 Memory: each path holds one dense table plus fixed, block-sized
 scratch. Every transform-side energy, E4 included, counts the distinct
@@ -125,14 +125,19 @@ def _inverse_of_real(n: int, norms: np.ndarray) -> np.ndarray:
 def e4(ps: PointSet, backend: str = "auto") -> int:
     """Quadruples a + b = c + d: E_2m at m = 2 by transform, sum m(x)^2 by hash.
 
-    auto takes the transform where its table pays, the hash table up to
-    DENSE_MAX_N, and past it E_2m at m = 2 by convolution, which holds
-    no table of 3^n cells.
+    auto takes the transform where its table pays. Otherwise a sparse
+    set (40 |A|^2 < 3^n), or any set past DENSE_MAX_N, gets E_2m at
+    m = 2 by convolution, which holds no table of 3^n cells; the rest
+    get the hash table. The factor 40 sits where the convolution
+    stops beating the hash table on random sets at n = 14 to 16.
     """
     if backend == "auto":
-        if ps.n > DENSE_MAX_N:
+        if _table_pays(ps):
+            backend = "transform"
+        elif ps.n > DENSE_MAX_N or 40 * ps.size**2 < 3**ps.n:
             return e2m(ps, 2, backend="convolution")
-        backend = "transform" if _table_pays(ps) else "hash"
+        else:
+            backend = "hash"
     if backend == "transform":
         return e2m(ps, 2, backend="transform")
     return _square_total(diff_multiplicity(ps, backend=backend))

@@ -138,11 +138,6 @@ class TritVector:
     def is_zero(self) -> bool:
         return self.lo == 0 and self.hi == 0
 
-    def support(self) -> tuple[int, ...]:
-        """Coordinates with a nonzero trit."""
-        both = self.lo | self.hi
-        return tuple(i for i in range(self.n) if (both >> i) & 1)
-
     # -- arithmetic -------------------------------------------------------
 
     def _check(self, other: "TritVector") -> None:
@@ -227,9 +222,6 @@ class Eisenstein:
 
     def is_zero(self) -> bool:
         return self.p == 0 and self.q == 0
-
-    def __complex__(self) -> complex:
-        return complex(self.p - self.q / 2, self.q * 0.8660254037844386)
 
     def __repr__(self) -> str:
         return f"Eisenstein({self.p}, {self.q})"

@@ -36,7 +36,6 @@ __all__ = [
     "frac_str",
     "render_csv",
     "report_comity",
-    "report_energy",
     "report_fibers",
     "report_holder",
     "report_increment",
@@ -105,15 +104,6 @@ def report_subspace_stats(stats: SubspaceSpectrumStats) -> dict[str, Any]:
         "count_reference": stats.count_reference,
         "weight_reference": stats.weight_reference,
     }
-
-
-def report_energy(size: int, e4: int | None, e2m: dict[int, int]) -> dict[str, Any]:
-    out: dict[str, Any] = {"size": size}
-    if e4 is not None:
-        out["E4"] = str(e4)
-    if e2m:
-        out["E2m"] = {str(m): str(v) for m, v in sorted(e2m.items())}
-    return out
 
 
 def report_holder(rep: HolderReport) -> dict[str, Any]:
@@ -226,10 +216,11 @@ def report_nullity(exp: NullityExperiment) -> dict[str, Any]:
     }
 
 
-def nullity_csv_rows(exp: NullityExperiment) -> tuple[list[str], list[list[Any]]]:
+def nullity_csv_rows(report: dict[str, Any]) -> tuple[list[str], list[list[Any]]]:
+    """The CSV table of a nullity-sim report: its tails, each with its count."""
     header = ["k", "count", "empirical", "reference"]
     rows = [
-        [k, exp.histogram.get(k, 0), frac_str(tail), ref]
-        for k, tail, ref in exp.tail_rows()
+        [t["k"], report["histogram"].get(str(t["k"]), 0), t["empirical"], t["reference"]]
+        for t in report["tails"]
     ]
     return header, rows

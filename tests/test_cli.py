@@ -3,6 +3,7 @@ import csv
 import hashlib
 import io
 import json
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -351,6 +352,39 @@ class TestLeafFlags:
         assert run_cli(capsys, "capset", "verify", cap_file, "--force")[:2] == (1, "")
 
 
+# LEAVES arguments that parse but do not run: holder checks start at m = 3,
+# and the full selftest is test_acceptance.py's
+RUN_ARGS = {
+    ("energy", "holder"): ("A", "--m", "3"),
+    ("selftest",): ("--criteria", "8"),
+}
+
+
+class TestFraming:
+    """Every leaf's report opens with its own command path and --seed, and
+    a report written to --out has the bytes of stdout."""
+
+    @pytest.mark.parametrize("command, args", [(c, a) for c, a, *_ in LEAVES],
+                             ids=[" ".join(c) for c, *_ in LEAVES])
+    def test_envelope_and_out_file(self, tmp_path, capsys, monkeypatch, command, args):
+        monkeypatch.chdir(tmp_path)
+        save_point_set(greedy_random_capset(3, 1), "A")
+        save_point_set(greedy_random_capset(3, 2), "B")
+        parser = cli._build_parser()
+        argv = [*command, *RUN_ARGS.get(command, args)]
+        try:
+            parser.parse_args([*argv, "--seed", "5"])
+            argv, seed = [*argv, "--seed", "5"], 5
+        except cli._UsageError:
+            seed = None
+        code, out, _ = run_cli(capsys, *argv, "--format", "json", "--out", "out")
+        assert code == 0
+        report = json.loads(out)
+        assert (report["command"], report["seed"]) == (" ".join(command), seed)
+        if parser.parse_args(argv).out_kind == "report":
+            assert Path("out").read_text() == out
+
+
 class TestEnergyCommands:
     def test_holder_reports_the_same_energies(self, cap_file, capsys):
         code, out, _ = run_cli(capsys, "energy", "holder", cap_file, "--m", "5")
@@ -486,3 +520,22 @@ class TestPipelines:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["is_capset"] is True
+
+
+README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+
+
+def _readme_cli_lines():
+    """The command lines of the README's CLI block, in order."""
+    block = README.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("tricap ")]
+
+
+def test_readme_cli_block_runs(tmp_path, capsys, monkeypatch):
+    # selftest is the acceptance suite's own run, in test_acceptance.py
+    monkeypatch.chdir(tmp_path)
+    lines = [argv for argv in _readme_cli_lines() if argv[0] != "selftest"]
+    assert len(lines) >= 20
+    for argv in lines:
+        code, _, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, ""), argv

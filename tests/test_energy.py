@@ -215,7 +215,8 @@ class TestOneTable:
         moments = self.spy(monkeypatch, "e2m")
         rep = holder_check(ps, m)
         assert (rep.e4, rep.e2m, rep.e8) == want
-        assert sorted(args[1] for args in moments) == sorted({m, 4} if m > 3 else {m})
+        # 12 points at n = 15 are sparse, so e4 is E_2m at m = 2 as well
+        assert sorted(args[1] for args in moments) == sorted({2, m, 4} if m > 3 else {2, m})
 
 
 class TestPastTheDenseCeiling:
@@ -246,6 +247,22 @@ class TestPastTheDenseCeiling:
             tables.clear()
             assert e4(ps) == oracles.naive_e4(tuples_of(ps))
             assert (len(moments), len(tables)) == calls
+
+
+class TestSparseSets:
+    """A sparse set (40 |A|^2 < 3^n) gets E4 by convolution, not a dense table."""
+
+    def test_e4_takes_the_convolution_at_n15(self, monkeypatch):
+        ps = random_point_set(15, 50, 3)
+        tables = TestOneTable.spy(monkeypatch, "diff_multiplicity")
+        tracemalloc.start()
+        try:
+            value = e4(ps)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (peak < 1 << 20, tables) == (True, [])
+        assert value == e4(ps, backend="hash") == oracles.naive_e4(tuples_of(ps))
 
 
 class TestMemoryPeaks:

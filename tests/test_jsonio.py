@@ -59,9 +59,9 @@ class TestCsv:
     def test_nullity_rows_shape(self):
         ps = greedy_random_capset(6, 5)
         exp = nullity_distribution(ps, 5, 30, 11)
-        header, rows = nullity_csv_rows(exp)
+        report = report_nullity(exp)
+        header, rows = nullity_csv_rows(report)
         assert header == ["k", "count", "empirical", "reference"]
         assert len(rows) == max(exp.histogram) + 1
-        report = report_nullity(exp)
         assert report["trials"] == 30
         assert sum(report["histogram"].values()) == 30
