@@ -56,12 +56,13 @@ from .randomsel import (
 from .rng import make_rng
 from .selftest import SELFTEST_SEED, criterion_ids, run_criterion, run_selftest
 from .spectrum import (
-    AffineSubspace,
-    IncrementReport,
+    Increment,
     SpectrumSet,
     coset_counts,
     extract_spectrum,
     fiber_sizes,
+    increment_need,
+    increment_threshold,
     sampled_increment_checks,
     scan_codim1_increments,
     strong_increment_check,
@@ -81,12 +82,11 @@ from .structure import (
 from .version import VERSION as __version__
 
 __all__ = [
-    "AffineSubspace",
     "DimensionMismatchError",
     "Eisenstein",
     "GuardExceededError",
     "IdentityViolationError",
-    "IncrementReport",
+    "Increment",
     "PointSet",
     "SELFTEST_SEED",
     "SetFileError",
@@ -118,6 +118,8 @@ __all__ = [
     "h_exact",
     "heaviest_band",
     "holder_check",
+    "increment_need",
+    "increment_threshold",
     "inverse_table",
     "is_capset",
     "komity",

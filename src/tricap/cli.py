@@ -20,6 +20,7 @@ the report, and maps `ok` to exit code 0 or 2.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 from fractions import Fraction
@@ -101,6 +102,17 @@ def _parse_fraction(text: str) -> Fraction:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise _UsageError(f"not a rational number: {text!r}") from exc
+
+
+def _finite_float(text: str) -> float:
+    """argparse type of --epsilon: a float that is neither nan nor infinite."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return value
 
 
 def _parse_basis(text: str, n: int) -> Subspace:
@@ -423,7 +435,7 @@ def _build_parser() -> _Parser:
     s.add_argument("--threshold", default="1")
     s.add_argument("--basis", required=True,
                    help="comma-separated trit strings spanning the subspace")
-    s.add_argument("--epsilon", type=float, default=0.0)
+    s.add_argument("--epsilon", type=_finite_float, default=0.0)
 
     s = leaf("energy e4", _cmd_energy_e4)
     s.add_argument("set_file")
@@ -437,7 +449,7 @@ def _build_parser() -> _Parser:
     s = leaf("energy smoothing", _cmd_energy_smoothing, force=True)
     s.add_argument("set_file")
     s.add_argument("--scale-n", type=int, required=True)
-    s.add_argument("--epsilon", type=float, default=0.05)
+    s.add_argument("--epsilon", type=_finite_float, default=0.05)
     s = leaf("energy cross", _cmd_energy_cross)
     s.add_argument("left")
     s.add_argument("right")

@@ -295,6 +295,8 @@ def smoothing_report(
         raise ValueError("scale parameter must be at least 2")
     if ps.size == 0:
         raise ValueError("smoothing exponent of the empty set is undefined")
+    if not math.isfinite(30.0 * epsilon):
+        raise ValueError(f"epsilon {epsilon!r} gives no finite boundary 30 * epsilon")
     v8 = e2m(ps, 4, force=force)
     sigma = math.log(v8) / math.log(scale_n) - 15.0
     return SmoothingReport(

@@ -14,6 +14,7 @@ command, seed. Commands without randomness carry a null seed.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import math
@@ -26,7 +27,7 @@ from . import bulk
 from .capset import PointSet
 from .energy import HolderReport, SmoothingReport
 from .randomsel import NullityExperiment
-from .spectrum import IncrementReport, SpectrumSet, SubspaceSpectrumStats
+from .spectrum import Increment, SpectrumSet, SubspaceSpectrumStats, increment_threshold
 from .structure import AdditiveStructure, ComityBand, MartingaleReport
 from .version import VERSION
 
@@ -38,7 +39,6 @@ __all__ = [
     "report_comity",
     "report_fibers",
     "report_holder",
-    "report_increment",
     "report_levels",
     "report_martingale",
     "report_nullity",
@@ -74,24 +74,38 @@ def render_csv(header: list[str], rows: list[list[Any]]) -> str:
 # -- report builders, one per subsystem ----------------------------------------
 
 
-def report_increment(rep: IncrementReport) -> dict[str, Any]:
-    return {
-        "codim": rep.codim,
-        "density": frac_str(rep.density),
-        "excess": frac_str(rep.excess),
-        "basis": list(rep.basis),
-        "shift": rep.shift,
-    }
+def report_spectrum(spec: SpectrumSet, increments: list[Increment]) -> dict[str, Any]:
+    """Spectrum sizes and the increments, each with its exact density and excess.
 
+    Every basis and shift string comes from one index_text call, and the
+    rationals are made once per distinct (codim, count).
+    """
+    base = spec.base
 
-def report_spectrum(spec: SpectrumSet, increments: list[IncrementReport]) -> dict[str, Any]:
+    @functools.cache
+    def exact(codim: int, count: int) -> tuple[str, str]:
+        density = Fraction(count, 3 ** (base.n - codim))
+        return frac_str(density), frac_str(density - increment_threshold(base, codim))
+
+    flat = [i for inc in increments for i in (*inc.basis, inc.shift)]
+    words = iter(bulk.index_text(base.n, flat).split())
+    rows = []
+    for codim, count, basis, _ in increments:
+        density, excess = exact(codim, count)
+        rows.append({
+            "codim": codim,
+            "density": density,
+            "excess": excess,
+            "basis": [next(words) for _ in basis],
+            "shift": next(words),
+        })
     return {
-        "n": spec.n,
-        "set_size": spec.base.size,
-        "rho": frac_str(spec.rho()),
-        "spectrum_size": spec.size,
+        "n": base.n,
+        "set_size": base.size,
+        "rho": frac_str(base.density()),
+        "spectrum_size": spec.members.size,
         "threshold_c": frac_str(spec.threshold_c),
-        "increments": [report_increment(r) for r in increments],
+        "increments": rows,
     }
 
 

@@ -32,7 +32,7 @@ from .capset import (
     random_point_set,
 )
 from .energy import _square_total, diff_multiplicity, e2m, e4, holder_check
-from .fourier import cube_sum, plancherel_check
+from .fourier import cube_sum, eval_at, plancherel_check
 from .gf3core import Eisenstein, TritVector, plane_add
 from .jsonio import dumps_canonical, envelope, report_nullity
 from .linalg import Subspace
@@ -44,7 +44,13 @@ from .randomsel import (
     simulate_g_frequencies,
 )
 from .rng import make_rng
-from .spectrum import AffineSubspace, coset_counts, extract_spectrum, strong_increment_check
+from .spectrum import (
+    coset_counts,
+    extract_spectrum,
+    increment_need,
+    increment_threshold,
+    strong_increment_check,
+)
 from .structure import (
     build_levels,
     comity_scan,
@@ -322,8 +328,8 @@ def _c9_nullity(seed: int) -> tuple[bool, dict]:
     """Byte-identical nullity reports, sane tails, 2^-k overlay present."""
     base = greedy_random_capset(12, seed + 912)
     spec = extract_spectrum(base)
-    if spec.size < 12:
-        return False, {"stage": "spectrum-size", "size": spec.size}
+    if spec.members.size < 12:
+        return False, {"stage": "spectrum-size", "size": spec.members.size}
     a = nullity_distribution(spec.members, 12, 1000, seed)
     b = nullity_distribution(spec.members, 12, 1000, seed)
     ra = dumps_canonical(report_nullity(a))
@@ -361,9 +367,10 @@ def _c10_spectrum(seed: int) -> tuple[bool, dict]:
 
     ann = Subspace.span([TritVector.unit(10, 0)], 10).annihilator()
     big = PointSet(10, ann.enumerate_indices())
-    aff = AffineSubspace(ann, TritVector.zero(10))
-    rep = strong_increment_check(big, aff)
-    if not rep.is_increment or rep.excess != 0:
+    # the hyperplane's density 1 lands exactly on rho * (1 + 20 / 10)
+    inc = strong_increment_check(big, ann, TritVector.zero(10))
+    exact = Fraction(inc.count, 3**9) == increment_threshold(big, 1)
+    if not exact or inc.count < increment_need(big, 1):
         return False, {"stage": "boundary-increment"}
 
     for i in range(50):
@@ -376,7 +383,7 @@ def _c10_spectrum(seed: int) -> tuple[bool, dict]:
         if spec1.members != neg:
             return False, {"stage": "symmetry", "i": i}
         for x in list(spec1.members.vectors())[:20]:
-            if spec1.norm_of(x) != spec1.norm_of(-x):
+            if eval_at(ps, x).norm() != eval_at(ps, -x).norm():
                 return False, {"stage": "norm-symmetry", "i": i}
         lo = extract_spectrum(ps, Fraction(1, 2)).members
         hi = extract_spectrum(ps, Fraction(2)).members

@@ -12,14 +12,18 @@ negation and shrinks as c grows; both are enforced by tests.
 
 Increment checks are affine throughout: a direction subspace plus a
 shift. A set has a strong increment on an affine subspace V of
-codimension d when its density there reaches rho * (1 + 20 d / n); the
-comparison is exact rational and equality counts as an increment (the
-worked hyperplane case at n = 10 lands exactly on the boundary). The
-empty set has no increment. Hyperplane scans read the coset counts of
-every functional off the coefficient table; explicit and sampled cosets,
-and the fibers that ``structure fibers`` reports, are counted by
-_coset_sizes from one histogram of dot profiles against the direction's
-annihilator, one pass over A and 3^d bins.
+codimension d when its density there reaches rho * (1 + 20 d / n);
+equality counts as an increment (the worked hyperplane case at n = 10
+lands exactly on the boundary). Results stay integers: an Increment is
+the coset's point count with its basis and shift as canonical indices,
+and it is reported when the count reaches increment_need, the exact
+integer form of that threshold, which is at least 1, so the empty set
+has no increment. Densities and strings are made once, when a report is
+rendered. Hyperplane scans read the coset counts of every functional off
+the coefficient table; explicit and sampled cosets, and the fibers that
+``structure fibers`` reports, are counted by _coset_sizes from one
+histogram of dot profiles against the direction's annihilator, one pass
+over A and 3^d bins.
 
 A hyperplane x^perp needs no elimination: with q the last nonzero
 coordinate of x, its reduced echelon basis is {e_j - x_j x_q e_q : j != q}.
@@ -33,6 +37,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -45,13 +50,14 @@ from .linalg import Subspace
 from .rng import make_rng
 
 __all__ = [
-    "AffineSubspace",
-    "IncrementReport",
+    "Increment",
     "SpectrumSet",
     "SubspaceSpectrumStats",
     "coset_counts",
     "extract_spectrum",
     "fiber_sizes",
+    "increment_need",
+    "increment_threshold",
     "sampled_increment_checks",
     "scan_codim1_increments",
     "strong_increment_check",
@@ -59,75 +65,24 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class AffineSubspace:
-    """direction + shift; the empty shift gives a linear subspace."""
+class Increment(NamedTuple):
+    """The coset shift + span(basis), of codimension codim, holding count points of A.
 
-    direction: Subspace
-    shift: TritVector
-
-    def __post_init__(self) -> None:
-        if self.direction.n != self.shift.n:
-            raise ValueError("shift dimension differs from direction")
-
-    @property
-    def n(self) -> int:
-        return self.direction.n
-
-    @property
-    def codim(self) -> int:
-        return self.direction.codim
-
-
-@dataclass(frozen=True)
-class IncrementReport:
-    """Exact density comparison on one affine subspace."""
+    basis and shift are canonical indices.
+    """
 
     codim: int
-    density: Fraction
-    threshold: Fraction
-    basis: tuple[str, ...]
-    shift: str
-
-    @property
-    def excess(self) -> Fraction:
-        return self.density - self.threshold
-
-    @property
-    def is_increment(self) -> bool:
-        # the threshold is 0 only for the empty set, which has no increment
-        return self.density >= self.threshold > 0
+    count: int
+    basis: tuple[int, ...]
+    shift: int
 
 
-class SpectrumSet:
+class SpectrumSet(NamedTuple):
     """The spectrum members of a base set at one threshold."""
 
-    __slots__ = ("base", "threshold_c", "members")
-
-    def __init__(self, base: PointSet, threshold_c: Fraction, members: PointSet):
-        self.base = base
-        self.threshold_c = threshold_c
-        self.members = members
-
-    @property
-    def n(self) -> int:
-        return self.base.n
-
-    @property
-    def size(self) -> int:
-        return self.members.size
-
-    def rho(self) -> Fraction:
-        return self.base.density()
-
-    def norm_of(self, x: TritVector) -> int:
-        """Exact norm at a member frequency, from eval_at; KeyError for a non-member."""
-        if not self.contains(x):
-            raise KeyError(x.index)
-        return eval_at(self.base, x).norm()
-
-    def contains(self, x: TritVector) -> bool:
-        return self.members.contains(x)
+    base: PointSet
+    threshold_c: Fraction
+    members: PointSet
 
 
 def extract_spectrum(
@@ -212,45 +167,35 @@ def fiber_sizes(ps: PointSet, h: Subspace) -> tuple[np.ndarray, np.ndarray]:
     return reps, _coset_sizes(ps, h, reps)
 
 
-class _ReportBuilder:
-    """IncrementReports on the cosets of codimension d in one set.
+def increment_threshold(ps: PointSet, codim: int) -> Fraction:
+    """rho * (1 + 20 d / n), the density of a strong increment of codimension d."""
+    return ps.density() * (1 + Fraction(20 * codim, ps.n))
 
-    The one place that sets density and the threshold rho * (1 + 20 d / n);
-    ``need``, checked once as the exact boundary, is the fewest points of A
-    on such a coset that reach it, so by monotonicity the cosets holding
-    ``need`` or more are exactly the increments. Basis and shift strings
-    all come from ``bulk.index_text`` over canonical indices.
+
+def increment_need(ps: PointSet, codim: int) -> int:
+    """The fewest points of A on a coset of codimension d that make an increment.
+
+    Checked once as the exact boundary: need - 1 points fall short of the
+    threshold and need points reach it, so by monotonicity the cosets
+    holding need or more are exactly the increments. It is at least 1,
+    so no coset of the empty set is one.
     """
-
-    def __init__(self, ps: PointSet, codim: int):
-        self.codim = codim
-        self.cells = 3 ** (ps.n - codim)
-        self.threshold = ps.density() * (1 + Fraction(20 * codim, ps.n))
-        self.need = need = math.ceil(self.threshold * self.cells)
-        if self.threshold and not need - 1 < self.threshold * self.cells <= need:
-            raise IdentityViolationError("increment boundary", need, str(self.threshold))
-
-    def report(self, basis: tuple[str, ...], count: int, shift: str) -> IncrementReport:
-        """The coset shift + span(basis) holding count points."""
-        density = Fraction(count, self.cells)
-        return IncrementReport(self.codim, density, self.threshold, basis, shift)
-
-    def increments(self, basis: tuple[str, ...], counts, shifts) -> list[IncrementReport]:
-        """Reports on the cosets holding at least ``need`` points, in order."""
-        return [self.report(basis, k, s) for k, s in zip(counts, shifts) if k >= self.need]
+    bound = increment_threshold(ps, codim) * 3 ** (ps.n - codim)
+    need = math.ceil(bound)
+    if not need - 1 < bound <= need:
+        raise IdentityViolationError("increment boundary", need, str(bound))
+    return max(need, 1)
 
 
-def strong_increment_check(ps: PointSet, aff: AffineSubspace) -> IncrementReport:
-    """Exact rational density-vs-threshold comparison on one affine piece."""
-    if aff.n != ps.n:
+def strong_increment_check(ps: PointSet, direction: Subspace, shift: TritVector) -> Increment:
+    """The points of A on shift + direction; an increment when count >= increment_need."""
+    if direction.n != ps.n or shift.n != ps.n:
         raise ValueError("subspace dimension differs from the set")
-    d = aff.codim
+    d = direction.codim
     if d < 1 or 2 * d > ps.n:
         raise ValueError(f"codimension {d} outside 1..n/2")
-    count = int(_coset_sizes(ps, aff.direction.annihilator(), np.array([aff.shift.index]))[0])
-    indices = [b.index for b in aff.direction.basis] + [aff.shift.index]
-    *basis, shift = bulk.index_text(ps.n, indices).split()
-    return _ReportBuilder(ps, d).report(tuple(basis), count, shift)
+    count = int(_coset_sizes(ps, direction.annihilator(), np.array([shift.index]))[0])
+    return Increment(d, count, tuple(b.index for b in direction.basis), shift.index)
 
 
 def _canonical_ranges(n: int) -> list[range]:
@@ -273,39 +218,35 @@ def _hyperplane_bases(n: int, x: np.ndarray) -> np.ndarray:
     return rows[np.arange(n) != q[:, None]].reshape(x.size, n - 1)
 
 
-def scan_codim1_increments(ps: PointSet, force: bool = False) -> list[IncrementReport]:
+def scan_codim1_increments(ps: PointSet, force: bool = False) -> list[Increment]:
     """Every affine hyperplane carrying a strong increment.
 
     One pass over the full coefficient table recovers all coset counts.
     The pair {x, 2x} describes the same hyperplane family, so only the
     functionals of _canonical_ranges are scanned. For x in range k the
     unit vector of index 3^k has dot product 1 with x, so coset j of x has
-    shift index j * 3^k. Reports come back ordered by (frequency index,
-    coset label).
+    shift index j * 3^k. Increments come back ordered by (frequency
+    index, coset label).
     """
     if ps.n < 2:
         raise ValueError("codimension-1 scan needs n >= 2")
-    if ps.size == 0:
-        return []
     n = ps.n
+    need = increment_need(ps, 1)
     table = transform_point_set(ps, force=force)
-    build = _ReportBuilder(ps, 1)
-    reports: list[IncrementReport] = []
+    found: list[Increment] = []
     for r in _canonical_ranges(n):
-        levels = _level_counts(table.p[r.start : r.stop], table.q[r.start : r.stop], ps.size)
-        top = np.maximum(np.maximum(levels[0], levels[1]), levels[2])
-        hits = np.flatnonzero(top >= build.need)
-        shifts = bulk.index_text(n, [0, r.start, 2 * r.start]).split()
-        words = bulk.index_text(n, _hyperplane_bases(n, r.start + hits)).split()
-        counts = np.stack([k[hits] for k in levels], axis=1).tolist()
-        for basis, three in zip(zip(*[iter(words)] * (n - 1)), counts):  # n - 1 words a hit
-            reports += build.increments(basis, three, shifts)
-    return reports
+        p, q = table.p[r.start : r.stop], table.q[r.start : r.stop]
+        counts = np.stack(_level_counts(p, q, ps.size), axis=1)
+        rows, labels = np.nonzero(counts >= need)
+        bases = _hyperplane_bases(n, r.start + rows).tolist()
+        hits = zip(counts[rows, labels].tolist(), bases, (labels * r.start).tolist())
+        found += [Increment(1, k, tuple(basis), shift) for k, basis, shift in hits]
+    return found
 
 
 def sampled_increment_checks(
     spec: SpectrumSet, codim: int, samples: int, seed: int
-) -> list[IncrementReport]:
+) -> list[Increment]:
     """Increment spot-checks on subspaces spanned by random spectrum members.
 
     For each sample, span up to ``codim`` random members of the spectrum,
@@ -314,22 +255,21 @@ def sampled_increment_checks(
     Only cosets that are strong increments are reported, in the order of
     the direction's transversal.
     """
-    if spec.size == 0 or spec.base.size == 0:
-        return []
-    out: list[IncrementReport] = []
+    base, _, members = spec
+    n = base.n
+    found: list[Increment] = []
     for s in range(samples):
         rng = make_rng(seed, 31, s)
-        take = min(codim, spec.size)
-        picks = rng.choice(spec.members.indices, size=take, replace=False)
-        w = Subspace.span([TritVector.from_index(spec.n, int(i)) for i in picks], spec.n)
-        if w.dim < 1 or 2 * w.dim > spec.n:
+        picks = rng.choice(members.indices, size=min(codim, members.size), replace=False)
+        w = Subspace.span([TritVector.from_index(n, int(i)) for i in picks], n)
+        if w.dim < 1 or 2 * w.dim > n:
             continue
-        shifts, counts = fiber_sizes(spec.base, w)
-        direction = [b.index for b in w.annihilator().basis]
-        basis = tuple(bulk.index_text(spec.n, direction).split())
-        words = bulk.index_text(spec.n, shifts).split()
-        out += _ReportBuilder(spec.base, w.dim).increments(basis, counts.tolist(), words)
-    return out
+        shifts, counts = fiber_sizes(base, w)
+        hits = np.flatnonzero(counts >= increment_need(base, w.dim))
+        basis = tuple(b.index for b in w.annihilator().basis)
+        for k, shift in zip(counts[hits].tolist(), shifts[hits].tolist()):
+            found.append(Increment(w.dim, k, basis, shift))
+    return found
 
 
 @dataclass(frozen=True)
@@ -347,21 +287,28 @@ class SubspaceSpectrumStats:
 def subspace_spectrum_stats(
     spec: SpectrumSet, w: Subspace, epsilon: float = 0.0
 ) -> SubspaceSpectrumStats:
-    if w.n != spec.n:
+    base, _, members = spec
+    n = base.n
+    if w.n != n:
         raise ValueError("subspace dimension differs from the spectrum")
+    try:
+        count_reference = w.dim * n ** (1.0 + 2.0 * epsilon)
+    except OverflowError:
+        count_reference = math.inf
+    if not (math.isfinite(epsilon) and math.isfinite(count_reference)):
+        raise ValueError(f"epsilon {epsilon!r} gives no finite count reference")
     # frequency 0 is never a spectrum member, so W's zero counts for nothing
-    count = int(spec.members.contains_indices(w.enumerate_indices()).sum())
+    count = int(members.contains_indices(w.enumerate_indices()).sum())
     # extracting the spectrum already held a 3^n >= 3^dim(W) table, so
     # the transform guard has been passed at a larger size
-    table = restricted_transform(spec.base, w, force=True)
+    table = restricted_transform(base, w, force=True)
     weight = table.norm_total() - table.norm_at(0)
-    n = spec.n
-    rho = spec.base.size / 3**n
+    rho = base.size / 3**n
     return SubspaceSpectrumStats(
         dim=w.dim,
         member_count=count,
         weight=weight,
         weight_normalized=weight / 3 ** (2 * n),
-        count_reference=w.dim * n ** (1.0 + 2.0 * epsilon),
+        count_reference=count_reference,
         weight_reference=rho * rho * w.dim / n,
     )

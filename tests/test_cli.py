@@ -13,11 +13,13 @@ import pytest
 from tricap import (
     PointSet,
     cli,
+    energy,
     fourier,
     greedy_random_capset,
     load_point_set,
     random_point_set,
     save_point_set,
+    spectrum,
 )
 from tricap.cli import main
 from tricap.version import VERSION
@@ -217,12 +219,17 @@ PINNED_REPORTS = [
      "c168b1c5db37adae21cbe871e96c34a9453d5be7ddcb0aa965c898568ffeb9d7"),
     ("spectrum extract", "three", (), "csv",
      "c81ce4d34113b0c2444be5c8655e53896eed3a9167c4cce281defa222bb3ddef"),
+    ("spectrum extract", "three", (), "text",
+     "dee2f668b99e805a3bd026246b92e92830f17cc4f1360f2b4fa8b98c5c93c68b"),
     ("spectrum increments", "coset",
      ("--codim", "2", "--threshold", "27", "--samples", "6", "--seed", "3"), "json",
      "0aff6002e5f868a0a37f73df3849711e6f55bf68e7b67122894dd7f502a2b746"),
     ("spectrum increments", "coset",
      ("--codim", "2", "--threshold", "27", "--samples", "6", "--seed", "3"), "csv",
      "c5c8c27375f989879b29a00af7ebe20aa6fb8f18b2554e83a0c35b92aa994130"),
+    ("spectrum increments", "coset",
+     ("--codim", "2", "--threshold", "27", "--samples", "6", "--seed", "3"), "text",
+     "d0c2e5d64f769c1b269f434821e69edfbf4e361c94099222f809b440e1c47578"),
     ("structure fibers", "cap", ("--h", "120000,111111"), "json",
      "24da927855c39fa78292ce11869898ccef89b70af402bd1476ee44b2610596fa"),
     ("structure fibers", "cap", ("--h", "120000,111111"), "csv",
@@ -383,6 +390,49 @@ class TestFraming:
         assert (report["command"], report["seed"]) == (" ".join(command), seed)
         if parser.parse_args(argv).out_kind == "report":
             assert Path("out").read_text() == out
+
+
+@pytest.fixture
+def transforms(monkeypatch):
+    """Names of the transforms run, spied on in every module that imports one."""
+    calls = []
+    for module, name in [(cli, "transform_point_set"), (energy, "transform_point_set"),
+                         (spectrum, "transform_point_set"), (spectrum, "restricted_transform")]:
+        def spy(*args, _real=getattr(module, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, spy)
+    return calls
+
+
+EPSILON_LEAVES = [
+    ("spectrum subspace", ("--basis", "100000")),
+    ("energy smoothing", ("--scale-n", "3")),
+]
+
+
+class TestEpsilon:
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("command, args", EPSILON_LEAVES, ids=[c for c, _ in EPSILON_LEAVES])
+    def test_non_finite_stops_at_parsing(self, cap_file, capsys, transforms, command, args, value):
+        code, out, err = run_cli(capsys, *command.split(), cap_file, *args, f"--epsilon={value}")
+        assert (code, out, transforms) == (1, "", [])
+        assert err == f"tricap: argument --epsilon: not a finite number: '{value}'\n"
+
+    @pytest.mark.parametrize("command, args, value, ran", [
+        # 6^(1 + 2e10) overflows a float, 2 * 1e308 and 30 * 1e308 are infinite
+        (*EPSILON_LEAVES[0], "1e10", ["transform_point_set"]),
+        (*EPSILON_LEAVES[0], "1e308", ["transform_point_set"]),
+        (*EPSILON_LEAVES[1], "1e308", []),
+    ], ids=["spectrum subspace-1e10", "spectrum subspace-1e308", "energy smoothing-1e308"])
+    def test_no_finite_reference_stops_before_its_transform(
+        self, cap_file, capsys, transforms, command, args, value, ran
+    ):
+        # spectrum subspace extracts the spectrum first, then needs the reference
+        code, out, err = run_cli(capsys, *command.split(), cap_file, *args, "--epsilon", value)
+        assert (code, out, transforms) == (1, "", ran)
+        assert err.startswith("tricap: epsilon ")
 
 
 class TestEnergyCommands:

@@ -406,3 +406,13 @@ class TestSmoothing:
         ps = random_point_set(3, 5, 1)
         with pytest.raises(ValueError):
             smoothing_report(ps, 1)
+
+    @pytest.mark.parametrize("epsilon", [math.nan, math.inf, -math.inf, 1e308])
+    def test_rejects_epsilon_without_a_finite_boundary(self, monkeypatch, epsilon):
+        # 30 * 1e308 is infinite; the check comes before E8 is computed
+        def no_e2m(*args, **kwargs):
+            raise AssertionError("e2m called")
+
+        monkeypatch.setattr(energy, "e2m", no_e2m)
+        with pytest.raises(ValueError, match="epsilon"):
+            smoothing_report(random_point_set(3, 5, 1), 3, epsilon=epsilon)

@@ -1,5 +1,7 @@
 import importlib
 import pkgutil
+import re
+from pathlib import Path
 
 import pytest
 
@@ -23,3 +25,11 @@ def test_star_import():
     namespace: dict = {}
     exec("from tricap import *", namespace)
     assert set(tricap.__all__) <= namespace.keys()
+
+
+def test_pyproject_states_the_package_version():
+    # every report envelope carries tricap.__version__; pyproject.toml states it
+    # a second time (a regex, since Python 3.10 has no tomllib)
+    text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    stated = re.findall(r'^version = "([^"]*)"$', text, flags=re.M)
+    assert stated == [tricap.__version__]

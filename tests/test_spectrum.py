@@ -9,17 +9,20 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from tricap import (
-    AffineSubspace,
     IdentityViolationError,
+    Increment,
     PointSet,
     SELFTEST_SEED,
     Subspace,
     TritVector,
     bulk,
     coset_counts,
+    eval_at,
     extract_spectrum,
     fourier,
     greedy_random_capset,
+    increment_need,
+    increment_threshold,
     make_rng,
     random_point_set,
     sampled_increment_checks,
@@ -36,6 +39,10 @@ from conftest import all_vectors, digit_rows, on_affine_coset, tuples_of
 small_sets = st.tuples(st.integers(3, 5), st.integers(0, 99_999)).map(
     lambda t: random_point_set(t[0], 1 + t[1] % min(40, 3 ** t[0] - 1), t[1])
 )
+# the empty set included, and at n = 2 every set size up to the whole cube
+scan_sets = st.tuples(st.integers(2, 6), st.integers(0, 99_999)).map(
+    lambda t: random_point_set(t[0], t[1] % min(41, 3 ** t[0] + 1), t[1])
+)
 
 
 def _hyperplane(n: int) -> PointSet:
@@ -45,19 +52,6 @@ def _hyperplane(n: int) -> PointSet:
 
 def _row_indices(rows: np.ndarray, n: int) -> np.ndarray:
     return rows @ 3 ** np.arange(n - 1, -1, -1)
-
-
-class TestSpectrumLookups:
-    @given(small_sets)
-    def test_norm_of_matches_table(self, ps):
-        spec = extract_spectrum(ps, Fraction(1, 2))
-        table = transform_point_set(ps)
-        for v in all_vectors(ps.n):
-            if spec.contains(v):
-                assert spec.norm_of(v) == table.norm_at(v.index)
-            else:
-                with pytest.raises(KeyError):
-                    spec.norm_of(v)
 
 
 class TestCosetCounts:
@@ -107,7 +101,7 @@ class TestExtraction:
         bound = Fraction(ps.size, 1) ** 4 * Fraction(1, 4) / Fraction(3) ** (2 * ps.n)
         for v in all_vectors(ps.n):
             inside = not v.is_zero() and Fraction(table.coefficient(v).norm()) >= bound
-            assert spec.contains(v) == inside
+            assert spec.members.contains(v) == inside
 
     @pytest.mark.parametrize("block", [5, 7])
     def test_blockwise_mask_matches_every_cell(self, monkeypatch, block):
@@ -135,21 +129,21 @@ class TestExtraction:
     def test_negation_symmetry(self, ps):
         spec = extract_spectrum(ps, 1)
         for v in spec.members.vectors():
-            assert spec.contains(-v)
-            assert spec.norm_of(v) == spec.norm_of(-v)
+            assert spec.members.contains(-v)
+            assert eval_at(ps, v).norm() == eval_at(ps, -v).norm()
 
     def test_hyperplane_spectrum_is_dual_line(self):
         ps = _hyperplane(5)
         spec = extract_spectrum(ps, 1)
         got = {str(v) for v in spec.members.vectors()}
         assert got == {"10000", "20000"}
-        assert spec.norm_of(TritVector.from_string("10000")) == ps.size**2
+        assert eval_at(ps, TritVector.from_string("10000")).norm() == ps.size**2
 
     def test_frozen_sizes_for_greedy_cap(self):
         ps = greedy_random_capset(6, SELFTEST_SEED + 6)
         assert ps.size == 71
         for c, size in [(Fraction(1, 2), 612), (Fraction(1), 320), (Fraction(2), 40)]:
-            assert extract_spectrum(ps, c).size == size
+            assert extract_spectrum(ps, c).members.size == size
 
     def test_threshold_boundaries_match_integer_oracle(self):
         # thresholds whose cleared-denominator bound `need` equals a member's
@@ -179,7 +173,7 @@ class TestExtraction:
             assert (target in [norm[i] for i in got]) == (need == target)
         c = Fraction(2**40)
         assert need_of(c) >= 2**63
-        assert extract_spectrum(ps, c).size == 0 == len(oracle(c))
+        assert extract_spectrum(ps, c).members.size == 0 == len(oracle(c))
 
     def test_rejects_negative_threshold(self):
         ps = random_point_set(3, 5, 1)
@@ -192,24 +186,18 @@ class TestIncrements:
         # density 1/3 concentrated on a codim-1 coset sits exactly on the
         # threshold rho * (1 + 20 d / n) at n = 10, d = 1
         ps = _hyperplane(10)
-        aff = AffineSubspace(
-            Subspace.span([TritVector.unit(10, i) for i in range(1, 10)]),
-            TritVector.zero(10),
-        )
-        rep = strong_increment_check(ps, aff)
-        assert rep.is_increment
-        assert rep.excess == 0
-        assert rep.density == Fraction(1)
+        direction = Subspace.span([TritVector.unit(10, i) for i in range(1, 10)])
+        inc = strong_increment_check(ps, direction, TritVector.zero(10))
+        assert inc == Increment(1, 3**9, tuple(b.index for b in direction.basis), 0)
+        assert inc.count == increment_need(ps, 1)
+        assert Fraction(inc.count, 3**9) == increment_threshold(ps, 1) == 1
 
     def test_scan_finds_hyperplane_concentration(self):
         ps = _hyperplane(10)
         found = scan_codim1_increments(ps)
         assert found, "full hyperplane must be its own codim-1 increment"
-        for rep in found:
-            assert rep.codim == 1
-            assert rep.is_increment
-            assert rep.density == Fraction(1)
-            assert rep.excess == 0
+        for inc in found:
+            assert (inc.codim, inc.count) == (1, 3**9) == (1, increment_need(ps, 1))
 
     def test_scan_empty_for_tiny_random(self):
         # a 4-point set at n = 6 has density 4/729; a strong increment
@@ -231,7 +219,7 @@ class TestIncrements:
         ps = random_point_set(6, 10, 5)
         line = Subspace.span([TritVector.unit(6, 0)])
         with pytest.raises(ValueError):
-            strong_increment_check(ps, AffineSubspace(line, TritVector.zero(6)))
+            strong_increment_check(ps, line, TritVector.zero(6))
 
     def test_sampled_checks_deterministic(self):
         ps = greedy_random_capset(6, SELFTEST_SEED + 6)
@@ -259,7 +247,7 @@ class TestIncrementOracles:
         for s in range(samples):
             # the draw of sampled_increment_checks: stream (seed, 31, s)
             picks = make_rng(seed, 31, s).choice(
-                spec.members.indices, size=min(codim, spec.size), replace=False
+                spec.members.indices, size=min(codim, spec.members.size), replace=False
             )
             funcs = digit_rows(picks, n)
             k = oracles.naive_rank(funcs.tolist())
@@ -273,15 +261,15 @@ class TestIncrementOracles:
                 if Fraction(profiles.count(t), 3 ** (n - k)) >= threshold
             }
             seen = set()
-            for rep in reports[pos : pos + len(want)]:
-                assert (rep.codim, rep.threshold) == (k, threshold)
-                basis = digit_rows([TritVector.from_string(b).index for b in rep.basis], n)
+            for inc in reports[pos : pos + len(want)]:
+                assert inc.codim == k
+                basis = digit_rows(inc.basis, n)
                 assert in_v[_row_indices(basis, n)].all()
                 assert oracles.naive_rank(basis.tolist()) == n - k
-                shift = np.array(oracles.digits(rep.shift))
+                shift = digit_rows([inc.shift], n)[0]
                 seen.add(tuple((funcs @ shift % 3).tolist()))
                 on_coset = in_v[_row_indices((points - shift) % 3, n)]
-                assert rep.density == Fraction(int(on_coset.sum()), 3 ** (n - k))
+                assert inc.count == int(on_coset.sum())
             # the reported cosets are exactly those at or above the threshold
             assert seen == want
             pos += len(want)
@@ -296,14 +284,37 @@ class TestIncrementOracles:
         reports = scan_codim1_increments(ps)
         assert len(reports) == 3280
         assert len({(r.basis, r.shift) for r in reports}) == 3280
-        for rep in reports:
-            basis = [oracles.digits(b) for b in rep.basis]
-            shift = oracles.digits(rep.shift)
+        for inc in reports:
+            basis = digit_rows(inc.basis, 10).tolist()
+            shift = digit_rows([inc.shift], 10)[0].tolist()
             count = sum(
                 oracles.naive_rank(basis + [oracles.vec_sub(a, shift)]) == 9 for a in pts
             )
-            assert rep.codim == 1 and len(basis) == 9
-            assert rep.density == Fraction(count, 3**9) == Fraction(3, 3**9)
+            assert inc.codim == 1 and len(basis) == 9
+            assert inc.count == count == 3
+
+    @given(scan_sets, st.integers(1, 4))
+    def test_scan_agrees_with_the_coset_check(self, ps, low):
+        # every canonical functional x and label j: the scan reports the
+        # coset x . a = j exactly when strong_increment_check counts need
+        # or more points on it, with the same count. Below n = 10 no coset
+        # reaches the real need, so the scan also runs with need lowered to
+        # low, where cosets are reported and others fall one point short.
+        n = ps.n
+        cosets = []
+        for x in range(1, 3**n):
+            vec = TritVector.from_index(n, x)
+            if x > (-vec).index:
+                continue
+            # x's leading nonzero digit is 1, so that unit vector has dot 1 with x
+            unit = TritVector.unit(n, str(vec).index("1"))
+            plane = Subspace.span([vec]).annihilator()
+            cosets += [strong_increment_check(ps, plane, unit.scale(j)) for j in range(3)]
+        for need in (increment_need(ps, 1), low):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(spectrum, "increment_need", lambda ps, codim: need)
+                found = scan_codim1_increments(ps)
+            assert found == [inc for inc in cosets if inc.count >= need]
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_hyperplane_bases_match_annihilator(self, n):
@@ -341,16 +352,27 @@ class TestIncrementOracles:
     def test_empty_set_has_no_increment(self):
         empty = PointSet(6, [])
         spec = extract_spectrum(empty, 1)
-        assert spec.size == 3**6 - 1
+        assert spec.members.size == 3**6 - 1
         assert sampled_increment_checks(spec, 1, 2, 5) == []
         assert scan_codim1_increments(empty) == []
         plane = Subspace.span([TritVector.unit(6, i) for i in range(1, 6)])
-        rep = strong_increment_check(empty, AffineSubspace(plane, TritVector.zero(6)))
-        assert rep.density == rep.threshold == 0
-        assert not rep.is_increment
+        inc = strong_increment_check(empty, plane, TritVector.zero(6))
+        assert inc.count == increment_threshold(empty, 1) == 0
+        assert increment_need(empty, 1) == 1
 
 
 class TestSubspaceStats:
+    @pytest.mark.parametrize("epsilon", [math.nan, math.inf, -math.inf, 1e10, 1e308])
+    def test_rejects_epsilon_without_a_finite_reference(self, monkeypatch, epsilon):
+        # 5^(1 + 2e10) overflows a float; 2 * 1e308 is infinite
+        def no_transform(*args, **kwargs):
+            raise AssertionError("restricted_transform called")
+
+        spec = extract_spectrum(greedy_random_capset(5, 77), 1)
+        monkeypatch.setattr(spectrum, "restricted_transform", no_transform)
+        with pytest.raises(ValueError, match="epsilon"):
+            subspace_spectrum_stats(spec, Subspace.span([TritVector.unit(5, 0)]), epsilon=epsilon)
+
     def test_against_direct_sums(self):
         ps = greedy_random_capset(5, 77)
         spec = extract_spectrum(ps, Fraction(1, 2))
@@ -362,7 +384,7 @@ class TestSubspaceStats:
         for v in w.enumerate_points():
             if v.is_zero():
                 continue
-            if spec.contains(v):
+            if spec.members.contains(v):
                 direct_count += 1
             direct_weight += table.coefficient(v).norm()
         assert stats.dim == 2
@@ -376,7 +398,7 @@ class TestSubspaceStats:
         gens = [str(TritVector.from_index(5, int(i))) for i in spec.members.indices[:2]]
         gens += ["10000", "00100", "00001"]
         w = Subspace.span([TritVector.from_string(s) for s in gens], 5)
-        assert 3**w.dim > max(4 * spec.size, 64)
+        assert 3**w.dim > max(4 * spec.members.size, 64)
         points = oracles.naive_span([oracles.digits(s) for s in gens], 5)
         members = {str(v) for v in spec.members.vectors()}
         table = transform_point_set(ps)
