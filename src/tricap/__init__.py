@@ -45,7 +45,7 @@ from .fourier import (
     transform_point_set,
     transform_table,
 )
-from .gf3core import Eisenstein, TritVector, character
+from .gf3core import Eisenstein, TritVector
 from .linalg import Subspace, rank
 from .randomsel import (
     g_exact,
@@ -96,7 +96,6 @@ __all__ = [
     "TritVector",
     "__version__",
     "build_levels",
-    "character",
     "comity_scan",
     "coset_counts",
     "count_line_solutions",

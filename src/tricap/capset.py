@@ -154,13 +154,6 @@ class PointSet:
         lo, hi = self.planes()
         return [TritVector(self.n, a, b) for a, b in zip(lo.tolist(), hi.tolist())]
 
-    def translate(self, v: TritVector) -> "PointSet":
-        if v.n != self.n:
-            raise DimensionMismatchError(f"{v.n} != {self.n}")
-        lo, hi = self.planes()
-        slo, shi = plane_add(lo, hi, v.lo, v.hi)
-        return PointSet(self.n, bulk.planes_to_indices(self.n, slo, shi))
-
     def negate(self) -> "PointSet":
         lo, hi = self.planes()
         return PointSet(self.n, bulk.planes_to_indices(self.n, hi, lo))

@@ -64,6 +64,7 @@ from .linalg import Subspace
 from .randomsel import nullity_distribution
 from .selftest import SELFTEST_SEED, run_selftest
 from .spectrum import (
+    count_reference,
     extract_spectrum,
     fiber_sizes,
     sampled_increment_checks,
@@ -257,8 +258,9 @@ def _cmd_spectrum_increments(args: argparse.Namespace) -> Result:
 
 def _cmd_spectrum_subspace(args: argparse.Namespace) -> Result:
     ps = load_point_set(args.set_file)
-    spec = extract_spectrum(ps, _parse_fraction(args.threshold), force=args.force)
     w = _parse_basis(args.basis, ps.n)
+    count_reference(ps.n, w.dim, args.epsilon)  # refuse a bad epsilon before the transform
+    spec = extract_spectrum(ps, _parse_fraction(args.threshold), force=args.force)
     return report_subspace_stats(subspace_spectrum_stats(spec, w, epsilon=args.epsilon)), True
 
 

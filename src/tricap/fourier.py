@@ -295,12 +295,6 @@ class SpectrumTable:
         self.q = q
         self.source_size = source_size
 
-    def coefficient(self, x: TritVector) -> Eisenstein:
-        return self.coefficient_at(x.index)
-
-    def coefficient_at(self, index: int) -> Eisenstein:
-        return Eisenstein(int(self.p[index]), int(self.q[index]))
-
     def norms(self, start: int = 0, stop: int | None = None) -> np.ndarray:
         """eis_norm(c(x)) for the frequencies start <= x < stop; int64 when provably safe.
 
@@ -334,8 +328,7 @@ class SpectrumTable:
             yield start, stop, self.norms(start, stop)
 
     def norm_at(self, index: int) -> int:
-        p, q = int(self.p[index]), int(self.q[index])
-        return p * p - p * q + q * q
+        return Eisenstein(int(self.p[index]), int(self.q[index])).norm()
 
     def norm_total(self) -> int:
         """Exact big-int sum of all coefficient norms, a block at a time."""

@@ -10,15 +10,15 @@ most significant digit of the canonical index: a vector's index is its
 string read as a base-3 numeral. Frequency tables and point sets are
 ordered by this index everywhere.
 
-Eisenstein integers p + q*w (w a primitive cube root of unity) carry the
-values of all character sums exactly; components are plain Python ints.
+An Eisenstein integer p + q*w (w a primitive cube root of unity) is the
+exact value of one character sum: a (p, q) pair of plain Python ints
+with its norm. The arithmetic on these values runs on whole coefficient
+planes, in fourier.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
-from typing import Iterable
 
 from .errors import DimensionMismatchError
 
@@ -27,9 +27,7 @@ __all__ = [
     "MAX_DIM",
     "Eisenstein",
     "TritVector",
-    "character",
     "plane_add",
-    "plane_dot",
 ]
 
 MAX_DIM = 20  # 3^20 ~ 3.5e9 cells; beyond this nothing here is desk-scale
@@ -44,13 +42,6 @@ def plane_add(alo, ahi, blo, bhi):
     """
     t = (alo | bhi) ^ (ahi | blo)
     return t ^ (ahi | bhi), t ^ (alo | blo)
-
-
-def plane_dot(alo: int, ahi: int, blo: int, bhi: int) -> int:
-    """Dot product of two plane pairs, reduced mod 3."""
-    plo = (alo & blo) | (ahi & bhi)
-    phi = (alo & bhi) | (ahi & blo)
-    return (plo.bit_count() - phi.bit_count()) % 3
 
 
 @dataclass(frozen=True, slots=True)
@@ -73,21 +64,16 @@ class TritVector:
     # -- constructors ---------------------------------------------------
 
     @classmethod
-    def from_trits(cls, trits: Iterable[int]) -> "TritVector":
-        ts = list(trits)
-        lo = hi = 0
-        for i, t in enumerate(ts):
-            if t == 1:
-                lo |= 1 << i
-            elif t == 2:
-                hi |= 1 << i
-            elif t != 0:
-                raise ValueError(f"trit {t!r} not in 0..2")
-        return cls(len(ts), lo, hi)
-
-    @classmethod
     def from_string(cls, s: str) -> "TritVector":
-        return cls.from_trits(int(c) if c in "012" else -1 for c in s)
+        lo = hi = 0
+        for i, c in enumerate(s):
+            if c == "1":
+                lo |= 1 << i
+            elif c == "2":
+                hi |= 1 << i
+            elif c != "0":
+                raise ValueError(f"trit {c!r} not in 0..2")
+        return cls(len(s), lo, hi)
 
     @classmethod
     def from_index(cls, n: int, index: int) -> "TritVector":
@@ -124,9 +110,6 @@ class TritVector:
             raise IndexError(i)
         return ((self.lo >> i) & 1) + 2 * ((self.hi >> i) & 1)
 
-    def trits(self) -> tuple[int, ...]:
-        return tuple(self.trit(i) for i in range(self.n))
-
     @property
     def index(self) -> int:
         """Canonical index: the string form read as a base-3 numeral."""
@@ -161,15 +144,7 @@ class TritVector:
             return TritVector.zero(self.n)
         return self if k == 1 else -self
 
-    def dot(self, other: "TritVector") -> int:
-        self._check(other)
-        return plane_dot(self.lo, self.hi, other.lo, other.hi)
-
-    # -- ordering / display ------------------------------------------------
-
-    def __lt__(self, other: "TritVector") -> bool:
-        self._check(other)
-        return self.index < other.index
+    # -- display ------------------------------------------------------------
 
     def __str__(self) -> str:
         return "".join(str(self.trit(i)) for i in range(self.n))
@@ -182,59 +157,15 @@ class TritVector:
 class Eisenstein:
     """Eisenstein integer p + q*w, with w = exp(2*pi*i/3).
 
-    Multiplication uses w^2 = -1 - w. The norm p^2 - p*q + q^2 is the
-    squared complex modulus, hence multiplicative and nonnegative.
+    The norm p^2 - p*q + q^2 is the squared complex modulus, hence
+    nonnegative and zero only at 0.
     """
 
     p: int
     q: int
 
-    def __add__(self, other: "Eisenstein") -> "Eisenstein":
-        return Eisenstein(self.p + other.p, self.q + other.q)
-
-    def __sub__(self, other: "Eisenstein") -> "Eisenstein":
-        return Eisenstein(self.p - other.p, self.q - other.q)
-
-    def __neg__(self) -> "Eisenstein":
-        return Eisenstein(-self.p, -self.q)
-
-    def __mul__(self, other: object) -> "Eisenstein":
-        if isinstance(other, Eisenstein):
-            p, q, r, s = self.p, self.q, other.p, other.q
-            return Eisenstein(p * r - q * s, p * s + q * r - q * s)
-        if isinstance(other, int):
-            return Eisenstein(self.p * other, self.q * other)
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def __pow__(self, k: int) -> "Eisenstein":
-        if k < 0:
-            raise ValueError("negative powers leave the ring")
-        return reduce(Eisenstein.__mul__, [self] * k, ONE)
-
-    def conj(self) -> "Eisenstein":
-        """Complex conjugate: w -> w^2."""
-        return Eisenstein(self.p - self.q, -self.q)
-
     def norm(self) -> int:
         return self.p * self.p - self.p * self.q + self.q * self.q
 
-    def is_zero(self) -> bool:
-        return self.p == 0 and self.q == 0
-
     def __repr__(self) -> str:
         return f"Eisenstein({self.p}, {self.q})"
-
-
-ZERO = Eisenstein(0, 0)
-ONE = Eisenstein(1, 0)
-OMEGA = Eisenstein(0, 1)
-OMEGA2 = Eisenstein(-1, -1)
-
-_CHAR = (ONE, OMEGA, OMEGA2)
-
-
-def character(t: int) -> Eisenstein:
-    """w^t for a residue t; the additive character F_3 -> Eisenstein units."""
-    return _CHAR[t % 3]

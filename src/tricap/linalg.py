@@ -19,7 +19,7 @@ row by row, so a row's pivot is the lowest set bit of lo | hi.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -152,10 +152,6 @@ class Subspace:
     def zero(cls, n: int) -> "Subspace":
         return cls(n, ())
 
-    @classmethod
-    def full(cls, n: int) -> "Subspace":
-        return cls(n, tuple(TritVector.unit(n, i) for i in range(n)))
-
     @property
     def pivots(self) -> tuple[int, ...]:
         """Pivot coordinate of each basis row: its lowest nonzero coordinate."""
@@ -220,14 +216,14 @@ class Subspace:
         rows = self._rows()
         return [b for b in larger.basis if _insert(rows, b.lo, b.hi)]
 
-    def enumerate_indices(self, force: bool = False) -> np.ndarray:
+    def enumerate_indices(self) -> np.ndarray:
         """Canonical indices of all 3^dim points, int64, zero first.
 
         The order is coefficient-counter order with the rightmost basis
         vector fastest: each basis vector b adds 0, b and 2b = -b along a
         new fastest axis.
         """
-        guard("subspace enumeration dimension", self.dim, ENUM_GUARD_DIM, force)
+        guard("subspace enumeration dimension", self.dim, ENUM_GUARD_DIM)
         lo = hi = np.zeros(1, dtype=np.int64)
         for b in self.basis:
             lo, hi = plane_add(
@@ -237,11 +233,3 @@ class Subspace:
             )
             lo, hi = lo.ravel(), hi.ravel()
         return bulk.planes_to_indices(self.n, lo, hi)
-
-    def enumerate_points(self, force: bool = False) -> Iterator[TritVector]:
-        """The points of enumerate_indices, in the same order."""
-        lo, hi = bulk.indices_to_planes(self.n, self.enumerate_indices(force))
-        for plo, phi in zip(lo.tolist(), hi.tolist()):
-            yield TritVector(self.n, plo, phi)
-
-    __contains__ = contains

@@ -54,6 +54,7 @@ __all__ = [
     "SpectrumSet",
     "SubspaceSpectrumStats",
     "coset_counts",
+    "count_reference",
     "extract_spectrum",
     "fiber_sizes",
     "increment_need",
@@ -284,6 +285,21 @@ class SubspaceSpectrumStats:
     weight_reference: float  # rho^2 * d / n, report-only
 
 
+def count_reference(n: int, dim: int, epsilon: float) -> float:
+    """dim * n^(1 + 2 epsilon), the member count a dim-dimensional subspace is held to.
+
+    Raises ValueError when epsilon or the reference is not finite; it
+    needs no spectrum, so a caller can check it before extracting one.
+    """
+    try:
+        reference = dim * n ** (1.0 + 2.0 * epsilon)
+    except OverflowError:
+        reference = math.inf
+    if not (math.isfinite(epsilon) and math.isfinite(reference)):
+        raise ValueError(f"epsilon {epsilon!r} gives no finite count reference")
+    return reference
+
+
 def subspace_spectrum_stats(
     spec: SpectrumSet, w: Subspace, epsilon: float = 0.0
 ) -> SubspaceSpectrumStats:
@@ -291,12 +307,7 @@ def subspace_spectrum_stats(
     n = base.n
     if w.n != n:
         raise ValueError("subspace dimension differs from the spectrum")
-    try:
-        count_reference = w.dim * n ** (1.0 + 2.0 * epsilon)
-    except OverflowError:
-        count_reference = math.inf
-    if not (math.isfinite(epsilon) and math.isfinite(count_reference)):
-        raise ValueError(f"epsilon {epsilon!r} gives no finite count reference")
+    reference = count_reference(n, w.dim, epsilon)
     # frequency 0 is never a spectrum member, so W's zero counts for nothing
     count = int(members.contains_indices(w.enumerate_indices()).sum())
     # extracting the spectrum already held a 3^n >= 3^dim(W) table, so
@@ -309,6 +320,6 @@ def subspace_spectrum_stats(
         member_count=count,
         weight=weight,
         weight_normalized=weight / 3 ** (2 * n),
-        count_reference=count_reference,
+        count_reference=reference,
         weight_reference=rho * rho * w.dim / n,
     )

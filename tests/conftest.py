@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from tricap import PointSet, TritVector, make_rng
+from tricap import PointSet, Subspace, TritVector, make_rng
 
 import oracles
 
@@ -75,6 +75,11 @@ def small_caps():
 
         out[n] = greedy_random_capset(n, seed)
     return out
+
+
+def whole_space(n: int) -> Subspace:
+    """F_3^n as a Subspace: the span of the n unit vectors."""
+    return Subspace.span([TritVector.unit(n, i) for i in range(n)])
 
 
 def all_vectors(n: int) -> list[TritVector]:

@@ -49,12 +49,6 @@ class TestPointSet:
         assert [str(v) for v in a.vectors()] == ["000", "012"]
 
     @given(random_sets)
-    def test_translate_preserves_size(self, ps):
-        v = TritVector.from_string("1020")
-        assert ps.translate(v).size == ps.size
-        assert ps.translate(v).translate(-v) == ps
-
-    @given(random_sets)
     def test_negate_involution(self, ps):
         assert ps.negate().negate() == ps
         got = {str(v) for v in ps.negate().vectors()}

@@ -420,19 +420,23 @@ class TestEpsilon:
         assert (code, out, transforms) == (1, "", [])
         assert err == f"tricap: argument --epsilon: not a finite number: '{value}'\n"
 
-    @pytest.mark.parametrize("command, args, value, ran", [
+    @pytest.mark.parametrize("command, args, value", [
         # 6^(1 + 2e10) overflows a float, 2 * 1e308 and 30 * 1e308 are infinite
-        (*EPSILON_LEAVES[0], "1e10", ["transform_point_set"]),
-        (*EPSILON_LEAVES[0], "1e308", ["transform_point_set"]),
-        (*EPSILON_LEAVES[1], "1e308", []),
+        (*EPSILON_LEAVES[0], "1e10"),
+        (*EPSILON_LEAVES[0], "1e308"),
+        (*EPSILON_LEAVES[1], "1e308"),
     ], ids=["spectrum subspace-1e10", "spectrum subspace-1e308", "energy smoothing-1e308"])
     def test_no_finite_reference_stops_before_its_transform(
-        self, cap_file, capsys, transforms, command, args, value, ran
+        self, cap_file, capsys, transforms, command, args, value
     ):
-        # spectrum subspace extracts the spectrum first, then needs the reference
         code, out, err = run_cli(capsys, *command.split(), cap_file, *args, "--epsilon", value)
-        assert (code, out, transforms) == (1, "", ran)
+        assert (code, out, transforms) == (1, "", [])
         assert err.startswith("tricap: epsilon ")
+
+    def test_bad_basis_stops_before_the_transform(self, cap_file, capsys, transforms):
+        code, out, err = run_cli(capsys, "spectrum", "subspace", cap_file, "--basis", "12")
+        assert (code, out, transforms) == (1, "", [])
+        assert err == "tricap: bad basis vector '12' for dimension 6\n"
 
 
 class TestEnergyCommands:

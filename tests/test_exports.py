@@ -33,3 +33,10 @@ def test_pyproject_states_the_package_version():
     text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
     stated = re.findall(r'^version = "([^"]*)"$', text, flags=re.M)
     assert stated == [tricap.__version__]
+
+
+def test_readme_library_sketch_runs(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Library sketch", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
+    assert capsys.readouterr().out.startswith("{")

@@ -1,10 +1,10 @@
-import itertools
-
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from tricap import Eisenstein, TritVector, character
+from tricap import Eisenstein, TritVector
+from tricap import bulk
 
 import oracles
 
@@ -17,44 +17,22 @@ trit_strings = st.text(alphabet="012", min_size=1, max_size=12)
 
 
 class TestEisenstein:
-    def test_units_and_zero(self):
-        one = Eisenstein(1, 0)
-        w = Eisenstein(0, 1)
-        assert w * w * w == one
-        assert w * w == Eisenstein(-1, -1)
-        assert one + w + w * w == Eisenstein(0, 0)
-
-    @given(eisen, eisen)
-    def test_mul_matches_reference(self, a, b):
-        p, q = oracles.e_mul((a.p, a.q), (b.p, b.q))
-        assert a * b == Eisenstein(p, q)
+    # products come from the oracle: the package multiplies only whole planes
 
     @given(eisen, eisen)
     def test_norm_multiplicative(self, a, b):
-        assert (a * b).norm() == a.norm() * b.norm()
+        p, q = oracles.e_mul((a.p, a.q), (b.p, b.q))
+        assert Eisenstein(p, q).norm() == a.norm() * b.norm()
 
     @given(eisen)
     def test_conjugate_norm(self, a):
-        assert a * a.conj() == Eisenstein(a.norm(), 0)
-        assert a.conj().conj() == a
+        # conjugation sends w to w^2 = -1 - w: p + q w -> (p - q) - q w
+        assert oracles.e_mul((a.p, a.q), (a.p - a.q, -a.q)) == (a.norm(), 0)
 
     @given(eisen)
     def test_norm_nonnegative(self, a):
         assert a.norm() >= 0
         assert (a.norm() == 0) == (a == Eisenstein(0, 0))
-
-    def test_character_table(self):
-        assert character(0) == Eisenstein(1, 0)
-        assert character(1) == Eisenstein(0, 1)
-        assert character(2) == Eisenstein(-1, -1)
-        for t in range(3):
-            assert character(t).norm() == 1
-
-    def test_character_is_additive(self):
-        for s, t in itertools.product(range(3), repeat=2):
-            lhs = character((s + t) % 3)
-            rhs = character(s) * character(t)
-            assert lhs == rhs
 
 
 class TestTritVector:
@@ -92,7 +70,10 @@ class TestTritVector:
     def test_dot_symmetric(self, s, data):
         t = data.draw(st.text(alphabet="012", min_size=len(s), max_size=len(s)))
         a, b = TritVector.from_string(s), TritVector.from_string(t)
-        assert a.dot(b) == b.dot(a) == oracles.dot(oracles.digits(s), oracles.digits(t))
+        ds, dt = oracles.digits(s), oracles.digits(t)
+        lo, hi = np.array([a.lo, b.lo]), np.array([a.hi, b.hi])
+        dots = [bulk.dots_with(lo, hi, v).tolist() for v in (a, b)]
+        assert dots == [[oracles.dot(u, w) for u in (ds, dt)] for w in (ds, dt)]
 
     def test_trit_access(self):
         v = TritVector.from_string("0210")

@@ -20,7 +20,6 @@ import pytest
 from tricap import (
     GuardExceededError,
     PointSet,
-    Subspace,
     comity_scan,
     cross_quadruples,
     diff_multiplicity,
@@ -34,9 +33,11 @@ from tricap import (
     save_point_set,
     transform_point_set,
 )
-from tricap import capset, energy, fourier, linalg, structure
+from tricap import capset, cli, energy, fourier, linalg, structure
 from tricap.cli import main
 from tricap.structure import AdditiveStructure
+
+from conftest import whole_space
 
 SOFT = "; force=True lifts it (--force on the commands that accept it)"
 
@@ -89,8 +90,8 @@ SITES = {
         "exhaustive search dimension", False, (capset, "EXHAUSTIVE_GUARD_N"),
         lambda n: partial(exhaustive_max_capset, n), 2, 5),
     "enumeration": Site(
-        "subspace enumeration dimension", True, (linalg, "ENUM_GUARD_DIM"),
-        lambda n: Subspace.full(n).enumerate_indices, 3, 17),
+        "subspace enumeration dimension", False, (linalg, "ENUM_GUARD_DIM"),
+        lambda n: whole_space(n).enumerate_indices, 3, 17),
     "difference": Site(
         "dense difference table dimension", False, (energy, "DENSE_MAX_N"),
         lambda n: partial(diff_multiplicity, PointSet(n, [0, 1]), backend="hash"), 4, 17),
@@ -180,6 +181,8 @@ CLI_CASES = {
     "comity": (("structure", "comity", "{n4}"), 6, 5, True),  # 6 differences in band 1
     "doubling": (("structure", "doubling", "{n17}"), 17, 16, False),
 }
+# the set files CLI_CASES name, one per dimension
+FILE_DIMS = (4, 10, 11, 15, 17)
 
 
 @pytest.mark.parametrize("case", CLI_CASES.keys())
@@ -189,7 +192,7 @@ def test_cli_guard_exits_three_with_the_message(case, tmp_path, capsys, monkeypa
     if patched:
         monkeypatch.setattr(*site.limit, limit)
     assert getattr(*site.limit) == limit
-    files = {f"n{n}": str(tmp_path / f"n{n}.txt") for n in (4, 10, 11, 15, 17)}
+    files = {f"n{n}": str(tmp_path / f"n{n}.txt") for n in FILE_DIMS}
     for name, path in files.items():
         save_point_set(PointSet(int(name[1:]), [0, 1, 3]), path)
     code = main([arg.format(**files) for arg in argv])
@@ -197,6 +200,14 @@ def test_cli_guard_exits_three_with_the_message(case, tmp_path, capsys, monkeypa
     assert (code, out) == (3, "")
     assert err == f"tricap: guard: {message(site.what, value, limit, site.soft)}\n"
     assert "(" not in err.split(";")[0]
+
+
+@pytest.mark.parametrize("case", [c for c in CLI_CASES if SITES[c].soft])
+def test_soft_cli_guard_runs_on_a_leaf_with_force(case):
+    # the message of a soft guard offers --force, so its command must take it
+    files = {f"n{n}": f"n{n}.txt" for n in FILE_DIMS}
+    argv = [arg.format(**files) for arg in CLI_CASES[case][0]]
+    cli._build_parser().parse_args([*argv, "--force"])
 
 
 def test_readme_guards_table_names_every_guard():

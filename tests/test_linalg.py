@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from tricap import GuardExceededError, Subspace, TritVector, rank
 
 import oracles
+from conftest import digit_rows, whole_space
 
 
 def _vectors(draw_n, count):
@@ -20,6 +21,11 @@ def _vectors(draw_n, count):
 
 def _tv(strings):
     return [TritVector.from_string(s) for s in strings]
+
+
+def _points(w):
+    """Digit tuples of the points of w, in enumerate_indices order."""
+    return [tuple(d) for d in digit_rows(w.enumerate_indices(), w.n).tolist()]
 
 
 def _stack(strings):
@@ -73,7 +79,7 @@ class TestStackedRank:
         got = rank(picks, n)
         assert got.dtype == np.int64 and got.shape == (picks.shape[0],)
         want = [
-            oracles.naive_rank([TritVector.from_index(n, int(i)).trits() for i in row])
+            oracles.naive_rank(digit_rows(row, n).tolist())
             for row in picks
         ]
         assert got.tolist() == want
@@ -101,7 +107,7 @@ class TestSubspace:
     def test_zero_and_full(self):
         z = Subspace.zero(4)
         assert z.dim == 0 and z.size() == 1
-        f = Subspace.full(4)
+        f = whole_space(4)
         assert f.dim == 4 and f.size() == 81
 
     @given(st.integers(2, 5).flatmap(lambda n: _vectors(n, 5)))
@@ -112,7 +118,6 @@ class TestSubspace:
         w = Subspace.span(vs)
         for v in vs:
             assert w.contains(v)
-            assert v in w
 
     @given(st.integers(2, 5).flatmap(lambda n: _vectors(n, 5)))
     def test_enumerate_matches_naive_span(self, strings):
@@ -120,12 +125,8 @@ class TestSubspace:
             return
         n = len(strings[0])
         w = Subspace.span(_tv(strings))
-        got = {str(v) for v in w.enumerate_points()}
-        want = {
-            oracles.to_string(d)
-            for d in oracles.naive_span([oracles.digits(s) for s in strings], n)
-        }
-        assert got == want
+        want = oracles.naive_span([oracles.digits(s) for s in strings], n)
+        assert set(_points(w)) == want
 
     @given(st.integers(1, 5).flatmap(lambda n: _vectors(n, 4)))
     def test_enumerate_order_matches_product_oracle(self, strings):
@@ -142,15 +143,11 @@ class TestSubspace:
                 v = oracles.vec_add(v, tuple(c * t % 3 for t in b))
             want.append(oracles.point_index(v))
         assert w.enumerate_indices().tolist() == want
-        assert [v.index for v in w.enumerate_points()] == want
 
     def test_enumerate_zero_and_guard(self):
         assert Subspace.zero(3).enumerate_indices().tolist() == [0]
-        big = Subspace.full(17)
         with pytest.raises(GuardExceededError):
-            big.enumerate_indices()
-        with pytest.raises(GuardExceededError):
-            next(big.enumerate_points())
+            whole_space(17).enumerate_indices()
 
     @given(st.integers(2, 5).flatmap(lambda n: _vectors(n, 4)))
     def test_annihilator_duality(self, strings):
@@ -159,9 +156,9 @@ class TestSubspace:
         w = Subspace.span(_tv(strings))
         ann = w.annihilator()
         assert ann.dim == w.codim
-        for u in w.enumerate_points():
+        for u in _points(w):
             for x in ann.basis:
-                assert u.dot(x) == 0
+                assert oracles.dot(u, oracles.digits(str(x))) == 0
         assert ann.annihilator().dim == w.dim
         for b in w.basis:
             assert ann.annihilator().contains(b)
@@ -171,9 +168,9 @@ class TestSubspace:
         t = w.transversal()
         assert t.dim == w.codim
         seen = set()
-        for r in t.enumerate_points():
-            for u in w.enumerate_points():
-                seen.add(str(r + u))
+        for r in _points(t):
+            for u in _points(w):
+                seen.add(oracles.vec_add(r, u))
         assert len(seen) == 27
 
     def test_extension_to_larger(self):
@@ -203,10 +200,10 @@ class TestSubspace:
         pivots = list(w.pivots)
         assert pivots == sorted(set(pivots))
         for b, p in zip(w.basis, pivots):
-            assert b.trits()[:p] == (0,) * p and b.trit(p) == 1
+            assert [b.trit(c) for c in range(p)] == [0] * p and b.trit(p) == 1
             assert [b.trit(c) for c in pivots if c != p] == [0] * (len(pivots) - 1)
         want = oracles.naive_span([oracles.digits(s) for s in strings], n)
-        assert {oracles.digits(str(v)) for v in w.enumerate_points()} == want
+        assert set(_points(w)) == want
         assert 3**w.dim == len(want)
 
     @given(st.integers(1, 7).flatmap(lambda n: st.tuples(_vectors(n, 4), _vectors(n, 5))))

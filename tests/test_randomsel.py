@@ -18,6 +18,7 @@ from tricap import (
 from tricap import bulk, randomsel
 
 import oracles
+from conftest import digit_rows
 
 
 class TestGExact:
@@ -113,8 +114,7 @@ class TestNullityExperiment:
         recount: dict[int, int] = {}
         for t in range(trials):
             sel = sample_without_replacement(ps, d, seed, t)
-            tuples = [TritVector.from_index(ps.n, i).trits() for i in sel.tolist()]
-            nl = oracles.naive_nullity(tuples)
+            nl = oracles.naive_nullity(digit_rows(sel, ps.n).tolist())
             recount[nl] = recount.get(nl, 0) + 1
         assert exp.histogram == dict(sorted(recount.items()))
         assert sum(exp.histogram.values()) == trials

@@ -33,7 +33,7 @@ from tricap import bulk, fourier, structure
 from tricap.structure import AdditiveStructure
 
 import oracles
-from conftest import tuples_of
+from conftest import tuples_of, whole_space
 
 small_sets = st.tuples(st.integers(3, 5), st.integers(0, 99_999)).map(
     lambda t: random_point_set(t[0], 2 + t[1] % min(30, 3 ** t[0] - 2), t[1])
@@ -157,7 +157,7 @@ class TestLevels:
 
     def test_band_exponent_subspace(self):
         w = Subspace.span([TritVector.unit(4, 0), TritVector.unit(4, 1)])
-        ps = PointSet.from_vectors(w.enumerate_points())
+        ps = PointSet(4, w.enumerate_indices())
         bands = build_levels(ps)
         # every difference of a subspace has multiplicity |S|, one band
         assert len(bands) == 1
@@ -432,7 +432,6 @@ class TestMartingale:
         for module in (fourier, structure):
             for name in ("eval_at", "transform_point_set"):
                 monkeypatch.setattr(module, name, refuse, raising=False)
-        monkeypatch.setattr(PointSet, "translate", refuse)
         tracemalloc.start()
         try:
             rep = fiber_plancherel_check(ps, h, k)
@@ -447,7 +446,7 @@ class TestMartingale:
         tracemalloc.start()
         try:
             with pytest.raises(GuardExceededError):
-                fiber_plancherel_check(ps, Subspace.zero(15), Subspace.full(15))
+                fiber_plancherel_check(ps, Subspace.zero(15), whole_space(15))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
