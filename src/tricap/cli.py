@@ -10,22 +10,26 @@ stdout stays byte-deterministic for a given command line.
 Each `_cmd_*` handler computes its result and returns `(body, ok)`:
 `body` is the report's fields after the envelope, or None when the
 command wrote its set file to stdout, and `ok` is False for a failed
-verification. `_frame` does the rest once for every command: it opens
-the report with the envelope of the leaf's command path and its
-`--seed`, renders it as json, text or the leaf's CSV table (rows read
-off the report), copies the JSON to `--out` when the leaf's `--out` is
-the report, and maps `ok` to exit code 0 or 2.
+verification. Each handler builds its own body, keys in printed order,
+so a report's shape lives with its command; only the nullity report,
+which selftest renders too, comes from jsonio. `_frame` does the rest
+once for every command: it opens the report with the envelope of the
+leaf's command path and its `--seed`, renders it as json, text or the
+leaf's CSV table (rows read off the report), copies the JSON to `--out`
+when the leaf's `--out` is the report, and maps `ok` to exit code 0 or 2.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 import time
 from fractions import Fraction
 from typing import Any, Callable
 
+from . import bulk
 from .capset import (
     count_line_solutions,
     exhaustive_max_capset,
@@ -50,23 +54,19 @@ from .jsonio import (
     frac_str,
     nullity_csv_rows,
     render_csv,
-    report_comity,
-    report_fibers,
-    report_holder,
-    report_levels,
-    report_martingale,
     report_nullity,
-    report_smoothing,
-    report_spectrum,
-    report_subspace_stats,
 )
 from .linalg import Subspace
 from .randomsel import nullity_distribution
 from .selftest import SELFTEST_SEED, run_selftest
 from .spectrum import (
+    Increment,
+    SpectrumSet,
+    check_increment_sampling,
     count_reference,
     extract_spectrum,
     fiber_sizes,
+    increment_threshold,
     sampled_increment_checks,
     scan_codim1_increments,
     subspace_spectrum_stats,
@@ -98,11 +98,19 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+# CPython renders an int of at most 4,300 digits as a string, so a threshold
+# whose numerator or denominator reaches 10^4300 could never be reported
+_FRACTION_PART_LIMIT = 10**4300
+
+
 def _parse_fraction(text: str) -> Fraction:
     try:
-        return Fraction(text)
+        value = Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise _UsageError(f"not a rational number: {text!r}") from exc
+    if max(abs(value.numerator), value.denominator) >= _FRACTION_PART_LIMIT:
+        raise _UsageError(f"{text!r} has a numerator or denominator of more than 4300 digits")
+    return value
 
 
 def _finite_float(text: str) -> float:
@@ -242,18 +250,44 @@ def _cmd_fourier_cubesum(args: argparse.Namespace) -> Result:
 # -- spectrum -------------------------------------------------------------------
 
 
+def _spectrum_body(spec: SpectrumSet, increments: list[Increment]) -> dict[str, Any]:
+    """Spectrum sizes and the increments, each with its exact density and excess.
+
+    Every basis and shift string comes from one index_text call, and the
+    rationals are made once per distinct (codim, count).
+    """
+    base = spec.base
+
+    @functools.cache
+    def exact(codim: int, count: int) -> tuple[str, str]:
+        density = Fraction(count, 3 ** (base.n - codim))
+        return frac_str(density), frac_str(density - increment_threshold(base, codim))
+
+    flat = [i for inc in increments for i in (*inc.basis, inc.shift)]
+    words = iter(bulk.index_text(base.n, flat).split())
+    rows = []
+    for codim, count, basis, _ in increments:
+        density, excess = exact(codim, count)
+        rows.append(dict(codim=codim, density=density, excess=excess,
+                         basis=[next(words) for _ in basis], shift=next(words)))
+    return dict(n=base.n, set_size=base.size, rho=frac_str(base.density()),
+                spectrum_size=spec.members.size, threshold_c=frac_str(spec.threshold_c),
+                increments=rows)
+
+
 def _cmd_spectrum_extract(args: argparse.Namespace) -> Result:
     ps = load_point_set(args.set_file)
     spec = extract_spectrum(ps, _parse_fraction(args.threshold), force=args.force)
     increments = scan_codim1_increments(ps, force=args.force) if ps.n >= 2 else []
-    return report_spectrum(spec, increments), True
+    return _spectrum_body(spec, increments), True
 
 
 def _cmd_spectrum_increments(args: argparse.Namespace) -> Result:
     ps = load_point_set(args.set_file)
+    check_increment_sampling(ps.n, args.codim, args.samples)  # before the transform
     spec = extract_spectrum(ps, _parse_fraction(args.threshold), force=args.force)
     found = sampled_increment_checks(spec, args.codim, args.samples, args.seed)
-    return report_spectrum(spec, found), True
+    return _spectrum_body(spec, found), True
 
 
 def _cmd_spectrum_subspace(args: argparse.Namespace) -> Result:
@@ -261,7 +295,10 @@ def _cmd_spectrum_subspace(args: argparse.Namespace) -> Result:
     w = _parse_basis(args.basis, ps.n)
     count_reference(ps.n, w.dim, args.epsilon)  # refuse a bad epsilon before the transform
     spec = extract_spectrum(ps, _parse_fraction(args.threshold), force=args.force)
-    return report_subspace_stats(subspace_spectrum_stats(spec, w, epsilon=args.epsilon)), True
+    st = subspace_spectrum_stats(spec, w, epsilon=args.epsilon)
+    return dict(dim=st.dim, member_count=st.member_count, weight=str(st.weight),
+                weight_normalized=st.weight_normalized, count_reference=st.count_reference,
+                weight_reference=st.weight_reference), True
 
 
 # -- energy ---------------------------------------------------------------------
@@ -280,13 +317,17 @@ def _cmd_energy_e2m(args: argparse.Namespace) -> Result:
 
 def _cmd_energy_holder(args: argparse.Namespace) -> Result:
     rep = holder_check(load_point_set(args.set_file), args.m)
-    return report_holder(rep), rep.all_hold
+    return dict(m=rep.m, size=rep.size, E4=str(rep.e4),
+                E8=None if rep.e8 is None else str(rep.e8), E2m=str(rep.e2m),
+                part1_holds=rep.part1_holds, part2_holds=rep.part2_holds), rep.all_hold
 
 
 def _cmd_energy_smoothing(args: argparse.Namespace) -> Result:
     ps = load_point_set(args.set_file)
     rep = smoothing_report(ps, args.scale_n, epsilon=args.epsilon, force=args.force)
-    return report_smoothing(rep), True
+    return dict(size=rep.size, scale_n=rep.scale_n, epsilon=rep.epsilon, E8=str(rep.e8),
+                sigma_eff=rep.sigma_eff, boundary=rep.boundary,
+                within_boundary=rep.within_boundary), True
 
 
 def _cmd_energy_cross(args: argparse.Namespace) -> Result:
@@ -311,7 +352,9 @@ def _pick_band(bands, m_lo: int | None):
 
 def _cmd_structure_levels(args: argparse.Namespace) -> Result:
     ps = load_point_set(args.set_file)
-    return report_levels(ps, build_levels(ps)), True
+    bands = [dict(m_lo=b.m_lo, m_hi=2 * b.m_lo, G_size=b.pair_count, D_size=b.diffs.size,
+                  alpha_eff=b.band_exponent) for b in build_levels(ps)]
+    return dict(n=ps.n, set_size=ps.size, band_count=len(bands), bands=bands), True
 
 
 def _cmd_structure_komity(args: argparse.Namespace) -> Result:
@@ -322,8 +365,12 @@ def _cmd_structure_komity(args: argparse.Namespace) -> Result:
 
 def _cmd_structure_comity(args: argparse.Namespace) -> Result:
     band = _pick_band(build_levels(load_point_set(args.set_file)), args.m_lo)
-    bands = comity_scan(band, force=args.force)
-    return report_comity(band, bands, komity(band)), True
+    n = band.base.n
+    rows = [dict(size_lo=b.size_lo, size_hi=2 * b.size_lo, pairs=b.pair_count, mass=str(b.mass),
+                 beta_eff=math.log(b.size_lo) / math.log(n) if n >= 2 else float("nan"))
+            for b in comity_scan(band, force=args.force)]
+    return dict(m_lo=band.m_lo, D_size=band.diffs.size, G_size=band.pair_count,
+                komity=str(komity(band)), bands=rows), True
 
 
 def _cmd_structure_doubling(args: argparse.Namespace) -> Result:
@@ -337,7 +384,11 @@ def _cmd_structure_doubling(args: argparse.Namespace) -> Result:
 def _cmd_structure_fibers(args: argparse.Namespace) -> Result:
     ps = load_point_set(args.set_file)
     h = _parse_basis(args.h, ps.n)
-    return report_fibers(ps, h.dim, *fiber_sizes(ps, h)), True
+    reps, sizes = fiber_sizes(ps, h)
+    fibers = [dict(rep=rep, size=size)
+              for rep, size in zip(bulk.index_text(ps.n, reps).split(), sizes.tolist())]
+    return dict(n=ps.n, set_size=ps.size, dim_h=h.dim, fiber_count=len(reps),
+                fibers=fibers), True
 
 
 def _cmd_structure_martingale(args: argparse.Namespace) -> Result:
@@ -345,18 +396,24 @@ def _cmd_structure_martingale(args: argparse.Namespace) -> Result:
     h = _parse_basis(args.h, ps.n)
     k = _parse_basis(args.k, ps.n)
     rep = fiber_plancherel_check(ps, h, k, force=args.force)
-    return report_martingale(rep), rep.holds
+    return dict(dim_h=rep.dim_h, dim_k=rep.dim_k, lhs=str(rep.lhs), rhs=str(rep.rhs),
+                h_term=str(rep.h_term), fiber_term=str(rep.fiber_term),
+                raw_lhs=str(rep.raw_lhs), raw_rhs=str(rep.raw_rhs), holds=rep.holds), rep.holds
 
 
 # -- random selection -----------------------------------------------------------
 
 
 def _cmd_nullity_sim(args: argparse.Namespace) -> Result:
-    path = args.input
-    through_spectrum = path.startswith("spectrum-of:")
-    ps = load_point_set(path.removeprefix("spectrum-of:"))
-    if through_spectrum:
-        ps = extract_spectrum(ps, _parse_fraction(args.threshold), force=args.force).members
+    source = args.input.removeprefix("spectrum-of:")
+    if source == args.input:
+        if args.threshold is not None or args.force:
+            flag = "--threshold" if args.threshold is not None else "--force"
+            raise _UsageError(f"{flag} applies only to a spectrum-of: input")
+        ps = load_point_set(source)
+    else:
+        threshold = _parse_fraction("1" if args.threshold is None else args.threshold)
+        ps = extract_spectrum(load_point_set(source), threshold, force=args.force).members
     return report_nullity(nullity_distribution(ps, args.d, args.trials, args.seed)), True
 
 
@@ -479,7 +536,7 @@ def _build_parser() -> _Parser:
     s = leaf("nullity-sim", _cmd_nullity_sim, force=True, csv=nullity_csv_rows)
     s.add_argument("--input", required=True,
                    help="set file; prefix with spectrum-of: to draw from its spectrum")
-    s.add_argument("--threshold", default="1")
+    s.add_argument("--threshold", default=None, help="spectrum threshold, default 1")
     s.add_argument("--d", type=int, required=True)
     s.add_argument("--trials", type=int, required=True)
     s.add_argument("--seed", type=int, required=True)

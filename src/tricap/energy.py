@@ -41,6 +41,7 @@ from .gf3core import DENSE_MAX_N
 
 __all__ = [
     "CONVOLUTION_OP_GUARD",
+    "E2M_MAX_M",
     "HolderReport",
     "SmoothingReport",
     "cross_quadruples",
@@ -52,6 +53,13 @@ __all__ = [
 ]
 
 CONVOLUTION_OP_GUARD = 50_000_000
+# The last of a 2m-tuple is fixed by the other 2m - 1, so E_2m <= |A|^(2m-1).
+# E_2 = |A|, and past m = 1 every set that reaches an energy has |A| <= 3^16:
+# a table has 3^16 cells at most, and the first convolution step allows
+# |A|^2 <= 5e7. So E_2m has at most (2m - 1) * 16 * log10(3) + 1 digits,
+# within CPython's 4,300-digit int-to-str limit up to m = 282; every report
+# prints E_2m as a string.
+E2M_MAX_M = 256
 
 
 def _square_total(table: np.ndarray) -> int:
@@ -147,6 +155,7 @@ def e2m(ps: PointSet, m: int, backend: str = "auto", force: bool = False) -> int
     """E_2m: tuples (a_1..a_m, b_1..b_m) with equal sums. Exact."""
     if m < 1:
         raise ValueError("m must be positive")
+    guard("energy order m", m, E2M_MAX_M)
     if backend == "auto":
         backend = "transform" if _table_serves(ps, force) else "convolution"
     if backend == "transform":
@@ -254,6 +263,7 @@ class HolderReport:
 def holder_check(ps: PointSet, m: int) -> HolderReport:
     if m < 3:
         raise ValueError("interpolation checks start at m = 3")
+    guard("energy order m", m, E2M_MAX_M)
     wants = (2, m) if m <= 4 else (2, 4, m)
     if _table_serves(ps):
         got = dict(zip(wants, _e2m_transform(ps, wants, False)))

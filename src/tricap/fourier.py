@@ -29,8 +29,8 @@ slower path takes over, never a wrapped value:
   * Exact sums go through bulk.exact_sum, which adds int64 arrays in
     chunks of fewer than 2^62 / max entries each; the norm total is a
     single int64 sum when size * max_norm < 2^62.
-  * The cube sum is vectorised in int64 when 8 * peak^3 < 2^62; every
-    partial term is at most 6 * peak^3.
+  * The cube sum is vectorised in int64 on each _BLOCK whose own peak
+    keeps 8 * peak^3 < 2^62; every partial term is at most 6 * peak^3.
 
 Real inputs (q plane zero) above _TILE cells take a conjugate split
 (see _butterfly_real): one pass over the leading digit x0 leaves the
@@ -424,22 +424,22 @@ def cube_sum(ps: PointSet, force: bool = False) -> Eisenstein:
 
 
 def _cube_total(table: SpectrumTable) -> Eisenstein:
-    """sum_x c(x)^3 over a whole table, exactly.
+    """sum_x c(x)^3 over a whole table, exactly, one _BLOCK of cells at a time.
 
     (p + q w)^3 = (p^3 + q^3 - 3 p q^2) + 3 p q (p - q) w; every partial
-    result is at most 6 peak^3 in size. Int32 and int64 planes below
-    8 * peak^3 < 2^62 are cubed in int64 one _BLOCK at a time; anything
-    else runs on Python ints.
+    result is at most 6 peak^3 in size, peak taken over the block. Int32
+    and int64 planes are widened into int64 scratch a block at a time, and
+    a block with 8 * peak^3 < 2^62 is cubed there; any other block, and an
+    object table, runs on Python ints. So c(0) = |A| of a dense set costs
+    one block, not the whole table.
     """
     p, q = table.p, table.q
-    bound = 8 * bulk.peak(p, q) ** 3
-    if not _fixed_width(p, q) or bound >= bulk.INT64_SAFE:
-        p, q = p.astype(object), q.astype(object)
-        re = p**3 + q**3 - 3 * p * q**2
-        im = 3 * p * q * (p - q)
-        return Eisenstein(bulk.exact_sum(re), bulk.exact_sum(im))
+    blocks = _int64_blocks(p, q) if _fixed_width(p, q) else [(0, p.size, (p, q))]
     re_total = im_total = 0
-    for _, _, (a, b) in _int64_blocks(p, q):
+    for _, _, (a, b) in blocks:
+        bound = 8 * bulk.peak(a, b) ** 3
+        if bound >= bulk.INT64_SAFE:
+            a, b = a.astype(object), b.astype(object)
         ab = a * b
         re_total += bulk.exact_sum(a * a * a + b * b * b - 3 * ab * b, bound)
         im_total += bulk.exact_sum(3 * ab * (a - b), bound)

@@ -53,6 +53,7 @@ __all__ = [
     "Increment",
     "SpectrumSet",
     "SubspaceSpectrumStats",
+    "check_increment_sampling",
     "coset_counts",
     "count_reference",
     "extract_spectrum",
@@ -245,6 +246,14 @@ def scan_codim1_increments(ps: PointSet, force: bool = False) -> list[Increment]
     return found
 
 
+def check_increment_sampling(n: int, codim: int, samples: int) -> None:
+    """Refuse a sampling plan outside samples >= 1 and 1 <= codim <= n/2."""
+    if samples < 1:
+        raise ValueError(f"samples {samples} is below 1")
+    if codim < 1 or 2 * codim > n:
+        raise ValueError(f"codimension {codim} outside 1..n/2")
+
+
 def sampled_increment_checks(
     spec: SpectrumSet, codim: int, samples: int, seed: int
 ) -> list[Increment]:
@@ -254,16 +263,18 @@ def sampled_increment_checks(
     take the annihilator as the direction, and check every coset: they
     are the fibers of the span, so one fiber_sizes call counts them all.
     Only cosets that are strong increments are reported, in the order of
-    the direction's transversal.
+    the direction's transversal. check_increment_sampling refuses the
+    arguments first.
     """
     base, _, members = spec
     n = base.n
+    check_increment_sampling(n, codim, samples)
     found: list[Increment] = []
     for s in range(samples):
         rng = make_rng(seed, 31, s)
         picks = rng.choice(members.indices, size=min(codim, members.size), replace=False)
         w = Subspace.span([TritVector.from_index(n, int(i)) for i in picks], n)
-        if w.dim < 1 or 2 * w.dim > n:
+        if w.dim < 1:  # an empty spectrum spans nothing
             continue
         shifts, counts = fiber_sizes(base, w)
         hits = np.flatnonzero(counts >= increment_need(base, w.dim))

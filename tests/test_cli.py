@@ -439,6 +439,64 @@ class TestEpsilon:
         assert err == "tricap: bad basis vector '12' for dimension 6\n"
 
 
+THRESHOLD_ARGV = {
+    "spectrum extract": lambda a: ["spectrum", "extract", a],
+    "spectrum increments": lambda a: ["spectrum", "increments", a, "--codim", "1"],
+    "spectrum subspace": lambda a: ["spectrum", "subspace", a, "--basis", "100000"],
+    "nullity-sim": lambda a: ["nullity-sim", "--input", f"spectrum-of:{a}",
+                              "--d", "2", "--trials", "5", "--seed", "1"],
+}
+
+
+class TestRefusedArguments:
+    """Arguments a command cannot honour stop with their exit code before any transform."""
+
+    @pytest.mark.parametrize("value", ["1e4300", "1e-4300", "1e5000"])
+    @pytest.mark.parametrize("command", list(THRESHOLD_ARGV))
+    def test_threshold_past_the_digit_limit(self, cap_file, capsys, transforms, command, value):
+        # CPython prints no int of more than 4,300 digits, and 10^4300 has 4,301
+        code, out, err = run_cli(capsys, *THRESHOLD_ARGV[command](cap_file), "--threshold", value)
+        assert (code, out, transforms) == (1, "", [])
+        assert err == f"tricap: '{value}' has a numerator or denominator of more than 4300 digits\n"
+
+    @pytest.mark.parametrize("command", list(THRESHOLD_ARGV))
+    def test_threshold_at_the_digit_limit_runs(self, cap_file, capsys, command):
+        value = "1/" + "9" * 4300
+        code, out, _ = run_cli(capsys, *THRESHOLD_ARGV[command](cap_file), "--threshold", value)
+        assert code == 0
+        if command in ("spectrum extract", "spectrum increments"):
+            assert json.loads(out)["threshold_c"] == value
+
+    @pytest.mark.parametrize("command", ["e2m", "holder"])
+    def test_energy_order_past_the_ceiling(self, cap_file, capsys, transforms, command):
+        code, out, err = run_cli(capsys, "energy", command, cap_file, "--m", "1200")
+        assert (code, out, transforms) == (3, "", [])
+        assert err == "tricap: guard: energy order m 1200 exceeds the limit 256\n"
+
+    @pytest.mark.parametrize("args, message", [
+        (("--codim", "1", "--samples", "-3"), "samples -3 is below 1"),
+        (("--codim", "1", "--samples", "0"), "samples 0 is below 1"),
+        (("--codim", "0"), "codimension 0 outside 1..n/2"),
+        (("--codim", "4"), "codimension 4 outside 1..n/2"),
+    ])
+    def test_increment_sampling_out_of_range(self, cap_file, capsys, transforms, args, message):
+        code, out, err = run_cli(capsys, "spectrum", "increments", cap_file, *args)
+        assert (code, out, transforms) == (1, "", [])
+        assert err == f"tricap: {message}\n"
+
+    @pytest.mark.parametrize("flags, named", [
+        (("--threshold", "7/2"), "--threshold"),
+        (("--force",), "--force"),
+        (("--force", "--threshold", "1"), "--threshold"),
+    ])
+    def test_nullity_spectrum_flags_need_the_prefix(self, cap_file, capsys, flags, named):
+        argv = ["nullity-sim", "--input", cap_file, "--d", "2", "--trials", "5", "--seed", "1"]
+        assert run_cli(capsys, *argv, *flags) == (1, "", f"tricap: {named} applies only to "
+                                                         "a spectrum-of: input\n")
+        prefixed = THRESHOLD_ARGV["nullity-sim"](cap_file)
+        assert run_cli(capsys, *prefixed) == run_cli(capsys, *prefixed, "--threshold", "1")
+
+
 class TestEnergyCommands:
     def test_holder_reports_the_same_energies(self, cap_file, capsys):
         code, out, _ = run_cli(capsys, "energy", "holder", cap_file, "--m", "5")

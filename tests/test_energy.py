@@ -387,6 +387,14 @@ class TestHolder:
             holder_check(ps, 2)
 
 
+class TestOrderCeiling:
+    def test_every_energy_below_the_ceiling_prints(self):
+        # E_2m <= |A|^(2m-1) with |A| <= 3^16: 3,901 digits at the ceiling,
+        # within CPython's 4,300-digit int-to-str limit; test_guards.py checks
+        # that e2m and holder_check refuse one past it
+        assert len(str((3**16) ** (2 * energy.E2M_MAX_M - 1))) <= 4300
+
+
 class TestSmoothing:
     def test_subspace_exponent(self):
         ps = _subspace_set(3, 2)

@@ -32,7 +32,7 @@ from tricap import (
     transform_point_set,
     transform_table,
 )
-from tricap import fourier
+from tricap import bulk, fourier
 
 import oracles
 from conftest import all_vectors, tuples_of, whole_space
@@ -719,6 +719,28 @@ class TestOverflowBounds:
         assert fourier._cube_total(table) == expect
         assert fourier._cube_total(transform_table(np.array(values), self.N)) == expect
 
+    @pytest.mark.parametrize("dtype", [np.int32, np.int64])
+    def test_cube_total_picks_int64_or_python_ints_per_block(self, monkeypatch, dtype):
+        # the one block past 8 * peak^3 < 2^62 runs on Python ints, the
+        # other five stay int64, and the total stays exact
+        monkeypatch.setattr(fourier, "_BLOCK", 5)
+        c = _largest(lambda c: 8 * c**3 < 2**62) + 1
+        p = np.array(self.PATTERN, dtype=dtype)
+        q = np.array(self.PATTERN[::-1], dtype=dtype)
+        p[12], q[12] = c, -c  # (c, -c) reaches the worst partial term, 6 peak^3
+        dtypes = []
+
+        def spy(values, bound=None, _real=bulk.exact_sum):
+            dtypes.append(values.dtype)
+            return _real(values, bound)
+
+        monkeypatch.setattr(bulk, "exact_sum", spy)
+        cubes = [oracles.e_mul(oracles.e_mul(z, z), z) for z in zip(p.tolist(), q.tolist())]
+        assert fourier._cube_total(SpectrumTable(self.N, p, q)) == Eisenstein(
+            sum(z[0] for z in cubes), sum(z[1] for z in cubes)
+        )
+        assert dtypes == [np.int64] * 4 + [object] * 2 + [np.int64] * 6
+
     @pytest.mark.parametrize("above", [False, True])
     def test_norm_total_int64_sum(self, above):
         # a constant table c has size * max_norm = 27 c^2; below 2^62 it is
@@ -759,6 +781,21 @@ class TestMemoryPeaks:
         finally:
             tracemalloc.stop()
         assert peak <= per_cell * 3**self.N + self.ALLOWANCE
+
+    def test_cube_sum_of_a_dense_set_stays_in_blocks(self, monkeypatch):
+        # c(0) = |A| >= 832,256 breaks 8 * peak^3 < 2^62 in its own block
+        # only; converting the whole table to Python ints traces 340 MB
+        table = transform_point_set(random_point_set(13, 850_000, 1))
+        whole = fourier._cube_total(table)
+        assert whole.q == 0 and whole.p % 3**13 == 0
+        monkeypatch.setattr(fourier, "_BLOCK", 1 << 12)
+        tracemalloc.start()
+        try:
+            assert fourier._cube_total(table) == whole
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 << 20
 
     def test_load_reads_each_plane_in_place(self, cap, tmp_path):
         # the two int64 planes are 16 bytes a cell; nothing else is full size

@@ -27,6 +27,7 @@ from tricap import (
     e2m,
     exhaustive_max_capset,
     greedy_random_capset,
+    holder_check,
     komity_reference,
     product_capset,
     random_point_set,
@@ -99,6 +100,12 @@ SITES = {
         "convolution operations", False, (energy, "CONVOLUTION_OP_GUARD"),
         lambda v: partial(e2m, random_point_set(17, math.isqrt(v), 5), 2, backend="convolution"),
         9, 7072**2),
+    "energy-order": Site(
+        "energy order m", False, (energy, "E2M_MAX_M"),
+        lambda m: partial(e2m, PointSet(3, [0, 1]), m), 4, 257),
+    "holder-order": Site(
+        "energy order m", False, (energy, "E2M_MAX_M"),
+        lambda m: partial(holder_check, PointSet(3, [0, 1]), m), 4, 257),
     "sumset": Site(
         "dense sumset table dimension", False, (energy, "DENSE_MAX_N"),
         lambda n: partial(cross_quadruples, PointSet(n, [0, 1]), PointSet(n, [0, 2])), 4, 17),
@@ -177,6 +184,8 @@ CLI_CASES = {
     "enumeration": (("structure", "fibers", "{n17}", "--h", UNITS_17), 17, 16, False),
     "difference": (("energy", "e4", "{n17}", "--backend", "hash"), 17, 16, False),
     "convolution": (("energy", "e2m", "{n15}", "--m", "2"), 9, 8, True),  # 3 * 3 operations
+    "energy-order": (("energy", "e2m", "{n4}", "--m", "257"), 257, 256, False),
+    "holder-order": (("energy", "holder", "{n4}", "--m", "257"), 257, 256, False),
     "sumset": (("energy", "cross", "{n17}", "{n17}"), 17, 16, False),
     "comity": (("structure", "comity", "{n4}"), 6, 5, True),  # 6 differences in band 1
     "doubling": (("structure", "doubling", "{n17}"), 17, 16, False),

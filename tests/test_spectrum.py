@@ -221,6 +221,15 @@ class TestIncrements:
         with pytest.raises(ValueError):
             strong_increment_check(ps, line, TritVector.zero(6))
 
+    @pytest.mark.parametrize("codim, samples", [(0, 2), (4, 2), (-1, 2), (1, 0), (1, -3)])
+    def test_sampled_checks_reject_bad_arguments(self, codim, samples):
+        spec = extract_spectrum(greedy_random_capset(6, 3), 1)
+        with pytest.raises(ValueError):
+            sampled_increment_checks(spec, codim, samples, 5)
+        with pytest.raises(ValueError):
+            spectrum.check_increment_sampling(6, codim, samples)
+        spectrum.check_increment_sampling(6, 3, 1)  # codim = n/2 and one sample are in range
+
     def test_sampled_checks_deterministic(self):
         ps = greedy_random_capset(6, SELFTEST_SEED + 6)
         spec = extract_spectrum(ps, 1)
