@@ -25,7 +25,6 @@ from .energy import (
     e2m,
     e4,
     holder_check,
-    smoothing_report,
 )
 from .errors import (
     DimensionMismatchError,
@@ -139,7 +138,6 @@ __all__ = [
     "save_point_set",
     "save_table",
     "scan_codim1_increments",
-    "smoothing_report",
     "span_hull",
     "strong_increment_check",
     "subspace_spectrum_stats",

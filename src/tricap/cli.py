@@ -39,7 +39,7 @@ from .capset import (
     product_capset,
     save_point_set,
 )
-from .energy import cross_quadruples, e2m, e4, holder_check, smoothing_report
+from .energy import cross_quadruples, e2m, e4, holder_check
 from .errors import (
     DimensionMismatchError,
     GuardExceededError,
@@ -63,7 +63,6 @@ from .spectrum import (
     Increment,
     SpectrumSet,
     check_increment_sampling,
-    count_reference,
     extract_spectrum,
     fiber_sizes,
     increment_threshold,
@@ -122,6 +121,21 @@ def _finite_float(text: str) -> float:
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
     return value
+
+
+def _int_at_least(low: int) -> Callable[[str], int]:
+    """argparse type of an integer option that must be at least low."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"{value} is below {low}")
+        return value
+
+    return parse
 
 
 def _parse_basis(text: str, n: int) -> Subspace:
@@ -293,12 +307,19 @@ def _cmd_spectrum_increments(args: argparse.Namespace) -> Result:
 def _cmd_spectrum_subspace(args: argparse.Namespace) -> Result:
     ps = load_point_set(args.set_file)
     w = _parse_basis(args.basis, ps.n)
-    count_reference(ps.n, w.dim, args.epsilon)  # refuse a bad epsilon before the transform
+    # count reference dim * n^(1 + 2 epsilon): a bad epsilon stops before the transform
+    try:
+        reference = w.dim * ps.n ** (1.0 + 2.0 * args.epsilon)
+    except OverflowError:
+        reference = math.inf
+    if not math.isfinite(reference):
+        raise _UsageError(f"epsilon {args.epsilon!r} gives no finite count reference")
     spec = extract_spectrum(ps, _parse_fraction(args.threshold), force=args.force)
-    st = subspace_spectrum_stats(spec, w, epsilon=args.epsilon)
-    return dict(dim=st.dim, member_count=st.member_count, weight=str(st.weight),
-                weight_normalized=st.weight_normalized, count_reference=st.count_reference,
-                weight_reference=st.weight_reference), True
+    count, weight = subspace_spectrum_stats(spec, w)
+    rho = ps.size / 3**ps.n
+    return dict(dim=w.dim, member_count=count, weight=str(weight),
+                weight_normalized=weight / 3 ** (2 * ps.n), count_reference=reference,
+                weight_reference=rho * rho * w.dim / ps.n), True
 
 
 # -- energy ---------------------------------------------------------------------
@@ -324,10 +345,17 @@ def _cmd_energy_holder(args: argparse.Namespace) -> Result:
 
 def _cmd_energy_smoothing(args: argparse.Namespace) -> Result:
     ps = load_point_set(args.set_file)
-    rep = smoothing_report(ps, args.scale_n, epsilon=args.epsilon, force=args.force)
-    return dict(size=rep.size, scale_n=rep.scale_n, epsilon=rep.epsilon, E8=str(rep.e8),
-                sigma_eff=rep.sigma_eff, boundary=rep.boundary,
-                within_boundary=rep.within_boundary), True
+    if args.scale_n < 2:
+        raise _UsageError("scale parameter must be at least 2")
+    if ps.size == 0:
+        raise _UsageError("smoothing exponent of the empty set is undefined")
+    boundary = 30.0 * args.epsilon  # sigma_eff's breaking point
+    if not math.isfinite(boundary):
+        raise _UsageError(f"epsilon {args.epsilon!r} gives no finite boundary 30 * epsilon")
+    e8 = e2m(ps, 4, force=args.force)
+    sigma = math.log(e8) / math.log(args.scale_n) - 15.0  # E8 = scale_n^(15 + sigma)
+    return dict(size=ps.size, scale_n=args.scale_n, epsilon=args.epsilon, E8=str(e8),
+                sigma_eff=sigma, boundary=boundary, within_boundary=sigma <= boundary), True
 
 
 def _cmd_energy_cross(args: argparse.Namespace) -> Result:
@@ -352,8 +380,10 @@ def _pick_band(bands, m_lo: int | None):
 
 def _cmd_structure_levels(args: argparse.Namespace) -> Result:
     ps = load_point_set(args.set_file)
+    n = ps.n  # alpha_eff solves m_lo = n^(1 + alpha), null for n = 1
     bands = [dict(m_lo=b.m_lo, m_hi=2 * b.m_lo, G_size=b.pair_count, D_size=b.diffs.size,
-                  alpha_eff=b.band_exponent) for b in build_levels(ps)]
+                  alpha_eff=math.log(b.m_lo) / math.log(n) - 1.0 if n >= 2 else None)
+             for b in build_levels(ps)]
     return dict(n=ps.n, set_size=ps.size, band_count=len(bands), bands=bands), True
 
 
@@ -367,7 +397,7 @@ def _cmd_structure_comity(args: argparse.Namespace) -> Result:
     band = _pick_band(build_levels(load_point_set(args.set_file)), args.m_lo)
     n = band.base.n
     rows = [dict(size_lo=b.size_lo, size_hi=2 * b.size_lo, pairs=b.pair_count, mass=str(b.mass),
-                 beta_eff=math.log(b.size_lo) / math.log(n) if n >= 2 else float("nan"))
+                 beta_eff=math.log(b.size_lo) / math.log(n) if n >= 2 else None)
             for b in comity_scan(band, force=args.force)]
     return dict(m_lo=band.m_lo, D_size=band.diffs.size, G_size=band.pair_count,
                 komity=str(komity(band)), bands=rows), True
@@ -464,7 +494,7 @@ def _build_parser() -> _Parser:
 
     s = leaf("capset gen", _cmd_capset_gen, out_kind="set file")
     s.add_argument("--n", type=int, required=True)
-    s.add_argument("--seed", type=int, required=True)
+    s.add_argument("--seed", type=_int_at_least(0), required=True)
     s = leaf("capset verify", _cmd_capset_verify)
     s.add_argument("set_file")
     s = leaf("capset max", _cmd_capset_max, out_kind="witness set file")
@@ -488,7 +518,7 @@ def _build_parser() -> _Parser:
     s.add_argument("--threshold", default="1")
     s.add_argument("--codim", type=int, required=True)
     s.add_argument("--samples", type=int, default=20)
-    s.add_argument("--seed", type=int, default=SELFTEST_SEED)
+    s.add_argument("--seed", type=_int_at_least(0), default=SELFTEST_SEED)
     s = leaf("spectrum subspace", _cmd_spectrum_subspace, force=True)
     s.add_argument("set_file")
     s.add_argument("--threshold", default="1")
@@ -537,12 +567,12 @@ def _build_parser() -> _Parser:
     s.add_argument("--input", required=True,
                    help="set file; prefix with spectrum-of: to draw from its spectrum")
     s.add_argument("--threshold", default=None, help="spectrum threshold, default 1")
-    s.add_argument("--d", type=int, required=True)
-    s.add_argument("--trials", type=int, required=True)
-    s.add_argument("--seed", type=int, required=True)
+    s.add_argument("--d", type=_int_at_least(0), required=True)
+    s.add_argument("--trials", type=_int_at_least(1), required=True)
+    s.add_argument("--seed", type=_int_at_least(0), required=True)
 
     s = leaf("selftest", _cmd_selftest)
-    s.add_argument("--seed", type=int, default=SELFTEST_SEED)
+    s.add_argument("--seed", type=_int_at_least(0), default=SELFTEST_SEED)
     s.add_argument("--criteria", default=None,
                    help="comma-separated criterion ids, default all")
 

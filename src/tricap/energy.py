@@ -20,14 +20,13 @@ it. Only diff_multiplicity, whose callers need the full map, inverts
 the norm table: one int64 count table of 3^n cells, plus the imaginary
 plane of the inverse while it runs.
 
-All energies and inequality checks are computed in unbounded integers;
-no float enters any comparison. Floats appear only in report fields
-that carry asymptotic context (the smoothing exponent).
+All energies and inequality checks are computed in unbounded integers,
+and nothing here computes a float: the smoothing exponent that
+`energy smoothing` prints beside E8 is computed by its CLI handler.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -43,13 +42,11 @@ __all__ = [
     "CONVOLUTION_OP_GUARD",
     "E2M_MAX_M",
     "HolderReport",
-    "SmoothingReport",
     "cross_quadruples",
     "diff_multiplicity",
     "e2m",
     "e4",
     "holder_check",
-    "smoothing_report",
 ]
 
 CONVOLUTION_OP_GUARD = 50_000_000
@@ -274,48 +271,6 @@ def holder_check(ps: PointSet, m: int) -> HolderReport:
     part2 = None if v8 is None else v8 ** (m - 1) <= vm**3 * ps.size ** (m - 4)
     return HolderReport(
         m=m, size=ps.size, e4=v4, e8=v8, e2m=vm, part1_holds=part1, part2_holds=part2
-    )
-
-
-@dataclass(frozen=True)
-class SmoothingReport:
-    """Eighth-energy smoothing exponent against its breaking point.
-
-    sigma_eff solves E8 = n^(15 + sigma); the boundary for the argument
-    to go through is 30 * epsilon. Report-only: nothing here asserts, a
-    single desk-scale set cannot witness an asymptotic statement.
-    """
-
-    size: int
-    scale_n: int
-    epsilon: float
-    e8: int
-    sigma_eff: float
-    boundary: float
-
-    @property
-    def within_boundary(self) -> bool:
-        return self.sigma_eff <= self.boundary
-
-
-def smoothing_report(
-    ps: PointSet, scale_n: int, epsilon: float = 0.05, force: bool = False
-) -> SmoothingReport:
-    if scale_n < 2:
-        raise ValueError("scale parameter must be at least 2")
-    if ps.size == 0:
-        raise ValueError("smoothing exponent of the empty set is undefined")
-    if not math.isfinite(30.0 * epsilon):
-        raise ValueError(f"epsilon {epsilon!r} gives no finite boundary 30 * epsilon")
-    v8 = e2m(ps, 4, force=force)
-    sigma = math.log(v8) / math.log(scale_n) - 15.0
-    return SmoothingReport(
-        size=ps.size,
-        scale_n=scale_n,
-        epsilon=epsilon,
-        e8=v8,
-        sigma_eff=sigma,
-        boundary=30.0 * epsilon,
     )
 
 

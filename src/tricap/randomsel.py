@@ -107,6 +107,8 @@ def nullity_distribution(
     """
     if trials < 1:
         raise ValueError("need at least one trial")
+    if d < 0:
+        raise ValueError(f"d {d} is below 0")
     hist = np.zeros(d + 1, dtype=np.int64)
     block = max(1, bulk._PAIR_CELLS // max(d, 1))
     for start in range(0, trials, block):

@@ -462,8 +462,11 @@ def run_selftest(
 
     ``log`` receives one human-readable line per criterion as results
     arrive; the returned report contains no timing and is byte-stable.
+    An empty criteria list raises ValueError: a run of nothing passes nothing.
     """
     ids = sorted(criteria) if criteria is not None else criterion_ids()
+    if not ids:
+        raise ValueError("no criteria to run")
     entries = []
     done: dict[int, dict] = {}
     for cid in ids:

@@ -8,7 +8,9 @@ integer comparison
     eis_norm(c(x)) * 3^(2n) * c_den^2  >=  c_num^2 * |A|^4
 
 so membership never touches floating point. The spectrum is closed under
-negation and shrinks as c grows; both are enforced by tests.
+negation and shrinks as c grows; both are enforced by tests. Nothing
+here computes a float: the normalized weight and the references that
+`spectrum subspace` prints are computed by its CLI handler.
 
 Increment checks are affine throughout: a direction subspace plus a
 shift. A set has a strong increment on an affine subspace V of
@@ -35,7 +37,6 @@ is no pivot.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -52,10 +53,8 @@ from .rng import make_rng
 __all__ = [
     "Increment",
     "SpectrumSet",
-    "SubspaceSpectrumStats",
     "check_increment_sampling",
     "coset_counts",
-    "count_reference",
     "extract_spectrum",
     "fiber_sizes",
     "increment_need",
@@ -284,53 +283,14 @@ def sampled_increment_checks(
     return found
 
 
-@dataclass(frozen=True)
-class SubspaceSpectrumStats:
-    """How much of the spectrum (count and weight) a subspace captures."""
-
-    dim: int
-    member_count: int
-    weight: int  # sum of eis_norm(c(w)) over nonzero w in W, exact
-    weight_normalized: float  # weight / 3^(2n), report-only
-    count_reference: float  # d * n^(1 + 2 eps), report-only
-    weight_reference: float  # rho^2 * d / n, report-only
-
-
-def count_reference(n: int, dim: int, epsilon: float) -> float:
-    """dim * n^(1 + 2 epsilon), the member count a dim-dimensional subspace is held to.
-
-    Raises ValueError when epsilon or the reference is not finite; it
-    needs no spectrum, so a caller can check it before extracting one.
-    """
-    try:
-        reference = dim * n ** (1.0 + 2.0 * epsilon)
-    except OverflowError:
-        reference = math.inf
-    if not (math.isfinite(epsilon) and math.isfinite(reference)):
-        raise ValueError(f"epsilon {epsilon!r} gives no finite count reference")
-    return reference
-
-
-def subspace_spectrum_stats(
-    spec: SpectrumSet, w: Subspace, epsilon: float = 0.0
-) -> SubspaceSpectrumStats:
+def subspace_spectrum_stats(spec: SpectrumSet, w: Subspace) -> tuple[int, int]:
+    """(member_count, weight): |Spec on W| and sum of eis_norm(c(w)) over nonzero w in W."""
     base, _, members = spec
-    n = base.n
-    if w.n != n:
+    if w.n != base.n:
         raise ValueError("subspace dimension differs from the spectrum")
-    reference = count_reference(n, w.dim, epsilon)
     # frequency 0 is never a spectrum member, so W's zero counts for nothing
     count = int(members.contains_indices(w.enumerate_indices()).sum())
     # extracting the spectrum already held a 3^n >= 3^dim(W) table, so
     # the transform guard has been passed at a larger size
     table = restricted_transform(base, w, force=True)
-    weight = table.norm_total() - table.norm_at(0)
-    rho = base.size / 3**n
-    return SubspaceSpectrumStats(
-        dim=w.dim,
-        member_count=count,
-        weight=weight,
-        weight_normalized=weight / 3 ** (2 * n),
-        count_reference=reference,
-        weight_reference=rho * rho * w.dim / n,
-    )
+    return count, table.norm_total() - table.norm_at(0)

@@ -35,7 +35,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-import math
 
 import numpy as np
 
@@ -79,13 +78,6 @@ class AdditiveStructure:
     @property
     def n(self) -> int:
         return self.base.n
-
-    @property
-    def band_exponent(self) -> float:
-        """alpha with m_lo = n^(1 + alpha), report-only."""
-        if self.base.n < 2:
-            return float("nan")
-        return math.log(self.m_lo) / math.log(self.base.n) - 1.0
 
 
 def heaviest_band(bands: list[AdditiveStructure]) -> AdditiveStructure:

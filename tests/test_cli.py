@@ -183,6 +183,19 @@ class TestReportsAndFormats:
         code, _, err = run_cli(capsys, "structure", "komity", str(path))
         assert code == 1 and "empty set has no bands" in err
 
+    def test_one_dimensional_set_has_null_exponents(self, tmp_path, capsys):
+        # log n = 0 at n = 1, so no band has an exponent: null in JSON, empty in CSV
+        path = str(tmp_path / "one.txt")
+        save_point_set(PointSet(1, [0, 1]), path)
+        for command, key in [("levels", "alpha_eff"), ("comity", "beta_eff")]:
+            code, out, err = run_cli(capsys, "structure", command, path)
+            assert (code, err) == (0, "")
+            bands = json.loads(out)["bands"]
+            assert bands and all(band[key] is None for band in bands)
+        code, out, _ = run_cli(capsys, "structure", "levels", path, "--format", "csv")
+        assert code == 0
+        assert out.splitlines()[1:] == ["1,2,2,2,", "2,4,2,1,"]
+
     def test_text_format(self, cap_file, capsys):
         code, out, _ = run_cli(
             capsys, "fourier", "plancherel", cap_file, "--format", "text"
@@ -236,6 +249,27 @@ PINNED_REPORTS = [
      "cfd76521f9c5c4a2e2672ddb47882ed2f7cc832046c34ffab768b8575f8fd28c"),
     ("structure martingale", "cap", ("--h", "120000", "--k", "100000,010000,001200"),
      "json", "417e9e2379e0b7b140f7f54d41babb3dd729f8d252ab89dee10073a8914b6a55"),
+    # reports with float diagnostics, each computed by its handler
+    ("energy smoothing", "cap", ("--scale-n", "3"), "json",
+     "9fc31bfd2841d4ff376ae168f12aa44231f30e5e43422c92887f43476a401b1b"),
+    ("energy smoothing", "cap", ("--scale-n", "3"), "text",
+     "cb5d17aa88163eb3091f4e0e9f78a72408508a260d0a7382bba98e26255cef92"),
+    ("energy smoothing", "cap", ("--scale-n", "7", "--epsilon", "0.3"), "json",
+     "25ebb0f2fd9e9eb2498db119fc5f6e7af40863891f7117fb1357b655aa2d2c43"),
+    ("energy smoothing", "cap", ("--scale-n", "7", "--epsilon", "0.3"), "text",
+     "acfcef8bcef868b4c4acf4b79234ff5c68f5a19a96711d266a321faf7dc40f34"),
+    ("spectrum subspace", "cap",
+     ("--basis", "120000,011100", "--threshold", "1/2", "--epsilon", "0.3"), "json",
+     "ebd883bf34e48312090399d74cd00c84d3112d8016d24a7a320d355e69b55026"),
+    ("spectrum subspace", "cap",
+     ("--basis", "120000,011100", "--threshold", "1/2", "--epsilon", "0.3"), "text",
+     "d616bc3a50fc116595156abe40c7295934064db16ed82a65836c105b69985752"),
+    ("structure levels", "cap", (), "text",
+     "52b0e3730b5615077c0b3e97eb7360a23dff8627aa28f89091c6633071e7166d"),
+    ("structure levels", "cap", (), "csv",
+     "f7d780838594daf7f8e70dfc751782219c8f86743578ba0341b30367b6c22154"),
+    ("structure comity", "cap", (), "json",
+     "6e92493f08d8aaddf5687173742e7ee5a922818abcaf489ec6179a7764e026e3"),
 ]
 
 
@@ -484,6 +518,29 @@ class TestRefusedArguments:
         assert (code, out, transforms) == (1, "", [])
         assert err == f"tricap: {message}\n"
 
+    @pytest.mark.parametrize("argv, flag, value, low", [
+        (("capset", "gen", "--n", "3", "--seed", "-1"), "--seed", -1, 0),
+        (("spectrum", "increments", "A", "--codim", "1", "--seed", "-1"), "--seed", -1, 0),
+        (("nullity-sim", "--input", "spectrum-of:A", "--d", "2", "--trials", "5",
+          "--seed", "-1"), "--seed", -1, 0),
+        (("nullity-sim", "--input", "spectrum-of:A", "--d", "2", "--trials", "0",
+          "--seed", "1"), "--trials", 0, 1),
+        (("nullity-sim", "--input", "spectrum-of:A", "--d", "-1", "--trials", "5",
+          "--seed", "1"), "--d", -1, 0),
+        (("selftest", "--seed", "-1", "--criteria", "5"), "--seed", -1, 0),
+    ], ids=["capset-gen-seed", "increments-seed", "nullity-seed", "nullity-trials",
+            "nullity-d", "selftest-seed"])
+    def test_integer_below_its_floor(self, cap_file, capsys, transforms, argv, flag, value, low):
+        argv = [cap_file if a == "A" else a.replace(":A", f":{cap_file}") for a in argv]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out, transforms) == (1, "", [])
+        assert err == f"tricap: argument {flag}: {value} is below {low}\n"
+
+    def test_integer_options_keep_their_parse_message(self, capsys):
+        code, out, err = run_cli(capsys, "capset", "gen", "--n", "3", "--seed", "x")
+        assert (code, out) == (1, "")
+        assert err == "tricap: argument --seed: invalid int value: 'x'\n"
+
     @pytest.mark.parametrize("flags, named", [
         (("--threshold", "7/2"), "--threshold"),
         (("--force",), "--force"),
@@ -623,6 +680,10 @@ class TestPipelines:
         assert rep["all_pass"] is True
         assert [c["id"] for c in rep["criteria"]] == [8]
         assert "criterion 8: PASS" in err
+
+    def test_selftest_with_no_criteria_is_refused(self, capsys):
+        assert run_cli(capsys, "selftest", "--criteria", ",") == (
+            1, "", "tricap: no criteria to run\n")
 
     def test_module_entry_point(self, cap_file):
         proc = subprocess.run(

@@ -1,3 +1,4 @@
+import json
 import math
 import tracemalloc
 from fractions import Fraction
@@ -20,9 +21,10 @@ from tricap import (
     greedy_random_capset,
     holder_check,
     random_point_set,
-    smoothing_report,
+    save_point_set,
 )
-from tricap import bulk, energy, fourier
+from tricap import bulk, cli, energy, fourier
+from tricap.cli import main
 from tricap.gf3core import DENSE_MAX_N
 
 import oracles
@@ -395,32 +397,46 @@ class TestOrderCeiling:
         assert len(str((3**16) ** (2 * energy.E2M_MAX_M - 1))) <= 4300
 
 
+def _smoothing(tmp_path, capsys, ps: PointSet, *options: str) -> tuple[int, dict | None, str]:
+    """Run `energy smoothing` on ps: exit code, the JSON report (None when empty) and stderr."""
+    path = str(tmp_path / "a.txt")
+    save_point_set(ps, path)
+    code = main(["energy", "smoothing", path, *options])
+    out, err = capsys.readouterr()
+    return code, json.loads(out) if out else None, err
+
+
 class TestSmoothing:
-    def test_subspace_exponent(self):
-        ps = _subspace_set(3, 2)
-        rep = smoothing_report(ps, 3, epsilon=0.05)
+    """The smoothing exponent is a report-only float of the `energy smoothing` command."""
+
+    def test_subspace_exponent(self, tmp_path, capsys):
+        code, rep, _ = _smoothing(tmp_path, capsys, _subspace_set(3, 2), "--scale-n", "3")
         # E8 of a dim-2 subspace is 3^14, so the exponent is 14 - 15 = -1
-        assert math.isclose(rep.sigma_eff, -1.0)
-        assert rep.boundary == pytest.approx(1.5)
-        assert rep.within_boundary
+        assert (code, rep["E8"]) == (0, str(3**14))
+        assert math.isclose(rep["sigma_eff"], -1.0)
+        assert rep["boundary"] == pytest.approx(1.5)
+        assert rep["within_boundary"] is True
 
-    def test_far_from_smooth(self):
-        ps = random_point_set(6, 50, 11)
-        rep = smoothing_report(ps, 3, epsilon=0.05)
-        assert rep.sigma_eff > rep.boundary
-        assert not rep.within_boundary
+    def test_far_from_smooth(self, tmp_path, capsys):
+        code, rep, _ = _smoothing(tmp_path, capsys, random_point_set(6, 50, 11), "--scale-n", "3")
+        assert code == 0
+        assert rep["sigma_eff"] > rep["boundary"]
+        assert rep["within_boundary"] is False
 
-    def test_rejects_degenerate_scale(self):
-        ps = random_point_set(3, 5, 1)
-        with pytest.raises(ValueError):
-            smoothing_report(ps, 1)
+    def test_rejects_degenerate_scale(self, tmp_path, capsys):
+        code, rep, err = _smoothing(tmp_path, capsys, random_point_set(3, 5, 1), "--scale-n", "1")
+        assert (code, rep) == (1, None)
+        assert err == "tricap: scale parameter must be at least 2\n"
 
     @pytest.mark.parametrize("epsilon", [math.nan, math.inf, -math.inf, 1e308])
-    def test_rejects_epsilon_without_a_finite_boundary(self, monkeypatch, epsilon):
-        # 30 * 1e308 is infinite; the check comes before E8 is computed
+    def test_rejects_epsilon_without_a_finite_boundary(self, tmp_path, capsys, monkeypatch,
+                                                       epsilon):
+        # 30 * 1e308 is infinite; the refusal comes before E8 is computed
         def no_e2m(*args, **kwargs):
             raise AssertionError("e2m called")
 
-        monkeypatch.setattr(energy, "e2m", no_e2m)
-        with pytest.raises(ValueError, match="epsilon"):
-            smoothing_report(random_point_set(3, 5, 1), 3, epsilon=epsilon)
+        monkeypatch.setattr(cli, "e2m", no_e2m)
+        code, rep, err = _smoothing(tmp_path, capsys, random_point_set(3, 5, 1), "--scale-n", "3",
+                                    f"--epsilon={epsilon!r}")
+        assert (code, rep) == (1, None)
+        assert "epsilon" in err

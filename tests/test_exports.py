@@ -1,3 +1,4 @@
+import ast
 import importlib
 import pkgutil
 import re
@@ -40,3 +41,28 @@ def test_readme_library_sketch_runs(capsys):
     block = readme.split("## Library sketch", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
     exec(compile(block, "README.md", "exec"), {})
     assert capsys.readouterr().out.startswith("{")
+
+
+EXACT_MODULES = ["energy.py", "spectrum.py", "structure.py"]
+
+
+@pytest.mark.parametrize("name", EXACT_MODULES)
+def test_exact_modules_compute_no_float(name):
+    # report-only floats belong to the CLI handler that prints them; math.ceil
+    # stays, increment_need applies it to a Fraction
+    path = Path(tricap.__file__).with_name(name)
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=name)):
+        if isinstance(node, ast.Constant) and type(node.value) is float:
+            found.append(f"float constant {node.value!r}")
+        elif isinstance(node, ast.Name) and node.id == "float":
+            found.append("the name float")
+        elif isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div):
+            found.append("true division")
+        elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+              and node.value.id == "math" and node.attr != "ceil"):
+            found.append(f"math.{node.attr}")
+        else:
+            continue
+        found[-1] += f" on line {node.lineno}"
+    assert found == []

@@ -123,6 +123,14 @@ class TestNullityExperiment:
         ps = random_point_set(5, 40, 2)
         assert nullity_distribution(ps, 0, 13, 4).histogram == {0: 13}
 
+    def test_rejects_negative_d_before_any_draw(self, monkeypatch):
+        def no_draw(*args, **kwargs):
+            raise AssertionError("sample_without_replacement called")
+
+        monkeypatch.setattr(randomsel, "sample_without_replacement", no_draw)
+        with pytest.raises(ValueError, match="^d -1 is below 0$"):
+            nullity_distribution(random_point_set(5, 40, 2), -1, 13, 4)
+
     def test_blocks_do_not_change_the_histogram(self, monkeypatch):
         ps = random_point_set(6, 200, 8)
         d, trials, seed = 6, 60, 77

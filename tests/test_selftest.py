@@ -24,6 +24,12 @@ def test_run_criterion_shape():
     assert isinstance(rep["details"], dict)
 
 
+def test_run_selftest_refuses_an_empty_list():
+    # a run of no criteria would report all_pass: true with nothing checked
+    with pytest.raises(ValueError, match="no criteria to run"):
+        run_selftest(SELFTEST_SEED, [])
+
+
 def test_unknown_criterion_rejected():
     with pytest.raises(ValueError):
         run_criterion(12, SELFTEST_SEED)

@@ -371,22 +371,11 @@ class TestIncrementOracles:
 
 
 class TestSubspaceStats:
-    @pytest.mark.parametrize("epsilon", [math.nan, math.inf, -math.inf, 1e10, 1e308])
-    def test_rejects_epsilon_without_a_finite_reference(self, monkeypatch, epsilon):
-        # 5^(1 + 2e10) overflows a float; 2 * 1e308 is infinite
-        def no_transform(*args, **kwargs):
-            raise AssertionError("restricted_transform called")
-
-        spec = extract_spectrum(greedy_random_capset(5, 77), 1)
-        monkeypatch.setattr(spectrum, "restricted_transform", no_transform)
-        with pytest.raises(ValueError, match="epsilon"):
-            subspace_spectrum_stats(spec, Subspace.span([TritVector.unit(5, 0)]), epsilon=epsilon)
-
     def test_against_direct_sums(self):
         ps = greedy_random_capset(5, 77)
         spec = extract_spectrum(ps, Fraction(1, 2))
         w = Subspace.span([TritVector.from_string("10000"), TritVector.from_string("01000")])
-        stats = subspace_spectrum_stats(spec, w, epsilon=0.05)
+        member_count, weight = subspace_spectrum_stats(spec, w)
         table = transform_point_set(ps)
         direct_count = 0
         direct_weight = 0
@@ -396,9 +385,10 @@ class TestSubspaceStats:
             if spec.members.contains(TritVector.from_index(5, i)):
                 direct_count += 1
             direct_weight += table.norm_at(i)
-        assert stats.dim == 2
-        assert stats.member_count == direct_count
-        assert stats.weight == direct_weight
+        assert w.dim == 2
+        assert (type(member_count), type(weight)) == (int, int)
+        assert member_count == direct_count
+        assert weight == direct_weight
 
     def test_subspace_larger_than_spectrum(self):
         # 3^dim > 4 |spec|: W has more points than four times the spectrum
@@ -411,9 +401,9 @@ class TestSubspaceStats:
         points = oracles.naive_span([oracles.digits(s) for s in gens], 5)
         members = {str(v) for v in spec.members.vectors()}
         table = transform_point_set(ps)
-        stats = subspace_spectrum_stats(spec, w)
-        assert stats.member_count == sum(oracles.to_string(d) in members for d in points)
-        assert stats.member_count > 0
-        assert stats.weight == sum(
+        member_count, weight = subspace_spectrum_stats(spec, w)
+        assert member_count == sum(oracles.to_string(d) in members for d in points)
+        assert member_count > 0
+        assert weight == sum(
             table.norm_at(oracles.point_index(d)) for d in points if any(d)
         )
