@@ -116,9 +116,9 @@ def _table_serves(ps: PointSet, force: bool = False) -> bool:  # auto rule of ev
 def _inverse_of_real(n: int, norms: np.ndarray) -> np.ndarray:
     """Exact inverse of a norm table: the difference multiplicities, int64.
 
-    The kernel runs in norms itself whenever they already have its dtype,
-    so norms is spent. The result is m(x) <= |A|, so the int64 cast is
-    exact whatever dtype the kernel had to use on the way.
+    The norms have l1 = 3^n |A| <= 3^32 (Plancherel), so the kernel is
+    int32 or int64 even where the peak bound 2 |A|^2 3^n passes 2^63. It
+    runs in norms itself when they already have its dtype: norms is spent.
     """
     table = SpectrumTable(n, norms, np.zeros_like(norms))
     rp, rq = inverse_table(table, force=True, overwrite=True)

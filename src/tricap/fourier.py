@@ -7,25 +7,24 @@ of the 3-point DFT and the group is elementary abelian, so there are no
 twiddle factors (Yates' algorithm). Coefficients live in two planes,
 the real part p and the omega part q.
 
-Every integer fast path follows a written bound; past it the exact
-slower path takes over, never a wrapped value:
+Every integer fast path follows a written bound; past it a slower exact
+path takes over or a guard refuses, never a wrapped value:
 
-  * Butterfly passes. With peak the largest input component, k passes
-    keep every intermediate component within 2 * peak * 3^k (|c| grows
-    at most 3x per pass from sqrt(3) * peak, and a component is at most
-    2 / sqrt(3) times |c|). _kernel_dtype picks int32 when that bound is
-    below 2^31 (every indicator transform up to TRANSFORM_HARD_MAX_N),
-    int64 below 2^63, and Python-int object arrays otherwise. A
-    SpectrumTable, and the planes inverse_table returns, keep that
-    dtype: an indicator table is int32, 4 bytes a cell per plane.
-    restricted_transform feeds the passes a histogram of dot profiles;
-    its entries are at most |A|, so _kernel_dtype(|A|, dim W) picks an
-    exact dtype there too.
-  * Consumers of int32 and int64 tables (norms, the cube sum, the binary
-    dump) widen _BLOCK cells at a time into int64 scratch, so no
-    full-size int64 copy of a plane is made.
-  * Norms p^2 - p q + q^2 of int32 and int64 tables are int64 when
-    3 * peak^2 < 2^62.
+  * Butterfly passes. w maps p + q w to -q + (p - q) w, so every value
+    the passes hold (outputs, _pass temporaries, conjugate-split slices)
+    is a sum over input cells of one of +-p, +-q or +-(p - q) each:
+    within l1 = sum(|p| + |q|). k passes also keep it within
+    2 * peak * 3^k, peak the largest input component (|c| grows at most
+    3x a pass from sqrt(3) * peak; a component is at most 2 / sqrt(3)
+    |c|). _kernel_dtype picks int32 when the peak bound is below 2^31
+    (every indicator up to TRANSFORM_HARD_MAX_N) and int64 when either
+    bound is below 2^63; past both the hard guard "transform bound"
+    refuses. A norm table has l1 = 3^n |A| <= 3^32 by Plancherel, and
+    an indicator or a dot-profile histogram l1 = |A|, so every table
+    the package builds is int32 or int64, and keeps that dtype.
+  * Consumers of a table (norms, the cube sum, the binary dump) widen
+    _BLOCK cells at a time into int64 scratch, never a full plane.
+  * Norms p^2 - p q + q^2 are int64 when 3 * peak^2 < 2^62.
   * Exact sums go through bulk.exact_sum, which adds int64 arrays in
     chunks of fewer than 2^62 / max entries each; the norm total is a
     single int64 sum when size * max_norm < 2^62.
@@ -37,11 +36,8 @@ Real inputs (q plane zero) above _TILE cells take a conjugate split
 real slice g0 = f0 + f1 + f2 and the complex slice g1 = (f0 - f2) +
 (f1 - f2) w (conjugate rows for the inverse); g1 goes through the n - 1
 remaining passes, g0 recurses, and the x0 = 2 slice is the reflection
-c(2, x') = conj c(1, -x'). The bound carries over: after the digit-0
-pass |g1| <= 3 * peak and the components of g0 are at most 3 * peak, so
-each slice's later passes stay within 2 * (3 * peak) * 3^(n-1) =
-2 * peak * 3^n, and a conjugate (p - q) - q w has the same norm as
-p + q w, so its components obey the same bound.
+c(2, x') = conj c(1, -x'). The peak bound carries over: both slices
+start within 3 * peak, and a conjugate has the same norm.
 
 Memory: the passes run in place in the table's own planes, a tile of
 _TILE cells at a time (see _butterfly), so a transform holds the table,
@@ -98,7 +94,7 @@ TRANSFORM_GUARD_N = 14
 TRANSFORM_HARD_MAX_N = DENSE_MAX_N  # an int32 table of 3^16 cells is 344 MB; passes add 2.4 MB
 
 _INT32_LIMIT = 1 << 31
-_INT64_LIMIT = 1 << 63
+_INT64_MAX = (1 << 63) - 1
 _BLOCK = 1 << 16  # cells per int64 scratch block: 512 KB per plane
 _TILE = 1 << 17  # cells per butterfly tile: 512 KB per int32 plane
 
@@ -108,14 +104,22 @@ def _check_guard(n: int, force: bool) -> None:
     guard("transform dimension", n, TRANSFORM_GUARD_N, force)
 
 
-def _kernel_dtype(peak: int, n: int):
-    """Narrowest exact dtype for n butterfly passes over inputs within peak."""
+def _kernel_dtype(n: int, *planes: np.ndarray):
+    """np.int32 or np.int64, exact for n passes over the planes (module docstring).
+
+    l1 is summed, over _int64_blocks, only when the peak bound fails and
+    the peak fits int64; the guard refuses before anything is copied.
+    """
+    peak = bulk.peak(*planes)
     bound = 2 * peak * 3**n
     if bound < _INT32_LIMIT:
         return np.int32
-    if bound < _INT64_LIMIT:
-        return np.int64
-    return object
+    if bound > _INT64_MAX:  # l1 >= peak, so a peak past int64 is refused unsummed
+        blocks = () if peak > _INT64_MAX else _int64_blocks(*planes)
+        l1 = sum(bulk.exact_sum(np.absolute(b, out=b), peak) for _, _, bs in blocks for b in bs)
+        bound = min(bound, max(l1, peak))
+    guard("transform bound", bound, _INT64_MAX)
+    return np.int64
 
 
 def _pass(src, dst, d, e, s: int, inverse: bool) -> None:
@@ -273,16 +277,12 @@ def _int64_blocks(*planes: np.ndarray):
         yield start, stop, blocks
 
 
-def _fixed_width(*planes: np.ndarray) -> bool:
-    """True for signed fixed-width planes, which widen to int64 exactly."""
-    return all(a.dtype.kind == "i" for a in planes)
-
-
 class SpectrumTable:
     """Dense table of c(x) for every frequency x, canonical index order.
 
     The planes p and q keep the dtype the transform kernel ran in (see
-    _kernel_dtype); an indicator table is int32.
+    _kernel_dtype); an indicator table is int32. Planes that are not
+    signed integers raise ValueError, so no table holds Python ints.
     """
 
     __slots__ = ("n", "p", "q", "source_size")
@@ -290,6 +290,8 @@ class SpectrumTable:
     def __init__(self, n: int, p: np.ndarray, q: np.ndarray, source_size: int | None = None):
         if p.shape != (3**n,) or q.shape != (3**n,):
             raise ValueError("table arrays must have length 3^n")
+        if p.dtype.kind != "i" or q.dtype.kind != "i":
+            raise ValueError(f"table planes must hold signed integers, not {p.dtype}, {q.dtype}")
         self.n = n
         self.p = p
         self.q = q
@@ -298,14 +300,15 @@ class SpectrumTable:
     def norms(self, start: int = 0, stop: int | None = None) -> np.ndarray:
         """eis_norm(c(x)) for the frequencies start <= x < stop; int64 when provably safe.
 
-        Int32 and int64 planes go int64 when 3 * peak^2 < 2^62, peak taken
-        over the range: the norm is built as p (p - q) + q^2, whose partial
-        terms stay within 3 * peak^2, one _BLOCK of cells at a time into
-        the output. The ufuncs read the planes with an int64 loop, so only
-        q^2 needs a scratch block.
+        The norms are int64 when 3 * peak^2 < 2^62, peak taken over the
+        range: the norm is built as p (p - q) + q^2, whose partial terms
+        stay within 3 * peak^2, one _BLOCK of cells at a time into the
+        output. The ufuncs read the planes with an int64 loop, so only q^2
+        needs a scratch block. Past that bound they are Python ints, which
+        an int64 table of a user's function or a loaded dump can need.
         """
         p, q = self.p[start:stop], self.q[start:stop]
-        if _fixed_width(p, q) and 3 * bulk.peak(p, q) ** 2 < bulk.INT64_SAFE:
+        if 3 * bulk.peak(p, q) ** 2 < bulk.INT64_SAFE:
             out = np.empty(p.size, dtype=np.int64)
             scratch = np.empty(min(p.size, _BLOCK), dtype=np.int64)
             for at in range(0, p.size, _BLOCK):
@@ -338,11 +341,11 @@ class SpectrumTable:
 def transform_table(f, n: int, force: bool = False, *, digits: int | None = None) -> SpectrumTable:
     """Transform an arbitrary integer function given as a dense array.
 
-    Any integer dtype, or an object array of Python ints, goes to the
-    kernel as it is: _kernel_dtype reads the exact peak, so an unsigned
-    input at or above 2^63 runs on Python ints instead of wrapping.
-    With digits = k, row r of the result read as (3^(n-k), 3^k) is the
-    k-dimensional transform of row r of f, in _kernel_dtype(peak, k).
+    Any integer dtype goes to the kernel, which _kernel_dtype sizes
+    before the cast, so an input past int64 is refused, not wrapped;
+    object and float arrays raise ValueError. With digits = k, row r of
+    the result read as (3^(n-k), 3^k) is the k-dimensional transform of
+    row r of f, in _kernel_dtype(k, f).
     """
     _check_guard(n, force)
     digits = n if digits is None else digits
@@ -351,9 +354,9 @@ def transform_table(f, n: int, force: bool = False, *, digits: int | None = None
     f = np.asarray(f)
     if f.shape != (3**n,):
         raise ValueError("input array must have length 3^n")
-    if f.dtype != object and f.dtype.kind not in "biu":
+    if f.dtype.kind not in "biu":
         raise ValueError(f"input array must hold integers, not {f.dtype}")
-    dtype = _kernel_dtype(bulk.peak(f), digits)
+    dtype = _kernel_dtype(digits, f)
     p, q = f.astype(dtype), np.zeros(f.shape, dtype=dtype)
     if digits == n:
         _butterfly_real(p, q, n, inverse=False)
@@ -366,12 +369,11 @@ def transform_point_set(ps: PointSet, force: bool = False) -> SpectrumTable:
     """Character-sum table of a point set's indicator function.
 
     The indicator is written straight into int32 planes, the dtype
-    _kernel_dtype picks for a peak of 1 up to TRANSFORM_HARD_MAX_N, and
-    transformed in place.
+    _kernel_dtype picks for a peak of 1 up to TRANSFORM_HARD_MAX_N
+    (2 * 3^16 < 2^31), and transformed in place.
     """
     _check_guard(ps.n, force)
-    dtype = _kernel_dtype(1, ps.n)
-    p, q = np.zeros(3**ps.n, dtype=dtype), np.zeros(3**ps.n, dtype=dtype)
+    p, q = np.zeros(3**ps.n, dtype=np.int32), np.zeros(3**ps.n, dtype=np.int32)
     p[ps.indices] = 1
     _butterfly_real(p, q, ps.n, inverse=False)
     c0 = (int(p[0]), int(q[0]))
@@ -385,8 +387,9 @@ def inverse_table(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Exact inverse as an (p, q) Eisenstein value pair per point.
 
-    The arrays have the dtype _kernel_dtype picks for the table's peak,
-    int32, int64 or object, like the table a forward transform returns.
+    The arrays have the dtype _kernel_dtype picks for the table, int32
+    or int64, like the table a forward transform returns; a table past
+    both of its bounds is refused by the "transform bound" guard.
     Raises IdentityViolationError if the final division by 3^n is not
     exact; for a table produced by transform_table the q plane comes
     back identically zero and p equals the original input bit for bit.
@@ -394,12 +397,11 @@ def inverse_table(
     are transformed in place and returned, so the table is spent.
     """
     _check_guard(table.n, force)
-    dtype = _kernel_dtype(bulk.peak(table.p, table.q), table.n)
+    dtype = _kernel_dtype(table.n, table.p, table.q)
     p = table.p.astype(dtype, order="C", copy=not overwrite)
     q = table.q.astype(dtype, order="C", copy=not overwrite)
     (_butterfly if q.any() else _butterfly_real)(p, q, table.n, inverse=True)
-    # divide _BLOCK cells at a time in place, checking each block first;
-    # % and // are exact on int32, int64 and Python-int object arrays alike
+    # divide _BLOCK cells at a time in place, checking each block first
     scale = 3**table.n
     rem = np.empty(min(p.size, _BLOCK), dtype=dtype)
     for plane in (p, q):
@@ -427,16 +429,14 @@ def _cube_total(table: SpectrumTable) -> Eisenstein:
     """sum_x c(x)^3 over a whole table, exactly, one _BLOCK of cells at a time.
 
     (p + q w)^3 = (p^3 + q^3 - 3 p q^2) + 3 p q (p - q) w; every partial
-    result is at most 6 peak^3 in size, peak taken over the block. Int32
-    and int64 planes are widened into int64 scratch a block at a time, and
-    a block with 8 * peak^3 < 2^62 is cubed there; any other block, and an
-    object table, runs on Python ints. So c(0) = |A| of a dense set costs
-    one block, not the whole table.
+    result is at most 6 peak^3 in size, peak taken over the block. The
+    planes are widened into int64 scratch a block at a time, and a block
+    with 8 * peak^3 < 2^62 is cubed there; any other block runs on Python
+    ints, which c(0) = |A| of a dense set needs: it costs one block, not
+    the whole table.
     """
-    p, q = table.p, table.q
-    blocks = _int64_blocks(p, q) if _fixed_width(p, q) else [(0, p.size, (p, q))]
     re_total = im_total = 0
-    for _, _, (a, b) in blocks:
+    for _, _, (a, b) in _int64_blocks(table.p, table.q):
         bound = 8 * bulk.peak(a, b) ** 3
         if bound >= bulk.INT64_SAFE:
             a, b = a.astype(object), b.astype(object)
@@ -473,14 +473,12 @@ def save_table(table: SpectrumTable, fh: BinaryIO | str) -> None:
     """Binary dump: magic, n, then int64 p and q arrays, little endian.
 
     Int32 and int64 tables write the same bytes: the planes are widened
-    to <i8 one _BLOCK at a time. Object tables have no binary form.
+    to <i8 one _BLOCK at a time.
     """
     if isinstance(fh, str):
         with open(fh, "wb") as real:
             save_table(table, real)
         return
-    if not _fixed_width(table.p, table.q):
-        raise ValueError("object-precision tables have no binary form")
     fh.write(_MAGIC)
     fh.write(struct.pack("<iq", table.n, -1 if table.source_size is None else table.source_size))
     for plane in (table.p, table.q):

@@ -74,7 +74,7 @@ def report_nullity(exp: NullityExperiment) -> dict[str, Any]:
                 "k": k,
                 "empirical": frac_str(tail),
                 "empirical_float": float(tail),
-                "reference": ref,
+                "reference": float(ref),
             }
             for k, tail, ref in exp.tail_rows()
         ],

@@ -91,10 +91,10 @@ class NullityExperiment:
         hits = sum(v for key, v in self.histogram.items() if key >= k)
         return Fraction(hits, self.trials)
 
-    def tail_rows(self) -> list[tuple[int, Fraction, float]]:
-        """(k, empirical tail, 2^-k overlay) for every observed k."""
+    def tail_rows(self) -> list[tuple[int, Fraction, Fraction]]:
+        """(k, empirical tail, 2^-k overlay) for every observed k, all exact."""
         ks = range(0, max(self.histogram) + 1) if self.histogram else range(0)
-        return [(k, self.tail(k), 2.0**-k) for k in ks]
+        return [(k, self.tail(k), Fraction(1, 2**k)) for k in ks]
 
 
 def nullity_distribution(

@@ -462,11 +462,13 @@ def run_selftest(
 
     ``log`` receives one human-readable line per criterion as results
     arrive; the returned report contains no timing and is byte-stable.
-    An empty criteria list raises ValueError: a run of nothing passes nothing.
+    An empty criteria list raises ValueError: a run of nothing passes
+    nothing. So does an unknown id, before any criterion runs.
     """
     ids = sorted(criteria) if criteria is not None else criterion_ids()
-    if not ids:
-        raise ValueError("no criteria to run")
+    unknown = sorted(set(ids).difference(_CRITERIA))
+    if unknown or not ids:
+        raise ValueError(f"unknown criteria {unknown}" if unknown else "no criteria to run")
     entries = []
     done: dict[int, dict] = {}
     for cid in ids:

@@ -685,6 +685,11 @@ class TestPipelines:
         assert run_cli(capsys, "selftest", "--criteria", ",") == (
             1, "", "tricap: no criteria to run\n")
 
+    def test_selftest_refuses_an_unknown_criterion_before_running(self, capsys):
+        # criterion 1 is not run, so nothing is logged before the refusal
+        assert run_cli(capsys, "selftest", "--criteria", "1,99") == (
+            1, "", "tricap: unknown criteria [99]\n")
+
     def test_module_entry_point(self, cap_file):
         proc = subprocess.run(
             [sys.executable, "-m", "tricap", "capset", "verify", cap_file],

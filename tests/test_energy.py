@@ -25,7 +25,7 @@ from tricap import (
 )
 from tricap import bulk, cli, energy, fourier
 from tricap.cli import main
-from tricap.gf3core import DENSE_MAX_N
+from tricap.gf3core import DENSE_MAX_N, plane_add
 
 import oracles
 from conftest import tuples_of
@@ -81,6 +81,47 @@ class TestMultiplicity:
         assert np.count_nonzero(table) == len(ref)
         assert table.sum() == size**2
         assert energy._square_total(table) == sum(m * m for m in ref.values())
+
+
+class TestDenseDifferenceTable:
+    """diff_multiplicity of a million random points at n = 14, by transform.
+
+    The norm table's peak bound, 2 |A|^2 3^14, passes 2^63, but its l1 is
+    3^14 |A| by Plancherel, so the inverse runs in int64 and holds the
+    norm table and its imaginary plane, 16 bytes a cell, plus about 6 MB
+    of scratch; on Python ints it would take hundreds of MB.
+    """
+
+    N = 14
+
+    def test_exact_int64_table_within_its_memory(self, monkeypatch):
+        ps = random_point_set(self.N, 1_000_000, 1)
+        assert energy._table_pays(ps)
+        dtypes = []
+        real = energy.inverse_table
+        monkeypatch.setattr(
+            energy, "inverse_table",
+            lambda *a, **kw: (lambda out: dtypes.append(out[0].dtype) or out)(real(*a, **kw)),
+        )
+        tracemalloc.start()
+        try:
+            table = diff_multiplicity(ps)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert dtypes == [np.int64]
+        assert peak <= 16 * 3**self.N + ps.indices.nbytes + (6 << 20)
+        size = ps.size
+        assert (table.dtype, int(table.sum()), int(table[0])) == (np.int64, size**2, size)
+        idx = np.arange(3**self.N)
+        neg = bulk.planes_to_indices(self.N, *bulk.indices_to_planes(self.N, idx)[::-1])
+        assert np.array_equal(table[neg], table)
+        # m(x) = #(A and A + x) at 20 seeded cells, counted from the set itself
+        lo, hi = ps.planes()
+        for x in np.random.default_rng(14).integers(0, 3**self.N, 20).tolist():
+            v = TritVector.from_index(self.N, x)
+            shifted = bulk.planes_to_indices(self.N, *plane_add(lo, hi, v.lo, v.hi))
+            assert int(table[x]) == int(ps.contains_indices(shifted).sum()), x
 
 
 class TestEnergies:

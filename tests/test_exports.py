@@ -43,13 +43,19 @@ def test_readme_library_sketch_runs(capsys):
     assert capsys.readouterr().out.startswith("{")
 
 
-EXACT_MODULES = ["energy.py", "spectrum.py", "structure.py"]
+# module -> the math functions it may call, all of them exact on integers
+# and Fractions: increment_need applies ceil to a Fraction, and randomsel's
+# g and h counts are binomials and factorials
+EXACT_MODULES = {
+    **dict.fromkeys(["energy.py", "spectrum.py", "structure.py"], {"ceil"}),
+    **dict.fromkeys(["fourier.py", "bulk.py", "capset.py", "linalg.py", "gf3core.py"], set()),
+    "randomsel.py": {"comb", "factorial"},
+}
 
 
 @pytest.mark.parametrize("name", EXACT_MODULES)
 def test_exact_modules_compute_no_float(name):
-    # report-only floats belong to the CLI handler that prints them; math.ceil
-    # stays, increment_need applies it to a Fraction
+    # report-only floats belong to the CLI handler that prints them
     path = Path(tricap.__file__).with_name(name)
     found = []
     for node in ast.walk(ast.parse(path.read_text(), filename=name)):
@@ -60,7 +66,7 @@ def test_exact_modules_compute_no_float(name):
         elif isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div):
             found.append("true division")
         elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
-              and node.value.id == "math" and node.attr != "ceil"):
+              and node.value.id == "math" and node.attr not in EXACT_MODULES[name]):
             found.append(f"math.{node.attr}")
         else:
             continue

@@ -121,7 +121,7 @@ class TestTransform:
 def _eis_outer(a, b):
     """Planes of the Eisenstein outer product: cell i * len(b) + j is a[i] * b[j].
 
-    a and b are (p, q) plane pairs; entries stay exact in int64 or object.
+    a and b are (p, q) plane pairs; entries stay exact in int64.
     """
     (ap, aq), (bp, bq) = a, b
     mul = np.multiply.outer
@@ -164,29 +164,33 @@ class TestTiledKernel:
     100-cell tile cuts the 9 x 27 leading matrix at n = 5 into chunks of
     11, 11 and 5 columns, and a 200-cell tile leaves ragged last chunks
     (widths 7 and 2) at n = 6..8. Scaling the input by c moves it into
-    the int64 and object tiers without changing its shape. The input is
-    real, so above the tile the forward transform takes the conjugate
-    split, up to five levels deep; the inverse of its complex table
-    takes the plain passes.
+    the int64 tier without changing its shape; the "object" case, the
+    scale that once ran on Python ints, takes the largest c whose table
+    keeps l1 below 2^63, where the inverse's peak bound is past 2^63 and
+    l1 alone keeps it in int64. The input is real, so above the tile the
+    forward transform takes the conjugate split, up to five levels deep;
+    the inverse of its complex table takes the plain passes.
     """
 
     @pytest.mark.parametrize("tile", [27, 81, 100, 200, 243])
     @pytest.mark.parametrize("n", range(1, 9))
     @pytest.mark.parametrize(
         "c, dtype",
-        [(1, np.int32), (2**31, np.int64), (2**70, object)],
+        [(1, np.int32), (2**31, np.int64), (None, np.int64)],
         ids=["int32", "int64", "object"],
     )
     def test_forward_and_inverse_match_oracle(self, monkeypatch, tile, n, c, dtype):
         monkeypatch.setattr(fourier, "_TILE", tile)
         values, (wp, wq) = _pinned_function(n)
-        # object arrays scale by Python ints, so 2^70 stays exact
-        scale = (lambda a: a.astype(object) * c) if dtype is object else (lambda a: a * c)
-        f = scale(values)
+        if c is None:
+            l1 = max(int(np.abs(values).sum()), int(np.abs(wp).sum() + np.abs(wq).sum()))
+            c = (2**63 - 1) // l1
+            assert 2 * c * bulk.peak(wp, wq) * 3**n >= 2**63
+        f = values * c
         table = transform_table(f, n)
         assert table.p.dtype == table.q.dtype == dtype
-        assert np.array_equal(table.p, scale(wp))
-        assert np.array_equal(table.q, scale(wq))
+        assert np.array_equal(table.p, wp * c)
+        assert np.array_equal(table.q, wq * c)
         re, im = inverse_table(table)
         assert np.array_equal(re, f)
         assert not im.any()
@@ -247,6 +251,26 @@ class TestPartialTransform:
         for row, tp, tq in zip(*planes):
             assert list(zip(tp, tq)) == oracles.naive_transform(row, k)
 
+    @pytest.mark.parametrize("above", [False, True])
+    def test_peak_bound_decides_where_l1_cannot(self, above):
+        # one pass keeps each row within 2 * peak * 3 < 2^63, although the
+        # l1 of all 243 cells, 162 peak, is about 27 times 2^63: int64,
+        # exact; one past it the guard names the smaller bound, 6 peak
+        n, k = 5, 1
+        c = _largest(lambda c: 2 * c * 3**k < 2**63) + above
+        f = np.array([c * ((7 * i) % 3 - 1) for i in range(3**n)], dtype=np.int64)
+        assert int(np.abs(f // c).sum()) == 162
+        if above:
+            with pytest.raises(GuardExceededError) as exc:
+                transform_table(f, n, digits=k)
+            assert exc.value.args == ("transform bound", 6 * c, 2**63 - 1)
+            return
+        table = transform_table(f, n, digits=k)
+        assert table.p.dtype == table.q.dtype == np.int64
+        planes = [a.reshape(-1, 3**k).tolist() for a in (f, table.p, table.q)]
+        for row, tp, tq in zip(*planes):
+            assert list(zip(tp, tq)) == oracles.naive_transform(row, k)
+
     def test_full_digits_is_the_default(self):
         values, _ = _pinned_function(5)
         full, default = transform_table(values, 5, digits=5), transform_table(values, 5)
@@ -273,25 +297,30 @@ class TestConjugateSplit:
     inverse input is 3^n g for the pinned function g, a real table with
     no symmetry, so its exact inverse at a is c_g(-a): a digit-0 pass
     with forward rows, a reflection that keeps x' or a dropped
-    conjugation each change some cell. Indicator tables are pinned to
-    oracles.naive_transform through products of two random sets.
+    conjugation each change some cell. The "object" scale is the largest
+    c that keeps the table's l1 below 2^63, past its peak bound; one more
+    is refused. Indicator tables are pinned to oracles.naive_transform
+    through products of two random sets.
     """
 
     @pytest.mark.parametrize("tile", [27, 81, 243])
     @pytest.mark.parametrize("n", range(3, 9))
-    @pytest.mark.parametrize("c", [1, 2**31, 2**70], ids=["int32", "int64", "object"])
+    @pytest.mark.parametrize("c", [1, 2**31, None], ids=["int32", "int64", "object"])
     def test_inverse_of_real_table_matches_oracle(self, monkeypatch, tile, n, c):
         monkeypatch.setattr(fourier, "_TILE", tile)
         values, (wp, wq) = _pinned_function(n)
-        # object arrays scale by Python ints, so 2^70 stays exact
-        scale = (lambda a: a.astype(object) * c) if c >= 2**63 else (lambda a: a * c)
-        planes = scale(values * 3**n)
+        if c is None:
+            c = (2**63 - 1) // (3**n * int(np.abs(values).sum()))
+            assert 2 * c * 3**n * bulk.peak(values) * 3**n >= 2**63
+            past = values * 3**n * (c + 1)
+            with pytest.raises(GuardExceededError):
+                inverse_table(SpectrumTable(n, past, np.zeros_like(past)))
+        planes = values * 3**n * c
         re, im = inverse_table(SpectrumTable(n, planes, np.zeros_like(planes)))
-        peak = max(abs(int(v)) for v in planes)
-        assert re.dtype == im.dtype == fourier._kernel_dtype(peak, n)
+        assert re.dtype == im.dtype == fourier._kernel_dtype(n, planes)
         neg = _negated(n)
-        assert np.array_equal(re, scale(wp[neg]))
-        assert np.array_equal(im, scale(wq[neg]))
+        assert np.array_equal(re, wp[neg] * c)
+        assert np.array_equal(im, wq[neg] * c)
 
     @pytest.mark.parametrize("tile", [27, 81, 243])
     @pytest.mark.parametrize("n", range(3, 9))
@@ -418,10 +447,13 @@ class TestTableIO:
         assert np.array_equal(back.p, table.p) and np.array_equal(back.q, table.q)
         assert back.source_size == table.source_size
 
-    def test_object_table_has_no_dump(self):
-        p = np.zeros(27, dtype=object)
-        with pytest.raises(ValueError):
-            save_table(SpectrumTable(3, p, p), io.BytesIO())
+    @pytest.mark.parametrize("dtype", [object, np.float64, np.uint32])
+    def test_table_planes_must_be_signed_integers(self, dtype):
+        # so no table holds Python ints, and every table has a binary form
+        good = np.zeros(27, dtype=np.int64)
+        for p, q in ((np.zeros(27, dtype=dtype), good), (good, np.zeros(27, dtype=dtype))):
+            with pytest.raises(ValueError, match="signed integers"):
+                SpectrumTable(3, p, q)
 
     @pytest.mark.parametrize(
         "fault",
@@ -587,8 +619,7 @@ class TestOverflowBounds:
     DELTA = [1] + [0] * 26
 
     def exact_table(self, values):
-        f = np.array(values, dtype=object if max(map(abs, values)) >= 2**63 else np.int64)
-        table = transform_table(f, self.N)
+        table = transform_table(np.array(values, dtype=np.int64), self.N)
         want = oracles.naive_transform(values, self.N)
         assert [(int(p), int(q)) for p, q in zip(table.p, table.q)] == want
         re, im = inverse_table(table)
@@ -601,7 +632,7 @@ class TestOverflowBounds:
         # 2 * peak * 3^n < 2^31 runs the butterflies in int32, and the
         # table keeps the kernel's dtype
         c = _largest(lambda c: 2 * c * 3**self.N < 2**31) + above
-        assert fourier._kernel_dtype(c, self.N) is (np.int64 if above else np.int32)
+        assert fourier._kernel_dtype(self.N, np.array([c])) is (np.int64 if above else np.int32)
         table, _ = self.exact_table([c * t for t in self.PATTERN])
         assert table.p.dtype == table.q.dtype == (np.int64 if above else np.int32)
 
@@ -621,38 +652,121 @@ class TestOverflowBounds:
 
     @pytest.mark.parametrize("above", [False, True])
     def test_int64_object_switch(self, above):
-        # 2 * peak * 3^n < 2^63, i.e. peak * 3^n < 2^62, keeps int64
+        # 2 * peak * 3^n < 2^63, i.e. peak * 3^n < 2^62, keeps int64 without
+        # reading l1; one past it, where Python ints once took over, l1 =
+        # 18 peak is far below 2^63 and keeps int64
         c = _largest(lambda c: c * 3**self.N < 2**62) + above
-        assert fourier._kernel_dtype(c, self.N) is (object if above else np.int64)
+        calls = []
+        real = fourier._int64_blocks
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(fourier, "_int64_blocks", lambda *a: calls.append(a) or real(*a))
+            assert fourier._kernel_dtype(self.N, np.array(self.PATTERN) * c) is np.int64
+        assert len(calls) == above
         table, _ = self.exact_table([c * t for t in self.PATTERN])
-        assert table.p.dtype == (object if above else np.int64)
+        assert table.p.dtype == np.int64
+
+    @pytest.mark.parametrize("above", [False, True])
+    def test_forward_l1_bound(self, above):
+        # the pattern's peak bound 54 c passes 2^63, so l1 = 18 c decides
+        c = _largest(lambda c: 18 * c < 2**63) + above
+        f = np.array(self.PATTERN, dtype=np.int64) * c
+        assert 2 * c * 3**self.N >= 2**63 and sum(map(abs, self.PATTERN)) == 18
+        if above:
+            with pytest.raises(GuardExceededError) as exc:
+                transform_table(f, self.N)
+            assert exc.value.args == ("transform bound", 18 * c, 2**63 - 1)
+            return
+        table = transform_table(f, self.N)
+        assert table.p.dtype == table.q.dtype == np.int64
+        want = oracles.naive_transform([c * t for t in self.PATTERN], self.N)
+        assert list(zip(table.p.tolist(), table.q.tolist())) == want
+
+    @pytest.mark.parametrize("above", [False, True])
+    def test_inverse_l1_bound_counts_both_planes(self, above):
+        # the pinned function's complex table, scaled: l1 sums |p| and |q|,
+        # and one past the boundary the |p| part alone is still below 2^63
+        values, (wp, wq) = _pinned_function(self.N)
+        l1p, l1q = int(np.abs(wp).sum()), int(np.abs(wq).sum())
+        c = _largest(lambda c: (l1p + l1q) * c < 2**63) + above
+        assert l1p * (c + 1) < 2**63
+        table = SpectrumTable(self.N, wp * c, wq * c)
+        if above:
+            with pytest.raises(GuardExceededError) as exc:
+                inverse_table(table)
+            assert exc.value.args == ("transform bound", (l1p + l1q) * c, 2**63 - 1)
+            return
+        re, im = inverse_table(table)
+        assert re.dtype == np.int64
+        assert re.tolist() == [c * int(v) for v in values] and not im.any()
+
+    def test_a_spike_at_2_61(self):
+        # peak bound 54 * 2^61 but l1 = 2^61: exact in int64; its table is
+        # the constant 2^61, whose l1 of 27 * 2^61 the inverse refuses
+        table = transform_table(np.array([2**61] + [0] * 26), self.N)
+        assert table.p.dtype == np.int64
+        assert table.p.tolist() == [2**61] * 27 and not table.q.any()
+        with pytest.raises(GuardExceededError) as exc:
+            inverse_table(table)
+        assert exc.value.args == ("transform bound", 27 * 2**61, 2**63 - 1)
+
+    def test_inverse_refuses_before_copying(self):
+        # a refused n = 12 table reads its l1 in two blocks of scratch;
+        # copying its planes would take 8.5 MB
+        planes = np.full(3**12, 2**50, dtype=np.int64)
+        table = SpectrumTable(12, planes, planes)
+        tracemalloc.start()
+        try:
+            with pytest.raises(GuardExceededError):
+                inverse_table(table)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * 8 * fourier._BLOCK + (64 << 10)
 
     @pytest.mark.parametrize(
-        "dtype, base", [(np.bool_, 0), (np.int8, 0), (np.uint16, 0), (np.uint64, 2**63)]
+        "dtype, base",
+        [(np.bool_, 0), (np.int8, 0), (np.uint16, 0), (np.uint64, (2**63 - 19) // 27),
+         (np.uint64, 2**63)],
     )
     def test_integer_dtypes_enter_the_kernel_exactly(self, dtype, base):
-        # an unsigned input at or above 2^63 reaches the object tier unwrapped
+        # an unsigned input is read exactly, peak and l1 alike: with l1 =
+        # 27 base + 18 just below 2^63 it runs in int64, and at 2^63 its
+        # peak alone is refused, where a cast to int64 would wrap
         values = [base + abs(t) for t in self.PATTERN]
+        if base >= 2**63:
+            with pytest.raises(GuardExceededError) as exc:
+                transform_table(np.array(values, dtype=dtype), self.N)
+            assert exc.value.args == ("transform bound", base + 1, 2**63 - 1)
+            return
         table = transform_table(np.array(values, dtype=dtype), self.N)
-        assert table.p.dtype == fourier._kernel_dtype(base + 1, self.N)
+        assert table.p.dtype == (np.int64 if base else np.int32)
         assert [(int(p), int(q)) for p, q in zip(table.p, table.q)] == oracles.naive_transform(
             values, self.N
         )
+
+    def test_inputs_beyond_int64(self):
+        # an l1 of 2^63 is refused; a cell past int64, which would wrap in
+        # the cast, is refused by its peak alone, l1 never summed; Python
+        # ints in an object array are not read at all
+        for top in (2**63 - 18, 2**63, 2**64 - 1):
+            f = np.zeros(27, dtype=np.uint64)
+            f[[0, 5]] = top, 18
+            with pytest.raises(GuardExceededError) as exc:
+                transform_table(f, self.N)
+            assert exc.value.args == ("transform bound", max(top, 2**63), 2**63 - 1)
+        with pytest.raises(ValueError, match="integers"):
+            transform_table(np.array([2**70 * t for t in self.PATTERN], dtype=object), self.N)
 
     def test_non_integer_input_rejected(self):
         with pytest.raises(ValueError):
             transform_table(np.full(27, 0.5), self.N)
 
-    def test_inputs_beyond_int64(self):
-        table, _ = self.exact_table([2**70 * t for t in self.PATTERN])
-        assert table.p.dtype == object
-
-    @pytest.mark.parametrize("c", [1, 2**70])
+    @pytest.mark.parametrize("c", [1, 2**62])
     @pytest.mark.parametrize("plane", ["p", "q"])
     def test_inexact_inverse_raises(self, c, plane):
-        # c at frequency 0 inverts to c / 3^n everywhere, not an integer
-        dtype = object if c >= 2**63 else np.int64
-        planes = {"p": np.zeros(27, dtype=dtype), "q": np.zeros(27, dtype=dtype)}
+        # c at frequency 0 inverts to c / 3^n everywhere, not an integer;
+        # 2^62 runs in int64 by its l1
+        planes = {"p": np.zeros(27, dtype=np.int64), "q": np.zeros(27, dtype=np.int64)}
         planes[plane][0] = c
         with pytest.raises(IdentityViolationError):
             inverse_table(SpectrumTable(self.N, planes["p"], planes["q"]))

@@ -15,6 +15,7 @@ from functools import partial
 from pathlib import Path
 from typing import Callable, NamedTuple
 
+import numpy as np
 import pytest
 
 from tricap import (
@@ -33,6 +34,7 @@ from tricap import (
     random_point_set,
     save_point_set,
     transform_point_set,
+    transform_table,
 )
 from tricap import capset, cli, energy, fourier, linalg, structure
 from tricap.cli import main
@@ -74,6 +76,9 @@ SITES = {
     "transform-soft": Site(
         "transform dimension", True, (fourier, "TRANSFORM_GUARD_N"),
         lambda n: partial(transform_point_set, PointSet(n, [0])), 4, 15),
+    "transform-bound": Site(  # the l1 of (v - v // 2, v // 2, 0), a third of its peak bound
+        "transform bound", False, (fourier, "_INT64_MAX"),
+        lambda v: partial(transform_table, np.array([v - v // 2, v // 2, 0]), 1), 2**31, 2**63),
     "bitmap": Site(
         "dense bitmap dimension", False, (capset, "DENSE_MAX_N"),
         lambda n: PointSet(n, [0]).bitmap, 4, 17),

@@ -169,7 +169,7 @@ class TestNullityExperiment:
         for (_, t1, _), (_, t2, _) in zip(rows, rows[1:]):
             assert t2 <= t1
         for k, tail, overlay in rows:
-            assert overlay == 2.0**-k
+            assert type(overlay) is Fraction and overlay == Fraction(1, 2**k)
             assert 0 <= tail <= 1
 
     def test_frozen_spectrum_experiment(self):

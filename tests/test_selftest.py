@@ -35,6 +35,16 @@ def test_unknown_criterion_rejected():
         run_criterion(12, SELFTEST_SEED)
 
 
+def test_run_selftest_refuses_unknown_ids_before_running_any(monkeypatch):
+    ran = []
+    name, real = selftest._CRITERIA[1]
+    monkeypatch.setitem(selftest._CRITERIA, 1, (name, lambda seed: ran.append(seed) or real(seed)))
+    lines = []
+    with pytest.raises(ValueError, match=r"unknown criteria \[0, 99\]"):
+        run_selftest(SELFTEST_SEED, [1, 99, 0], log=lines.append)
+    assert (ran, lines) == ([], [])
+
+
 def test_run_selftest_subset_report():
     lines = []
     report, ok = run_selftest(SELFTEST_SEED, [8], log=lines.append)
