@@ -102,13 +102,16 @@ class _Parser(argparse.ArgumentParser):
 _FRACTION_PART_LIMIT = 10**4300
 
 
-def _parse_fraction(text: str) -> Fraction:
+def _threshold(text: str) -> Fraction:
+    """argparse type of --threshold; argparse lets its _UsageError through unwrapped."""
     try:
         value = Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise _UsageError(f"not a rational number: {text!r}") from exc
     if max(abs(value.numerator), value.denominator) >= _FRACTION_PART_LIMIT:
         raise _UsageError(f"{text!r} has a numerator or denominator of more than 4300 digits")
+    if value < 0:
+        raise _UsageError("threshold must be nonnegative")
     return value
 
 
@@ -241,19 +244,20 @@ def _cmd_fourier_transform(args: argparse.Namespace) -> Result:
     table = transform_point_set(ps, force=args.force)
     if args.out:
         save_table(table, args.out)
+    total, plancherel = plancherel_check(table)
     return dict(n=ps.n, size=ps.size, zero_coefficient=str(ps.size),
-                norm_total=str(table.norm_total()), plancherel=str(3**ps.n * ps.size)), True
+                norm_total=str(total), plancherel=str(plancherel)), True
 
 
 def _cmd_fourier_plancherel(args: argparse.Namespace) -> Result:
     ps = load_point_set(args.set_file)
-    lhs, rhs = plancherel_check(ps, force=args.force)
+    lhs, rhs = plancherel_check(transform_point_set(ps, force=args.force))
     return dict(n=ps.n, size=ps.size, lhs=str(lhs), rhs=str(rhs), equal=lhs == rhs), lhs == rhs
 
 
 def _cmd_fourier_cubesum(args: argparse.Namespace) -> Result:
     ps = load_point_set(args.set_file)
-    cs = cube_sum(ps, force=args.force)
+    cs = cube_sum(transform_point_set(ps, force=args.force))
     lines = count_line_solutions(ps)
     expected = Eisenstein(3**ps.n * lines, 0)
     return dict(n=ps.n, size=ps.size, real=str(cs.p), omega=str(cs.q),
@@ -291,15 +295,15 @@ def _spectrum_body(spec: SpectrumSet, increments: list[Increment]) -> dict[str, 
 
 def _cmd_spectrum_extract(args: argparse.Namespace) -> Result:
     ps = load_point_set(args.set_file)
-    spec = extract_spectrum(ps, _parse_fraction(args.threshold), force=args.force)
-    increments = scan_codim1_increments(ps, force=args.force) if ps.n >= 2 else []
-    return _spectrum_body(spec, increments), True
+    table = transform_point_set(ps, force=args.force)
+    increments = scan_codim1_increments(ps, table) if ps.n >= 2 else []
+    return _spectrum_body(extract_spectrum(ps, table, args.threshold), increments), True
 
 
 def _cmd_spectrum_increments(args: argparse.Namespace) -> Result:
     ps = load_point_set(args.set_file)
     check_increment_sampling(ps.n, args.codim, args.samples)  # before the transform
-    spec = extract_spectrum(ps, _parse_fraction(args.threshold), force=args.force)
+    spec = extract_spectrum(ps, transform_point_set(ps, force=args.force), args.threshold)
     found = sampled_increment_checks(spec, args.codim, args.samples, args.seed)
     return _spectrum_body(spec, found), True
 
@@ -314,7 +318,7 @@ def _cmd_spectrum_subspace(args: argparse.Namespace) -> Result:
         reference = math.inf
     if not math.isfinite(reference):
         raise _UsageError(f"epsilon {args.epsilon!r} gives no finite count reference")
-    spec = extract_spectrum(ps, _parse_fraction(args.threshold), force=args.force)
+    spec = extract_spectrum(ps, transform_point_set(ps, force=args.force), args.threshold)
     count, weight = subspace_spectrum_stats(spec, w)
     rho = ps.size / 3**ps.n
     return dict(dim=w.dim, member_count=count, weight=str(weight),
@@ -436,14 +440,13 @@ def _cmd_structure_martingale(args: argparse.Namespace) -> Result:
 
 def _cmd_nullity_sim(args: argparse.Namespace) -> Result:
     source = args.input.removeprefix("spectrum-of:")
-    if source == args.input:
-        if args.threshold is not None or args.force:
-            flag = "--threshold" if args.threshold is not None else "--force"
-            raise _UsageError(f"{flag} applies only to a spectrum-of: input")
-        ps = load_point_set(source)
-    else:
-        threshold = _parse_fraction("1" if args.threshold is None else args.threshold)
-        ps = extract_spectrum(load_point_set(source), threshold, force=args.force).members
+    if source == args.input and (args.threshold is not None or args.force):
+        flag = "--threshold" if args.threshold is not None else "--force"
+        raise _UsageError(f"{flag} applies only to a spectrum-of: input")
+    ps = load_point_set(source)
+    if source != args.input:  # the table goes inline: extract_spectrum drops it early
+        threshold = 1 if args.threshold is None else args.threshold
+        ps = extract_spectrum(ps, transform_point_set(ps, force=args.force), threshold).members
     return report_nullity(nullity_distribution(ps, args.d, args.trials, args.seed)), True
 
 
@@ -512,16 +515,16 @@ def _build_parser() -> _Parser:
 
     s = leaf("spectrum extract", _cmd_spectrum_extract, force=True, csv=increments)
     s.add_argument("set_file")
-    s.add_argument("--threshold", default="1")
+    s.add_argument("--threshold", type=_threshold, default="1")
     s = leaf("spectrum increments", _cmd_spectrum_increments, force=True, csv=increments)
     s.add_argument("set_file")
-    s.add_argument("--threshold", default="1")
+    s.add_argument("--threshold", type=_threshold, default="1")
     s.add_argument("--codim", type=int, required=True)
     s.add_argument("--samples", type=int, default=20)
     s.add_argument("--seed", type=_int_at_least(0), default=SELFTEST_SEED)
     s = leaf("spectrum subspace", _cmd_spectrum_subspace, force=True)
     s.add_argument("set_file")
-    s.add_argument("--threshold", default="1")
+    s.add_argument("--threshold", type=_threshold, default="1")
     s.add_argument("--basis", required=True,
                    help="comma-separated trit strings spanning the subspace")
     s.add_argument("--epsilon", type=_finite_float, default=0.0)
@@ -566,7 +569,7 @@ def _build_parser() -> _Parser:
     s = leaf("nullity-sim", _cmd_nullity_sim, force=True, csv=nullity_csv_rows)
     s.add_argument("--input", required=True,
                    help="set file; prefix with spectrum-of: to draw from its spectrum")
-    s.add_argument("--threshold", default=None, help="spectrum threshold, default 1")
+    s.add_argument("--threshold", type=_threshold, help="spectrum threshold, default 1")
     s.add_argument("--d", type=_int_at_least(0), required=True)
     s.add_argument("--trials", type=_int_at_least(1), required=True)
     s.add_argument("--seed", type=_int_at_least(0), required=True)

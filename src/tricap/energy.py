@@ -109,10 +109,6 @@ def _table_pays(ps: PointSet) -> bool:  # auto rule of e4 and diff_multiplicity
     return ps.n <= TRANSFORM_GUARD_N and 3**ps.n < 4 * max(ps.size, 1) ** 2
 
 
-def _table_serves(ps: PointSet, force: bool = False) -> bool:  # auto rule of every E_2m
-    return ps.n <= TRANSFORM_GUARD_N or force
-
-
 def _inverse_of_real(n: int, norms: np.ndarray) -> np.ndarray:
     """Exact inverse of a norm table: the difference multiplicities, int64.
 
@@ -154,15 +150,15 @@ def e2m(ps: PointSet, m: int, backend: str = "auto", force: bool = False) -> int
         raise ValueError("m must be positive")
     guard("energy order m", m, E2M_MAX_M)
     if backend == "auto":
-        backend = "transform" if _table_serves(ps, force) else "convolution"
+        backend = "transform" if ps.n <= TRANSFORM_GUARD_N or force else "convolution"
     if backend == "transform":
-        return _e2m_transform(ps, (m,), force)[0]
+        return _e2m_transform(transform_point_set(ps, force=force), (m,))[0]
     if backend == "convolution":
         return _e2m_convolution(ps, m)
     raise ValueError(f"unknown backend {backend!r}")
 
 
-def _e2m_transform(ps: PointSet, ms: tuple[int, ...], force: bool) -> list[int]:
+def _e2m_transform(table: SpectrumTable, ms: tuple[int, ...]) -> list[int]:
     """sum |c(y)|^(2m) / 3^n for each m of ms, in order, from one table.
 
     A table has far fewer distinct norms than cells (about 10^4 among
@@ -171,10 +167,10 @@ def _e2m_transform(ps: PointSet, ms: tuple[int, ...], force: bool) -> list[int]:
     merged; the exact Python-int powers then run once per distinct value.
     """
     values, counts = np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-    for _, _, norms in transform_point_set(ps, force=force).norm_blocks():
+    for _, _, norms in table.norm_blocks():
         values, counts = _merge_sums(values, counts, *np.unique(norms, return_counts=True))
     pairs = list(zip(values.tolist(), counts.tolist()))
-    totals = [divmod(sum(c * v**m for v, c in pairs), 3**ps.n) for m in ms]
+    totals = [divmod(sum(c * v**m for v, c in pairs), 3**table.n) for m in ms]
     if any(rest for _, rest in totals):
         raise IdentityViolationError("energy divisibility", [rest for _, rest in totals], 0)
     return [energy for energy, _ in totals]
@@ -262,8 +258,8 @@ def holder_check(ps: PointSet, m: int) -> HolderReport:
         raise ValueError("interpolation checks start at m = 3")
     guard("energy order m", m, E2M_MAX_M)
     wants = (2, m) if m <= 4 else (2, 4, m)
-    if _table_serves(ps):
-        got = dict(zip(wants, _e2m_transform(ps, wants, False)))
+    if ps.n <= TRANSFORM_GUARD_N:  # e2m's auto rule; one table gives every moment
+        got = dict(zip(wants, _e2m_transform(transform_point_set(ps), wants)))
     else:
         got = {k: e4(ps) if k == 2 else e2m(ps, k) for k in wants}
     v4, vm, v8 = got[2], got[m], got.get(4)

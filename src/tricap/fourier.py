@@ -5,7 +5,8 @@ c(x) = sum over members a of w^(x.a). The full table is computed by n
 passes of the 3-point butterfly: the transform is the n-th tensor power
 of the 3-point DFT and the group is elementary abelian, so there are no
 twiddle factors (Yates' algorithm). Coefficients live in two planes,
-the real part p and the omega part q.
+the real part p and the omega part q. Statistics of a set (Plancherel,
+the cube sum, the spectrum scans) read the table its caller built once.
 
 Every integer fast path follows a written bound; past it a slower exact
 path takes over or a guard refuses, never a wrapped value:
@@ -415,18 +416,15 @@ def inverse_table(
     return p, q
 
 
-def plancherel_check(ps: PointSet, force: bool = False) -> tuple[int, int]:
-    """(sum of norms, 3^n * |A|) as exact big ints; equal or it's a bug."""
-    return transform_point_set(ps, force=force).norm_total(), 3**ps.n * ps.size
+def plancherel_check(table: SpectrumTable) -> tuple[int, int]:
+    """(sum of norms, 3^n * |A|) for the table of a set A, exact; equal or it's a bug."""
+    if table.source_size is None:
+        raise ValueError("Plancherel needs a table that records its set's size")
+    return table.norm_total(), 3**table.n * table.source_size
 
 
-def cube_sum(ps: PointSet, force: bool = False) -> Eisenstein:
-    """sum_x c(x)^3, exactly; equals (3^n * line solutions, 0)."""
-    return _cube_total(transform_point_set(ps, force=force))
-
-
-def _cube_total(table: SpectrumTable) -> Eisenstein:
-    """sum_x c(x)^3 over a whole table, exactly, one _BLOCK of cells at a time.
+def cube_sum(table: SpectrumTable) -> Eisenstein:
+    """sum_x c(x)^3, exactly; (3^n * line solutions, 0) for the table of a set.
 
     (p + q w)^3 = (p^3 + q^3 - 3 p q^2) + 3 p q (p - q) w; every partial
     result is at most 6 peak^3 in size, peak taken over the block. The

@@ -32,7 +32,7 @@ from .capset import (
     random_point_set,
 )
 from .energy import _square_total, diff_multiplicity, e2m, e4, holder_check
-from .fourier import cube_sum, eval_at, plancherel_check
+from .fourier import cube_sum, eval_at, plancherel_check, transform_point_set
 from .gf3core import Eisenstein, TritVector, plane_add
 from .jsonio import dumps_canonical, envelope, report_nullity
 from .linalg import Subspace
@@ -74,7 +74,7 @@ def _c1_plancherel(seed: int) -> tuple[bool, dict]:
         rng = make_rng(seed, 101, i)
         size = int(rng.integers(1, 3**n // 2 + 1))
         ps = random_point_set(n, size, rng)
-        lhs, rhs = plancherel_check(ps)
+        lhs, rhs = plancherel_check(transform_point_set(ps))
         if lhs != rhs:
             return False, {"failed_at": i, "n": n, "size": size}
         checked += 1
@@ -88,7 +88,7 @@ def _c2_cube_sums(seed: int) -> tuple[bool, dict]:
         ps = greedy_random_capset(n, seed + n)
         if not is_capset(ps):
             return False, {"stage": "greedy", "n": n}
-        cube = cube_sum(ps)
+        cube = cube_sum(transform_point_set(ps))
         if cube != Eisenstein(3**n * count_line_solutions(ps), 0):
             return False, {"stage": "greedy-cube", "n": n}
         if cube != Eisenstein(3**n * ps.size, 0):
@@ -102,7 +102,7 @@ def _c2_cube_sums(seed: int) -> tuple[bool, dict]:
         n = na + nb
         if not is_capset(prod):
             return False, {"stage": "product", "n": n}
-        if cube_sum(prod) != Eisenstein(3**n * prod.size, 0):
+        if cube_sum(transform_point_set(prod)) != Eisenstein(3**n * prod.size, 0):
             return False, {"stage": "product-cube", "n": n}
         products += 1
     return True, {"greedy_sizes": checked, "products": products}
@@ -327,7 +327,7 @@ def _c8_selection(seed: int) -> tuple[bool, dict]:
 def _c9_nullity(seed: int) -> tuple[bool, dict]:
     """Byte-identical nullity reports, sane tails, 2^-k overlay present."""
     base = greedy_random_capset(12, seed + 912)
-    spec = extract_spectrum(base)
+    spec = extract_spectrum(base, transform_point_set(base))
     if spec.members.size < 12:
         return False, {"stage": "spectrum-size", "size": spec.members.size}
     a = nullity_distribution(spec.members, 12, 1000, seed)
@@ -357,7 +357,7 @@ def _c10_spectrum(seed: int) -> tuple[bool, dict]:
     """Spectrum shape on a hyperplane, symmetry, monotonicity, boundary."""
     x0 = TritVector.unit(6, 0)
     plane = PointSet(6, Subspace.span([x0], 6).annihilator().enumerate_indices())
-    spec = extract_spectrum(plane)
+    spec = extract_spectrum(plane, transform_point_set(plane))
     want = sorted((x0.index, x0.scale(2).index))
     if [int(i) for i in spec.members.indices] != want:
         return False, {"stage": "hyperplane-members"}
@@ -378,15 +378,15 @@ def _c10_spectrum(seed: int) -> tuple[bool, dict]:
         n = 3 + i % 6
         size = int(rng.integers(1, 3**n // 2 + 1))
         ps = random_point_set(n, size, rng)
-        spec1 = extract_spectrum(ps, Fraction(1))
-        neg = spec1.members.negate()
-        if spec1.members != neg:
+        table = transform_point_set(ps)  # one table for all three thresholds
+        spec1 = extract_spectrum(ps, table, Fraction(1))
+        if spec1.members != spec1.members.negate():
             return False, {"stage": "symmetry", "i": i}
         for x in list(spec1.members.vectors())[:20]:
             if eval_at(ps, x).norm() != eval_at(ps, -x).norm():
                 return False, {"stage": "norm-symmetry", "i": i}
-        lo = extract_spectrum(ps, Fraction(1, 2)).members
-        hi = extract_spectrum(ps, Fraction(2)).members
+        lo = extract_spectrum(ps, table, Fraction(1, 2)).members
+        hi = extract_spectrum(ps, table, Fraction(2)).members
         s_mid = set(spec1.members.indices.tolist())
         if not set(hi.indices.tolist()) <= s_mid <= set(lo.indices.tolist()):
             return False, {"stage": "monotone", "i": i}

@@ -21,11 +21,11 @@ the coset's point count with its basis and shift as canonical indices,
 and it is reported when the count reaches increment_need, the exact
 integer form of that threshold, which is at least 1, so the empty set
 has no increment. Densities and strings are made once, when a report is
-rendered. Hyperplane scans read the coset counts of every functional off
-the coefficient table; explicit and sampled cosets, and the fibers that
-``structure fibers`` reports, are counted by _coset_sizes from one
-histogram of dot profiles against the direction's annihilator, one pass
-over A and 3^d bins.
+rendered. The spectrum and the hyperplane scan's coset counts are read
+off A's table, which their caller builds; a table of another n or |A| is
+refused. Explicit and sampled cosets, and the fibers that ``structure
+fibers`` reports, are counted by _coset_sizes from one histogram of dot
+profiles against the direction's annihilator, one pass over A and 3^d bins.
 
 A hyperplane x^perp needs no elimination: with q the last nonzero
 coordinate of x, its reduced echelon basis is {e_j - x_j x_q e_q : j != q}.
@@ -45,7 +45,7 @@ import numpy as np
 from . import bulk
 from .capset import PointSet
 from .errors import IdentityViolationError
-from .fourier import eval_at, restricted_transform, transform_point_set
+from .fourier import SpectrumTable, eval_at, restricted_transform
 from .gf3core import TritVector
 from .linalg import Subspace
 from .rng import make_rng
@@ -86,23 +86,27 @@ class SpectrumSet(NamedTuple):
     members: PointSet
 
 
-def extract_spectrum(
-    ps: PointSet, threshold_c: Fraction | int = 1, force: bool = False
-) -> SpectrumSet:
-    """All nonzero frequencies whose coefficient passes the threshold.
+def _check_table(ps: PointSet, table: SpectrumTable) -> None:
+    if (table.n, table.source_size) != (ps.n, ps.size):
+        raise ValueError("the table is not the transform of a set of this n and size")
 
-    The membership mask is built from the table's norms one block at a
-    time, and the table is dropped before the members are listed, so the
-    peak is the table plus a byte a cell, then the mask plus the members.
+
+def extract_spectrum(
+    ps: PointSet, table: SpectrumTable, threshold_c: Fraction | int = 1
+) -> SpectrumSet:
+    """All nonzero frequencies whose coefficient in ps's table passes the threshold.
+
+    The mask is built from the table's norms one block at a time, and
+    this call drops its reference to the table before the members are
+    listed: a caller that passes the table inline holds the table plus
+    a byte a cell, then the mask plus the members.
     """
     c = Fraction(threshold_c)
     if c < 0:
         raise ValueError("threshold must be nonnegative")
+    _check_table(ps, table)
     # norm >= ceil(c_num^2 |A|^4 / (3^(2n) c_den^2)), exact integer form
-    num = c.numerator**2 * ps.size**4
-    den = 3 ** (2 * ps.n) * c.denominator**2
-    need = -(-num // den)
-    table = transform_point_set(ps, force=force)
+    need = -(-(c.numerator**2 * ps.size**4) // (3 ** (2 * ps.n) * c.denominator**2))
     mask = np.empty(table.p.size, dtype=bool)
     for start, stop, norms in table.norm_blocks():
         mask[start:stop] = norms >= need  # exact for any Python int need
@@ -219,8 +223,8 @@ def _hyperplane_bases(n: int, x: np.ndarray) -> np.ndarray:
     return rows[np.arange(n) != q[:, None]].reshape(x.size, n - 1)
 
 
-def scan_codim1_increments(ps: PointSet, force: bool = False) -> list[Increment]:
-    """Every affine hyperplane carrying a strong increment.
+def scan_codim1_increments(ps: PointSet, table: SpectrumTable) -> list[Increment]:
+    """Every affine hyperplane carrying a strong increment, read off ps's table.
 
     One pass over the full coefficient table recovers all coset counts.
     The pair {x, 2x} describes the same hyperplane family, so only the
@@ -231,15 +235,14 @@ def scan_codim1_increments(ps: PointSet, force: bool = False) -> list[Increment]
     """
     if ps.n < 2:
         raise ValueError("codimension-1 scan needs n >= 2")
-    n = ps.n
+    _check_table(ps, table)
     need = increment_need(ps, 1)
-    table = transform_point_set(ps, force=force)
     found: list[Increment] = []
-    for r in _canonical_ranges(n):
+    for r in _canonical_ranges(ps.n):
         p, q = table.p[r.start : r.stop], table.q[r.start : r.stop]
         counts = np.stack(_level_counts(p, q, ps.size), axis=1)
         rows, labels = np.nonzero(counts >= need)
-        bases = _hyperplane_bases(n, r.start + rows).tolist()
+        bases = _hyperplane_bases(ps.n, r.start + rows).tolist()
         hits = zip(counts[rows, labels].tolist(), bases, (labels * r.start).tolist())
         found += [Increment(1, k, tuple(basis), shift) for k, basis, shift in hits]
     return found

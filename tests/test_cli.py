@@ -428,10 +428,10 @@ class TestFraming:
 
 @pytest.fixture
 def transforms(monkeypatch):
-    """Names of the transforms run, spied on in every module that imports one."""
+    """Names of the transforms run, spied on in every module that calls one."""
     calls = []
     for module, name in [(cli, "transform_point_set"), (energy, "transform_point_set"),
-                         (spectrum, "transform_point_set"), (spectrum, "restricted_transform")]:
+                         (spectrum, "restricted_transform")]:
         def spy(*args, _real=getattr(module, name), _name=name, **kwargs):
             calls.append(_name)
             return _real(*args, **kwargs)
@@ -485,13 +485,18 @@ THRESHOLD_ARGV = {
 class TestRefusedArguments:
     """Arguments a command cannot honour stop with their exit code before any transform."""
 
-    @pytest.mark.parametrize("value", ["1e4300", "1e-4300", "1e5000"])
+    @pytest.mark.parametrize("value", ["1e4300", "1e-4300", "1e5000", "-1"])
     @pytest.mark.parametrize("command", list(THRESHOLD_ARGV))
     def test_threshold_past_the_digit_limit(self, cap_file, capsys, transforms, command, value):
-        # CPython prints no int of more than 4,300 digits, and 10^4300 has 4,301
+        # CPython prints no int of more than 4,300 digits, and 10^4300 has 4,301;
+        # a negative threshold is refused by the same argparse type
         code, out, err = run_cli(capsys, *THRESHOLD_ARGV[command](cap_file), "--threshold", value)
         assert (code, out, transforms) == (1, "", [])
-        assert err == f"tricap: '{value}' has a numerator or denominator of more than 4300 digits\n"
+        if value == "-1":
+            assert err == "tricap: threshold must be nonnegative\n"
+        else:
+            assert err == (f"tricap: '{value}' has a numerator or denominator "
+                           "of more than 4300 digits\n")
 
     @pytest.mark.parametrize("command", list(THRESHOLD_ARGV))
     def test_threshold_at_the_digit_limit_runs(self, cap_file, capsys, command):
@@ -672,6 +677,12 @@ class TestPipelines:
         rep = json.loads(out)
         assert rep["d"] == 6
         assert sum(rep["histogram"].values()) == 25
+
+    def test_spectrum_extract_transforms_once(self, cap_file, capsys, transforms):
+        # the spectrum and the hyperplane scan read the one table the handler built
+        code, out, _ = run_cli(capsys, "spectrum", "extract", cap_file)
+        assert (code, transforms) == (0, ["transform_point_set"])
+        assert json.loads(out)["spectrum_size"] > 0
 
     def test_selftest_subset(self, capsys):
         code, out, err = run_cli(capsys, "selftest", "--criteria", "8")

@@ -22,6 +22,7 @@ from tricap import (
     holder_check,
     random_point_set,
     save_point_set,
+    transform_point_set,
 )
 from tricap import bulk, cli, energy, fourier
 from tricap.cli import main
@@ -227,7 +228,7 @@ class TestOneTable:
         pts = tuples_of(ps)
         want = {m: oracles.naive_e2m(pts, m) for m in (2, 3, 4)}
         for ms in ((2, 3, 4), (4, 2, 3), (3, 2)):
-            assert energy._e2m_transform(ps, ms, False) == [want[m] for m in ms]
+            assert energy._e2m_transform(transform_point_set(ps), ms) == [want[m] for m in ms]
 
     @pytest.mark.parametrize("m", [3, 4, 5, 6])
     def test_holder_values_match_separate_calls(self, m):
@@ -238,18 +239,18 @@ class TestOneTable:
             assert rep.e8 == (None if m == 3 else e2m(ps, 4, backend="convolution"))
 
     @pytest.mark.parametrize("ms", [(2, 3), (3, 2)])
-    def test_every_moment_is_checked_for_divisibility(self, monkeypatch, ms):
+    def test_every_moment_is_checked_for_divisibility(self, ms):
         # norms 1, 2, 1 over 3 cells: sum v^2 = 6 divides by 3, sum v^3 = 10
         # does not, so a check of either moment alone misses one order
         class Table:
+            n = 1
+
             def norm_blocks(self):
                 yield 0, 3, np.array([1, 2, 1], dtype=np.int64)
 
-        monkeypatch.setattr(energy, "transform_point_set", lambda ps, force: Table())
-        ps = PointSet(1, [0])
-        assert energy._e2m_transform(ps, (2,), False) == [2]
+        assert energy._e2m_transform(Table(), (2,)) == [2]
         with pytest.raises(IdentityViolationError):
-            energy._e2m_transform(ps, ms, False)
+            energy._e2m_transform(Table(), ms)
 
     @pytest.mark.parametrize("m", [3, 4, 5])
     def test_past_the_guard_makes_the_separate_calls(self, monkeypatch, m):

@@ -72,3 +72,22 @@ def test_exact_modules_compute_no_float(name):
             continue
         found[-1] += f" on line {node.lineno}"
     assert found == []
+
+
+# the modules that may call transform_point_set: the CLI handlers and the
+# selftest criteria build one table per report and hand it to every
+# statistic, energy chooses its backend from the set, and fourier owns it
+TRANSFORM_CALLERS = {"cli.py", "selftest.py", "energy.py", "fourier.py"}
+
+
+def test_statistics_read_the_table_their_caller_built():
+    found = []
+    for path in sorted(Path(tricap.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=path.name)):
+            if not isinstance(node, ast.Call) or path.name in TRANSFORM_CALLERS:
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name == "transform_point_set":
+                found.append(f"{path.name} line {node.lineno}")
+    assert found == []

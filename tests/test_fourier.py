@@ -63,8 +63,15 @@ class TestTransform:
 
     @given(small_sets)
     def test_plancherel(self, ps):
-        lhs, rhs = plancherel_check(ps)
+        lhs, rhs = plancherel_check(transform_point_set(ps))
         assert lhs == rhs == 3**ps.n * ps.size
+
+    def test_plancherel_refuses_a_table_without_a_source_size(self):
+        # transform_table of a function records no |A|, so 3^n |A| is unknown
+        table = transform_table(np.array([1, 0, 1]), 1)
+        assert table.source_size is None
+        with pytest.raises(ValueError, match="records its set's size"):
+            plancherel_check(table)
 
     @given(small_sets)
     def test_conjugate_symmetry_under_negation(self, ps):
@@ -362,16 +369,16 @@ class TestConjugateSplit:
 class TestCubeSum:
     @given(small_sets)
     def test_counts_lines_exactly(self, ps):
-        cs = cube_sum(ps)
+        cs = cube_sum(transform_point_set(ps))
         assert cs == Eisenstein(3**ps.n * count_line_solutions(ps), 0)
 
     def test_capset_iff_minimal(self):
         cap = greedy_random_capset(5, 51)
-        assert cube_sum(cap) == Eisenstein(3**5 * cap.size, 0)
+        assert cube_sum(transform_point_set(cap)) == Eisenstein(3**5 * cap.size, 0)
         bad = PointSet.from_strings(["00000", "11111", "22222", "01210"])
         lines = count_line_solutions(bad)
         assert lines > bad.size
-        assert cube_sum(bad) == Eisenstein(3**5 * lines, 0)
+        assert cube_sum(transform_point_set(bad)) == Eisenstein(3**5 * lines, 0)
 
 
 class TestRestrictedTransform:
@@ -778,12 +785,12 @@ class TestOverflowBounds:
         c = _largest(lambda c: 8 * c**3 < 2**62) + offset
         table, want = self.exact_table([c * t for t in self.DELTA])
         cubes = [oracles.e_mul(oracles.e_mul(z, z), z) for z in want]
-        assert fourier._cube_total(table) == Eisenstein(
+        assert cube_sum(table) == Eisenstein(
             sum(z[0] for z in cubes), sum(z[1] for z in cubes)
         )
         # (c, -c) reaches the worst partial term, 6 peak^3, in the omega part
         p = np.full(27, c, dtype=np.int64)
-        assert fourier._cube_total(SpectrumTable(self.N, p, -p)) == Eisenstein(
+        assert cube_sum(SpectrumTable(self.N, p, -p)) == Eisenstein(
             -3 * 27 * c**3, -6 * 27 * c**3
         )
 
@@ -811,7 +818,7 @@ class TestOverflowBounds:
         # part of (c, -c), passes 2^63; a looser bound would wrap here
         c = _largest(lambda c: 6 * c**3 < 2**63) + 1
         p = np.full(27, c, dtype=dtype)
-        assert fourier._cube_total(SpectrumTable(self.N, p, -p)) == Eisenstein(
+        assert cube_sum(SpectrumTable(self.N, p, -p)) == Eisenstein(
             -3 * 27 * c**3, -6 * 27 * c**3
         )
 
@@ -830,8 +837,8 @@ class TestOverflowBounds:
         )
         cubes = [oracles.e_mul(oracles.e_mul(z, z), z) for z in want]
         expect = Eisenstein(sum(z[0] for z in cubes), sum(z[1] for z in cubes))
-        assert fourier._cube_total(table) == expect
-        assert fourier._cube_total(transform_table(np.array(values), self.N)) == expect
+        assert cube_sum(table) == expect
+        assert cube_sum(transform_table(np.array(values), self.N)) == expect
 
     @pytest.mark.parametrize("dtype", [np.int32, np.int64])
     def test_cube_total_picks_int64_or_python_ints_per_block(self, monkeypatch, dtype):
@@ -850,7 +857,7 @@ class TestOverflowBounds:
 
         monkeypatch.setattr(bulk, "exact_sum", spy)
         cubes = [oracles.e_mul(oracles.e_mul(z, z), z) for z in zip(p.tolist(), q.tolist())]
-        assert fourier._cube_total(SpectrumTable(self.N, p, q)) == Eisenstein(
+        assert cube_sum(SpectrumTable(self.N, p, q)) == Eisenstein(
             sum(z[0] for z in cubes), sum(z[1] for z in cubes)
         )
         assert dtypes == [np.int64] * 4 + [object] * 2 + [np.int64] * 6
@@ -870,8 +877,9 @@ class TestMemoryPeaks:
 
     An int32 table is 8 bytes a cell. The butterflies run in place
     beside a fixed scratch of two tile pairs and two scratch rows, about
-    2.4 MB, and the consumers read the table in fixed blocks; extraction
-    also holds a byte-a-cell mask until the table is dropped. A
+    2.4 MB. A statistic reads a table built before tracing starts, in
+    fixed blocks: Plancherel and the cube sum add only that scratch, and
+    extraction adds a byte-a-cell mask and 8 bytes a member. A
     full-size copy of a plane (4 bytes a cell or more) or a spare plane
     pair pushes a path past these bounds.
     """
@@ -888,24 +896,33 @@ class TestMemoryPeaks:
         [(transform_point_set, 8), (plancherel_check, 8), (cube_sum, 8), (extract_spectrum, 9)],
     )
     def test_traced_peak(self, cap, run, per_cell):
+        # per_cell counts the 8-byte-a-cell table; a statistic is traced
+        # on a table built first, so only what it adds past that is traced
+        args, table_bytes = (cap,), 0
+        if run is not transform_point_set:
+            table = transform_point_set(cap)
+            table_bytes = table.p.nbytes + table.q.nbytes
+            args = (cap, table) if run is extract_spectrum else (table,)
         tracemalloc.start()
         try:
-            run(cap)
+            result = run(*args)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= per_cell * 3**self.N + self.ALLOWANCE
+        members = result.members.size if run is extract_spectrum else 0
+        assert table_bytes in (0, 8 * 3**self.N)
+        assert table_bytes + peak <= per_cell * 3**self.N + 8 * members + self.ALLOWANCE
 
     def test_cube_sum_of_a_dense_set_stays_in_blocks(self, monkeypatch):
         # c(0) = |A| >= 832,256 breaks 8 * peak^3 < 2^62 in its own block
         # only; converting the whole table to Python ints traces 340 MB
         table = transform_point_set(random_point_set(13, 850_000, 1))
-        whole = fourier._cube_total(table)
+        whole = cube_sum(table)
         assert whole.q == 0 and whole.p % 3**13 == 0
         monkeypatch.setattr(fourier, "_BLOCK", 1 << 12)
         tracemalloc.start()
         try:
-            assert fourier._cube_total(table) == whole
+            assert cube_sum(table) == whole
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -14,6 +14,7 @@ from tricap import (
     nullity_distribution,
     random_point_set,
     sample_without_replacement,
+    transform_point_set,
 )
 from tricap import bulk, randomsel
 
@@ -175,7 +176,7 @@ class TestNullityExperiment:
     def test_frozen_spectrum_experiment(self):
         # the pinned desk-scale run: spectrum of a greedy cap at n = 12
         ps = greedy_random_capset(12, SELFTEST_SEED + 912)
-        spec = extract_spectrum(ps, 1)
+        spec = extract_spectrum(ps, transform_point_set(ps), 1)
         exp = nullity_distribution(spec.members, 12, 1000, SELFTEST_SEED)
         assert exp.histogram == {0: 535, 1: 439, 2: 25, 3: 1}
         assert exp.tail(0) == 1

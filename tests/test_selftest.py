@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from tricap import SELFTEST_SEED, criterion_ids, run_criterion, run_selftest
-from tricap import selftest
+from tricap import energy, selftest
 from tricap.cli import main
 from tricap.rng import make_rng
 
@@ -43,6 +43,19 @@ def test_run_selftest_refuses_unknown_ids_before_running_any(monkeypatch):
     with pytest.raises(ValueError, match=r"unknown criteria \[0, 99\]"):
         run_selftest(SELFTEST_SEED, [1, 99, 0], log=lines.append)
     assert (ran, lines) == ([], [])
+
+
+def test_criterion_10_transforms_each_set_once(monkeypatch):
+    # the hyperplane, then 50 random sets whose three thresholds share a table
+    calls = []
+    for module in (selftest, energy):
+        def spy(*args, _real=module.transform_point_set, **kwargs):
+            calls.append(args[0].n)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(module, "transform_point_set", spy)
+    assert run_criterion(10)["pass"] is True
+    assert len(calls) == 51
 
 
 def test_run_selftest_subset_report():

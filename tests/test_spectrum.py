@@ -93,11 +93,17 @@ class TestCosetCounts:
         assert [int(k[0]) for k in counts] == [size if j == level else 0 for j in range(3)]
 
 
+# a table whose n or |A| differs from PointSet(5, [0, 1])'s
+another_set = pytest.mark.parametrize(
+    "other", [PointSet(5, [0, 1, 2]), PointSet(4, [0, 1])], ids=["another-size", "another-n"]
+)
+
+
 class TestExtraction:
     @given(small_sets)
     def test_membership_matches_exact_inequality(self, ps):
-        spec = extract_spectrum(ps, Fraction(1, 2))
         table = transform_point_set(ps)
+        spec = extract_spectrum(ps, table, Fraction(1, 2))
         bound = Fraction(ps.size, 1) ** 4 * Fraction(1, 4) / Fraction(3) ** (2 * ps.n)
         for v in all_vectors(ps.n):
             inside = not v.is_zero() and Fraction(table.norm_at(v.index)) >= bound
@@ -113,13 +119,14 @@ class TestExtraction:
         for c in (Fraction(1, 2), Fraction(1), Fraction(2)):
             need = c * c * ps.size**4 / 3**10
             want = [x for x in range(1, 3**5) if table.norm_at(x) >= need]
-            assert extract_spectrum(ps, c).members.indices.tolist() == want
+            assert extract_spectrum(ps, table, c).members.indices.tolist() == want
 
     @given(small_sets)
     def test_threshold_monotone(self, ps):
-        tight = extract_spectrum(ps, 2)
-        mid = extract_spectrum(ps, 1)
-        loose = extract_spectrum(ps, Fraction(1, 2))
+        table = transform_point_set(ps)
+        tight = extract_spectrum(ps, table, 2)
+        mid = extract_spectrum(ps, table, 1)
+        loose = extract_spectrum(ps, table, Fraction(1, 2))
         tight_m = {str(v) for v in tight.members.vectors()}
         mid_m = {str(v) for v in mid.members.vectors()}
         loose_m = {str(v) for v in loose.members.vectors()}
@@ -127,14 +134,14 @@ class TestExtraction:
 
     @given(small_sets)
     def test_negation_symmetry(self, ps):
-        spec = extract_spectrum(ps, 1)
+        spec = extract_spectrum(ps, transform_point_set(ps), 1)
         for v in spec.members.vectors():
             assert spec.members.contains(-v)
             assert eval_at(ps, v).norm() == eval_at(ps, -v).norm()
 
     def test_hyperplane_spectrum_is_dual_line(self):
         ps = _hyperplane(5)
-        spec = extract_spectrum(ps, 1)
+        spec = extract_spectrum(ps, transform_point_set(ps), 1)
         got = {str(v) for v in spec.members.vectors()}
         assert got == {"10000", "20000"}
         assert eval_at(ps, TritVector.from_string("10000")).norm() == ps.size**2
@@ -142,8 +149,9 @@ class TestExtraction:
     def test_frozen_sizes_for_greedy_cap(self):
         ps = greedy_random_capset(6, SELFTEST_SEED + 6)
         assert ps.size == 71
+        table = transform_point_set(ps)
         for c, size in [(Fraction(1, 2), 612), (Fraction(1), 320), (Fraction(2), 40)]:
-            assert extract_spectrum(ps, c).members.size == size
+            assert extract_spectrum(ps, table, c).members.size == size
 
     def test_threshold_boundaries_match_integer_oracle(self):
         # thresholds whose cleared-denominator bound `need` equals a member's
@@ -153,6 +161,7 @@ class TestExtraction:
         dft = oracles.naive_dft(pts, ps.n)
         norm = {oracles.point_index(x): oracles.e_norm(c) for x, c in dft.items()}
         scale = 3 ** (2 * ps.n)
+        table = transform_point_set(ps)
 
         def need_of(c):
             return -(-(c.numerator**2 * ps.size**4) // (scale * c.denominator**2))
@@ -168,17 +177,23 @@ class TestExtraction:
         for need in (target, target + 1):
             c = Fraction(isqrt(need * scale * k * k), ps.size**2 * k)
             assert need_of(c) == need
-            got = extract_spectrum(ps, c).members.indices.tolist()
+            got = extract_spectrum(ps, table, c).members.indices.tolist()
             assert got == oracle(c)
             assert (target in [norm[i] for i in got]) == (need == target)
         c = Fraction(2**40)
         assert need_of(c) >= 2**63
-        assert extract_spectrum(ps, c).members.size == 0 == len(oracle(c))
+        assert extract_spectrum(ps, table, c).members.size == 0 == len(oracle(c))
+
+    @another_set
+    def test_rejects_the_table_of_another_set(self, other):
+        with pytest.raises(ValueError, match="not the transform"):
+            extract_spectrum(PointSet(5, [0, 1]), transform_point_set(other), 1)
 
     def test_rejects_negative_threshold(self):
         ps = random_point_set(3, 5, 1)
+        table = transform_point_set(ps)
         with pytest.raises(ValueError):
-            extract_spectrum(ps, Fraction(-1, 2))
+            extract_spectrum(ps, table, Fraction(-1, 2))
 
 
 class TestIncrements:
@@ -194,17 +209,22 @@ class TestIncrements:
 
     def test_scan_finds_hyperplane_concentration(self):
         ps = _hyperplane(10)
-        found = scan_codim1_increments(ps)
+        found = scan_codim1_increments(ps, transform_point_set(ps))
         assert found, "full hyperplane must be its own codim-1 increment"
         for inc in found:
             assert (inc.codim, inc.count) == (1, 3**9) == (1, increment_need(ps, 1))
+
+    @another_set
+    def test_scan_rejects_the_table_of_another_set(self, other):
+        with pytest.raises(ValueError, match="not the transform"):
+            scan_codim1_increments(PointSet(5, [0, 1]), transform_point_set(other))
 
     def test_scan_empty_for_tiny_random(self):
         # a 4-point set at n = 6 has density 4/729; a strong increment
         # needs a coset with at least ceil(rho (1 + 20/6) 3^5) = 6 points
         # of the 4 available, so the scan must come back empty
         ps = random_point_set(6, 4, 3)
-        assert scan_codim1_increments(ps) == []
+        assert scan_codim1_increments(ps, transform_point_set(ps)) == []
 
     @pytest.mark.parametrize("shift", [-1, 1])
     def test_need_off_the_boundary_raises(self, monkeypatch, shift):
@@ -212,8 +232,10 @@ class TestIncrements:
         # report cosets under the threshold, one above would drop some
         exact = math.ceil
         monkeypatch.setattr(spectrum, "math", SimpleNamespace(ceil=lambda x: exact(x) + shift))
+        ps = _hyperplane(6)
+        table = transform_point_set(ps)
         with pytest.raises(IdentityViolationError):
-            scan_codim1_increments(_hyperplane(6))
+            scan_codim1_increments(ps, table)
 
     def test_check_rejects_bad_codim(self):
         ps = random_point_set(6, 10, 5)
@@ -223,7 +245,8 @@ class TestIncrements:
 
     @pytest.mark.parametrize("codim, samples", [(0, 2), (4, 2), (-1, 2), (1, 0), (1, -3)])
     def test_sampled_checks_reject_bad_arguments(self, codim, samples):
-        spec = extract_spectrum(greedy_random_capset(6, 3), 1)
+        ps = greedy_random_capset(6, 3)
+        spec = extract_spectrum(ps, transform_point_set(ps), 1)
         with pytest.raises(ValueError):
             sampled_increment_checks(spec, codim, samples, 5)
         with pytest.raises(ValueError):
@@ -232,7 +255,7 @@ class TestIncrements:
 
     def test_sampled_checks_deterministic(self):
         ps = greedy_random_capset(6, SELFTEST_SEED + 6)
-        spec = extract_spectrum(ps, 1)
+        spec = extract_spectrum(ps, transform_point_set(ps), 1)
         a = sampled_increment_checks(spec, 2, 10, 42)
         b = sampled_increment_checks(spec, 2, 10, 42)
         assert a == b
@@ -246,7 +269,7 @@ class TestIncrementOracles:
     ])
     def test_sampled_checks_match_brute_force(self, n, codim, seed):
         ps = on_affine_coset(n, codim, seed)
-        spec = extract_spectrum(ps, Fraction(3**n, ps.size))
+        spec = extract_spectrum(ps, transform_point_set(ps), Fraction(3**n, ps.size))
         samples = 6
         reports = sampled_increment_checks(spec, codim, samples, seed)
         assert reports
@@ -290,7 +313,7 @@ class TestIncrementOracles:
         ps = random_point_set(10, 3, 11)
         pts = tuples_of(ps)
         assert any(x % 3 for x in map(sum, zip(*pts)))
-        reports = scan_codim1_increments(ps)
+        reports = scan_codim1_increments(ps, transform_point_set(ps))
         assert len(reports) == 3280
         assert len({(r.basis, r.shift) for r in reports}) == 3280
         for inc in reports:
@@ -322,7 +345,7 @@ class TestIncrementOracles:
         for need in (increment_need(ps, 1), low):
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(spectrum, "increment_need", lambda ps, codim: need)
-                found = scan_codim1_increments(ps)
+                found = scan_codim1_increments(ps, transform_point_set(ps))
             assert found == [inc for inc in cosets if inc.count >= need]
 
     @pytest.mark.parametrize("n", range(1, 7))
@@ -342,7 +365,7 @@ class TestIncrementOracles:
 
     def test_one_pass_over_the_set_per_sample(self, monkeypatch):
         ps = greedy_random_capset(8, 3)
-        spec = extract_spectrum(ps, 1)
+        spec = extract_spectrum(ps, transform_point_set(ps), 1)
         sizes = []
         real = bulk.dot_labels
 
@@ -360,10 +383,10 @@ class TestIncrementOracles:
 
     def test_empty_set_has_no_increment(self):
         empty = PointSet(6, [])
-        spec = extract_spectrum(empty, 1)
+        spec = extract_spectrum(empty, transform_point_set(empty), 1)
         assert spec.members.size == 3**6 - 1
         assert sampled_increment_checks(spec, 1, 2, 5) == []
-        assert scan_codim1_increments(empty) == []
+        assert scan_codim1_increments(empty, transform_point_set(empty)) == []
         plane = Subspace.span([TritVector.unit(6, i) for i in range(1, 6)])
         inc = strong_increment_check(empty, plane, TritVector.zero(6))
         assert inc.count == increment_threshold(empty, 1) == 0
@@ -373,10 +396,10 @@ class TestIncrementOracles:
 class TestSubspaceStats:
     def test_against_direct_sums(self):
         ps = greedy_random_capset(5, 77)
-        spec = extract_spectrum(ps, Fraction(1, 2))
+        table = transform_point_set(ps)
+        spec = extract_spectrum(ps, table, Fraction(1, 2))
         w = Subspace.span([TritVector.from_string("10000"), TritVector.from_string("01000")])
         member_count, weight = subspace_spectrum_stats(spec, w)
-        table = transform_point_set(ps)
         direct_count = 0
         direct_weight = 0
         for i in w.enumerate_indices().tolist():
@@ -393,7 +416,7 @@ class TestSubspaceStats:
     def test_subspace_larger_than_spectrum(self):
         # 3^dim > 4 |spec|: W has more points than four times the spectrum
         ps = greedy_random_capset(5, 77)
-        spec = extract_spectrum(ps, 2)
+        spec = extract_spectrum(ps, transform_point_set(ps), 2)
         gens = [str(TritVector.from_index(5, int(i))) for i in spec.members.indices[:2]]
         gens += ["10000", "00100", "00001"]
         w = Subspace.span([TritVector.from_string(s) for s in gens], 5)
