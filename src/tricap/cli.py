@@ -241,7 +241,7 @@ def _cmd_capset_product(args: argparse.Namespace) -> Result:
 
 def _cmd_fourier_transform(args: argparse.Namespace) -> Result:
     ps = load_point_set(args.set_file)
-    table = transform_point_set(ps, force=args.force)
+    table = transform_point_set(ps)
     if args.out:
         save_table(table, args.out)
     total, plancherel = plancherel_check(table)
@@ -251,13 +251,13 @@ def _cmd_fourier_transform(args: argparse.Namespace) -> Result:
 
 def _cmd_fourier_plancherel(args: argparse.Namespace) -> Result:
     ps = load_point_set(args.set_file)
-    lhs, rhs = plancherel_check(transform_point_set(ps, force=args.force))
+    lhs, rhs = plancherel_check(transform_point_set(ps))
     return dict(n=ps.n, size=ps.size, lhs=str(lhs), rhs=str(rhs), equal=lhs == rhs), lhs == rhs
 
 
 def _cmd_fourier_cubesum(args: argparse.Namespace) -> Result:
     ps = load_point_set(args.set_file)
-    cs = cube_sum(transform_point_set(ps, force=args.force))
+    cs = cube_sum(transform_point_set(ps))
     lines = count_line_solutions(ps)
     expected = Eisenstein(3**ps.n * lines, 0)
     return dict(n=ps.n, size=ps.size, real=str(cs.p), omega=str(cs.q),
@@ -295,15 +295,16 @@ def _spectrum_body(spec: SpectrumSet, increments: list[Increment]) -> dict[str, 
 
 def _cmd_spectrum_extract(args: argparse.Namespace) -> Result:
     ps = load_point_set(args.set_file)
-    table = transform_point_set(ps, force=args.force)
-    increments = scan_codim1_increments(ps, table) if ps.n >= 2 else []
-    return _spectrum_body(extract_spectrum(ps, table, args.threshold), increments), True
+    held = [transform_point_set(ps)]
+    increments = scan_codim1_increments(ps, held[0]) if ps.n >= 2 else []
+    # pop leaves no reference here, so extract_spectrum frees the table early
+    return _spectrum_body(extract_spectrum(ps, held.pop(), args.threshold), increments), True
 
 
 def _cmd_spectrum_increments(args: argparse.Namespace) -> Result:
     ps = load_point_set(args.set_file)
     check_increment_sampling(ps.n, args.codim, args.samples)  # before the transform
-    spec = extract_spectrum(ps, transform_point_set(ps, force=args.force), args.threshold)
+    spec = extract_spectrum(ps, transform_point_set(ps), args.threshold)
     found = sampled_increment_checks(spec, args.codim, args.samples, args.seed)
     return _spectrum_body(spec, found), True
 
@@ -318,7 +319,7 @@ def _cmd_spectrum_subspace(args: argparse.Namespace) -> Result:
         reference = math.inf
     if not math.isfinite(reference):
         raise _UsageError(f"epsilon {args.epsilon!r} gives no finite count reference")
-    spec = extract_spectrum(ps, transform_point_set(ps, force=args.force), args.threshold)
+    spec = extract_spectrum(ps, transform_point_set(ps), args.threshold)
     count, weight = subspace_spectrum_stats(spec, w)
     rho = ps.size / 3**ps.n
     return dict(dim=w.dim, member_count=count, weight=str(weight),
@@ -336,7 +337,7 @@ def _cmd_energy_e4(args: argparse.Namespace) -> Result:
 
 def _cmd_energy_e2m(args: argparse.Namespace) -> Result:
     ps = load_point_set(args.set_file)
-    value = e2m(ps, args.m, force=args.force)
+    value = e2m(ps, args.m)
     return dict(size=ps.size, E2m={str(args.m): str(value)}), True
 
 
@@ -356,7 +357,7 @@ def _cmd_energy_smoothing(args: argparse.Namespace) -> Result:
     boundary = 30.0 * args.epsilon  # sigma_eff's breaking point
     if not math.isfinite(boundary):
         raise _UsageError(f"epsilon {args.epsilon!r} gives no finite boundary 30 * epsilon")
-    e8 = e2m(ps, 4, force=args.force)
+    e8 = e2m(ps, 4)
     sigma = math.log(e8) / math.log(args.scale_n) - 15.0  # E8 = scale_n^(15 + sigma)
     return dict(size=ps.size, scale_n=args.scale_n, epsilon=args.epsilon, E8=str(e8),
                 sigma_eff=sigma, boundary=boundary, within_boundary=sigma <= boundary), True
@@ -402,7 +403,7 @@ def _cmd_structure_comity(args: argparse.Namespace) -> Result:
     n = band.base.n
     rows = [dict(size_lo=b.size_lo, size_hi=2 * b.size_lo, pairs=b.pair_count, mass=str(b.mass),
                  beta_eff=math.log(b.size_lo) / math.log(n) if n >= 2 else None)
-            for b in comity_scan(band, force=args.force)]
+            for b in comity_scan(band)]
     return dict(m_lo=band.m_lo, D_size=band.diffs.size, G_size=band.pair_count,
                 komity=str(komity(band)), bands=rows), True
 
@@ -429,7 +430,7 @@ def _cmd_structure_martingale(args: argparse.Namespace) -> Result:
     ps = load_point_set(args.set_file)
     h = _parse_basis(args.h, ps.n)
     k = _parse_basis(args.k, ps.n)
-    rep = fiber_plancherel_check(ps, h, k, force=args.force)
+    rep = fiber_plancherel_check(ps, h, k)
     return dict(dim_h=rep.dim_h, dim_k=rep.dim_k, lhs=str(rep.lhs), rhs=str(rep.rhs),
                 h_term=str(rep.h_term), fiber_term=str(rep.fiber_term),
                 raw_lhs=str(rep.raw_lhs), raw_rhs=str(rep.raw_rhs), holds=rep.holds), rep.holds
@@ -440,13 +441,12 @@ def _cmd_structure_martingale(args: argparse.Namespace) -> Result:
 
 def _cmd_nullity_sim(args: argparse.Namespace) -> Result:
     source = args.input.removeprefix("spectrum-of:")
-    if source == args.input and (args.threshold is not None or args.force):
-        flag = "--threshold" if args.threshold is not None else "--force"
-        raise _UsageError(f"{flag} applies only to a spectrum-of: input")
+    if source == args.input and args.threshold is not None:
+        raise _UsageError("--threshold applies only to a spectrum-of: input")
     ps = load_point_set(source)
     if source != args.input:  # the table goes inline: extract_spectrum drops it early
         threshold = 1 if args.threshold is None else args.threshold
-        ps = extract_spectrum(ps, transform_point_set(ps, force=args.force), threshold).members
+        ps = extract_spectrum(ps, transform_point_set(ps), threshold).members
     return report_nullity(nullity_distribution(ps, args.d, args.trials, args.seed)), True
 
 
@@ -475,8 +475,8 @@ def _build_parser() -> _Parser:
     groups: dict[str, Any] = {}
 
     def leaf(command: str, fn: Callable, out_kind: str = "report",
-             force: bool = False, csv: CsvForm | None = None) -> argparse.ArgumentParser:
-        """The leaf at a command path; --force and the csv format only where it honours them."""
+             csv: CsvForm | None = None) -> argparse.ArgumentParser:
+        """The leaf at a command path; the csv format only where it has a table."""
         *group, name = command.split()
         subparsers = top
         if group:
@@ -489,8 +489,6 @@ def _build_parser() -> _Parser:
         formats = ("json", "csv", "text") if csv else ("json", "text")
         sub.add_argument("--format", choices=formats, default="json")
         sub.add_argument("--out", default=None, help="write the %s here" % out_kind)
-        if force:
-            sub.add_argument("--force", action="store_true", help="lift soft guards")
         return sub
 
     increments = _table("increments", "codim", "density", "excess", "basis", "shift")
@@ -506,23 +504,23 @@ def _build_parser() -> _Parser:
     s.add_argument("left")
     s.add_argument("right")
 
-    s = leaf("fourier transform", _cmd_fourier_transform, out_kind="table file", force=True)
+    s = leaf("fourier transform", _cmd_fourier_transform, out_kind="table file")
     s.add_argument("set_file")
-    s = leaf("fourier plancherel", _cmd_fourier_plancherel, force=True)
+    s = leaf("fourier plancherel", _cmd_fourier_plancherel)
     s.add_argument("set_file")
-    s = leaf("fourier cubesum", _cmd_fourier_cubesum, force=True)
+    s = leaf("fourier cubesum", _cmd_fourier_cubesum)
     s.add_argument("set_file")
 
-    s = leaf("spectrum extract", _cmd_spectrum_extract, force=True, csv=increments)
+    s = leaf("spectrum extract", _cmd_spectrum_extract, csv=increments)
     s.add_argument("set_file")
     s.add_argument("--threshold", type=_threshold, default="1")
-    s = leaf("spectrum increments", _cmd_spectrum_increments, force=True, csv=increments)
+    s = leaf("spectrum increments", _cmd_spectrum_increments, csv=increments)
     s.add_argument("set_file")
     s.add_argument("--threshold", type=_threshold, default="1")
     s.add_argument("--codim", type=int, required=True)
     s.add_argument("--samples", type=int, default=20)
     s.add_argument("--seed", type=_int_at_least(0), default=SELFTEST_SEED)
-    s = leaf("spectrum subspace", _cmd_spectrum_subspace, force=True)
+    s = leaf("spectrum subspace", _cmd_spectrum_subspace)
     s.add_argument("set_file")
     s.add_argument("--threshold", type=_threshold, default="1")
     s.add_argument("--basis", required=True,
@@ -532,13 +530,13 @@ def _build_parser() -> _Parser:
     s = leaf("energy e4", _cmd_energy_e4)
     s.add_argument("set_file")
     s.add_argument("--backend", choices=("auto", "hash", "transform"), default="auto")
-    s = leaf("energy e2m", _cmd_energy_e2m, force=True)
+    s = leaf("energy e2m", _cmd_energy_e2m)
     s.add_argument("set_file")
     s.add_argument("--m", type=int, required=True)
     s = leaf("energy holder", _cmd_energy_holder)
     s.add_argument("set_file")
     s.add_argument("--m", type=int, required=True)
-    s = leaf("energy smoothing", _cmd_energy_smoothing, force=True)
+    s = leaf("energy smoothing", _cmd_energy_smoothing)
     s.add_argument("set_file")
     s.add_argument("--scale-n", type=int, required=True)
     s.add_argument("--epsilon", type=_finite_float, default=0.05)
@@ -552,7 +550,7 @@ def _build_parser() -> _Parser:
     s = leaf("structure komity", _cmd_structure_komity)
     s.add_argument("set_file")
     s.add_argument("--m-lo", type=int, default=None)
-    s = leaf("structure comity", _cmd_structure_comity, force=True,
+    s = leaf("structure comity", _cmd_structure_comity,
              csv=_table("bands", "size_lo", "size_hi", "pairs", "mass", "beta_eff"))
     s.add_argument("set_file")
     s.add_argument("--m-lo", type=int, default=None)
@@ -561,12 +559,12 @@ def _build_parser() -> _Parser:
     s = leaf("structure fibers", _cmd_structure_fibers, csv=_table("fibers", "rep", "size"))
     s.add_argument("set_file")
     s.add_argument("--h", required=True, help="comma-separated basis of H")
-    s = leaf("structure martingale", _cmd_structure_martingale, force=True)
+    s = leaf("structure martingale", _cmd_structure_martingale)
     s.add_argument("set_file")
     s.add_argument("--h", required=True, help="comma-separated basis of H")
     s.add_argument("--k", required=True, help="comma-separated basis of K, H <= K")
 
-    s = leaf("nullity-sim", _cmd_nullity_sim, force=True, csv=nullity_csv_rows)
+    s = leaf("nullity-sim", _cmd_nullity_sim, csv=nullity_csv_rows)
     s.add_argument("--input", required=True,
                    help="set file; prefix with spectrum-of: to draw from its spectrum")
     s.add_argument("--threshold", type=_threshold, help="spectrum threshold, default 1")

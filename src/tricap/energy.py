@@ -6,11 +6,10 @@ cells, m(x) at the canonical index of x. The fourth energy is
 sum m(x)^2; higher even energies E_2m come from the coefficient table
 as sum |c(y)|^(2m) / 3^n, which is an exact integer because the
 numerator is divisible by 3^n (that divisibility is asserted, not
-assumed). For sets in an ambient space too large for a full table
-(E4 past DENSE_MAX_N, every E_2m past the transform guard), and for
-E4 of a sparse set, a convolution backend builds the m-fold sumset
-counts as sorted index and count arrays. Those counts are at most
-|A|^(m-1), so they are int64 while |A|^(m-1) < 2^62, their squares
+assumed). For E4 past DENSE_MAX_N or of a sparse set, and for E_2m
+past n = 14 (e2m says where the table still serves), a convolution
+backend builds the m-fold sumset counts as sorted index and count
+arrays. Those counts are at most |A|^(m-1), so they are int64 while |A|^(m-1) < 2^62, their squares
 while |A|^(2m-2) < 2^62, and Python ints past either bound.
 
 Memory: each path holds one dense table plus fixed, block-sized
@@ -35,7 +34,7 @@ import numpy as np
 from . import bulk, fourier
 from .capset import PointSet
 from .errors import IdentityViolationError, guard
-from .fourier import TRANSFORM_GUARD_N, SpectrumTable, inverse_table, transform_point_set
+from .fourier import TRANSFORM_HARD_MAX_N, SpectrumTable, inverse_table, transform_point_set
 from .gf3core import DENSE_MAX_N
 
 __all__ = [
@@ -57,6 +56,7 @@ CONVOLUTION_OP_GUARD = 50_000_000
 # within CPython's 4,300-digit int-to-str limit up to m = 282; every report
 # prints E_2m as a string.
 E2M_MAX_M = 256
+_TABLE_MAX_N = 14  # backend crossover: past it only e2m's worst-step rule takes a table
 
 
 def _square_total(table: np.ndarray) -> int:
@@ -106,7 +106,7 @@ def diff_multiplicity(ps: PointSet, backend: str = "auto") -> np.ndarray:
 
 
 def _table_pays(ps: PointSet) -> bool:  # auto rule of e4 and diff_multiplicity
-    return ps.n <= TRANSFORM_GUARD_N and 3**ps.n < 4 * max(ps.size, 1) ** 2
+    return ps.n <= _TABLE_MAX_N and 3**ps.n < 4 * max(ps.size, 1) ** 2
 
 
 def _inverse_of_real(n: int, norms: np.ndarray) -> np.ndarray:
@@ -117,7 +117,7 @@ def _inverse_of_real(n: int, norms: np.ndarray) -> np.ndarray:
     runs in norms itself when they already have its dtype: norms is spent.
     """
     table = SpectrumTable(n, norms, np.zeros_like(norms))
-    rp, rq = inverse_table(table, force=True, overwrite=True)
+    rp, rq = inverse_table(table, overwrite=True)
     if rq.any():
         raise IdentityViolationError("real inverse", "nonzero imaginary part", 0)
     return rp.astype(np.int64, copy=False)
@@ -144,15 +144,23 @@ def e4(ps: PointSet, backend: str = "auto") -> int:
     return _square_total(diff_multiplicity(ps, backend=backend))
 
 
-def e2m(ps: PointSet, m: int, backend: str = "auto", force: bool = False) -> int:
-    """E_2m: tuples (a_1..a_m, b_1..b_m) with equal sums. Exact."""
+def e2m(ps: PointSet, m: int, backend: str = "auto") -> int:
+    """E_2m: tuples (a_1..a_m, b_1..b_m) with equal sums. Exact.
+
+    auto takes the table up to n = _TABLE_MAX_N, and up to
+    TRANSFORM_HARD_MAX_N where the convolution's worst step,
+    min(|A|^(m-1), 3^n) |A| operations, would pass CONVOLUTION_OP_GUARD.
+    """
     if m < 1:
         raise ValueError("m must be positive")
     guard("energy order m", m, E2M_MAX_M)
     if backend == "auto":
-        backend = "transform" if ps.n <= TRANSFORM_GUARD_N or force else "convolution"
+        worst = min(ps.size ** (m - 1), 3**ps.n) * ps.size
+        pays = ps.n <= _TABLE_MAX_N or (
+            ps.n <= TRANSFORM_HARD_MAX_N and worst > CONVOLUTION_OP_GUARD)
+        backend = "transform" if pays else "convolution"
     if backend == "transform":
-        return _e2m_transform(transform_point_set(ps, force=force), (m,))[0]
+        return _e2m_transform(transform_point_set(ps), (m,))[0]
     if backend == "convolution":
         return _e2m_convolution(ps, m)
     raise ValueError(f"unknown backend {backend!r}")
@@ -258,7 +266,7 @@ def holder_check(ps: PointSet, m: int) -> HolderReport:
         raise ValueError("interpolation checks start at m = 3")
     guard("energy order m", m, E2M_MAX_M)
     wants = (2, m) if m <= 4 else (2, 4, m)
-    if ps.n <= TRANSFORM_GUARD_N:  # e2m's auto rule; one table gives every moment
+    if ps.n <= _TABLE_MAX_N:  # e2m's auto rule; one table gives every moment
         got = dict(zip(wants, _e2m_transform(transform_point_set(ps), wants)))
     else:
         got = {k: e4(ps) if k == 2 else e2m(ps, k) for k in wants}

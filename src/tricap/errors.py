@@ -26,33 +26,24 @@ class SetFileError(ValueError):
 class GuardExceededError(RuntimeError):
     """A resource guard refused a run: value exceeds the limit for what.
 
-    Guards exist so desk-scale commands fail fast instead of thrashing.
-    A soft guard is lifted by force=True; the hard ceilings are not.
-    args is the (what, value, limit) triple.
+    Guards exist so desk-scale commands fail fast instead of thrashing,
+    and none of them can be lifted. args is the (what, value, limit) triple.
     """
 
-    def __init__(self, what: str, value: int, limit: int, soft: bool = False):
+    def __init__(self, what: str, value: int, limit: int):
         self.what = what
         self.value = value
         self.limit = limit
-        self.soft = soft
         super().__init__(what, value, limit)
 
     def __str__(self) -> str:
-        text = f"{self.what} {self.value} exceeds the limit {self.limit}"
-        if self.soft:
-            text += "; force=True lifts it (--force on the commands that accept it)"
-        return text
+        return f"{self.what} {self.value} exceeds the limit {self.limit}"
 
 
-def guard(what: str, value: int, limit: int, force: bool | None = None) -> None:
-    """Refuse a run whose value exceeds limit, before it allocates anything.
-
-    force=None marks a hard guard; any other force makes the guard soft,
-    and a true one lifts it.
-    """
-    if value > limit and not force:
-        raise GuardExceededError(what, value, limit, soft=force is not None)
+def guard(what: str, value: int, limit: int) -> None:
+    """Refuse a run whose value exceeds limit, before it allocates anything."""
+    if value > limit:
+        raise GuardExceededError(what, value, limit)
 
 
 class IdentityViolationError(RuntimeError):

@@ -19,10 +19,10 @@ path takes over or a guard refuses, never a wrapped value:
     3x a pass from sqrt(3) * peak; a component is at most 2 / sqrt(3)
     |c|). _kernel_dtype picks int32 when the peak bound is below 2^31
     (every indicator up to TRANSFORM_HARD_MAX_N) and int64 when either
-    bound is below 2^63; past both the hard guard "transform bound"
-    refuses. A norm table has l1 = 3^n |A| <= 3^32 by Plancherel, and
-    an indicator or a dot-profile histogram l1 = |A|, so every table
-    the package builds is int32 or int64, and keeps that dtype.
+    bound is below 2^63; past both the guard "transform bound" refuses.
+    A norm table has l1 = 3^n |A| <= 3^32 by Plancherel, and an
+    indicator or a dot-profile histogram l1 = |A|, so every table the
+    package builds is int32 or int64, and keeps that dtype.
   * Consumers of a table (norms, the cube sum, the binary dump) widen
     _BLOCK cells at a time into int64 scratch, never a full plane.
   * Norms p^2 - p q + q^2 are int64 when 3 * peak^2 < 2^62.
@@ -40,7 +40,9 @@ remaining passes, g0 recurses, and the x0 = 2 slice is the reflection
 c(2, x') = conj c(1, -x'). The peak bound carries over: both slices
 start within 3 * peak, and a conjugate has the same norm.
 
-Memory: the passes run in place in the table's own planes, a tile of
+Memory: the one "transform dimension" guard refuses n past
+TRANSFORM_HARD_MAX_N = DENSE_MAX_N = 16 before anything of size 3^n is
+allocated. The passes run in place in the table's own planes, a tile of
 _TILE cells at a time (see _butterfly), so a transform holds the table,
 8 bytes a cell for an indicator, and a fixed scratch of about 2.4 MB:
 344 MB in all at n = 16. The conjugate split shares that scratch and
@@ -78,7 +80,6 @@ from .linalg import Subspace
 
 __all__ = [
     "SpectrumTable",
-    "TRANSFORM_GUARD_N",
     "TRANSFORM_HARD_MAX_N",
     "cube_sum",
     "eval_at",
@@ -91,7 +92,6 @@ __all__ = [
     "transform_table",
 ]
 
-TRANSFORM_GUARD_N = 14
 TRANSFORM_HARD_MAX_N = DENSE_MAX_N  # an int32 table of 3^16 cells is 344 MB; passes add 2.4 MB
 
 _INT32_LIMIT = 1 << 31
@@ -100,9 +100,8 @@ _BLOCK = 1 << 16  # cells per int64 scratch block: 512 KB per plane
 _TILE = 1 << 17  # cells per butterfly tile: 512 KB per int32 plane
 
 
-def _check_guard(n: int, force: bool) -> None:
+def _check_guard(n: int) -> None:
     guard("transform dimension", n, TRANSFORM_HARD_MAX_N)
-    guard("transform dimension", n, TRANSFORM_GUARD_N, force)
 
 
 def _kernel_dtype(n: int, *planes: np.ndarray):
@@ -339,7 +338,7 @@ class SpectrumTable:
         return sum((bulk.exact_sum(norms) for _, _, norms in self.norm_blocks()), 0)
 
 
-def transform_table(f, n: int, force: bool = False, *, digits: int | None = None) -> SpectrumTable:
+def transform_table(f, n: int, *, digits: int | None = None) -> SpectrumTable:
     """Transform an arbitrary integer function given as a dense array.
 
     Any integer dtype goes to the kernel, which _kernel_dtype sizes
@@ -348,7 +347,7 @@ def transform_table(f, n: int, force: bool = False, *, digits: int | None = None
     the result read as (3^(n-k), 3^k) is the k-dimensional transform of
     row r of f, in _kernel_dtype(k, f).
     """
-    _check_guard(n, force)
+    _check_guard(n)
     digits = n if digits is None else digits
     if not 0 <= digits <= n:
         raise ValueError(f"digits {digits} outside 0..{n}")
@@ -366,14 +365,14 @@ def transform_table(f, n: int, force: bool = False, *, digits: int | None = None
     return SpectrumTable(n, p, q)
 
 
-def transform_point_set(ps: PointSet, force: bool = False) -> SpectrumTable:
+def transform_point_set(ps: PointSet) -> SpectrumTable:
     """Character-sum table of a point set's indicator function.
 
     The indicator is written straight into int32 planes, the dtype
     _kernel_dtype picks for a peak of 1 up to TRANSFORM_HARD_MAX_N
     (2 * 3^16 < 2^31), and transformed in place.
     """
-    _check_guard(ps.n, force)
+    _check_guard(ps.n)
     p, q = np.zeros(3**ps.n, dtype=np.int32), np.zeros(3**ps.n, dtype=np.int32)
     p[ps.indices] = 1
     _butterfly_real(p, q, ps.n, inverse=False)
@@ -383,9 +382,7 @@ def transform_point_set(ps: PointSet, force: bool = False) -> SpectrumTable:
     return SpectrumTable(ps.n, p, q, source_size=ps.size)
 
 
-def inverse_table(
-    table: SpectrumTable, force: bool = False, overwrite: bool = False
-) -> tuple[np.ndarray, np.ndarray]:
+def inverse_table(table: SpectrumTable, overwrite: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """Exact inverse as an (p, q) Eisenstein value pair per point.
 
     The arrays have the dtype _kernel_dtype picks for the table, int32
@@ -397,7 +394,7 @@ def inverse_table(
     With overwrite=True, contiguous planes that already have that dtype
     are transformed in place and returned, so the table is spent.
     """
-    _check_guard(table.n, force)
+    _check_guard(table.n)
     dtype = _kernel_dtype(table.n, table.p, table.q)
     p = table.p.astype(dtype, order="C", copy=not overwrite)
     q = table.q.astype(dtype, order="C", copy=not overwrite)
@@ -450,7 +447,7 @@ def eval_at(ps: PointSet, x: TritVector) -> Eisenstein:
     return Eisenstein(n0 - n2, n1 - n2)
 
 
-def restricted_transform(ps: PointSet, w: Subspace, force: bool = False) -> SpectrumTable:
+def restricted_transform(ps: PointSet, w: Subspace) -> SpectrumTable:
     """c(x) for the points x of W, a table of dimension dim W.
 
     Entry j is c at the j-th point of w.enumerate_indices(). It is the
@@ -460,8 +457,8 @@ def restricted_transform(ps: PointSet, w: Subspace, force: bool = False) -> Spec
     """
     if w.n != ps.n:
         raise ValueError("subspace dimension differs from the set")
-    _check_guard(w.dim, force)
-    return transform_table(bulk.dot_histogram(*ps.planes(), w.basis), w.dim, force=force)
+    _check_guard(w.dim)
+    return transform_table(bulk.dot_histogram(*ps.planes(), w.basis), w.dim)
 
 
 _MAGIC = b"TCAPF3T1"

@@ -42,7 +42,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import bulk
+from . import bulk, fourier
 from .capset import PointSet
 from .errors import IdentityViolationError
 from .fourier import SpectrumTable, eval_at, restricted_transform
@@ -226,12 +226,12 @@ def _hyperplane_bases(n: int, x: np.ndarray) -> np.ndarray:
 def scan_codim1_increments(ps: PointSet, table: SpectrumTable) -> list[Increment]:
     """Every affine hyperplane carrying a strong increment, read off ps's table.
 
-    One pass over the full coefficient table recovers all coset counts.
-    The pair {x, 2x} describes the same hyperplane family, so only the
-    functionals of _canonical_ranges are scanned. For x in range k the
-    unit vector of index 3^k has dot product 1 with x, so coset j of x has
-    shift index j * 3^k. Increments come back ordered by (frequency
-    index, coset label).
+    One pass over the full coefficient table, fourier._BLOCK cells at a
+    time, recovers all coset counts beside block-sized scratch. The pair
+    {x, 2x} describes the same hyperplane family, so only the functionals
+    of _canonical_ranges are scanned. For x in range k the unit vector of
+    index 3^k has dot product 1 with x, so coset j of x has shift index
+    j * 3^k. Increments come back ordered by (frequency index, coset label).
     """
     if ps.n < 2:
         raise ValueError("codimension-1 scan needs n >= 2")
@@ -239,12 +239,13 @@ def scan_codim1_increments(ps: PointSet, table: SpectrumTable) -> list[Increment
     need = increment_need(ps, 1)
     found: list[Increment] = []
     for r in _canonical_ranges(ps.n):
-        p, q = table.p[r.start : r.stop], table.q[r.start : r.stop]
-        counts = np.stack(_level_counts(p, q, ps.size), axis=1)
-        rows, labels = np.nonzero(counts >= need)
-        bases = _hyperplane_bases(ps.n, r.start + rows).tolist()
-        hits = zip(counts[rows, labels].tolist(), bases, (labels * r.start).tolist())
-        found += [Increment(1, k, tuple(basis), shift) for k, basis, shift in hits]
+        for start in range(r.start, r.stop, fourier._BLOCK):
+            cells = slice(start, min(r.stop, start + fourier._BLOCK))
+            counts = np.stack(_level_counts(table.p[cells], table.q[cells], ps.size), axis=1)
+            rows, labels = np.nonzero(counts >= need)
+            bases = _hyperplane_bases(ps.n, start + rows).tolist()
+            hits = zip(counts[rows, labels].tolist(), bases, (labels * r.start).tolist())
+            found += [Increment(1, k, tuple(basis), shift) for k, basis, shift in hits]
     return found
 
 
@@ -293,7 +294,5 @@ def subspace_spectrum_stats(spec: SpectrumSet, w: Subspace) -> tuple[int, int]:
         raise ValueError("subspace dimension differs from the spectrum")
     # frequency 0 is never a spectrum member, so W's zero counts for nothing
     count = int(members.contains_indices(w.enumerate_indices()).sum())
-    # extracting the spectrum already held a 3^n >= 3^dim(W) table, so
-    # the transform guard has been passed at a larger size
-    table = restricted_transform(base, w, force=True)
+    table = restricted_transform(base, w)
     return count, table.norm_total() - table.norm_at(0)

@@ -47,7 +47,7 @@ from .gf3core import DENSE_MAX_N, TritVector, plane_add
 from .linalg import Subspace
 
 __all__ = [
-    "COMITY_GUARD_SIZE",
+    "COMITY_GUARD_WORDS",
     "AdditiveStructure",
     "ComityBand",
     "MartingaleReport",
@@ -62,7 +62,9 @@ __all__ = [
     "span_hull",
 ]
 
-COMITY_GUARD_SIZE = 4096
+# |D|^2 * ceil(|base| / 64) words ANDed and counted (1.6e9 words take 9.6 s on
+# a 2-core x86_64 VM), and packed rows of at most 143 MB for any base at n <= 14
+COMITY_GUARD_WORDS = 1 << 32
 _REFERENCE_GUARD = 256
 
 
@@ -188,23 +190,25 @@ class ComityBand:
     mass: int  # total intersection size over the band
 
 
-def comity_scan(struct: AdditiveStructure, force: bool = False) -> list[ComityBand]:
+def comity_scan(struct: AdditiveStructure) -> list[ComityBand]:
     """Histogram of neighborhood-intersection sizes over all x, y in D.
 
     Empty intersections are dropped (they carry no mass); the masses of
-    all bands add up to the komity. Quadratic in |D|, guarded.
+    all bands add up to the komity. The scan ANDs |D|^2 pairs of rows of
+    ceil(|base| / 64) words each, and that word count is guarded before
+    the rows are allocated.
     """
     d = struct.diffs.size
-    guard("comity scan size", d, COMITY_GUARD_SIZE, force)
     base = struct.base
+    words = -(-base.size // 64)
+    guard("comity scan words", d * d * words, COMITY_GUARD_WORDS)
     # row k is G[x_k] = {a in base : a - x_k in base}, packed into 64-bit words
     nbytes = -(-base.size // 8)
-    rows = np.zeros((d, -(-nbytes // 8) * 8), dtype=np.uint8)
+    rows = np.zeros((d, 8 * words), dtype=np.uint8)
     dlo, dhi = struct.diffs.planes()
     for start, stop, idx in bulk.pair_sums(struct.n, (dhi, dlo), base.planes()):
         rows[start:stop, :nbytes] = np.packbits(base.contains_indices(idx), axis=1)
     rows = rows.view(np.uint64)
-    words = rows.shape[1]
     # hist[s] = number of ordered pairs (x, y) with |G[x] ^ G[y]| = s
     hist = np.zeros(base.size + 1, dtype=np.int64)
     step = max(1, bulk._PAIR_CELLS // max(1, d * words))
@@ -269,9 +273,7 @@ class MartingaleReport:
         return self.lhs == self.rhs and self.raw_lhs == self.raw_rhs
 
 
-def fiber_plancherel_check(
-    ps: PointSet, h: Subspace, k: Subspace, force: bool = False
-) -> MartingaleReport:
+def fiber_plancherel_check(ps: PointSet, h: Subspace, k: Subspace) -> MartingaleReport:
     """Evaluate both sides of the fiber identity exactly.
 
     Requires H <= K. With K = H the transversal sum is empty and the
@@ -285,16 +287,18 @@ def fiber_plancherel_check(
     profile against T, its sum is |A_v|, and one transform over the
     trailing dim T digits makes it c_v, zero cell first. No 3^n table is
     built and only dim K meets the transform guard, before anything of
-    size 3^dim K is allocated; force lifts its soft limit.
+    size 3^dim K is allocated. K's table is dropped before the histogram
+    is built, so at most two arrays of 3^dim K cells live at once.
     """
     if h.n != ps.n or k.n != ps.n:
         raise ValueError("subspace dimension differs from the set")
     if not k.contains_subspace(h):
         raise ValueError("H must be contained in K")
     size_h = h.size()
-    whole = restricted_transform(ps, k, force=force)
+    whole = restricted_transform(ps, k)
     lhs = size_h * (whole.norm_total() - whole.norm_at(0))
-    raw_lhs = restricted_transform(ps, h, force=force).norm_total()
+    del whole
+    raw_lhs = restricted_transform(ps, h).norm_total()
 
     hist = bulk.dot_histogram(*ps.planes(), [*h.basis, *h.extension_to(k)])
     sizes = hist.reshape(size_h, -1).sum(axis=1).tolist()
@@ -302,7 +306,7 @@ def fiber_plancherel_check(
     raw_rhs = size_h * sum(size**2 for size in sizes)
 
     dim_t = k.dim - h.dim
-    fibers = fourier.transform_table(hist, k.dim, force=force, digits=dim_t)
+    fibers = fourier.transform_table(hist, k.dim, digits=dim_t)
     zeros = SpectrumTable(h.dim, fibers.p[:: 3**dim_t], fibers.q[:: 3**dim_t])
     fiber_term = size_h**2 * (fibers.norm_total() - zeros.norm_total())
 

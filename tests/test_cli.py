@@ -6,6 +6,7 @@ import json
 import shlex
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -14,7 +15,6 @@ from tricap import (
     PointSet,
     cli,
     energy,
-    fourier,
     greedy_random_capset,
     load_point_set,
     random_point_set,
@@ -295,8 +295,6 @@ class TestPinnedReports:
         assert hashlib.sha256(out.encode("ascii")).hexdigest() == digest
 
 
-# every leaf command, its required arguments, whether it honours --force
-# and whether it has a CSV form
 GOLDEN = json.loads((Path(__file__).resolve().parents[1] / "perfbench" / "golden.json").read_text())
 
 # (workload, golden.json key, argv): commands of the benchmark workloads at
@@ -323,29 +321,29 @@ def test_benchmark_reports_match_golden_digests(tmp_path, capsys, monkeypatch):
 
 
 LEAVES = [
-    (("capset", "gen"), ("--n", "3", "--seed", "1"), False, False),
-    (("capset", "verify"), ("A",), False, False),
-    (("capset", "max"), ("--n", "2"), False, False),
-    (("capset", "product"), ("A", "B"), False, False),
-    (("fourier", "transform"), ("A",), True, False),
-    (("fourier", "plancherel"), ("A",), True, False),
-    (("fourier", "cubesum"), ("A",), True, False),
-    (("spectrum", "extract"), ("A",), True, True),
-    (("spectrum", "increments"), ("A", "--codim", "1"), True, True),
-    (("spectrum", "subspace"), ("A", "--basis", "100"), True, False),
-    (("energy", "e4"), ("A",), False, False),
-    (("energy", "e2m"), ("A", "--m", "2"), True, False),
-    (("energy", "holder"), ("A", "--m", "2"), False, False),
-    (("energy", "smoothing"), ("A", "--scale-n", "2"), True, False),
-    (("energy", "cross"), ("A", "B"), False, False),
-    (("structure", "levels"), ("A",), False, True),
-    (("structure", "komity"), ("A",), False, False),
-    (("structure", "comity"), ("A",), True, True),
-    (("structure", "doubling"), ("A",), False, False),
-    (("structure", "fibers"), ("A", "--h", "100"), False, True),
-    (("structure", "martingale"), ("A", "--h", "100", "--k", "100"), True, False),
-    (("nullity-sim",), ("--input", "A", "--d", "2", "--trials", "1", "--seed", "1"), True, True),
-    (("selftest",), (), False, False),
+    (("capset", "gen"), ("--n", "3", "--seed", "1"), False),
+    (("capset", "verify"), ("A",), False),
+    (("capset", "max"), ("--n", "2"), False),
+    (("capset", "product"), ("A", "B"), False),
+    (("fourier", "transform"), ("A",), False),
+    (("fourier", "plancherel"), ("A",), False),
+    (("fourier", "cubesum"), ("A",), False),
+    (("spectrum", "extract"), ("A",), True),
+    (("spectrum", "increments"), ("A", "--codim", "1"), True),
+    (("spectrum", "subspace"), ("A", "--basis", "100"), False),
+    (("energy", "e4"), ("A",), False),
+    (("energy", "e2m"), ("A", "--m", "2"), False),
+    (("energy", "holder"), ("A", "--m", "2"), False),
+    (("energy", "smoothing"), ("A", "--scale-n", "2"), False),
+    (("energy", "cross"), ("A", "B"), False),
+    (("structure", "levels"), ("A",), True),
+    (("structure", "komity"), ("A",), False),
+    (("structure", "comity"), ("A",), True),
+    (("structure", "doubling"), ("A",), False),
+    (("structure", "fibers"), ("A", "--h", "100"), True),
+    (("structure", "martingale"), ("A", "--h", "100", "--k", "100"), False),
+    (("nullity-sim",), ("--input", "A", "--d", "2", "--trials", "1", "--seed", "1"), True),
+    (("selftest",), (), False),
 ]
 
 
@@ -365,16 +363,16 @@ class TestLeafFlags:
     def test_table_covers_every_leaf(self):
         assert sorted(_leaf_names(cli._build_parser())) == sorted(c for c, *_ in LEAVES)
 
-    @pytest.mark.parametrize("command, args, force, csv_form", LEAVES,
+    @pytest.mark.parametrize("command, args, csv_form", LEAVES,
                              ids=[" ".join(c) for c, *_ in LEAVES])
-    def test_leaf_accepts_only_the_flags_it_honours(self, command, args, force, csv_form):
+    def test_leaf_accepts_only_the_flags_it_honours(self, command, args, csv_form):
         parser = cli._build_parser()
         argv = [*command, *args]
         for extra, honoured in [
             ((), True),
             (("--format", "json"), True),
             (("--format", "text"), True),
-            (("--force",), force),
+            (("--force",), False),
             (("--format", "csv"), csv_form),
         ]:
             if honoured:
@@ -548,8 +546,6 @@ class TestRefusedArguments:
 
     @pytest.mark.parametrize("flags, named", [
         (("--threshold", "7/2"), "--threshold"),
-        (("--force",), "--force"),
-        (("--force", "--threshold", "1"), "--threshold"),
     ])
     def test_nullity_spectrum_flags_need_the_prefix(self, cap_file, capsys, flags, named):
         argv = ["nullity-sim", "--input", cap_file, "--d", "2", "--trials", "5", "--seed", "1"]
@@ -631,33 +627,28 @@ class TestExitCodes:
 
     def test_convolution_guard_is_three(self, tmp_path, capsys):
         path = str(tmp_path / "a.txt")
-        save_point_set(random_point_set(15, 7100, 2), path)  # 7100^2 > 5e7 operations
+        save_point_set(random_point_set(17, 7100, 2), path)  # 7100^2 > 5e7 operations
         code, out, err = run_cli(capsys, "energy", "e2m", path, "--m", "2")
         assert (code, out) == (3, "")
         assert "convolution operations" in err
 
     def test_martingale_guard_is_three(self, tmp_path, capsys):
         path = str(tmp_path / "a.txt")
-        save_point_set(random_point_set(15, 50, 2), path)
-        units = ",".join("0" * i + "1" + "0" * (14 - i) for i in range(15))
+        save_point_set(random_point_set(17, 50, 2), path)
+        units = ",".join("0" * i + "1" + "0" * (16 - i) for i in range(17))
         code, out, err = run_cli(
-            capsys, "structure", "martingale", path, "--h", units[:15], "--k", units
+            capsys, "structure", "martingale", path, "--h", units[:17], "--k", units
         )
         assert (code, out) == (3, "")
         assert "guard" in err
 
-    @pytest.mark.parametrize("command", ["plancherel", "cubesum"])
-    def test_fourier_force_lifts_guard(self, cap_file, capsys, monkeypatch, command):
-        monkeypatch.setattr(fourier, "TRANSFORM_GUARD_N", 4)  # cap_file has n = 6
-        assert run_cli(capsys, "fourier", command, cap_file)[0] == 3
-        assert run_cli(capsys, "fourier", command, cap_file, "--force")[0] == 0
-
-    def test_martingale_force_lifts_guard(self, cap_file, capsys, monkeypatch):
-        monkeypatch.setattr(fourier, "TRANSFORM_GUARD_N", 3)
-        argv = ("structure", "martingale", cap_file,
-                "--h", "100000", "--k", "100000,010000,001000,000100")  # dim K = 4
-        assert run_cli(capsys, *argv)[0] == 3
-        assert run_cli(capsys, *argv, "--force")[0] == 0
+    def test_plancherel_at_n15_runs_with_no_flag(self, tmp_path, capsys):
+        # past n = 14 and up to the one ceiling, n = 16, a transform needs no lift
+        path = str(tmp_path / "a.txt")
+        save_point_set(random_point_set(15, 50, 2), path)
+        code, out, err = run_cli(capsys, "fourier", "plancherel", path)
+        assert (code, err) == (0, "")
+        assert json.loads(out)["rhs"] == str(3**15 * 50)
 
     def test_martingale_needs_containment(self, cap_file, capsys):
         code, _, _ = run_cli(
@@ -683,6 +674,25 @@ class TestPipelines:
         code, out, _ = run_cli(capsys, "spectrum", "extract", cap_file)
         assert (code, transforms) == (0, ["transform_point_set"])
         assert json.loads(out)["spectrum_size"] > 0
+
+    @pytest.mark.skipif(sys.version_info < (3, 11),
+                        reason="CPython 3.10 keeps a call's arguments alive until it returns")
+    def test_spectrum_extract_frees_its_table_before_listing_members(self, tmp_path):
+        # at threshold 0 every nonzero frequency is a member, 8 bytes each;
+        # the int32 table, 8 bytes a cell, must be gone before they are
+        # listed, leaving the byte-a-cell mask and the fixed butterfly scratch
+        n = 12
+        path = str(tmp_path / "a.txt")
+        save_point_set(greedy_random_capset(n, 7), path)
+        args = cli._build_parser().parse_args(["spectrum", "extract", path, "--threshold", "0"])
+        tracemalloc.start()
+        try:
+            body, ok = args.fn(args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (ok, body["spectrum_size"]) == (True, 3**n - 1)
+        assert peak <= 9 * 3**n + (3 << 20)
 
     def test_selftest_subset(self, capsys):
         code, out, err = run_cli(capsys, "selftest", "--criteria", "8")

@@ -194,7 +194,7 @@ class TestEnergies:
 class TestOneTable:
     """E4, E8 and E_2m by transform come from one table's distinct norms.
 
-    Within the transform guard every holder_check and every e4 on the
+    Up to n = energy._TABLE_MAX_N every holder_check and every e4 on the
     transform backend makes one transform and inverts nothing; past it
     holder_check makes the separate e4 and e2m calls.
     """
@@ -254,7 +254,7 @@ class TestOneTable:
 
     @pytest.mark.parametrize("m", [3, 4, 5])
     def test_past_the_guard_makes_the_separate_calls(self, monkeypatch, m):
-        ps = random_point_set(fourier.TRANSFORM_GUARD_N + 1, 12, 4)
+        ps = random_point_set(energy._TABLE_MAX_N + 1, 12, 4)
         want = (e4(ps), e2m(ps, m), None if m == 3 else e2m(ps, 4))
         moments = self.spy(monkeypatch, "e2m")
         rep = holder_check(ps, m)
@@ -371,6 +371,20 @@ class TestConvolutionGuard:
         with pytest.raises(GuardExceededError) as exc:
             e2m(ps, 2, backend="convolution")
         assert exc.value.args[1] == ps.size**2
+
+    @pytest.mark.parametrize("limit, calls", [(9, (1, 0)), (8, (0, 1))])
+    def test_auto_takes_the_table_where_the_convolution_is_refused(
+        self, monkeypatch, limit, calls
+    ):
+        # past n = 14 auto convolves unless the worst step, here the one
+        # step of E_4 on 3 points, 3 * 3 operations, would pass the guard
+        ps = random_point_set(15, 3, 6)
+        want = oracles.naive_e4(tuples_of(ps))
+        monkeypatch.setattr(energy, "CONVOLUTION_OP_GUARD", limit)
+        convolutions = TestOneTable.spy(monkeypatch, "_e2m_convolution")
+        transforms = TestOneTable.spy(monkeypatch, "transform_point_set")
+        assert e2m(ps, 2) == want
+        assert (len(convolutions), len(transforms)) == calls
 
     def test_guard_fires_before_the_step_allocates(self):
         ps = random_point_set(17, 7100, 5)  # 7100^2 > 5e7 operations

@@ -1,5 +1,7 @@
+import argparse
 import ast
 import importlib
+import inspect
 import pkgutil
 import re
 from pathlib import Path
@@ -7,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import tricap
+from tricap import cli
 
 # __main__ runs the CLI on import and version exports no __all__
 MODULES = sorted(
@@ -90,4 +93,38 @@ def test_statistics_read_the_table_their_caller_built():
             name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
             if name == "transform_point_set":
                 found.append(f"{path.name} line {node.lineno}")
+    assert found == []
+
+
+KNOBS = {"force", "soft"}
+
+
+def _names(obj) -> set[str]:
+    """Parameter names of a callable; for a class, of every method, and its attributes."""
+    targets = [obj]
+    names = set()
+    if isinstance(obj, type):
+        targets += [v for v in vars(obj).values() if callable(v)]
+        names |= set(dir(obj))
+    for target in targets:
+        try:
+            names |= set(inspect.signature(target).parameters)
+        except (TypeError, ValueError):  # a builtin without a signature
+            pass
+    return names
+
+
+def test_no_guard_has_a_lift():
+    from test_cli import _leaf_names
+
+    found = [name for name in tricap.__all__ if KNOBS & _names(getattr(tricap, name))]
+    found += sorted(KNOBS & set(dir(tricap.GuardExceededError("what", 2, 1))))
+    parser = cli._build_parser()
+    for path in _leaf_names(parser):
+        leaf = parser
+        for key in path:
+            leaf = next(a for a in leaf._actions if isinstance(a, argparse._SubParsersAction))
+            leaf = leaf.choices[key]
+        if "--force" in leaf._option_string_actions:
+            found.append(" ".join(path))
     assert found == []

@@ -120,7 +120,7 @@ class TestTransform:
         assert np.array_equal(re, f)
 
     def test_guard_refuses_large_n(self):
-        ps = PointSet.from_strings(["0" * 15])
+        ps = PointSet.from_strings(["0" * 17])
         with pytest.raises(GuardExceededError):
             transform_point_set(ps)
 
@@ -417,11 +417,11 @@ class TestRestrictedTransform:
             assert Eisenstein(*coefficient(table, j)) == eval_at(ps, x)
 
     def test_guard_fires_before_the_histogram(self, monkeypatch):
-        ps = random_point_set(15, 10, 3)
+        ps = random_point_set(17, 10, 3)
         calls = []
         monkeypatch.setattr(np, "bincount", lambda *a, **kw: calls.append(a))
         with pytest.raises(GuardExceededError):
-            restricted_transform(ps, whole_space(15))
+            restricted_transform(ps, whole_space(17))
         assert calls == []
 
 
@@ -971,7 +971,7 @@ class TestProductOracle:
     def test_every_cell_is_the_outer_product(self, dims):
         factors = {n: self.factor_table(n) for n in set(dims)}
         ps = functools.reduce(product_capset, [factors[n][0] for n in dims])
-        table = transform_point_set(ps, force=True)
+        table = transform_point_set(ps)
         assert table.p.dtype == np.int32
         rp, rq = functools.reduce(_eis_outer, [factors[n][1] for n in dims[1:]])
         head_p, head_q = factors[dims[0]][1]

@@ -403,9 +403,9 @@ class TestMartingale:
             restricted.append(w)
             return real_restricted(ps, w, **kw)
 
-        def spy_table(f, n, force=False, **kw):
+        def spy_table(f, n, **kw):
             tables.append((n, kw.get("digits")))
-            return real_table(f, n, force, **kw)
+            return real_table(f, n, **kw)
 
         monkeypatch.setattr(PointSet, "__init__", refuse)
         monkeypatch.setattr(PointSet, "_from_sorted", refuse)
@@ -442,11 +442,11 @@ class TestMartingale:
         assert peak < 3**16  # bytes of a 3^16 indicator or bitmap
 
     def test_guard_fires_before_a_large_allocation(self):
-        ps = random_point_set(15, 50, 2)
+        ps = random_point_set(17, 50, 2)
         tracemalloc.start()
         try:
             with pytest.raises(GuardExceededError):
-                fiber_plancherel_check(ps, Subspace.zero(15), whole_space(15))
+                fiber_plancherel_check(ps, Subspace.zero(17), whole_space(17))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -465,3 +465,27 @@ class TestMartingale:
         k = Subspace.span([TritVector.unit(4, 1)])
         with pytest.raises(ValueError):
             fiber_plancherel_check(ps, h, k)
+
+
+class TestMemoryPeaks:
+    """Traced peak of the fiber identity at dim K = 12.
+
+    K's int32 table, 8 bytes a cell, is dropped before the int64 fiber
+    histogram and its int32 partial transform, 8 bytes a cell each, are
+    built; beside the fixed butterfly scratch nothing else is full size.
+    Keeping K's table alive beside them takes 24 bytes a cell.
+    """
+
+    ALLOWANCE = 3 << 20  # fixed scratch, whatever dim K is
+
+    def test_two_tables_of_dim_k_at_most(self):
+        ps = greedy_random_capset(12, 7)
+        h = Subspace.span([TritVector.unit(12, 0)])
+        tracemalloc.start()
+        try:
+            rep = fiber_plancherel_check(ps, h, whole_space(12))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.holds
+        assert peak <= 16 * 3**12 + self.ALLOWANCE
