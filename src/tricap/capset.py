@@ -26,7 +26,6 @@ from .rng import make_rng
 
 __all__ = [
     "EXHAUSTIVE_GUARD_N",
-    "GREEDY_GUARD_N",
     "PRODUCT_GUARD_SIZE",
     "PointSet",
     "count_line_solutions",
@@ -39,7 +38,6 @@ __all__ = [
     "save_point_set",
 ]
 
-GREEDY_GUARD_N = DENSE_MAX_N
 EXHAUSTIVE_GUARD_N = 4  # the combinatorial wall; n=5 is out of desk range
 PRODUCT_GUARD_SIZE = 3**DENSE_MAX_N  # |A| * |B| points, as many as F_3^16 holds
 _HEADER_BYTES = 32  # a set file's first line is refused at this length, unread beyond it
@@ -364,7 +362,7 @@ def greedy_random_capset(n: int, seed: int) -> PointSet:
     """
     if n < 1:
         raise ValueError(f"dimension {n} is below 1")
-    guard("greedy generation dimension", n, GREEDY_GUARD_N)
+    guard("greedy generation dimension", n, DENSE_MAX_N)
     rng = make_rng(seed)
     # shuffling an int32 arange draws the same order as rng.permutation(3^n)
     order = np.arange(3**n, dtype=np.int32)

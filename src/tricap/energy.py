@@ -6,11 +6,14 @@ cells, m(x) at the canonical index of x. The fourth energy is
 sum m(x)^2; higher even energies E_2m come from the coefficient table
 as sum |c(y)|^(2m) / 3^n, which is an exact integer because the
 numerator is divisible by 3^n (that divisibility is asserted, not
-assumed). For E4 past DENSE_MAX_N or of a sparse set, and for E_2m
-past n = 14 (e2m says where the table still serves), a convolution
-backend builds the m-fold sumset counts as sorted index and count
-arrays. Those counts are at most |A|^(m-1), so they are int64 while |A|^(m-1) < 2^62, their squares
-while |A|^(2m-2) < 2^62, and Python ints past either bound.
+assumed). Where that table does not pay, a convolution backend builds
+the m-fold sumset counts as sorted index and count arrays. Those counts
+are at most |A|^(m-1), so they are int64 while |A|^(m-1) < 2^62, their
+squares while |A|^(2m-2) < 2^62, and Python ints past either bound.
+
+Every auto backend here asks one rule, _table_pays(ps, m): e2m, e4 (which
+is e2m at m = 2), holder_check for all its moments at once, and
+diff_multiplicity (m = 2, transform against hash).
 
 Memory: each path holds one dense table plus fixed, block-sized
 scratch. Every transform-side energy, E4 included, counts the distinct
@@ -34,7 +37,7 @@ import numpy as np
 from . import bulk, fourier
 from .capset import PointSet
 from .errors import IdentityViolationError, guard
-from .fourier import TRANSFORM_HARD_MAX_N, SpectrumTable, inverse_table, transform_point_set
+from .fourier import SpectrumTable, inverse_table, transform_point_set
 from .gf3core import DENSE_MAX_N
 
 __all__ = [
@@ -56,7 +59,6 @@ CONVOLUTION_OP_GUARD = 50_000_000
 # within CPython's 4,300-digit int-to-str limit up to m = 282; every report
 # prints E_2m as a string.
 E2M_MAX_M = 256
-_TABLE_MAX_N = 14  # backend crossover: past it only e2m's worst-step rule takes a table
 
 
 def _square_total(table: np.ndarray) -> int:
@@ -105,8 +107,18 @@ def diff_multiplicity(ps: PointSet, backend: str = "auto") -> np.ndarray:
     raise ValueError(f"unknown backend {backend!r}")
 
 
-def _table_pays(ps: PointSet) -> bool:  # auto rule of e4 and diff_multiplicity
-    return ps.n <= _TABLE_MAX_N and 3**ps.n < 4 * max(ps.size, 1) ** 2
+def _table_pays(ps: PointSet, m: int = 2) -> bool:
+    """The one auto rule: whether a table of 3^n cells pays for E_2m of ps.
+
+    Up to DENSE_MAX_N it pays where 3^n < 4 worst, worst being the
+    operations of the convolution's largest step, min(|A|^(m-1), 3^n) |A|.
+    At m = 2 that is 3^n < 4 |A|^2, which also sends diff_multiplicity
+    to the transform rather than the hash table. The rule is monotone in
+    m. Off the table no step counts more than 3^n / 4 operations: about
+    a table's cost at most and, at n <= DENSE_MAX_N, below
+    CONVOLUTION_OP_GUARD (3^16 < 4 * 5e7), so auto never trips it there.
+    """
+    return ps.n <= DENSE_MAX_N and 3**ps.n < 4 * min(ps.size ** (m - 1), 3**ps.n) * ps.size
 
 
 def _inverse_of_real(n: int, norms: np.ndarray) -> np.ndarray:
@@ -124,41 +136,22 @@ def _inverse_of_real(n: int, norms: np.ndarray) -> np.ndarray:
 
 
 def e4(ps: PointSet, backend: str = "auto") -> int:
-    """Quadruples a + b = c + d: E_2m at m = 2 by transform, sum m(x)^2 by hash.
-
-    auto takes the transform where its table pays. Otherwise a sparse
-    set (40 |A|^2 < 3^n), or any set past DENSE_MAX_N, gets E_2m at
-    m = 2 by convolution, which holds no table of 3^n cells; the rest
-    get the hash table. The factor 40 sits where the convolution
-    stops beating the hash table on random sets at n = 14 to 16.
-    """
-    if backend == "auto":
-        if _table_pays(ps):
-            backend = "transform"
-        elif ps.n > DENSE_MAX_N or 40 * ps.size**2 < 3**ps.n:
-            return e2m(ps, 2, backend="convolution")
-        else:
-            backend = "hash"
-    if backend == "transform":
-        return e2m(ps, 2, backend="transform")
-    return _square_total(diff_multiplicity(ps, backend=backend))
+    """Quadruples a + b = c + d: sum m(x)^2 by hash, otherwise e2m(ps, 2, backend)."""
+    if backend == "hash":
+        return _square_total(diff_multiplicity(ps, backend="hash"))
+    return e2m(ps, 2, backend)
 
 
 def e2m(ps: PointSet, m: int, backend: str = "auto") -> int:
     """E_2m: tuples (a_1..a_m, b_1..b_m) with equal sums. Exact.
 
-    auto takes the table up to n = _TABLE_MAX_N, and up to
-    TRANSFORM_HARD_MAX_N where the convolution's worst step,
-    min(|A|^(m-1), 3^n) |A| operations, would pass CONVOLUTION_OP_GUARD.
+    auto takes the transform where _table_pays(ps, m), else the convolution.
     """
     if m < 1:
         raise ValueError("m must be positive")
     guard("energy order m", m, E2M_MAX_M)
     if backend == "auto":
-        worst = min(ps.size ** (m - 1), 3**ps.n) * ps.size
-        pays = ps.n <= _TABLE_MAX_N or (
-            ps.n <= TRANSFORM_HARD_MAX_N and worst > CONVOLUTION_OP_GUARD)
-        backend = "transform" if pays else "convolution"
+        backend = "transform" if _table_pays(ps, m) else "convolution"
     if backend == "transform":
         return _e2m_transform(transform_point_set(ps), (m,))[0]
     if backend == "convolution":
@@ -262,14 +255,19 @@ class HolderReport:
 
 
 def holder_check(ps: PointSet, m: int) -> HolderReport:
+    """E4, E8 (m >= 4) and E_2m: from one table where _table_pays(ps, m).
+
+    Otherwise every moment is its own e2m call, and since the rule is
+    monotone in m, each of them convolves.
+    """
     if m < 3:
         raise ValueError("interpolation checks start at m = 3")
     guard("energy order m", m, E2M_MAX_M)
     wants = (2, m) if m <= 4 else (2, 4, m)
-    if ps.n <= _TABLE_MAX_N:  # e2m's auto rule; one table gives every moment
+    if _table_pays(ps, m):
         got = dict(zip(wants, _e2m_transform(transform_point_set(ps), wants)))
     else:
-        got = {k: e4(ps) if k == 2 else e2m(ps, k) for k in wants}
+        got = {k: e2m(ps, k) for k in wants}
     v4, vm, v8 = got[2], got[m], got.get(4)
     part1 = v4 ** (m - 1) <= vm * ps.size ** (m - 2)
     part2 = None if v8 is None else v8 ** (m - 1) <= vm**3 * ps.size ** (m - 4)

@@ -18,7 +18,7 @@ path takes over or a guard refuses, never a wrapped value:
     2 * peak * 3^k, peak the largest input component (|c| grows at most
     3x a pass from sqrt(3) * peak; a component is at most 2 / sqrt(3)
     |c|). _kernel_dtype picks int32 when the peak bound is below 2^31
-    (every indicator up to TRANSFORM_HARD_MAX_N) and int64 when either
+    (every indicator up to DENSE_MAX_N) and int64 when either
     bound is below 2^63; past both the guard "transform bound" refuses.
     A norm table has l1 = 3^n |A| <= 3^32 by Plancherel, and an
     indicator or a dot-profile histogram l1 = |A|, so every table the
@@ -41,11 +41,11 @@ c(2, x') = conj c(1, -x'). The peak bound carries over: both slices
 start within 3 * peak, and a conjugate has the same norm.
 
 Memory: the one "transform dimension" guard refuses n past
-TRANSFORM_HARD_MAX_N = DENSE_MAX_N = 16 before anything of size 3^n is
-allocated. The passes run in place in the table's own planes, a tile of
-_TILE cells at a time (see _butterfly), so a transform holds the table,
-8 bytes a cell for an indicator, and a fixed scratch of about 2.4 MB:
-344 MB in all at n = 16. The conjugate split shares that scratch and
+DENSE_MAX_N = 16 before anything of size 3^n is allocated. The passes
+run in place in the table's own planes, a tile of _TILE cells at a
+time (see _butterfly), so a transform holds the table, 8 bytes a cell
+for an indicator, and a fixed scratch of about 2.4 MB: 344 MB in all
+at n = 16. The conjugate split shares that scratch and
 adds only its digit negation tables, 3^ceil((n-1)/2) entries at most.
 Consumers read the table in _BLOCK-cell blocks, and norms(start, stop)
 computes the norms of one block.
@@ -80,7 +80,6 @@ from .linalg import Subspace
 
 __all__ = [
     "SpectrumTable",
-    "TRANSFORM_HARD_MAX_N",
     "cube_sum",
     "eval_at",
     "inverse_table",
@@ -92,8 +91,6 @@ __all__ = [
     "transform_table",
 ]
 
-TRANSFORM_HARD_MAX_N = DENSE_MAX_N  # an int32 table of 3^16 cells is 344 MB; passes add 2.4 MB
-
 _INT32_LIMIT = 1 << 31
 _INT64_MAX = (1 << 63) - 1
 _BLOCK = 1 << 16  # cells per int64 scratch block: 512 KB per plane
@@ -101,7 +98,7 @@ _TILE = 1 << 17  # cells per butterfly tile: 512 KB per int32 plane
 
 
 def _check_guard(n: int) -> None:
-    guard("transform dimension", n, TRANSFORM_HARD_MAX_N)
+    guard("transform dimension", n, DENSE_MAX_N)
 
 
 def _kernel_dtype(n: int, *planes: np.ndarray):
@@ -369,7 +366,7 @@ def transform_point_set(ps: PointSet) -> SpectrumTable:
     """Character-sum table of a point set's indicator function.
 
     The indicator is written straight into int32 planes, the dtype
-    _kernel_dtype picks for a peak of 1 up to TRANSFORM_HARD_MAX_N
+    _kernel_dtype picks for a peak of 1 up to DENSE_MAX_N
     (2 * 3^16 < 2^31), and transformed in place.
     """
     _check_guard(ps.n)
@@ -501,8 +498,8 @@ def load_table(fh: BinaryIO | str) -> SpectrumTable:
     if len(header) != 12:
         raise ValueError("truncated coefficient table header")
     n, source = struct.unpack("<iq", header)
-    if not 0 <= n <= TRANSFORM_HARD_MAX_N:
-        raise ValueError(f"table dimension {n} outside 0..{TRANSFORM_HARD_MAX_N}")
+    if not 0 <= n <= DENSE_MAX_N:
+        raise ValueError(f"table dimension {n} outside 0..{DENSE_MAX_N}")
     count = 3**n
     wrong_length = ValueError(f"coefficient table body is not exactly {16 * count} bytes")
     if fh.seekable():

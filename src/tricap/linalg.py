@@ -28,12 +28,9 @@ from .errors import DimensionMismatchError, guard
 from .gf3core import DENSE_MAX_N, MAX_DIM, TritVector, plane_add
 
 __all__ = [
-    "ENUM_GUARD_DIM",
     "Subspace",
     "rank",
 ]
-
-ENUM_GUARD_DIM = DENSE_MAX_N  # 3^16 ~ 43M points; enumeration beyond this refuses
 
 
 def _residue(rows: dict[int, tuple[int, int]], lo: int, hi: int) -> tuple[int, int]:
@@ -223,7 +220,7 @@ class Subspace:
         vector fastest: each basis vector b adds 0, b and 2b = -b along a
         new fastest axis.
         """
-        guard("subspace enumeration dimension", self.dim, ENUM_GUARD_DIM)
+        guard("subspace enumeration dimension", self.dim, DENSE_MAX_N)
         lo = hi = np.zeros(1, dtype=np.int64)
         for b in self.basis:
             lo, hi = plane_add(

@@ -2,6 +2,7 @@ import json
 import math
 import tracemalloc
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -125,6 +126,18 @@ class TestDenseDifferenceTable:
             assert int(table[x]) == int(ps.contains_indices(shifted).sum()), x
 
 
+    @pytest.mark.large
+    def test_auto_takes_the_transform_at_n15(self, monkeypatch):
+        # 3^15 < 4 |A|^2: the table pays, and it is the hash table cell for cell
+        ps = random_point_set(15, 7570, 15)
+        assert energy._table_pays(ps)
+        transforms = TestOneTable.spy(monkeypatch, "transform_point_set")
+        pairs = TestOneTable.spy(monkeypatch, "_pairwise_counts")
+        table = diff_multiplicity(ps)
+        assert (len(transforms), len(pairs)) == (1, 0)
+        assert np.array_equal(table, diff_multiplicity(ps, backend="hash"))
+
+
 class TestEnergies:
     @given(small_sets)
     def test_e4_matches_reference(self, ps):
@@ -194,9 +207,9 @@ class TestEnergies:
 class TestOneTable:
     """E4, E8 and E_2m by transform come from one table's distinct norms.
 
-    Up to n = energy._TABLE_MAX_N every holder_check and every e4 on the
-    transform backend makes one transform and inverts nothing; past it
-    holder_check makes the separate e4 and e2m calls.
+    Every e4 on the transform backend, and every holder_check where
+    _table_pays(ps, m), makes one transform and inverts nothing; where
+    the table does not pay, holder_check makes one e2m call a moment.
     """
 
     @staticmethod
@@ -254,12 +267,12 @@ class TestOneTable:
 
     @pytest.mark.parametrize("m", [3, 4, 5])
     def test_past_the_guard_makes_the_separate_calls(self, monkeypatch, m):
-        ps = random_point_set(energy._TABLE_MAX_N + 1, 12, 4)
+        ps = random_point_set(15, 12, 4)
         want = (e4(ps), e2m(ps, m), None if m == 3 else e2m(ps, 4))
         moments = self.spy(monkeypatch, "e2m")
         rep = holder_check(ps, m)
         assert (rep.e4, rep.e2m, rep.e8) == want
-        # 12 points at n = 15 are sparse, so e4 is E_2m at m = 2 as well
+        # 12 points at n = 15 are sparse: no moment's table pays
         assert sorted(args[1] for args in moments) == sorted({2, m, 4} if m > 3 else {2, m})
 
 
@@ -280,21 +293,9 @@ class TestPastTheDenseCeiling:
             e4(big)
         assert exc.value.args == ("convolution operations", 7100**2, energy.CONVOLUTION_OP_GUARD)
 
-    def test_the_ceiling_itself_keeps_the_hash_table(self, monkeypatch):
-        # a lowered ceiling moves the switch down, between n = 5 and n = 6
-        monkeypatch.setattr(energy, "DENSE_MAX_N", 5)
-        moments = TestOneTable.spy(monkeypatch, "e2m")
-        tables = TestOneTable.spy(monkeypatch, "diff_multiplicity")
-        for n, calls in ((5, (0, 1)), (6, (1, 0))):
-            ps = random_point_set(n, 4, n)  # 3^n >= 4 |A|^2: no transform
-            moments.clear()
-            tables.clear()
-            assert e4(ps) == oracles.naive_e4(tuples_of(ps))
-            assert (len(moments), len(tables)) == calls
-
 
 class TestSparseSets:
-    """A sparse set (40 |A|^2 < 3^n) gets E4 by convolution, not a dense table."""
+    """A sparse set (3^n >= 4 |A|^2) gets E4 by convolution, not a dense table."""
 
     def test_e4_takes_the_convolution_at_n15(self, monkeypatch):
         ps = random_point_set(15, 50, 3)
@@ -307,6 +308,108 @@ class TestSparseSets:
             tracemalloc.stop()
         assert (peak < 1 << 20, tables) == (True, [])
         assert value == e4(ps, backend="hash") == oracles.naive_e4(tuples_of(ps))
+
+
+def _smallest_paying_size(n: int, m: int) -> int:
+    """The least |A| with 3^n < 4 min(|A|^(m-1), 3^n) |A|, by bisection."""
+    lo, hi = 0, 3**n
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if 3**n < 4 * min(mid ** (m - 1), 3**n) * mid:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
+class TestOneRule:
+    """Every auto backend takes the table exactly where _table_pays(ps, m).
+
+    The sizes sit on both sides of 3^n = 4 worst and, at m = 2, at the
+    low edge of the band 40 |A|^2 >= 3^n > 4 |A|^2, where hashing E4
+    beats its convolution but auto still convolves. Up to n = 14 the sets are real and every backend runs; from
+    n = 15 the backends are stubs and a set is only its n and size.
+    """
+
+    TINY = transform_point_set(PointSet(1, [0]))  # norms 1, 1, 1: every moment is 1
+
+    @classmethod
+    def paths(cls, monkeypatch, stub):
+        taken = []
+        for name, path, fake in (
+            ("transform_point_set", "table", lambda ps: cls.TINY),
+            ("_e2m_convolution", "convolution", lambda ps, m: 0),
+            ("_pairwise_counts", "hash", lambda a, b, negate_second: np.zeros(1, np.int64)),
+        ):
+            run = fake if stub else getattr(energy, name)
+            monkeypatch.setattr(
+                energy, name,
+                lambda *a, run=run, path=path, **kw: taken.append(path) or run(*a, **kw),
+            )
+        if stub:
+            monkeypatch.setattr(energy, "_inverse_of_real", lambda n, norms: np.zeros(1, np.int64))
+        return taken
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 5])
+    @pytest.mark.parametrize("n", range(1, DENSE_MAX_N + 1))
+    def test_every_auto_follows_the_rule(self, monkeypatch, n, m):
+        edge = _smallest_paying_size(n, m)
+        sizes = {edge - 1: False, edge: True}
+        band = math.isqrt(3**n // 40)
+        while 40 * band**2 < 3**n:
+            band += 1
+        if m == 2 and 4 * band**2 <= 3**n:
+            sizes[band] = False
+        taken = self.paths(monkeypatch, stub=n > 14)
+        for size, pays in sizes.items():
+            if n > 14:
+                ps = SimpleNamespace(n=n, size=size)
+            else:
+                ps = PointSet._from_sorted(n, np.arange(size))
+            assert energy._table_pays(ps, m) is pays, (n, m, size)
+            runs = [(lambda: e2m(ps, m), ["convolution"])]
+            if m == 2:
+                runs += [(lambda: e4(ps), ["convolution"]),
+                         (lambda: diff_multiplicity(ps), ["hash"])]
+            if m >= 3:
+                runs += [(lambda: holder_check(ps, m), ["convolution"] * (2 if m == 3 else 3))]
+            for run, off_table in runs:
+                taken.clear()
+                run()
+                assert taken == (["table"] if pays else off_table), (n, m, size)
+
+    def test_the_convolution_guard_is_past_every_table(self):
+        # so off the table, where a step counts at most 3^n / 4 operations,
+        # auto never meets the guard at n <= DENSE_MAX_N
+        assert 3**DENSE_MAX_N < 4 * energy.CONVOLUTION_OP_GUARD
+
+    def test_e2m_at_n15_takes_the_table(self, monkeypatch):
+        # 7,071^2 operations are within the guard, yet convolving them takes
+        # 45 s where the table takes 1 s (2-core x86_64 VM)
+        ps = random_point_set(15, 7071, 2)
+
+        def refused(*args):
+            raise AssertionError("e2m convolved where the table pays")
+
+        monkeypatch.setattr(energy, "_e2m_convolution", refused)
+        transforms = TestOneTable.spy(monkeypatch, "transform_point_set")
+        value = e2m(ps, 2)
+        assert len(transforms) == 1
+        # a = c, b = d and a = d, b = c give 2 |A|^2 - |A| quadruples
+        assert value >= 2 * ps.size**2 - ps.size
+
+    def test_holder_at_n15_takes_one_table(self, monkeypatch):
+        ps = random_point_set(15, 7072, 3)
+        transforms = TestOneTable.spy(monkeypatch, "transform_point_set")
+        pairs = TestOneTable.spy(monkeypatch, "_pairwise_counts")
+        assert holder_check(ps, 5).all_hold
+        assert (len(transforms), len(pairs)) == (1, 0)
+
+    def test_a_sparse_set_at_n14_transforms_nothing(self, monkeypatch):
+        ps = PointSet(14, [0, 1, 2])
+        transforms = TestOneTable.spy(monkeypatch, "transform_point_set")
+        assert e2m(ps, 2) == oracles.naive_e4(tuples_of(ps))
+        assert transforms == []
 
 
 class TestMemoryPeaks:
@@ -371,20 +474,6 @@ class TestConvolutionGuard:
         with pytest.raises(GuardExceededError) as exc:
             e2m(ps, 2, backend="convolution")
         assert exc.value.args[1] == ps.size**2
-
-    @pytest.mark.parametrize("limit, calls", [(9, (1, 0)), (8, (0, 1))])
-    def test_auto_takes_the_table_where_the_convolution_is_refused(
-        self, monkeypatch, limit, calls
-    ):
-        # past n = 14 auto convolves unless the worst step, here the one
-        # step of E_4 on 3 points, 3 * 3 operations, would pass the guard
-        ps = random_point_set(15, 3, 6)
-        want = oracles.naive_e4(tuples_of(ps))
-        monkeypatch.setattr(energy, "CONVOLUTION_OP_GUARD", limit)
-        convolutions = TestOneTable.spy(monkeypatch, "_e2m_convolution")
-        transforms = TestOneTable.spy(monkeypatch, "transform_point_set")
-        assert e2m(ps, 2) == want
-        assert (len(convolutions), len(transforms)) == calls
 
     def test_guard_fires_before_the_step_allocates(self):
         ps = random_point_set(17, 7100, 5)  # 7100^2 > 5e7 operations

@@ -481,7 +481,7 @@ class TestTableIO:
             "negative-n": (-1, 5),
             "n-40": (40, 5),
             "n-20": (20, 5),
-            "n-above-hard-max": (fourier.TRANSFORM_HARD_MAX_N + 1, 5),
+            "n-above-hard-max": (fourier.DENSE_MAX_N + 1, 5),
             "source-size-mismatch": (2, 999),
         }.get(fault, (ps.n, ps.size))
         data = magic + struct.pack("<iq", *head) + body

@@ -77,7 +77,7 @@ def _product_of(size: int) -> Callable:
 
 SITES = {
     "transform-hard": Site(
-        "transform dimension", (fourier, "TRANSFORM_HARD_MAX_N"),
+        "transform dimension", (fourier, "DENSE_MAX_N"),
         lambda n: partial(transform_point_set, PointSet(n, [0])), 4, 17),
     "transform-bound": Site(  # the l1 of (v - v // 2, v // 2, 0), a third of its peak bound
         "transform bound", (fourier, "_INT64_MAX"),
@@ -86,7 +86,7 @@ SITES = {
         "dense bitmap dimension", (capset, "DENSE_MAX_N"),
         lambda n: PointSet(n, [0]).bitmap, 4, 17),
     "greedy": Site(
-        "greedy generation dimension", (capset, "GREEDY_GUARD_N"),
+        "greedy generation dimension", (capset, "DENSE_MAX_N"),
         lambda n: partial(greedy_random_capset, n, 1), 4, 17),
     "product": Site(
         "product dimension", (capset, "MAX_DIM"),
@@ -99,7 +99,7 @@ SITES = {
         "exhaustive search dimension", (capset, "EXHAUSTIVE_GUARD_N"),
         lambda n: partial(exhaustive_max_capset, n), 2, 5),
     "enumeration": Site(
-        "subspace enumeration dimension", (linalg, "ENUM_GUARD_DIM"),
+        "subspace enumeration dimension", (linalg, "DENSE_MAX_N"),
         lambda n: whole_space(n).enumerate_indices, 3, 17),
     "difference": Site(
         "dense difference table dimension", (energy, "DENSE_MAX_N"),
