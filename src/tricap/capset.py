@@ -250,13 +250,13 @@ def _text(line: bytes) -> str:
 
 
 def _line_hits(ps: PointSet):
-    """Blocks (weight, diagonal, hits) covering every line solution of A.
+    """Blocks (weight, hits) covering every line solution of A.
 
     hits[i, j] says whether -(a_i + b_j) is a member, for the pairs of one
     block. Counting its hits times weight, over every block, counts the
-    ordered triples (a, b, c) in A^3 with a + b + c = 0; a block with
-    diagonal=True is square and its diagonal holds the degenerate
-    triples (a, a, a).
+    ordered triples (a, b, c) in A^3 with a + b + c = 0. A block of
+    weight 1 is square and its diagonal holds the degenerate triples
+    (a, a, a); no other block holds one.
 
     The digits of a solution at any coordinate are (d, d, d) or a
     permutation of (0, 1, 2). So the sorted members split by their
@@ -281,8 +281,8 @@ def _line_hits(ps: PointSet):
             run = tuple(plane[start:stop] for plane in neg)
             for s, e, third in bulk.pair_sums(ps.n, run, run, upper=True):
                 hits = ps.contains_indices(third)
-                yield 1, True, hits[:, : e - s]
-                yield 2, False, hits[:, e - s :]
+                yield 1, hits[:, : e - s]
+                yield 2, hits[:, e - s :]
             return
         width = 3 ** (ps.n - 1 - digit)
         base = int(idx[start]) - int(idx[start]) % (3 * width)
@@ -297,7 +297,7 @@ def _line_hits(ps: PointSet):
             x = tuple(plane[a0:b0] for plane in neg)
             y = tuple(plane[a1:b1] for plane in neg)
             for _, _, third in bulk.pair_sums(ps.n, x, y):
-                yield 6, False, ps.contains_indices(third)
+                yield 6, ps.contains_indices(third)
 
     if ps.size:
         yield from part(0, ps.size, 0)
@@ -312,25 +312,19 @@ def count_line_solutions(ps: PointSet) -> int:
     a point in each class, are counted once over the two smallest
     classes and weighted 6, about |A|^2 / 6 pairs vectorized in blocks.
     """
-    return sum(
-        weight * int(np.count_nonzero(hits)) for weight, _, hits in _line_hits(ps)
-    )
+    return sum(weight * int(np.count_nonzero(hits)) for weight, hits in _line_hits(ps))
 
 
 def is_capset(ps: PointSet) -> bool:
     """True iff no three distinct points of the set sum to zero.
 
     Walks the same leading-digit classes as count_line_solutions, about
-    |A|^2 / 6 pairs, and stops at the first block with a hit off the
-    diagonal of degenerate triples.
+    |A|^2 / 6 pairs, and stops at the first hit off the diagonals of the
+    weight-1 blocks, where every degenerate triple lies.
     """
-    if ps.size < 3:
-        return True
-    for _, diagonal, hits in _line_hits(ps):
-        if diagonal:
-            # a == b gives the degenerate triple (a, a, a); mask the diagonal
-            rows = np.arange(hits.shape[0])
-            hits[rows, rows] = False
+    for weight, hits in _line_hits(ps):
+        if weight == 1:  # a == b gives the degenerate triple (a, a, a)
+            np.fill_diagonal(hits, False)
         if hits.any():
             return False
     return True
@@ -395,9 +389,12 @@ def greedy_random_capset(n: int, seed: int) -> PointSet:
 
 
 def product_capset(a: PointSet, b: PointSet) -> PointSet:
-    """Coordinate-concatenation product; products of caps are caps.
+    """Coordinate-concatenation product; A x B is a cap iff it is empty or A and B are.
 
-    Both index arrays increase, so the rows a_i x B come out sorted and distinct.
+    A zero-sum triple of distinct points of A x B is zero-sum in each coordinate block,
+    where x + y + z = 0 iff x = y = z or x, y, z are a line; the points differ in some
+    block, which is then a line of its factor. A line of A times a point of B is one of
+    A x B. Both index arrays increase, so the rows a_i x B come out sorted and distinct.
     """
     n = a.n + b.n
     guard("product dimension", n, MAX_DIM)

@@ -230,10 +230,10 @@ def _cmd_capset_product(args: argparse.Namespace) -> Result:
     if not args.out:
         save_point_set(prod, sys.stdout)
         return None, True
-    body = dict(n=prod.n, left_size=pa.size, right_size=pb.size,
-                size=prod.size, is_capset=is_capset(prod))
     save_point_set(prod, args.out)
-    return body, True
+    cap = prod.size == 0 or (is_capset(pa) and is_capset(pb))  # see product_capset
+    return dict(n=prod.n, left_size=pa.size, right_size=pb.size, size=prod.size,
+                is_capset=cap), True
 
 
 # -- fourier --------------------------------------------------------------------
@@ -319,8 +319,7 @@ def _cmd_spectrum_subspace(args: argparse.Namespace) -> Result:
         reference = math.inf
     if not math.isfinite(reference):
         raise _UsageError(f"epsilon {args.epsilon!r} gives no finite count reference")
-    spec = extract_spectrum(ps, transform_point_set(ps), args.threshold)
-    count, weight = subspace_spectrum_stats(spec, w)
+    count, weight = subspace_spectrum_stats(ps, w, args.threshold)
     rho = ps.size / 3**ps.n
     return dict(dim=w.dim, member_count=count, weight=str(weight),
                 weight_normalized=weight / 3 ** (2 * ps.n), count_reference=reference,

@@ -7,10 +7,10 @@ integer comparison
 
     eis_norm(c(x)) * 3^(2n) * c_den^2  >=  c_num^2 * |A|^4
 
-so membership never touches floating point. The spectrum is closed under
+so membership never touches floating point; _spectrum_need is the one
+right-hand side, on A's table and on W's. The spectrum is closed under
 negation and shrinks as c grows; both are enforced by tests. Nothing
-here computes a float: the normalized weight and the references that
-`spectrum subspace` prints are computed by its CLI handler.
+here computes a float; the CLI handler computes those `spectrum subspace` prints.
 
 Increment checks are affine throughout: a direction subspace plus a
 shift. A set has a strong increment on an affine subspace V of
@@ -91,6 +91,13 @@ def _check_table(ps: PointSet, table: SpectrumTable) -> None:
         raise ValueError("the table is not the transform of a set of this n and size")
 
 
+def _spectrum_need(ps: PointSet, c: Fraction) -> int:
+    """ceil(c_num^2 |A|^4 / (3^(2n) c_den^2)), n ambient: the least norm of a member."""
+    if c < 0:
+        raise ValueError("threshold must be nonnegative")
+    return -(-(c.numerator**2 * ps.size**4) // (3 ** (2 * ps.n) * c.denominator**2))
+
+
 def extract_spectrum(
     ps: PointSet, table: SpectrumTable, threshold_c: Fraction | int = 1
 ) -> SpectrumSet:
@@ -102,11 +109,8 @@ def extract_spectrum(
     a byte a cell, then the mask plus the members.
     """
     c = Fraction(threshold_c)
-    if c < 0:
-        raise ValueError("threshold must be nonnegative")
+    need = _spectrum_need(ps, c)
     _check_table(ps, table)
-    # norm >= ceil(c_num^2 |A|^4 / (3^(2n) c_den^2)), exact integer form
-    need = -(-(c.numerator**2 * ps.size**4) // (3 ** (2 * ps.n) * c.denominator**2))
     mask = np.empty(table.p.size, dtype=bool)
     for start, stop, norms in table.norm_blocks():
         mask[start:stop] = norms >= need  # exact for any Python int need
@@ -287,12 +291,12 @@ def sampled_increment_checks(
     return found
 
 
-def subspace_spectrum_stats(spec: SpectrumSet, w: Subspace) -> tuple[int, int]:
-    """(member_count, weight): |Spec on W| and sum of eis_norm(c(w)) over nonzero w in W."""
-    base, _, members = spec
-    if w.n != base.n:
-        raise ValueError("subspace dimension differs from the spectrum")
-    # frequency 0 is never a spectrum member, so W's zero counts for nothing
-    count = int(members.contains_indices(w.enumerate_indices()).sum())
-    table = restricted_transform(base, w)
-    return count, table.norm_total() - table.norm_at(0)
+def subspace_spectrum_stats(
+    ps: PointSet, w: Subspace, threshold_c: Fraction | int = 1
+) -> tuple[int, int]:
+    """(member_count, weight): |Spec on W| and sum of eis_norm(c(x)) over nonzero x in W."""
+    need = _spectrum_need(ps, Fraction(threshold_c))
+    table = restricted_transform(ps, w)  # W's table alone; cell 0 is x = 0, never a member
+    zero = table.norm_at(0)
+    count = sum(int(np.count_nonzero(norms >= need)) for _, _, norms in table.norm_blocks())
+    return count - (zero >= need), table.norm_total() - zero

@@ -7,15 +7,19 @@ import shlex
 import subprocess
 import sys
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from tricap import (
     PointSet,
+    TritVector,
     cli,
     energy,
+    eval_at,
     greedy_random_capset,
+    is_capset,
     load_point_set,
     random_point_set,
     save_point_set,
@@ -24,6 +28,7 @@ from tricap import (
 from tricap.cli import main
 from tricap.version import VERSION
 
+import oracles
 from conftest import on_affine_coset
 
 
@@ -122,6 +127,40 @@ class TestCapsetCommands:
         assert out.startswith("n=12\n")
         with pytest.raises(AssertionError):
             run_cli(capsys, "capset", "product", cap_file, cap_file, "--out", str(tmp_path / "o"))
+
+    @pytest.mark.parametrize("left, right", [
+        (greedy_random_capset(3, 1), greedy_random_capset(2, 5)),
+        (greedy_random_capset(3, 1), PointSet.from_strings(["000", "111", "222", "012"])),
+        (PointSet.from_strings(["000", "111", "222", "012"]), PointSet.empty(2)),
+        (PointSet.from_strings(["21"]), PointSet.from_strings(["000", "111", "222", "012"])),
+    ], ids=["cap x cap", "cap x non-cap", "non-cap x empty", "one-point factor"])
+    def test_product_report_matches_the_walk(self, tmp_path, capsys, left, right):
+        # the report takes is_capset from the factors; the walk reads the product itself
+        save_point_set(left, tmp_path / "l.txt")
+        save_point_set(right, tmp_path / "r.txt")
+        out_path = tmp_path / "p.txt"
+        code, out, _ = run_cli(capsys, "capset", "product", str(tmp_path / "l.txt"),
+                               str(tmp_path / "r.txt"), "--out", str(out_path))
+        prod = load_point_set(out_path)
+        assert code == 0
+        assert json.loads(out)["is_capset"] is is_capset(prod)
+        assert prod.size == left.size * right.size
+        if left.size == 1:  # a copy of the other factor behind the one point's digits
+            assert [str(v)[left.n:] for v in prod.vectors()] == [str(v) for v in right.vectors()]
+
+    def test_product_report_checks_only_the_factors(self, cap_file, tmp_path, capsys,
+                                                    monkeypatch):
+        seen = []
+
+        def spy(ps):
+            seen.append(ps)
+            return is_capset(ps)
+
+        monkeypatch.setattr(cli, "is_capset", spy)
+        code, out, _ = run_cli(capsys, "capset", "product", cap_file, cap_file,
+                               "--out", str(tmp_path / "o"))
+        assert (code, json.loads(out)["is_capset"]) == (0, True)
+        assert seen == [load_point_set(cap_file)] * 2
 
 
 class TestReportsAndFormats:
@@ -674,6 +713,33 @@ class TestPipelines:
         code, out, _ = run_cli(capsys, "spectrum", "extract", cap_file)
         assert (code, transforms) == (0, ["transform_point_set"])
         assert json.loads(out)["spectrum_size"] > 0
+
+    def test_spectrum_subspace_transforms_only_w(self, cap_file, capsys, transforms):
+        # |Spec on W| and the weight come off W's table; no table of the cube is built
+        code, out, _ = run_cli(capsys, "spectrum", "subspace", cap_file,
+                               "--basis", "120000,011100", "--threshold", "1/2")
+        assert (code, transforms) == (0, ["restricted_transform"])
+        assert json.loads(out)["dim"] == 2
+
+    @pytest.mark.parametrize("threshold, members", [("1", 6), ("28697814", 0)])
+    def test_spectrum_subspace_past_the_dense_ceiling(self, tmp_path, capsys, threshold, members):
+        # n = 17 has no 3^n table, but W has dim 2. Six of W's nonzero points
+        # have norm 3 and two norm 0; c = 2 * 3^15 asks for a norm of 4 exactly
+        n, gens = 17, ["0" * 15 + "10", "0" * 15 + "01"]
+        ps = PointSet(n, [0, 1, 5])
+        path = tmp_path / "a.txt"
+        save_point_set(ps, path)
+        code, out, err = run_cli(capsys, "spectrum", "subspace", str(path),
+                                 "--basis", ",".join(gens), "--threshold", threshold)
+        assert (code, err) == (0, "")
+        c = Fraction(threshold)
+        points = [d for d in oracles.naive_span([oracles.digits(g) for g in gens], n) if any(d)]
+        norms = [eval_at(ps, TritVector.from_string(oracles.to_string(d))).norm() for d in points]
+        passed = [v * 3 ** (2 * n) * c.denominator**2 >= c.numerator**2 * 3**4 for v in norms]
+        rep = json.loads(out)
+        assert len(points) == 8
+        assert (rep["member_count"], rep["weight"]) == (sum(passed), str(sum(norms)))
+        assert sum(passed) == members
 
     @pytest.mark.skipif(sys.version_info < (3, 11),
                         reason="CPython 3.10 keeps a call's arguments alive until it returns")

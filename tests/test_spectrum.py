@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 from math import isqrt
 from types import SimpleNamespace
@@ -394,12 +395,14 @@ class TestIncrementOracles:
 
 
 class TestSubspaceStats:
+    """(member_count, weight) off W's restricted table against the full spectrum."""
+
     def test_against_direct_sums(self):
         ps = greedy_random_capset(5, 77)
         table = transform_point_set(ps)
         spec = extract_spectrum(ps, table, Fraction(1, 2))
         w = Subspace.span([TritVector.from_string("10000"), TritVector.from_string("01000")])
-        member_count, weight = subspace_spectrum_stats(spec, w)
+        member_count, weight = subspace_spectrum_stats(ps, w, Fraction(1, 2))
         direct_count = 0
         direct_weight = 0
         for i in w.enumerate_indices().tolist():
@@ -424,9 +427,51 @@ class TestSubspaceStats:
         points = oracles.naive_span([oracles.digits(s) for s in gens], 5)
         members = {str(v) for v in spec.members.vectors()}
         table = transform_point_set(ps)
-        member_count, weight = subspace_spectrum_stats(spec, w)
+        member_count, weight = subspace_spectrum_stats(ps, w, 2)
         assert member_count == sum(oracles.to_string(d) in members for d in points)
         assert member_count > 0
         assert weight == sum(
             table.norm_at(oracles.point_index(d)) for d in points if any(d)
         )
+
+    @pytest.mark.parametrize("c", [0, Fraction(1, 2), 1, 2, 27], ids=str)
+    def test_matches_the_full_spectrum_on_random_subspaces(self, c):
+        sets = [greedy_random_capset(6, 7), random_point_set(7, 300, 5), PointSet(5, [])]
+        for k, ps in enumerate(sets):
+            table = transform_point_set(ps)
+            members = extract_spectrum(ps, table, c).members
+            for dim in range(5):
+                rng = make_rng(SELFTEST_SEED, 34, k, dim)
+                picks = rng.integers(0, 3**ps.n, size=dim).tolist()
+                w = Subspace.span([TritVector.from_index(ps.n, i) for i in picks], ps.n)
+                points = w.enumerate_indices()
+                want = (int(members.contains_indices(points).sum()),
+                        sum(table.norm_at(i) for i in points.tolist() if i))
+                assert subspace_spectrum_stats(ps, w, c) == want, (k, dim)
+
+    def test_both_statistics_refuse_a_negative_threshold(self):
+        ps = greedy_random_capset(4, 2)
+        w = Subspace.span([TritVector.unit(4, 0)], 4)
+        for call in (lambda: extract_spectrum(ps, transform_point_set(ps), -1),
+                     lambda: subspace_spectrum_stats(ps, w, Fraction(-1, 3))):
+            with pytest.raises(ValueError, match="threshold must be nonnegative"):
+                call()
+
+    def test_refuses_a_subspace_of_another_dimension(self):
+        with pytest.raises(ValueError, match="subspace dimension"):
+            subspace_spectrum_stats(PointSet(5, [0, 1]), Subspace.span([TritVector.unit(4, 0)], 4))
+
+    def test_builds_no_table_of_the_cube(self):
+        # the n = 14 table alone is 38 MB; W's table has 9 cells
+        ps = greedy_random_capset(14, 7)
+        w = Subspace.span([TritVector.unit(14, 0), TritVector.unit(14, 9)], 14)
+        tracemalloc.start()
+        try:
+            count, weight = subspace_spectrum_stats(ps, w)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        points = w.enumerate_indices()[1:]
+        norms = [eval_at(ps, TritVector.from_index(14, i)).norm() for i in points.tolist()]
+        assert (count, weight) == (sum(3**28 * v >= ps.size**4 for v in norms), sum(norms))
